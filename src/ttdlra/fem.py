@@ -26,7 +26,7 @@ from .dense import DenseTensor, inner, mode_multiply
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import apply_tangent_projector
-from .tt import TTTensor, tt_add, tt_round
+from .tt import TTTensor, tt_add, tt_round, tt_scale
 
 __all__ = [
     "Fem1D",
@@ -40,6 +40,7 @@ __all__ = [
     "laplacian_operator",
     "assemble_operator",
     "assemble_rhs",
+    "source_loads",
     "SourceTerm",
     "lipschitz_constant",
     "check_a1_tangency",
@@ -89,29 +90,24 @@ def build_fem1d(n_cells: int) -> Fem1D:
     )
 
 
-_GAUSS_POINTS = 12
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def load_vector(fem: Fem1D, profile, n_gauss: int = _GAUSS_POINTS) -> np.ndarray:
+def load_vector(fem: Fem1D, profile) -> np.ndarray:
     """Interior load ``Int profile(x) phi_i(x) dx`` by composite Gauss quadrature.
 
     Twelve points per cell push the quadrature error for smooth profiles far
     below 1e-10 of the load norm.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
     h = fem.h
-    out = np.zeros(fem.n_interior)
-    for cell in range(fem.n_cells):
-        a = cell * h
-        x = a + (nodes + 1.0) * (h / 2.0)
-        w = weights * (h / 2.0)
-        fx = np.asarray([profile(xi) for xi in x], dtype=float)
-        left = cell - 1  # interior index of the node at the left cell edge
-        if left >= 0:
-            out[left] += np.sum(w * fx * (1.0 - (x - a) / h))
-        if cell < fem.n_cells - 1:
-            out[cell] += np.sum(w * fx * ((x - a) / h))
-    return out
+    a = np.arange(fem.n_cells)[:, None] * h  # left cell edges
+    x = a + (_GAUSS_NODES + 1.0) * (h / 2.0)  # one row of quadrature points per cell
+    w = _GAUSS_WEIGHTS * (h / 2.0)
+    fx = np.asarray([profile(xi) for xi in x.ravel()], dtype=float).reshape(x.shape)
+    # interior node i is the right edge of cell i and the left edge of cell i + 1
+    to_right = np.sum(w * fx * ((x - a) / h), axis=1)
+    to_left = np.sum(w * fx * (1.0 - (x - a) / h), axis=1)
+    return to_right[:-1] + to_left[1:]
 
 
 class Discretization:
@@ -343,29 +339,34 @@ class SourceTerm:
         return float(self.time_coeff)
 
 
-def assemble_rhs(terms, disc: Discretization, t: float, round_to=None) -> TTTensor:
+def source_loads(terms, disc: Discretization) -> tuple:
+    """Time-independent part of :func:`assemble_rhs`: per term, the rank-one
+    train of its mode loads (coefficient one) in orthonormal coordinates."""
+    for term in terms:
+        if len(term.profiles) != disc.ndim:
+            raise InvalidArgumentError("source term has the wrong number of profiles")
+    return tuple(
+        TTTensor(tuple(
+            disc.load_orthonormal_1d(load_vector(fem, profile), m).reshape(1, -1, 1)
+            for m, (fem, profile) in enumerate(zip(disc.fems, term.profiles))
+        ))
+        for term in terms
+    )
+
+
+def assemble_rhs(terms, disc: Discretization, t: float, round_to=None, loads=None) -> TTTensor:
     """Load tensor of a separable source in orthonormal coordinates.
 
     Each term contributes a rank-one train; the sum has interface ranks at
     most the number of terms.  An empty term list gives the zero tensor.
+    ``loads``, the :func:`source_loads` of ``terms``, skips the quadrature.
     """
-    d = disc.ndim
-    dims = disc.dims
     acc = None
-    for term in terms:
-        if len(term.profiles) != d:
-            raise InvalidArgumentError("source term has the wrong number of profiles")
-        c = term.coefficient(t)
-        cores = []
-        for m in range(d):
-            raw = load_vector(disc.fems[m], term.profiles[m])
-            vec = disc.load_orthonormal_1d(raw, m)
-            cores.append(vec.reshape(1, dims[m], 1))
-        cores[0] = cores[0] * c
-        piece = TTTensor(tuple(cores))
+    for term, piece in zip(terms, source_loads(terms, disc) if loads is None else loads):
+        piece = tt_scale(piece, term.coefficient(t))
         acc = piece if acc is None else tt_add(acc, piece)
     if acc is None:
-        acc = TTTensor(tuple(np.zeros((1, n, 1)) for n in dims))
+        acc = TTTensor(tuple(np.zeros((1, n, 1)) for n in disc.dims))
     if round_to is not None:
         acc = tt_round(acc, ranks=round_to)
     return acc

@@ -25,8 +25,12 @@ ranks.
 
 The Galerkin solve runs in explicit orthonormal tangent coordinates; the
 reduced matrix is assembled from small contractions of the core with
-factor-compressed operator blocks, so no dense-ambient quantity larger than
-one coefficient tensor is ever formed.
+factor-compressed operator blocks.  The ambient ``n^d`` tensor is not formed
+either: ``u + v`` stays a Tucker tensor with factors ``[U^m, Udot^m]`` and a
+``(2r)^d`` block core, the sweep's result and the source stay trains, and
+:func:`~ttdlra.retraction.retract_tucker` retracts on a small core.  The
+energy report takes state differences through their factors as well; only
+the reference solver :func:`dense_implicit_euler` works in the ambient space.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ import numpy as np
 from .dense import DenseTensor, matricize
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import retract
-from .tangent import TangentBasis, tangent_to_ambient
+from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
+from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
+from .tangent import TangentBasis, TangentVector
 from .tt import TTTensor, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -310,6 +315,28 @@ def state_from_point(point: ManifoldPoint, t: float, disc, **diag) -> EvolutionS
     )
 
 
+def _point_plus_tangent(v: TangentVector) -> tuple:
+    """Tucker form of ``u + v = (C + Cdot) x U + sum_m C x_m Udot^m x U``:
+    factors ``[U^m, Udot^m]``, ``C + Cdot`` in core block ``(0, ..., 0)`` and
+    ``C`` in each block with a single 1."""
+    p = v.base
+    d = p.ndim
+    core = p.core_dense().to_array()
+    blocks = {(0,) * d: core + v.core_velocity.to_array()}
+    for m in range(d):
+        blocks[tuple(int(j == m) for j in range(d))] = core
+    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
+
+
+def _retract_step(tucker, p: ManifoldPoint):
+    """Factored retraction of a step's update to the ranks of ``p``."""
+    tt_ranks = p.core.ranks if p.tt_core else None
+    try:
+        return retract_tucker(*tucker, p.outer_ranks, tt_ranks)
+    except NotOnManifoldError as exc:
+        raise BreakdownError(f"rank collapse during retraction: {exc}") from exc
+
+
 def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
     """One implicit Euler step in the current tangent space, then retraction."""
     if tau <= 0:
@@ -338,14 +365,8 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_uu = operator_quadratic_form(p, op)
     a_form = a_uu + 2.0 * float(au @ coords) + float(coords @ hmat @ coords)
 
-    v = basis.to_tangent(coords)
-    u_plus = point_to_dense(p) + tangent_to_ambient(v)
-    tt_ranks = p.core.ranks if p.tt_core else None
-    try:
-        new_point = retract(u_plus, p.outer_ranks, tt_ranks)
-    except NotOnManifoldError as exc:
-        raise BreakdownError(f"rank collapse during retraction: {exc}") from exc
-    defect = (point_to_dense(new_point) - u_plus).norm()
+    u_plus = _point_plus_tangent(basis.to_tangent(coords))
+    new_point, defect = _retract_step(u_plus, p)
     return state_from_point(
         new_point,
         t_new,
@@ -378,18 +399,21 @@ def _term_matrices(term, d):
     return [mats.get(m) for m in range(d)]
 
 
-def _env_update_left(env, core, mat):
-    # env[a, a'] -> contract with core (a, j, b), mat on j, core again
-    tmp = np.tensordot(env, core, axes=(1, 0))  # a, j, b
+def _env_update_left(env, core, mat, trial=None):
+    # env[a, a'] -> contract with core (a, j, b), mat on j, the trial core
+    # (default: core again) on the second index
+    trial = core if trial is None else trial
+    tmp = np.tensordot(env, trial, axes=(1, 0))  # a, j, b
     if mat is not None:
         tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a, b
         tmp = np.moveaxis(tmp, 0, 1)
     return np.tensordot(core, tmp, axes=([0, 1], [0, 1]))  # b', b
 
 
-def _env_update_right(env, core, mat):
+def _env_update_right(env, core, mat, trial=None):
     # env and the result are ordered (test side, trial side)
-    tmp = np.tensordot(core, env, axes=(2, 1))  # a', j, c  (trial core)
+    trial = core if trial is None else trial
+    tmp = np.tensordot(trial, env, axes=(2, 1))  # a', j, c
     if mat is not None:
         tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a', c
         tmp = np.moveaxis(tmp, 0, 1)
@@ -419,7 +443,6 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     t_new = state.time + tau
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
-    f_dense = tt_to_dense(f_tt).to_array() if f_tt is not None else None
 
     y = orthogonalize(_point_to_ambient_tt(p), 0)
     cores = [c.copy() for c in y.cores]
@@ -435,16 +458,13 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             right_envs[it][m] = env
     left_envs = [np.ones((1, 1)) for _ in terms]
 
-    # suffix interface bases of the right-orthogonal chain, for source projection
-    suffix = [None] * (d + 1)
-    suffix[d] = np.ones((1, 1))
-    acc = cores[d - 1][:, :, 0]
-    suffix[d - 1] = acc.T.reshape(dims[d - 1], cores[d - 1].shape[0])
-    for m in range(d - 2, 0, -1):
-        acc = np.tensordot(cores[m], acc, axes=(2, 0))
-        acc = acc.reshape(cores[m].shape[0], -1)
-        suffix[m] = acc.T
-    prefix = np.ones((1, 1))  # ambient-prefix basis, grows as cores lock in
+    # the source enters through the same environments, with its train cores
+    # on the trial side: its projections onto the prefix and suffix bases
+    if f_tt is not None:
+        right_f = [None] * d + [np.ones((1, 1))]
+        for m in range(d - 1, 0, -1):
+            right_f[m] = _env_update_right(right_f[m + 1], cores[m], None, f_tt.cores[m])
+        left_f = np.ones((1, 1))
 
     for m in range(d):
         kl, n, kr = cores[m].shape
@@ -457,10 +477,8 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             ).reshape(size, size)
         k0 = cores[m].reshape(size)
         rhs = k0.copy()
-        if f_dense is not None:
-            f_eff = np.tensordot(prefix, f_dense.reshape(prefix.shape[0], -1), axes=(0, 0))
-            f_eff = f_eff.reshape(kl, n, -1)
-            f_eff = np.tensordot(f_eff, suffix[m + 1], axes=(2, 0))
+        if f_tt is not None:
+            f_eff = np.einsum("ac,cjd,bd->ajb", left_f, f_tt.cores[m], right_f[m + 1])
             rhs += tau * f_eff.reshape(size)
         k1 = np.linalg.solve(np.eye(size) + tau * a_eff, rhs)
         if m == d - 1:
@@ -468,12 +486,11 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             break
         q, rfac = np.linalg.qr(k1.reshape(kl * n, kr))
         cores[m] = q.reshape(kl, n, q.shape[1])
-        # advance environments and the prefix basis through the new core
+        # advance the environments through the new core
         for it, (c, mats) in enumerate(terms):
             left_envs[it] = _env_update_left(left_envs[it], cores[m], mats[m])
-        prefix = np.tensordot(prefix, cores[m], axes=(1, 0)).reshape(
-            -1, cores[m].shape[2]
-        )
+        if f_tt is not None:
+            left_f = _env_update_left(left_f, cores[m], None, f_tt.cores[m])
         # interface substep with reversed sign
         ks = rfac.shape[0]
         a_s = np.zeros((ks * ks, ks * ks))
@@ -486,22 +503,13 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         # implicit Euler map on the interface subspace: unconditionally
         # computable and exact at full rank
         s1 = s0 + tau * (a_s @ s0)
-        if f_dense is not None:
-            f_s = np.tensordot(
-                prefix, f_dense.reshape(prefix.shape[0], -1), axes=(0, 0)
-            )
-            f_s = np.tensordot(f_s, suffix[m + 1], axes=(1, 0))
-            s1 -= tau * f_s.reshape(ks * ks)
+        if f_tt is not None:
+            s1 -= tau * (left_f @ right_f[m + 1].T).reshape(ks * ks)
         cores[m + 1] = np.tensordot(
             s1.reshape(ks, ks), cores[m + 1], axes=(1, 0)
         )
 
-    updated = tt_to_dense(TTTensor(tuple(cores)))
-    try:
-        new_point = retract(updated, p.outer_ranks, tt_ranks)
-    except NotOnManifoldError as exc:
-        raise BreakdownError(f"rank collapse during retraction: {exc}") from exc
-    defect = (point_to_dense(new_point) - updated).norm()
+    new_point, defect = _retract_step(train_as_tucker(TTTensor(tuple(cores))), p)
     return state_from_point(
         new_point,
         t_new,
@@ -591,13 +599,16 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     v_integral = float(sum(s.energy_v for s in states[1:]) * tau)
     du = 0.0
     for a, b in zip(states[:-1], states[1:]):
-        diff = (point_to_dense(b.point) - point_to_dense(a.point)).norm()
-        du += diff**2 / tau
+        # u_a - u_b: factors [U_a, U_b] and block-diagonal core (C_a, -C_b)
+        ca, cb = a.point.core_dense().to_array(), b.point.core_dense().to_array()
+        blocks = {(0,) * ca.ndim: ca, (1,) * ca.ndim: -cb}
+        diff = stack_tucker(blocks, [list(ws) for ws in zip(a.point.factors, b.point.factors)])
+        du += orthonormal_tucker(*diff)[0].norm() ** 2 / tau
     v_sup = float(max(s.energy_v for s in states))
     f_integral = 0.0
     for s in states[1:]:
         f = problem.rhs_tt(s.time)
-        f_integral += (tt_to_dense(f).norm() ** 2 if f is not None else 0.0) * tau
+        f_integral += (f.norm() ** 2 if f is not None else 0.0) * tau
     dissipation_ok = True
     if f_integral == 0.0 and len(states) > 1:
         acc = states[0].energy_l2

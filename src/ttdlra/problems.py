@@ -9,11 +9,11 @@ schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, matricize, svd
 from .errors import ConfigError, InvalidArgumentError
 from .fem import (
     DiffusionCoefficient,
@@ -24,10 +24,12 @@ from .fem import (
     assemble_rhs,
     build_fem1d,
     mass_orthonormalize,
+    source_loads,
 )
 from .manifold import ManifoldPoint
-from .retraction import retract
-from .tt import TTTensor, tt_add, tt_round, tt_to_dense
+from .retraction import orthonormal_tucker, retract_tucker, train_as_tucker
+from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
+from .tt import TTTensor, tt_add, tt_round
 
 __all__ = [
     "ParabolicProblem",
@@ -55,6 +57,12 @@ class ParabolicProblem:
     t_end: float
     outer_ranks: tuple
     tt_ranks: tuple | None
+    # mode loads of the sources, computed once: only the coefficients c(t)
+    # depend on time, so rhs_tt(t) only scales and adds these cores
+    loads: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "loads", source_loads(self.sources, self.disc))
 
     def operator(self, t: float) -> TTOperator:
         return assemble_operator(self.diffusion, self.disc, t)
@@ -62,7 +70,7 @@ class ParabolicProblem:
     def rhs_tt(self, t: float) -> TTTensor | None:
         if not self.sources:
             return None
-        return assemble_rhs(self.sources, self.disc, t)
+        return assemble_rhs(self.sources, self.disc, t, loads=self.loads)
 
     @property
     def dims(self) -> tuple:
@@ -119,19 +127,19 @@ def _initial_point(
         acc = piece if acc is None else tt_add(acc, piece)
     if tt_ranks is not None:
         acc = tt_round(acc, ranks=tt_ranks)
-    dense = tt_to_dense(acc)
+    tucker = train_as_tucker(acc)
     if outer_ranks is None:
-        from .dense import matricize, svd
-
+        # orthonormal factors: the small core's mode spectra are the ambient ones
+        small, _ = orthonormal_tucker(*tucker)
         ranks = []
         for m, n in enumerate(disc.dims):
-            s = svd(matricize(dense, {m})).singular_values
+            s = svd(matricize(small, {m})).singular_values
             r = int(np.count_nonzero(s > 1e-10 * s[0]))
             if tt_ranks is not None:
                 r = min(r, generic_outer_ranks(disc.dims, tt_ranks)[m])
             ranks.append(max(1, r))
         outer_ranks = tuple(ranks)
-    return retract(dense, outer_ranks, tt_ranks)
+    return retract_tucker(*tucker, outer_ranks, tt_ranks)[0]
 
 
 def problem_from_config(config: dict) -> tuple:

@@ -1,10 +1,17 @@
-"""Retraction of an ambient tensor onto the constrained Tucker manifold.
+"""Retraction onto the constrained Tucker manifold.
 
 The map truncates mode by mode to the outer ranks (sequentially truncated
 higher-order SVD) and then rounds the resulting core to the inner train
 ranks.  Each stage is an orthogonal projection, so the retraction never
 increases the norm, and it reproduces points that already have the target
 ranks exactly.
+
+:func:`retract` takes an ambient tensor and is the reference.
+:func:`retract_tucker` takes ``core x_0 W^0 ... x_{d-1} W^{d-1}`` with tall
+factors that need not be orthonormal: it QR-factors ``W^m = Q^m R^m``,
+absorbs the ``R^m`` into the core and retracts that small core, whose mode
+spectra are those of the represented tensor.  The truncation is the same up
+to round-off, and the ambient ``n^d`` tensor is never formed.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from .dense import DenseTensor, matricize, mode_multiply
-from .manifold import ManifoldPoint, make_point
-from .tt import tt_from_dense
+from .errors import InvalidArgumentError
+from .manifold import ManifoldPoint, make_point, point_to_dense
+from .tt import TTTensor, tt_from_dense, tt_to_dense
 
-__all__ = ["retract"]
+__all__ = ["retract", "retract_tucker", "orthonormal_tucker", "stack_tucker", "train_as_tucker"]
 
 
 def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
@@ -57,3 +65,56 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     if tt_ranks is not None:
         core = tt_from_dense(core, ranks=tuple(tt_ranks))
     return make_point(core, factors, orthonormalize=False)
+
+
+def stack_tucker(blocks, factors) -> tuple:
+    """Tucker form ``(core, factors)`` of a sum of Tucker tensors.
+
+    ``factors[m]`` lists the matrices stacked side by side in mode ``m``;
+    ``blocks`` maps ``(j_0, ..., j_{d-1})`` to the core array multiplying
+    ``factors[0][j_0], ..., factors[d-1][j_{d-1}]``.
+    """
+    offsets = [np.cumsum([0] + [w.shape[1] for w in ws]) for ws in factors]
+    core = np.zeros(tuple(int(o[-1]) for o in offsets))
+    for index, block in blocks.items():
+        core[tuple(slice(o[j], o[j + 1]) for o, j in zip(offsets, index))] += block
+    return DenseTensor.from_array(core), [np.hstack(ws) for ws in factors]
+
+
+def train_as_tucker(t: TTTensor) -> tuple:
+    """Tucker form ``(core, factors)`` of a train: factor ``m`` is the mode
+    unfolding of core ``m`` (column ``a k_m + b`` holds ``G_m[a, :, b]``), and
+    the core is the train of 0/1 cores wiring each column to its interfaces."""
+    factors, wires = [], []
+    for g in t.cores:
+        kl, n, kr = g.shape
+        factors.append(np.moveaxis(g, 1, 0).reshape(n, kl * kr))
+        wires.append(np.eye(kl * kr).reshape(kl, kr, kl * kr).transpose(0, 2, 1))
+    return tt_to_dense(TTTensor(tuple(wires))), factors
+
+
+def orthonormal_tucker(core: DenseTensor, factors) -> tuple:
+    """Equal tensor ``(core', [Q^m])`` with orthonormal factors: each
+    ``W^m = Q^m R^m`` (thin QR) and the core absorbs the ``R^m``."""
+    qs = []
+    for m, w in enumerate(factors):
+        q, r = np.linalg.qr(w)
+        qs.append(q)
+        core = mode_multiply(core, r, m)
+    return core, qs
+
+
+def retract_tucker(core: DenseTensor, factors, outer_ranks, tt_ranks=None) -> tuple:
+    """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}``, computed on the
+    small core.  Returns ``(point, defect)``, ``defect`` being the distance of
+    the point to the input.  Raises what :func:`retract` raises."""
+    if len(factors) == 1:
+        # single mode: the full space, where the tensor is only a vector
+        x = DenseTensor.from_array(factors[0] @ core.data)
+        point = retract(x, outer_ranks, tt_ranks)
+        return point, (point_to_dense(point) - x).norm()
+    small, qs = orthonormal_tucker(core, factors)
+    point = retract(small, outer_ranks, tt_ranks)
+    defect = (point_to_dense(point) - small).norm()
+    factors = [q @ v for q, v in zip(qs, point.factors)]
+    return make_point(point.core, factors, orthonormalize=False), defect

@@ -273,6 +273,27 @@ def test_rhs_time_coefficient(rng):
     np.testing.assert_allclose(f1.to_array(), 3.0 * f0.to_array(), rtol=1e-12)
 
 
+def test_problem_rhs_reuses_loads_bit_identically(monkeypatch):
+    import ttdlra.fem
+    from ttdlra.problems import heat_problem
+
+    sine = lambda x: np.sin(np.pi * x)
+    terms = (
+        SourceTerm(time_coeff=lambda t: 1.0 + 2.0 * t, profiles=(sine, lambda x: 1.0, sine)),
+        SourceTerm(time_coeff=0.5, profiles=(lambda x: x * (1.0 - x),) * 3),
+    )
+    problem = heat_problem(3, 7, (2, 2), sources=terms)
+    expected = [assemble_rhs(terms, problem.disc, t) for t in (0.0, 0.3)]
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("load vectors recomputed")
+
+    monkeypatch.setattr(ttdlra.fem, "load_vector", no_quadrature)
+    for t, ref in zip((0.0, 0.3), expected):
+        got = problem.rhs_tt(t)
+        assert all(np.array_equal(a, b) for a, b in zip(got.cores, ref.cores))
+
+
 # ---------------------------------------------------------------------------
 # tangency of the diagonal part and mixed-derivative bound
 # ---------------------------------------------------------------------------

@@ -239,6 +239,51 @@ def test_splitting_zero_source_decay(rng):
         assert b <= a * (1 + 1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_splitting_full_rank_three_modes_is_implicit_euler(n, with_source):
+    # train ranks (n, n) on n^3: the manifold is open in the whole space
+    from ttdlra.fem import SourceTerm
+
+    d = 3
+    sine = lambda k: (lambda x: np.sin(k * np.pi * x))  # noqa: E731
+    sources = ()
+    if with_source:
+        profiles = (sine(1), sine(2), lambda x: 1.0)
+        sources = (SourceTerm(time_coeff=lambda t: 1.0 + t, profiles=profiles),)
+    problem = heat_problem(
+        d,
+        n + 1,
+        tt_ranks=(n, n),
+        b0=np.eye(d) + 0.25 * (np.ones((d, d)) - np.eye(d)),
+        b1=0.1 * np.eye(d),
+        sources=sources,
+        initial_terms=[(0.7**k, [sine(k)] * d) for k in range(1, n + 1)],
+        t_end=0.02,
+    )
+    assert problem.u0.outer_ranks == (n, n, n)
+    tr = solve(problem, "projector_splitting", tau=0.005, t_end=0.02)
+    _, dense_states = dense_implicit_euler(problem, 0.005, 0.02)
+    assert tr.breakdown is None and len(tr.states) == len(dense_states)
+    for s, ref in zip(tr.states, dense_states):
+        assert (point_to_dense(s.point) - ref).norm() <= 1e-12 * ref.norm()
+
+
+def test_splitting_close_to_projected_euler_three_modes(rng):
+    # train ranks (2, 2) with the generic outer ranks (2, 4, 2): the one-step
+    # gap between the schemes is O(tau^2)
+    problem = anisotropic_problem(d=3, n=8, tt_ranks=(2, 2))
+    p = random_point(rng, problem.dims, (2, 4, 2), tt_ranks=(2, 2))
+    state = state_from_point(p, 0.0, problem.disc)
+    gaps = []
+    for tau in (5e-4, 2.5e-4, 1.25e-4):
+        a = step_projected_implicit_euler(state, tau, problem)
+        b = step_projector_splitting(state, tau, problem)
+        gaps.append((point_to_dense(a.point) - point_to_dense(b.point)).norm())
+    assert gaps[0] / gaps[1] > 3.0
+    assert gaps[1] / gaps[2] > 3.0
+
+
 def test_splitting_requires_generic_outer_ranks(rng):
     # two diagonal initial terms give mode ranks (2, 2, 2), below the generic (2, 4, 2)
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))

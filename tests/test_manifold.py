@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttdlra.dense import DenseTensor, inner, matricize, mode_multiply, svd
-from ttdlra.errors import NotOnManifoldError
+from ttdlra.errors import InvalidArgumentError, NotOnManifoldError
 from ttdlra.manifold import (
     make_point,
     point_boundary_gap,
@@ -130,3 +130,8 @@ def test_retract_never_increases_norm(rng):
     q2 = retract(x, (2, 2, 2), (2, 2))
     e2 = (point_to_dense(q2) - x).norm()
     assert e1 == e2
+
+
+def test_retract_single_mode_needs_full_rank():
+    with pytest.raises(InvalidArgumentError):
+        retract(DenseTensor.from_array(np.arange(1.0, 5.0)), (2,))

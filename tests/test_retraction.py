@@ -1,0 +1,216 @@
+"""Factored retraction and the factored solver paths against dense oracles."""
+
+import numpy as np
+import pytest
+
+from ttdlra.dense import DenseTensor, matricize, mode_multiply
+from ttdlra.errors import BreakdownError, NotOnManifoldError
+from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
+from ttdlra.integrate import (
+    _point_plus_tangent,
+    energy_report,
+    solve,
+    state_from_point,
+    step_projected_implicit_euler,
+)
+from ttdlra.manifold import make_point, point_to_dense
+from ttdlra.problems import ParabolicProblem, generic_outer_ranks, problem_from_config
+from ttdlra.retraction import retract, retract_tucker, train_as_tucker
+from ttdlra.sampling import random_point, random_tt
+from ttdlra.tangent import TangentBasis, tangent_to_ambient
+from ttdlra.tt import tt_to_dense
+
+REL = 1e-12
+
+
+def tucker_to_dense(core, factors):
+    out = core
+    for m, w in enumerate(factors):
+        out = mode_multiply(out, w, m)
+    return out
+
+
+def assert_matches_dense_retraction(core, factors, outer, tt_ranks):
+    x = tucker_to_dense(core, factors)
+    ref = retract(x, outer, tt_ranks)
+    ref_defect = (point_to_dense(ref) - x).norm()
+    point, defect = retract_tucker(core, factors, outer, tt_ranks)
+    assert point.outer_ranks == ref.outer_ranks
+    assert point.tt_core == ref.tt_core
+    assert point.orthonormal_factors
+    assert (point_to_dense(point) - point_to_dense(ref)).norm() <= REL * x.norm()
+    assert abs(defect - ref_defect) <= REL * ref_defect
+
+
+# mode sizes, core sizes (factor widths), outer ranks, train ranks; a width
+# above its mode size is a factor with more columns than rows (2r > n)
+CASES = [
+    ((7, 6, 5), (4, 5, 3), (2, 3, 2), (2, 2)),
+    ((7, 6, 5), (4, 5, 3), (2, 3, 2), None),
+    ((3, 8, 6), (4, 6, 4), (2, 3, 2), (2, 2)),
+    ((5, 4, 6, 5), (4, 6, 6, 4), (2, 3, 3, 2), (2, 3, 2)),
+    ((5, 4, 6, 5), (4, 6, 6, 4), (2, 3, 3, 2), None),
+]
+
+
+@pytest.mark.parametrize("dims, widths, outer, tt_ranks", CASES)
+def test_retract_tucker_matches_dense_retraction(rng, dims, widths, outer, tt_ranks):
+    core = DenseTensor.from_array(rng.standard_normal(widths))
+    factors = [rng.standard_normal((n, w)) for n, w in zip(dims, widths)]
+    assert_matches_dense_retraction(core, factors, outer, tt_ranks)
+
+
+@pytest.mark.parametrize("dims, widths, outer, tt_ranks", CASES)
+def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ranks):
+    p = random_point(rng, dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    coords = rng.standard_normal(basis.dim)
+    v = basis.to_tangent(0.5 * p.norm() * coords / np.linalg.norm(coords))
+    core, factors = _point_plus_tangent(v)
+    x = point_to_dense(p) + tangent_to_ambient(v)
+    assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
+    assert_matches_dense_retraction(core, factors, outer, tt_ranks)
+
+
+@pytest.mark.parametrize(
+    "dims, train_ranks, outer, tt_ranks",
+    [((6, 5, 7), (3, 4), (2, 3, 2), (2, 2)), ((4, 3, 5, 4), (3, 4, 3), (2, 3, 3, 2), (2, 3, 2))],
+)
+def test_train_as_tucker_matches_dense(rng, dims, train_ranks, outer, tt_ranks):
+    t = random_tt(rng, dims, train_ranks)
+    core, factors = train_as_tucker(t)
+    x = tt_to_dense(t)
+    assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
+    assert_matches_dense_retraction(core, factors, outer, tt_ranks)
+
+
+@pytest.mark.parametrize("tt_ranks", [(2, 2), None])
+def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
+    # multilinear rank (1, 1, 1) asked to carry outer ranks (2, 2, 2)
+    vecs = [rng.standard_normal(3) for _ in range(3)]
+    core = DenseTensor.from_array(np.einsum("i,j,k->ijk", *vecs))
+    factors = [rng.standard_normal((n, 3)) for n in (6, 5, 7)]
+    with pytest.raises(NotOnManifoldError):
+        retract(tucker_to_dense(core, factors), (2, 2, 2), tt_ranks)
+    with pytest.raises(NotOnManifoldError):
+        retract_tucker(core, factors, (2, 2, 2), tt_ranks)
+
+
+def test_step_rank_collapse_is_breakdown():
+    # slow x slow plus 1e-9 fast x fast: one long implicit Euler step shrinks
+    # the fast part below the manifold's rejection threshold
+    n_cells = 12
+    disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(2)])
+    _, evecs = np.linalg.eigh(disc.stiffness_t[0])
+    u = evecs[:, [0, -1]]
+    core = DenseTensor.from_array(np.diag([1.0, 1e-9]))
+    problem = ParabolicProblem(
+        disc=disc,
+        diffusion=DiffusionCoefficient(np.eye(2), np.zeros((2, 2)), horizon=1.0),
+        sources=(),
+        u0=make_point(core, (u, u)),
+        t_end=1.0,
+        outer_ranks=(2, 2),
+        tt_ranks=None,
+    )
+    state = state_from_point(problem.u0, 0.0, disc)
+    with pytest.raises(BreakdownError):
+        step_projected_implicit_euler(state, 1.0, problem)
+
+
+def _config(d, cells, tt_ranks, initial, sources=(), t_end=0.004):
+    return {
+        "dims": d,
+        "cells": cells,
+        "b0": (np.eye(d) + 0.25 * (np.ones((d, d)) - np.eye(d))).tolist(),
+        "t_end": t_end,
+        "tau": 0.001,
+        "tt_ranks": tt_ranks,
+        "initial": initial,
+        "sources": list(sources),
+    }
+
+
+# mode ranks (2, 3, 3) and train ranks (2, 3): the train needs no rounding
+INITIAL = [
+    {"coefficient": 1.0, "profiles": [{"kind": "sine", "frequency": 1}] * 3},
+    {"coefficient": 0.5, "profiles": [{"kind": "sine", "frequency": 2}] * 3},
+    {"coefficient": 0.25, "profiles": [{"kind": "sine", "frequency": 1},
+                                       {"kind": "sine", "frequency": 3}, "bump"]},
+]
+PROFILES = {
+    "sine": lambda f: (lambda x: np.sin(f * np.pi * x)),
+    "bump": lambda f: (lambda x: x * (1.0 - x)),
+}
+
+
+def _dense_initial_data(disc, initial):
+    """Sum of outer products of the transformed nodal profiles."""
+    out = np.zeros(disc.dims)
+    for term in initial:
+        vecs = []
+        for m, spec in enumerate(term["profiles"]):
+            spec = spec if isinstance(spec, dict) else {"kind": spec}
+            g = PROFILES[spec["kind"]](spec.get("frequency", 1))
+            fem = disc.fems[m]
+            nodes = (np.arange(fem.n_interior) + 1) * fem.h
+            vecs.append(disc.to_orthonormal_1d(g(nodes), m))
+        out += term["coefficient"] * np.einsum("i,j,k->ijk", *vecs)
+    return DenseTensor.from_array(out)
+
+
+@pytest.mark.parametrize("tt_ranks", [[2, 3], None])
+def test_initial_point_and_auto_ranks_match_dense_construction(tt_ranks):
+    problem, _ = problem_from_config(_config(3, 10, tt_ranks, INITIAL))
+    x = _dense_initial_data(problem.disc, INITIAL)
+    ranks = []
+    for m in range(3):
+        s = np.linalg.svd(matricize(x, {m}), compute_uv=False)
+        r = int(np.count_nonzero(s > 1e-10 * s[0]))
+        if tt_ranks is not None:
+            r = min(r, generic_outer_ranks(x.dims, tt_ranks)[m])
+        ranks.append(r)
+    assert tuple(ranks) == (2, 3, 3)
+    assert problem.outer_ranks == tuple(ranks) == problem.u0.outer_ranks
+    ref = retract(x, ranks, tt_ranks)
+    assert problem.u0.tt_core == ref.tt_core
+    assert (point_to_dense(problem.u0) - point_to_dense(ref)).norm() <= REL * x.norm()
+
+
+def test_energy_report_matches_dense_quadratures():
+    source = {"time_poly": [1.0, 2.0], "profiles": ["constant", "bump", {"kind": "sine"}]}
+    problem, opts = problem_from_config(_config(3, 10, [2, 3], INITIAL, [source]))
+    tau = opts["tau"]
+    tr = solve(problem, "projected_euler", tau, opts["t_end"])
+    rep = energy_report(tr, problem)
+    states = tr.states
+    du = sum(
+        (point_to_dense(b.point) - point_to_dense(a.point)).norm() ** 2 / tau
+        for a, b in zip(states[:-1], states[1:])
+    )
+    f_integral = sum(
+        tt_to_dense(problem.rhs_tt(s.time)).norm() ** 2 * tau for s in states[1:]
+    )
+    assert len(states) == 5
+    assert rep.du_integral == pytest.approx(du, rel=REL)
+    assert rep.data_f_integral == pytest.approx(f_integral, rel=REL)
+
+
+def test_no_ambient_tensor_in_setup_solve_and_report(monkeypatch):
+    # a 127^3 grid: any DenseTensor above 1e5 entries is an ambient quantity
+    original = DenseTensor.__post_init__
+
+    def guarded(self):
+        if int(np.prod(self.dims)) > 1e5:
+            raise AssertionError(f"ambient-size DenseTensor {self.dims} formed")
+        original(self)
+
+    monkeypatch.setattr(DenseTensor, "__post_init__", guarded)
+    with pytest.raises(AssertionError):
+        DenseTensor((50, 50, 50), np.zeros(1))
+    source = {"time_poly": [1.0], "profiles": ["constant"] * 3}
+    problem, _ = problem_from_config(_config(3, 128, [2, 2], INITIAL[:2], [source]))
+    tr = solve(problem, "projected_euler", 0.001, 0.002)
+    rep = energy_report(tr, problem)
+    assert tr.breakdown is None and len(tr.states) == 3
+    assert np.isfinite(rep.du_integral) and rep.data_f_integral > 0
