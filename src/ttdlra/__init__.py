@@ -13,12 +13,9 @@ from .dense import (
     DenseTensor,
     SvdResult,
     matricize,
-    tensorize,
     mode_multiply,
-    multi_mode_multiply,
     svd,
     inner,
-    gram,
     dense_to_json,
     dense_from_json,
 )
@@ -53,7 +50,6 @@ from .tangent import (
     CurvatureReport,
     AlignedBasisReport,
     tangent_project,
-    tangent_project_general,
     core_tangent_project,
     core_tangent_basis,
     tangent_to_ambient,

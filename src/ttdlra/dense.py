@@ -1,4 +1,4 @@
-"""Dense tensor algebra: storage, unfoldings, mode products, SVD, Gramians.
+"""Dense tensor algebra: storage, unfoldings, mode products, SVD.
 
 Index convention
 ----------------
@@ -25,13 +25,10 @@ __all__ = [
     "DenseTensor",
     "SvdResult",
     "matricize",
-    "tensorize",
     "mode_multiply",
-    "multi_mode_multiply",
     "svd",
     "inner",
     "norm",
-    "gram",
     "dense_to_json",
     "dense_from_json",
 ]
@@ -160,30 +157,13 @@ def matricize(x: DenseTensor, split) -> np.ndarray:
 
     Rows enumerate the split modes in increasing mode order with the first
     one fastest; columns do the same for the complementary modes.  The map
-    is a linear bijection inverted by :func:`tensorize`.
+    is a linear bijection.
     """
     split, rest = _check_split(split, x.ndim)
     arr = x.to_array().transpose(split + rest)
     m = int(np.prod([x.dims[i] for i in split]))
     n = int(np.prod([x.dims[i] for i in rest]))
     return arr.reshape((m, n), order="F")
-
-
-def tensorize(mat, split, dims) -> DenseTensor:
-    """Inverse of :func:`matricize` for the given split and mode sizes."""
-    dims = tuple(int(n) for n in dims)
-    split, rest = _check_split(split, len(dims))
-    mat = np.asarray(mat, dtype=float)
-    m = int(np.prod([dims[i] for i in split]))
-    n = int(np.prod([dims[i] for i in rest]))
-    if mat.shape != (m, n):
-        raise InvalidArgumentError(
-            f"matrix shape {mat.shape} does not match split {split} of {dims}"
-        )
-    shape = tuple(dims[i] for i in split) + tuple(dims[i] for i in rest)
-    arr = mat.reshape(shape, order="F")
-    perm = split + rest
-    return DenseTensor.from_array(arr.transpose(np.argsort(perm)))
 
 
 def mode_multiply(x: DenseTensor, m, mode: int) -> DenseTensor:
@@ -200,15 +180,6 @@ def mode_multiply(x: DenseTensor, m, mode: int) -> DenseTensor:
     arr = np.tensordot(m, x.to_array(), axes=(1, mode))
     arr = np.moveaxis(arr, 0, mode)
     return DenseTensor.from_array(arr)
-
-
-def multi_mode_multiply(x: DenseTensor, mats) -> DenseTensor:
-    """Apply one matrix per mode; ``None`` entries leave a mode untouched."""
-    out = x
-    for mode, m in enumerate(mats):
-        if m is not None:
-            out = mode_multiply(out, m, mode)
-    return out
 
 
 def svd(m) -> SvdResult:
@@ -231,14 +202,6 @@ def inner(x: DenseTensor, y: DenseTensor) -> float:
 
 def norm(x: DenseTensor) -> float:
     return x.norm()
-
-
-def gram(u) -> np.ndarray:
-    """Gramian ``U^T U`` of the columns of ``u``."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise InvalidArgumentError("gram expects a matrix")
-    return u.T @ u
 
 
 def dense_to_json(x: DenseTensor) -> str:

@@ -17,10 +17,6 @@ class NotOnManifoldError(ValueError):
     """A candidate point fails the manifold membership checks."""
 
 
-class IllConditionedPointError(ValueError):
-    """Factor Gramians are too ill conditioned for the metric-adjusted projector."""
-
-
 class ConfigError(ValueError):
     """An experiment or problem configuration is malformed."""
 

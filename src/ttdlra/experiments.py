@@ -296,20 +296,17 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
         pcfg = dict(cfg.problem)
         pcfg["cells"] = n_cells
         problem, opts = problem_from_config(pcfg)
-        return _terminal_nodal(problem, opts)
+        return problem.disc, _terminal_nodal(problem, opts)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        nodal = list(pool.map(rung, meshes))
-    ref_cfg = dict(cfg.problem)
-    ref_cfg["cells"] = cfg.reference_cells
-    ref_problem, _ = problem_from_config(ref_cfg)
-    ref = nodal[-1]
+        rungs = list(pool.map(rung, meshes))
+    ref_disc, ref = rungs[-1]
     rows = []
     prev = None
-    for n_cells, coarse in zip(cfg.ladder, nodal[:-1]):
+    for n_cells, (_, coarse) in zip(cfg.ladder, rungs):
         lifted = _prolong_coefficients(coarse, n_cells, cfg.reference_cells)
         diff = lifted - ref
-        err = ref_problem.disc.to_orthonormal(diff).norm()
+        err = ref_disc.to_orthonormal(diff).norm()
         ratio = err / prev if prev else float("nan")
         rows.append((n_cells, 1.0 / n_cells, err, ratio))
         prev = err
@@ -388,13 +385,10 @@ def _perturbed_problem(problem: ParabolicProblem, cfg, delta, rng):
 def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     out = _ensure_out(cfg)
     problem, opts = _run_options(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    w_seeded = np.random.default_rng(cfg.seed)  # one direction for all deltas
 
     base = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     if base.breakdown is not None:
         raise BreakdownError("base solve broke down")
-    direction_rng = np.random.default_rng(cfg.seed + 1)
 
     def perturbed_run(delta):
         local_rng = np.random.default_rng(cfg.seed + 1)  # same direction each delta
@@ -656,7 +650,6 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     mixed = None
     if problem.u0.ndim >= 2:
         mixed = mixed_derivative_check(problem.u0, disc)
-    gap = problem.u0
     from .manifold import point_boundary_gap
 
     gap_val = point_boundary_gap(problem.u0)

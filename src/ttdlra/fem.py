@@ -246,23 +246,6 @@ class TTOperator:
         out = DenseTensor.from_array(acc)
         return out if dense_in else out.to_array()
 
-    def apply_tt(self, t: TTTensor, round_to=None) -> TTTensor:
-        if t.dims != self.dims:
-            raise InvalidArgumentError("operand does not match the operator sizes")
-        acc = None
-        for term in self.terms:
-            cores = list(t.cores)
-            for mode, mat in term.factors:
-                cores[mode] = np.einsum("ij,ajb->aib", mat, cores[mode])
-            piece = TTTensor(tuple(cores))
-            piece = TTTensor(
-                (piece.cores[0] * term.coeff,) + piece.cores[1:]
-            )
-            acc = piece if acc is None else tt_add(acc, piece)
-        if round_to is not None:
-            acc = tt_round(acc, ranks=round_to)
-        return acc
-
     def restrict(self, part: str) -> "TTOperator":
         return TTOperator(
             self.dims, tuple(t for t in self.terms if t.part == part)

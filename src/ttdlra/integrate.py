@@ -23,14 +23,19 @@ unconstrained implicit Euler step exactly when the ranks are full.  It
 requires points whose outer ranks are the generic ones induced by the train
 ranks.
 
-The Galerkin solve runs in explicit orthonormal tangent coordinates; the
-reduced matrix is assembled from small contractions of the core with
-factor-compressed operator blocks.  The ambient ``n^d`` tensor is not formed
-either: ``u + v`` stays a Tucker tensor with factors ``[U^m, Udot^m]`` and a
-``(2r)^d`` block core, the sweep's result and the source stay trains, and
-:func:`~ttdlra.retraction.retract_tucker` retracts on a small core.  The
-energy report takes state differences through their factors as well; only
-the reference solver :func:`dense_implicit_euler` works in the ambient space.
+The Galerkin system is solved matrix-free in orthonormal tangent
+coordinates.  A tangent vector is a Tucker tensor with factors
+``[U^m, Udot^m]`` and a ``(2r)^d`` block core; each operator term acts on its
+factors mode by mode, and :meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker`
+projects the result back (:func:`tangent_operator`).  The source projects the
+same way from its train.  Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
+preconditioned by a fast-diagonalization inverse of the per-mode stiffness
+blocks, so neither the ``dim x dim`` matrix nor the ambient ``n^d`` tensor is
+formed.  ``u + v`` is retracted by
+:func:`~ttdlra.retraction.retract_tucker` on a small core, the sweep's result
+and the source stay trains, and the energy report takes state differences
+through their factors as well; only the reference solver
+:func:`dense_implicit_euler` works in the ambient space.
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, matricize
+from .dense import DenseTensor
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
+from .problems import generic_outer_ranks
 from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tangent import TangentBasis, TangentVector
+from .tangent import TangentBasis, TangentVector, _multiply_modes
 from .tt import TTTensor, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -59,9 +65,7 @@ __all__ = [
     "energy_report",
     "EnergyReport",
     "dense_implicit_euler",
-    "reduced_operator_matrix",
-    "reduced_point_image",
-    "reduced_rhs_coords",
+    "tangent_operator",
     "operator_quadratic_form",
 ]
 
@@ -102,162 +106,11 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# reduced Galerkin assembly in tangent coordinates
+# the Galerkin system in tangent coordinates, matrix-free
 # ---------------------------------------------------------------------------
 
-
-def _mode_apply_batched(arr, mat, mode):
-    out = np.tensordot(mat, arr, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
-
-
-class _Hats:
-    """Factor-compressed blocks of one small matrix on one mode.
-
-    ``a = U^T M U``, ``b = Qperp^T M U``, ``c = U^T M Qperp``,
-    ``d = Qperp^T M Qperp``; identity modes short-circuit.
-    """
-
-    def __init__(self, basis: TangentBasis):
-        self.basis = basis
-        self._cache = {}
-
-    def get(self, mode, mat):
-        key = (mode, id(mat))
-        if key not in self._cache:
-            u = self.basis.point.factors[mode]
-            q = self.basis.qperp[mode]
-            mu = mat @ u
-            mq = mat @ q
-            self._cache[key] = (u.T @ mu, q.T @ mu, u.T @ mq, q.T @ mq)
-        return self._cache[key]
-
-    def identity(self, mode):
-        u = self.basis.point.factors[mode]
-        q = self.basis.qperp[mode]
-        return (
-            np.eye(u.shape[1]),
-            np.zeros((q.shape[1], u.shape[1])),
-            np.zeros((u.shape[1], q.shape[1])),
-            np.eye(q.shape[1]),
-        )
-
-
-def _term_hats(hats: _Hats, term):
-    d = hats.basis.point.ndim
-    out = []
-    factor_map = dict(term.factors)
-    for m in range(d):
-        if m in factor_map:
-            out.append(hats.get(m, factor_map[m]))
-        else:
-            out.append(hats.identity(m))
-    return out, set(factor_map)
-
-
-def _core_batched(basis: TangentBasis):
-    rdims = basis.point.outer_ranks
-    q = basis.core_basis.shape[1]
-    return basis.core_basis.reshape(rdims + (q,), order="F")
-
-
-def _apply_ahats(arr, term_hats, skip=()):
-    """Mode-multiply the ``a`` blocks on all modes not in ``skip``."""
-    out = arr
-    for m, blocks in enumerate(term_hats):
-        if m in skip:
-            continue
-        out = _mode_apply_batched(out, blocks[0], m)
-    return out
-
-
-def reduced_operator_matrix(basis: TangentBasis, op) -> np.ndarray:
-    """Tangent-coordinate Galerkin matrix ``V^T A V`` of a sum-of-products
-    operator, assembled blockwise from small contractions."""
-    p = basis.point
-    d = p.ndim
-    core = p.core_dense().to_array()
-    cb = _core_batched(basis)
-    nblocks = basis.block_sizes
-    offsets = np.concatenate([[0], np.cumsum(nblocks)]).astype(int)
-    dim = basis.dim
-    hmat = np.zeros((dim, dim))
-    hats = _Hats(basis)
-    all_axes = list(range(d))
-    for term in op.terms:
-        th, _ = _term_hats(hats, term)
-        c = term.coeff
-        # core-core block
-        wb = _apply_ahats(cb, th)
-        wflat = wb.reshape(-1, cb.shape[-1], order="F")
-        hmat[: offsets[1], : offsets[1]] += c * (basis.core_basis.T @ wflat)
-        # core ~ mode blocks
-        wc = _apply_ahats(core, th)  # no batch axis
-        for nu in range(d):
-            w_nu = _apply_ahats(cb, th, skip=(nu,))
-            other = [ax for ax in all_axes if ax != nu]
-            # t2[j, k, K] with k from the basis side, K from the point core
-            t2 = np.tensordot(w_nu, core, axes=(other, other))
-            t2 = np.moveaxis(t2, 1, 0)  # batch axis first
-            blk = np.einsum("jkK,Kd,qk->jqd", t2, basis.rmap[nu], th[nu][1])
-            blk = blk.reshape(offsets[1], nblocks[nu + 1], order="F")
-            hmat[: offsets[1], offsets[nu + 1] : offsets[nu + 2]] += c * blk
-            hmat[offsets[nu + 1] : offsets[nu + 2], : offsets[1]] += c * blk.T
-        # mode ~ mode blocks
-        for mu in range(d):
-            w_mu = _apply_ahats(core, th, skip=(mu,))
-            other = [ax for ax in all_axes if ax != mu]
-            t2c = np.tensordot(w_mu, core, axes=(other, other))
-            m2 = basis.rmap[mu].T @ t2c @ basis.rmap[mu]
-            blk = np.kron(m2, th[mu][3].T)
-            hmat[
-                offsets[mu + 1] : offsets[mu + 2], offsets[mu + 1] : offsets[mu + 2]
-            ] += c * blk
-            for nu in range(mu + 1, d):
-                w_mn = _apply_ahats(core, th, skip=(mu, nu))
-                other2 = [ax for ax in all_axes if ax not in (mu, nu)]
-                t4 = np.tensordot(w_mn, core, axes=(other2, other2))
-                # t4[a, b, A, B]: a,b from the mapped core at (mu, nu); A,B plain
-                blk = np.einsum(
-                    "abAB,Ap,ag,Bd,qb->pgqd",
-                    t4,
-                    th[mu][2],
-                    basis.rmap[mu],
-                    basis.rmap[nu],
-                    th[nu][1],
-                    optimize=True,
-                )
-                blk = blk.reshape(nblocks[mu + 1], nblocks[nu + 1], order="F")
-                hmat[
-                    offsets[mu + 1] : offsets[mu + 2], offsets[nu + 1] : offsets[nu + 2]
-                ] += c * blk
-                hmat[
-                    offsets[nu + 1] : offsets[nu + 2], offsets[mu + 1] : offsets[mu + 2]
-                ] += c * blk.T
-    return hmat
-
-
-def reduced_point_image(basis: TangentBasis, op) -> np.ndarray:
-    """Tangent coordinates of ``A`` applied to the base point itself."""
-    p = basis.point
-    d = p.ndim
-    core = p.core_dense().to_array()
-    hats = _Hats(basis)
-    parts_core = np.zeros(basis.block_sizes[0])
-    parts_modes = [np.zeros(s) for s in basis.block_sizes[1:]]
-    all_axes = list(range(d))
-    for term in op.terms:
-        th, _ = _term_hats(hats, term)
-        c = term.coeff
-        wc = _apply_ahats(core, th)
-        parts_core += c * (basis.core_basis.T @ wc.ravel(order="F"))
-        for nu in range(d):
-            w_nu = _apply_ahats(core, th, skip=(nu,))
-            other = [ax for ax in all_axes if ax != nu]
-            t2c = np.tensordot(w_nu, core, axes=(other, other))
-            blk = np.einsum("bB,Bd,qb->qd", t2c, basis.rmap[nu], th[nu][1])
-            parts_modes[nu] += c * blk.ravel(order="F")
-    return np.concatenate([parts_core] + parts_modes)
+# relative residual at which the conjugate gradient solve stops
+CG_RTOL = 1e-12
 
 
 def operator_quadratic_form(point: ManifoldPoint, op) -> float:
@@ -267,34 +120,91 @@ def operator_quadratic_form(point: ManifoldPoint, op) -> float:
     core = point.core_dense().to_array()
     total = 0.0
     for term in op.terms:
-        w = core
-        factor_map = dict(term.factors)
-        for m, u in enumerate(point.factors):
-            mat = factor_map.get(m)
-            small = u.T @ (mat @ u) if mat is not None else np.eye(u.shape[1])
-            w = _mode_apply_batched(w, small, m)
+        us = point.factors
+        w = _multiply_modes(core, [(m, us[m].T @ (mat @ us[m])) for m, mat in term.factors])
         total += term.coeff * float(np.tensordot(w, core, axes=core.ndim))
     return total
 
 
-def _compress_tt(f: TTTensor, factors, skip=None) -> DenseTensor:
-    cores = list(f.cores)
-    for m, u in enumerate(factors):
-        if m == skip:
-            continue
-        cores[m] = np.einsum("ij,ajb->aib", u.T, cores[m])
-    return tt_to_dense(TTTensor(tuple(cores)))
+def _tangent_tucker(v: TangentVector, center) -> tuple:
+    """Tucker form of ``center x U + sum_m C x_m Udot^m x U``: factors
+    ``[U^m, Udot^m]``, ``center`` in core block ``(0, ..., 0)`` and ``C`` in
+    each block with a single 1.  ``center = Cdot`` gives the tangent vector
+    ``v``, ``center = C + Cdot`` the update ``u + v``."""
+    p = v.base
+    d = p.ndim
+    core = p.core_dense().to_array()
+    blocks = {(0,) * d: center}
+    for m in range(d):
+        blocks[tuple(int(j == m) for j in range(d))] = core
+    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
 
 
-def reduced_rhs_coords(basis: TangentBasis, f: TTTensor) -> np.ndarray:
-    """Tangent coordinates of a train-format source tensor."""
-    p = basis.point
-    parts = [basis.core_basis.T @ _compress_tt(f, p.factors).data]
-    for m in range(p.ndim):
-        fm = matricize(_compress_tt(f, p.factors, skip=m), {m})
-        theta = basis.qperp[m].T @ fm @ basis.qright[m]
-        parts.append(theta.ravel(order="F"))
-    return np.concatenate(parts)
+def tangent_operator(basis: TangentBasis, op):
+    """Matrix-free ``x -> V^T A V x`` in the orthonormal tangent coordinates.
+
+    The tangent vector of ``x`` is a Tucker tensor with factors
+    ``[U^m, Udot^m]``; each operator term multiplies its factors mode by mode
+    and :meth:`TangentBasis.coords_of_tucker` projects the result back.
+    """
+
+    def matvec(x):
+        v = basis.to_tangent(x)
+        core, factors = _tangent_tucker(v, v.core_velocity.to_array())
+        out = np.zeros(basis.dim)
+        for term in op.terms:
+            ws = list(factors)
+            for m, mat in term.factors:
+                ws[m] = mat @ ws[m]
+            out += term.coeff * basis.coords_of_tucker(core, ws)
+        return out
+
+    return matvec
+
+
+def _preconditioner(basis: TangentBasis, op, tau: float):
+    """``tau`` on the core block; on mode block ``mu`` the inverse of
+    ``I/tau + I_r (x) Qperp^T A_mumu Qperp``, by fast diagonalization with one
+    ``eigh`` per mode.  ``A_mumu`` sums the diagonal terms acting on ``mu``."""
+    a = [np.zeros((n, n)) for n in basis.point.dims]
+    for term in op.diagonal_part.terms:
+        ((m, mat),) = term.factors
+        a[m] = a[m] + term.coeff * mat
+    eigs = [np.linalg.eigh(q.T @ am @ q) for q, am in zip(basis.qperp, a)]
+    splits = np.cumsum(basis.block_sizes)[:-1]
+
+    def apply(x):
+        blocks = np.split(x, splits)
+        out = [tau * blocks[0]]
+        for (lam, e), blk, rank in zip(eigs, blocks[1:], basis.point.outer_ranks):
+            theta = blk.reshape(len(lam), rank, order="F")
+            out.append((e @ ((e.T @ theta) / (1.0 / tau + lam)[:, None])).ravel(order="F"))
+        return np.concatenate(out)
+
+    return apply
+
+
+def _pcg(apply, precond, b) -> tuple:
+    """Preconditioned conjugate gradients for ``apply(x) = b`` from ``x = 0``,
+    stopping at relative residual ``CG_RTOL`` or after ``len(b)`` iterations.
+    Returns the solution and the iteration count."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
+    p = z
+    rz = float(r @ z)
+    stop = CG_RTOL * np.linalg.norm(b)
+    for it in range(b.size):
+        if np.linalg.norm(r) <= stop:
+            return x, it
+        q = apply(p)
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = precond(r)
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x, b.size
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +223,6 @@ def state_from_point(point: ManifoldPoint, t: float, disc, **diag) -> EvolutionS
         energy_v=operator_quadratic_form(point, laplacian_operator(disc)),
         **diag,
     )
-
-
-def _point_plus_tangent(v: TangentVector) -> tuple:
-    """Tucker form of ``u + v = (C + Cdot) x U + sum_m C x_m Udot^m x U``:
-    factors ``[U^m, Udot^m]``, ``C + Cdot`` in core block ``(0, ..., 0)`` and
-    ``C`` in each block with a single 1."""
-    p = v.base
-    d = p.ndim
-    core = p.core_dense().to_array()
-    blocks = {(0,) * d: core + v.core_velocity.to_array()}
-    for m in range(d):
-        blocks[tuple(int(j == m) for j in range(d))] = core
-    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
 
 
 def _retract_step(tucker, p: ManifoldPoint):
@@ -351,21 +248,24 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
     basis = TangentBasis(p)
+    matvec = tangent_operator(basis, op)
 
-    hmat = reduced_operator_matrix(basis, op)
-    au = reduced_point_image(basis, op)
-    b = (reduced_rhs_coords(basis, f_tt) if f_tt is not None else 0.0) - au
-    system = hmat + np.eye(basis.dim) / tau
-    coords = np.linalg.solve(system, b)
-    resid = np.linalg.norm(system @ coords - b)
-    resid /= max(np.linalg.norm(b), np.finfo(float).tiny)
+    # u lies in its own tangent space: coordinates (C, 0, ..., 0)
+    core = p.core_dense()
+    u_coords = np.zeros(basis.dim)
+    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ core.data
+    au = matvec(u_coords)
+    b = (basis.coords_of_tucker(*train_as_tucker(f_tt)) if f_tt is not None else 0.0) - au
+    coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau), b)
 
-    # pre-retraction energy identity data:
-    # a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>
-    a_uu = operator_quadratic_form(p, op)
-    a_form = a_uu + 2.0 * float(au @ coords) + float(coords @ hmat @ coords)
+    # one explicit matvec at the solution gives the residual and the
+    # pre-retraction energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>
+    av = matvec(coords)
+    resid = np.linalg.norm(coords / tau + av - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
+    a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
-    u_plus = _point_plus_tangent(basis.to_tangent(coords))
+    v = basis.to_tangent(coords)
+    u_plus = _tangent_tucker(v, core.to_array() + v.core_velocity.to_array())
     new_point, defect = _retract_step(u_plus, p)
     return state_from_point(
         new_point,
@@ -385,13 +285,6 @@ def _point_to_ambient_tt(p: ManifoldPoint) -> TTTensor:
     for m, u in enumerate(p.factors):
         cores[m] = np.einsum("ij,ajb->aib", u, cores[m])
     return TTTensor(tuple(cores))
-
-
-def _generic_outer_ranks(dims, tt_ranks):
-    if len(dims) == 1:
-        return (dims[0],)  # single mode: the full space
-    k = (1,) + tuple(tt_ranks) + (1,)
-    return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
 
 def _term_matrices(term, d):
@@ -435,10 +328,10 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     dims = p.dims
     d = p.ndim
     tt_ranks = p.core.ranks
-    if p.outer_ranks != _generic_outer_ranks(dims, tt_ranks):
+    if p.outer_ranks != generic_outer_ranks(dims, tt_ranks):
         raise InvalidArgumentError(
             "the splitting sweep requires generic outer ranks "
-            f"{_generic_outer_ranks(dims, tt_ranks)}, got {p.outer_ranks}"
+            f"{generic_outer_ranks(dims, tt_ranks)}, got {p.outer_ranks}"
         )
     t_new = state.time + tau
     op = problem.operator(t_new)
@@ -520,6 +413,16 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     )
 
 
+def _step_count(tau: float, t_end: float) -> int:
+    """Number of steps of size ``tau`` to ``t_end``, which ``tau`` must divide."""
+    if tau <= 0 or t_end < 0:
+        raise InvalidArgumentError("need tau > 0 and t_end >= 0")
+    n_steps = int(round(t_end / tau))
+    if abs(n_steps * tau - t_end) > 1e-9 * t_end:
+        raise InvalidArgumentError(f"step size {tau} does not divide the horizon {t_end}")
+    return n_steps
+
+
 _SCHEMES = {
     "projected_euler": step_projected_implicit_euler,
     "projector_splitting": step_projector_splitting,
@@ -535,8 +438,7 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
     """
     if scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    if tau <= 0 or t_end < 0:
-        raise InvalidArgumentError("need tau > 0 and t_end >= 0")
+    n_steps = _step_count(tau, t_end)
     step = _SCHEMES[scheme]
     state = state_from_point(problem.u0, 0.0, problem.disc)
     threshold = BREAKDOWN_REL * np.sqrt(state.energy_l2)
@@ -547,7 +449,6 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
         )
     states = [state]
     breakdown = None
-    n_steps = int(round(t_end / tau)) if t_end > 0 else 0
     for _ in range(n_steps):
         try:
             state = step(state, tau, problem)
@@ -644,10 +545,10 @@ def dense_implicit_euler(problem, tau: float, t_end: float):
     size = int(np.prod(dims))
     if size > 4096:
         raise InvalidArgumentError("dense reference limited to small grids")
+    n_steps = _step_count(tau, t_end)
     y = point_to_dense(problem.u0).data.copy()
     times = [0.0]
     states = [DenseTensor(dims, y.copy())]
-    n_steps = int(round(t_end / tau)) if t_end > 0 else 0
     eye = np.eye(size)
     for n in range(n_steps):
         t_new = (n + 1) * tau

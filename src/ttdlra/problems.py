@@ -41,7 +41,10 @@ __all__ = [
 
 
 def generic_outer_ranks(dims, tt_ranks) -> tuple:
-    """Outer ranks induced by the train ranks (the generic mode ranks)."""
+    """Outer ranks induced by the train ranks (the generic mode ranks); a
+    single mode has only the full space."""
+    if len(dims) == 1:
+        return (dims[0],)
     k = (1,) + tuple(tt_ranks) + (1,)
     return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
@@ -128,7 +131,9 @@ def _initial_point(
     if tt_ranks is not None:
         acc = tt_round(acc, ranks=tt_ranks)
     tucker = train_as_tucker(acc)
-    if outer_ranks is None:
+    if outer_ranks is None and len(disc.dims) == 1:
+        outer_ranks = generic_outer_ranks(disc.dims, ())
+    elif outer_ranks is None:
         # orthonormal factors: the small core's mode spectra are the ambient ones
         small, _ = orthonormal_tucker(*tucker)
         ranks = []

@@ -24,17 +24,13 @@ manifold, where ``sigma`` is the distance to the relative boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dense import DenseTensor, matricize, mode_multiply
-from .errors import (
-    DegeneratePointError,
-    IllConditionedPointError,
-    InvalidArgumentError,
-    OversizeError,
-)
+from .errors import DegeneratePointError, InvalidArgumentError, OversizeError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tt import TTTensor, orthogonalize, tt_to_dense
 
@@ -44,7 +40,6 @@ __all__ = [
     "CurvatureReport",
     "AlignedBasisReport",
     "tangent_project",
-    "tangent_project_general",
     "core_tangent_project",
     "core_tangent_basis",
     "tangent_to_ambient",
@@ -59,8 +54,6 @@ __all__ = [
 
 # dense-ambient computations (oracle, operator norms) are limited to this size
 AMBIENT_LIMIT = 4096
-
-_GRAM_COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -207,18 +200,24 @@ def _compress_modes(z: DenseTensor, factors, skip=None) -> DenseTensor:
     return out
 
 
+def _multiply_modes(arr, factors):
+    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array."""
+    for m, mat in factors:
+        shape = arr.shape
+        rows = math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :])
+        arr = (mat @ arr.reshape(rows)).reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
+    return arr
+
+
 def tangent_project(p: ManifoldPoint, z: DenseTensor) -> TangentVector:
     """Orthogonal projection of ``z`` onto the tangent space at ``p``.
 
-    Requires orthonormal factors; use :func:`tangent_project_general` for the
-    metric-adjusted variant.  The ambient embedding of the result is the
-    orthogonal projection of ``z`` and the components satisfy the gauge
+    Requires orthonormal factors.  The ambient embedding of the result is
+    the orthogonal projection of ``z`` and the components satisfy the gauge
     conditions.
     """
     if not p.orthonormal_factors:
-        raise InvalidArgumentError(
-            "point has non-orthonormal factors; use tangent_project_general"
-        )
+        raise InvalidArgumentError("point has non-orthonormal factors")
     if z.dims != p.dims:
         raise InvalidArgumentError("argument does not match the point sizes")
     core = p.core_dense()
@@ -235,77 +234,6 @@ def tangent_project(p: ManifoldPoint, z: DenseTensor) -> TangentVector:
         udot = np.linalg.solve(gram_rows, udot.T).T
         velocities.append(udot)
     return TangentVector(base=p, core_velocity=cdot, factor_velocities=tuple(velocities))
-
-
-def tangent_project_general(p: ManifoldPoint, z: DenseTensor) -> TangentVector:
-    """Tangent projection for points with merely independent factor columns.
-
-    The per-mode pieces only depend on the spanned subspaces.  The core piece
-    is the projection of the representation coefficients of ``z`` onto the
-    core tangent space, orthogonal with respect to the metric induced by the
-    factor Gramians; it is computed by a dense solve on an explicit core
-    tangent basis.  Agrees with :func:`tangent_project` for orthonormal
-    factors.
-    """
-    if z.dims != p.dims:
-        raise InvalidArgumentError("argument does not match the point sizes")
-    grams = [u.T @ u for u in p.factors]
-    for m, g in enumerate(grams):
-        ev = np.linalg.eigvalsh(g)
-        if ev[0] <= 0 or ev[-1] / ev[0] >= _GRAM_COND_LIMIT:
-            raise IllConditionedPointError(
-                f"factor {m} Gramian condition exceeds {_GRAM_COND_LIMIT:.0e}"
-            )
-    core = p.core_dense()
-    # coefficients of z in the (possibly oblique) representation basis
-    pinvs = [np.linalg.solve(g, u.T) for g, u in zip(grams, p.factors)]
-    cz = z
-    for m, pi in enumerate(pinvs):
-        cz = mode_multiply(cz, pi, m)
-
-    # metric-orthogonal projection of the coefficients onto the core tangent space
-    basis = core_tangent_basis(p.core)
-    rdims = core.dims
-
-    def metric_apply(vec):
-        t = DenseTensor(rdims, vec)
-        for m, g in enumerate(grams):
-            t = mode_multiply(t, g, m)
-        return t.data
-
-    a_basis = np.column_stack([metric_apply(basis[:, j]) for j in range(basis.shape[1])])
-    small = basis.T @ a_basis
-    rhs = basis.T @ metric_apply(cz.data)
-    gamma = np.linalg.solve(small, rhs)
-    cdot = DenseTensor(rdims, basis @ gamma)
-
-    velocities = []
-    for m, u in enumerate(p.factors):
-        q, _ = np.linalg.qr(u)
-        # the per-mode piece only depends on the spanned subspaces: project the
-        # matricization onto the covector span and split off the span of u
-        zm = matricize(_compress_modes(z, p.factors, skip=m), {m})
-        mc = matricize(core, {m})
-        gram_w = _gram_kron(grams, skip=m, mc=mc)
-        raw = zm @ mc.T
-        udot = raw - q @ (q.T @ raw)
-        udot = np.linalg.solve(gram_w, udot.T).T
-        velocities.append(udot)
-    return TangentVector(base=p, core_velocity=cdot, factor_velocities=tuple(velocities))
-
-
-def _gram_kron(grams, skip, mc):
-    """Gramian of the mode-``skip`` covectors: ``M_C (kron of other Gramians) M_C^T``."""
-    r = mc.shape[0]
-    rdims = [g.shape[0] for g in grams]
-    other = [rdims[m] for m in range(len(grams)) if m != skip]
-    out = np.zeros((r, r))
-    for i in range(r):
-        row = DenseTensor(tuple(other), mc[i])
-        for j, m in enumerate([m for m in range(len(grams)) if m != skip]):
-            row = mode_multiply(row, grams[m], j)
-        out[i] = mc @ row.data
-    return out
 
 
 def tangent_to_ambient(v: TangentVector) -> DenseTensor:
@@ -452,16 +380,26 @@ class TangentBasis:
             parts.append(theta.ravel(order="F"))
         return np.concatenate(parts)
 
+    def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
+        """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.
+
+        Only the small products ``U^T W^m`` and ``Qperp^T W^m`` enter, so the
+        cost is set by the factor widths and the core, not the ambient size.
+        """
+        g = core.to_array()
+        small = [u.T @ w for u, w in zip(self.point.factors, factors)]
+        modes = []
+        for m, (q, w) in enumerate(zip(self.qperp, factors)):
+            # g already carries U^T W^k on the modes k < m
+            gm = _multiply_modes(g, [(m, q.T @ w)] + [(k, s) for k, s in enumerate(small) if k > m])
+            rows = np.moveaxis(gm, m, 0).reshape(q.shape[1], self.qright[m].shape[0], order="F")
+            modes.append((rows @ self.qright[m]).ravel(order="F"))
+            g = _multiply_modes(g, [(m, small[m])])
+        return np.concatenate([self.core_basis.T @ g.ravel(order="F")] + modes)
+
     def project_coords(self, z: DenseTensor) -> np.ndarray:
         """Coordinates of the tangent projection of an ambient tensor."""
-        p = self.point
-        cz = _compress_modes(z, p.factors)
-        parts = [self.core_basis.T @ cz.data]
-        for m in range(p.ndim):
-            zm = matricize(_compress_modes(z, p.factors, skip=m), {m})
-            theta = self.qperp[m].T @ zm @ self.qright[m]
-            parts.append(theta.ravel(order="F"))
-        return np.concatenate(parts)
+        return self.coords_of_tucker(z, [np.eye(n) for n in z.dims])
 
     def ambient_matrix(self) -> np.ndarray:
         """Dense ambient basis matrix, one orthonormal column per coordinate."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,22 +7,24 @@ from helpers import kron_matrix
 
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError
+from ttdlra import integrate
 from ttdlra.fem import laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
     dense_implicit_euler,
     energy_report,
+    _pcg,
+    _preconditioner,
     operator_quadratic_form,
-    reduced_operator_matrix,
-    reduced_point_image,
-    reduced_rhs_coords,
     solve,
     state_from_point,
     step_projected_implicit_euler,
     step_projector_splitting,
+    tangent_operator,
 )
 from ttdlra.manifold import point_to_dense
-from ttdlra.problems import heat_problem, rank_collapse_problem
+from ttdlra.problems import heat_problem, problem_from_config, rank_collapse_problem
+from ttdlra.retraction import train_as_tucker
 from ttdlra.sampling import random_point
 from ttdlra.tangent import TangentBasis
 from ttdlra.tt import tt_to_dense
@@ -57,8 +61,40 @@ def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, source
 
 
 # ---------------------------------------------------------------------------
-# reduced Galerkin assembly against the dense-basis oracle
+# matrix-free Galerkin operator, source projection and CG against the
+# dense-basis oracle
 # ---------------------------------------------------------------------------
+
+# (d, cells, outer ranks, train ranks or None for a plain Tucker core); with
+# 5 cells the modes have 4 entries, so rank 4 leaves an empty Qperp block and
+# rank 3 has 2r > n
+ORACLE_CASES = [
+    (3, 6, (2, 3, 2), (2, 2)),
+    (2, 8, (2, 2), (2,)),
+    (3, 5, (2, 4, 2), (2, 2)),
+    (3, 5, (4, 3, 2), None),
+    (3, 5, (2, 3, 3), None),
+    (2, 5, (3, 3), None),
+]
+
+
+def oracle_system(basis, op):
+    """Desk-size ``V^T A V`` built column by column from the matvec, the
+    dense oracle, and the point image from both."""
+    vmat = basis.ambient_matrix()
+    amat = kron_matrix(op)
+    matvec = tangent_operator(basis, op)
+    h = np.column_stack([matvec(e) for e in np.eye(basis.dim)])
+    u = point_to_dense(basis.point)
+    # u lies in its own tangent space, so the image of A u is the matvec at u
+    au = matvec(basis.project_coords(u))
+    return h, vmat.T @ amat @ vmat, au, vmat.T @ (amat @ u.data)
+
+
+def assert_oracle_system(basis, op):
+    h, h_oracle, au, au_oracle = oracle_system(basis, op)
+    assert np.max(np.abs(h - h_oracle)) <= 1e-10 * max(1.0, np.abs(h_oracle).max())
+    np.testing.assert_allclose(au, au_oracle, atol=1e-10 * max(1.0, np.abs(au_oracle).max()))
 
 
 def test_reduced_system_matches_dense_basis_oracle(rng):
@@ -67,19 +103,21 @@ def test_reduced_system_matches_dense_basis_oracle(rng):
     for _ in range(3):
         p = random_point(rng, problem.dims, (2, 3, 2), tt_ranks=(2, 2))
         basis = TangentBasis(p)
-        vmat = basis.ambient_matrix()
-        amat = kron_matrix(op)
-        h_oracle = vmat.T @ amat @ vmat
-        h = reduced_operator_matrix(basis, op)
-        assert np.max(np.abs(h - h_oracle)) <= 1e-10 * max(1.0, np.abs(h_oracle).max())
-
-        au_oracle = vmat.T @ (amat @ point_to_dense(p).data)
-        au = reduced_point_image(basis, op)
-        np.testing.assert_allclose(au, au_oracle, atol=1e-10 * max(1.0, np.abs(au_oracle).max()))
-
+        assert_oracle_system(basis, op)
         quad = operator_quadratic_form(basis, op)
         x = point_to_dense(p).data
-        np.testing.assert_allclose(quad, x @ amat @ x, rtol=1e-10)
+        np.testing.assert_allclose(quad, x @ kron_matrix(op) @ x, rtol=1e-10)
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_matvec_and_source_match_dense_basis_oracle(rng, d, cells, outer, tt_ranks):
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    assert_oracle_system(basis, problem.operator(0.05))
+    f = problem.rhs_tt(0.05)
+    oracle = basis.ambient_matrix().T @ tt_to_dense(f).data
+    np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
 
 
 def test_reduced_rhs_matches_dense_basis_oracle(rng):
@@ -89,19 +127,62 @@ def test_reduced_rhs_matches_dense_basis_oracle(rng):
     basis = TangentBasis(p)
     vmat = basis.ambient_matrix()
     oracle = vmat.T @ tt_to_dense(f).data
-    np.testing.assert_allclose(reduced_rhs_coords(basis, f), oracle, atol=1e-12)
+    np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
+    z = tt_to_dense(f)
+    np.testing.assert_allclose(basis.project_coords(z), oracle, atol=1e-12)
 
 
 def test_two_mode_reduced_system_oracle(rng):
     problem = anisotropic_problem(d=2, n=8, tt_ranks=(2,))
     op = problem.operator(0.0)
     p = random_point(rng, problem.dims, (2, 2), tt_ranks=(2,))
+    assert_oracle_system(TangentBasis(p), op)
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    op = problem.operator(0.05)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
-    vmat = basis.ambient_matrix()
-    h_oracle = vmat.T @ kron_matrix(op) @ vmat
-    np.testing.assert_allclose(
-        reduced_operator_matrix(basis, op), h_oracle, atol=1e-10
+    _, h_oracle, au, _ = oracle_system(basis, op)
+    matvec = tangent_operator(basis, op)
+    b = basis.coords_of_tucker(*train_as_tucker(problem.rhs_tt(0.05))) - au
+    for tau in (1e-3, 1e-2):
+        x, iterations = _pcg(lambda y: y / tau + matvec(y), _preconditioner(basis, op, tau), b)
+        dense = np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, b)
+        assert iterations <= basis.dim
+        assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_step_residuals_and_memory_below_dense_system():
+    # a 127^3 grid, outer ranks (3, 3, 3): 1143 tangent coordinates
+    problem, _ = problem_from_config(
+        {
+            "dims": 3,
+            "cells": 128,
+            "t_end": 0.002,
+            "tt_ranks": [3, 3],
+            "initial": [
+                {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * 3}
+                for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
+            ],
+            "sources": [{"time_poly": [1.0], "profiles": ["constant"] * 3}],
+        }
     )
+    dim = TangentBasis(problem.u0).dim
+    assert dim == 1143
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    tracemalloc.start()
+    try:
+        state = step_projected_implicit_euler(state, 0.001, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense Galerkin matrix alone would take dim^2 doubles
+    assert peak < dim * dim * 8
+    state = step_projected_implicit_euler(state, 0.001, problem)
+    assert state.tangent_residual <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +383,25 @@ def test_zero_horizon_trajectory(rng):
     tr = solve(problem, "projected_euler", tau=0.01, t_end=0.0)
     assert len(tr.states) == 1
     assert tr.states[0].time == 0.0
+
+
+def test_step_size_must_divide_horizon(monkeypatch):
+    problem = heat_problem(2, 8, (2,), t_end=0.02)
+    steps = []
+
+    def counted(state, tau, problem):
+        steps.append(state.time)
+        return step_projected_implicit_euler(state, tau, problem)
+
+    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", counted)
+    with pytest.raises(InvalidArgumentError, match="does not divide"):
+        solve(problem, "projected_euler", tau=0.003, t_end=0.02)
+    assert steps == []
+    with pytest.raises(InvalidArgumentError, match="does not divide"):
+        dense_implicit_euler(problem, 0.003, 0.02)
+    # a dividing step size still reaches the horizon exactly
+    tr = solve(problem, "projected_euler", tau=0.004, t_end=0.02)
+    assert len(steps) == 5 and tr.times[-1] == pytest.approx(0.02, rel=1e-12)
 
 
 def test_initial_gap_below_threshold_rejected(rng):

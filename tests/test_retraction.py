@@ -7,7 +7,7 @@ from ttdlra.dense import DenseTensor, matricize, mode_multiply
 from ttdlra.errors import BreakdownError, NotOnManifoldError
 from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
 from ttdlra.integrate import (
-    _point_plus_tangent,
+    _tangent_tucker,
     energy_report,
     solve,
     state_from_point,
@@ -66,8 +66,12 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
     basis = TangentBasis(p)
     coords = rng.standard_normal(basis.dim)
     v = basis.to_tangent(0.5 * p.norm() * coords / np.linalg.norm(coords))
-    core, factors = _point_plus_tangent(v)
-    x = point_to_dense(p) + tangent_to_ambient(v)
+    cdot = v.core_velocity.to_array()
+    core, factors = _tangent_tucker(v, cdot)
+    x = tangent_to_ambient(v)
+    assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
+    core, factors = _tangent_tucker(v, p.core_dense().to_array() + cdot)
+    x = point_to_dense(p) + x
     assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
 
@@ -175,6 +179,22 @@ def test_initial_point_and_auto_ranks_match_dense_construction(tt_ranks):
     ref = retract(x, ranks, tt_ranks)
     assert problem.u0.tt_core == ref.tt_core
     assert (point_to_dense(problem.u0) - point_to_dense(ref)).norm() <= REL * x.norm()
+
+
+def test_single_mode_auto_outer_ranks_is_full_space():
+    config = {
+        "dims": 1,
+        "cells": 8,
+        "tt_ranks": [],
+        "outer_ranks": "auto",
+        "scheme": "projector_splitting",
+        "initial": [{"profiles": [{"kind": "sine", "frequency": 1}]}],
+    }
+    problem, opts = problem_from_config(config)
+    assert problem.outer_ranks == problem.u0.outer_ranks == (7,)
+    assert generic_outer_ranks((7,), ()) == (7,)
+    tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
+    assert tr.breakdown is None and len(tr.states) == 11
 
 
 def test_energy_report_matches_dense_quadratures():

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from ttdlra.dense import DenseTensor, inner, matricize, mode_multiply
-from ttdlra.errors import (
-    IllConditionedPointError,
-    InvalidArgumentError,
-    OversizeError,
-)
+from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra.manifold import make_point, point_to_dense
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
 from ttdlra.tangent import (
@@ -18,7 +14,6 @@ from ttdlra.tangent import (
     core_tangent_project,
     polar_align,
     tangent_project,
-    tangent_project_general,
     tangent_to_ambient,
 )
 from ttdlra.tt import TTTensor, tt_to_dense
@@ -276,45 +271,8 @@ def test_core_basis_orthonormal_and_spans_projector(rng):
 
 
 # ---------------------------------------------------------------------------
-# non-orthonormal variant
+# non-orthonormal factors
 # ---------------------------------------------------------------------------
-
-
-def test_general_variant_agrees_for_orthonormal_factors(rng):
-    for p, z in instance_grid(rng, 4):
-        a = tangent_to_ambient(tangent_project(p, z))
-        b = tangent_to_ambient(tangent_project_general(p, z))
-        assert (a - b).norm() <= 1e-12 * max(a.norm(), 1.0)
-
-
-def test_general_variant_scaled_factors(rng):
-    # scaling the factor columns changes the representation, not the projection
-    p, z = instance_grid(rng, 1)[0]
-    scales = [np.diag(2.0 ** np.arange(1, r + 1)) for r in p.outer_ranks]
-    factors = [u @ s for u, s in zip(p.factors, scales)]
-    loose = make_point(p.core, factors, orthonormalize=False)
-    assert not loose.orthonormal_factors
-    assert (point_to_dense(loose) - point_to_dense(p)).norm() >= 1e-6
-    tight = make_point(p.core, factors, orthonormalize=True)
-    a = tangent_to_ambient(tangent_project_general(loose, z))
-    b = tangent_to_ambient(tangent_project(tight, z))
-    assert (a - b).norm() <= 1e-10 * max(b.norm(), 1.0)
-    # gauge holds in the oblique representation too
-    v = tangent_project_general(loose, z)
-    for u, udot in zip(loose.factors, v.factor_velocities):
-        assert np.max(np.abs(u.T @ udot)) <= 1e-10 * max(1.0, np.linalg.norm(udot))
-
-
-def test_general_variant_rejects_ill_conditioned(rng):
-    # construct the degenerate point directly; make_point would already refuse it
-    from ttdlra.manifold import ManifoldPoint
-
-    p, z = instance_grid(rng, 1)[0]
-    scales = [np.diag([1.0] + [1e-8] * (r - 1)) for r in p.outer_ranks]
-    factors = tuple(u @ s for u, s in zip(p.factors, scales))
-    loose = ManifoldPoint(core=p.core, factors=factors, orthonormal_factors=False)
-    with pytest.raises(IllConditionedPointError):
-        tangent_project_general(loose, z)
 
 
 def test_orthonormal_required_for_plain_projection(rng):
