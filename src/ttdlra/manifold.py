@@ -157,7 +157,9 @@ def _validate_core_ranks(point: ManifoldPoint):
             )
     if cdense.ndim > 1:
         mspec = mode_spectrum(cdense)
-        if min(v[-1] for v in mspec.values) <= GAP_REJECT_REL * scale:
+        # an unfolding with fewer columns than rows cannot have full row rank
+        short = any(v.size < r for v, r in zip(mspec.values, cdense.dims))
+        if short or min(v[-1] for v in mspec.values) <= GAP_REJECT_REL * scale:
             raise NotOnManifoldError("core does not have full multilinear rank")
 
 

@@ -6,6 +6,8 @@ randomized suites are exactly reproducible from a single seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dense import DenseTensor
@@ -60,11 +62,14 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3, max_tries=50) -> TTTensor:
 def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
     """Whether a core of full multilinear rank with these train ranks exists.
 
-    The edge outer ranks must equal the edge train ranks (the corresponding
-    unfoldings coincide) and interior outer ranks cannot exceed the product
-    of the adjacent train ranks.
+    No outer rank can exceed the product of the others (the columns of its
+    mode unfolding).  The edge outer ranks must equal the edge train ranks
+    (the corresponding unfoldings coincide) and interior outer ranks cannot
+    exceed the product of the adjacent train ranks.
     """
     r = tuple(outer_ranks)
+    if len(r) >= 2 and any(rm * rm > math.prod(r) for rm in r):
+        return False
     if tt_ranks is None:
         return True
     k = (1,) + tuple(tt_ranks) + (1,)

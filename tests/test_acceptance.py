@@ -174,7 +174,7 @@ def test_criterion_05_matrix_curvature_bounds():
     for i in range(200):
         x = random_point(rng, (5, 5), (2, 2), tt_ranks=(2,))
         y = random_point(rng, (5, 5), (2, 2), tt_ranks=(2,))
-        rep = curvature_report(x, y, rng=np.random.default_rng(SEED + 1000 + i))
+        rep = curvature_report(x, y)
         assert rep.sigma_kind == "exact-matrix-distance"
         if rep.projector_difference_norm > 8.0 / rep.sigma_used * rep.distance + 1e-10:
             v_proj += 1
@@ -192,7 +192,7 @@ def test_criterion_06_second_order_normal_defect():
     ratios = []
     for eps in (1e-1, 1e-2, 1e-3):
         y, direction = perturbed_point(rng, x, eps, direction)
-        rep = curvature_report(x, y, rng=np.random.default_rng(SEED + 60))
+        rep = curvature_report(x, y)
         ratios.append(rep.normal_defect / eps**2)
     for a, b in zip(ratios[:-1], ratios[1:]):
         lo, hi = sorted((a, b))

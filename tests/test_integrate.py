@@ -199,7 +199,7 @@ def test_dissipation_zero_source(rng):
         assert b <= a * (1 + 1e-12)
     assert all(s.tangent_residual <= 1e-8 for s in tr.states)
     rep = energy_report(tr, problem)
-    assert rep.dissipation_ok
+    assert rep.dissipation_ok is True
     assert not rep.growth_suspected
 
 
@@ -318,6 +318,26 @@ def test_splitting_zero_source_decay(rng):
     norms = [np.sqrt(s.energy_l2) for s in tr.states]
     for a, b in zip(norms[:-1], norms[1:]):
         assert b <= a * (1 + 1e-10)
+
+
+def test_splitting_zero_source_dissipation_not_checked():
+    # splitting steps record no dissipation form: the flag reads "not
+    # checked", not "violated", while the energy still falls
+    config = {
+        "dims": 1,
+        "cells": 8,
+        "tt_ranks": [],
+        "outer_ranks": "auto",
+        "scheme": "projector_splitting",
+        "initial": [{"profiles": [{"kind": "sine", "frequency": 1}]}],
+    }
+    problem, opts = problem_from_config(config)
+    tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
+    assert all(np.isnan(s.dissipation_form) for s in tr.states[1:])
+    rep = energy_report(tr, problem)
+    assert rep.data_f_integral == 0.0
+    assert rep.dissipation_ok is None
+    assert rep.l2_terminal < rep.data_l2_initial
 
 
 @pytest.mark.parametrize("n", [3, 4])

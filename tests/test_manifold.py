@@ -51,6 +51,22 @@ def test_make_point_rejects_rank_deficient_core(rng):
         make_point(DenseTensor.from_array(c), factors)
 
 
+def test_make_point_rejects_core_with_short_mode_unfolding(rng):
+    # a 3x2 core has only 2 singular values in its mode-0 unfolding, so it
+    # cannot have mode-0 rank 3
+    core = DenseTensor.from_array(rng.standard_normal((3, 2)))
+    factors = [random_orthonormal(rng, 5, 3), random_orthonormal(rng, 6, 2)]
+    with pytest.raises(NotOnManifoldError):
+        make_point(core, factors)
+
+
+def test_random_point_rejects_rank_above_product_of_others(rng):
+    with pytest.raises(InvalidArgumentError):
+        random_point(rng, (5, 6), (2, 3))
+    with pytest.raises(InvalidArgumentError):
+        random_point(rng, (5, 5, 5), (1, 2, 3))
+
+
 def test_point_to_dense_matrix_case(rng):
     u1 = random_orthonormal(rng, 5, 2)
     u2 = random_orthonormal(rng, 6, 2)

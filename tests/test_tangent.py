@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import ambient_matrix_by_columns
+
 from ttdlra.dense import DenseTensor, inner, matricize, mode_multiply
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra.manifold import make_point, point_to_dense
@@ -312,6 +314,24 @@ def test_tangent_basis_ambient_matrix_orthonormal(rng):
         apply_tangent_projector(p, z).data,
         atol=1e-10,
     )
+
+
+@pytest.mark.parametrize(
+    "dims, outer, tt",
+    [
+        ((5, 6), (2, 2), (2,)),
+        ((4, 5, 3), (2, 3, 2), (2, 2)),
+        ((4, 5, 3), (2, 3, 2), None),
+        ((3, 4, 3, 3), (2, 2, 2, 2), (2, 2, 2)),
+        ((3, 4, 3, 2), (2, 2, 2, 2), None),
+        ((2, 4, 3), (2, 2, 2), None),  # r = n on mode 0: empty Qperp
+    ],
+)
+def test_ambient_matrix_matches_column_loop(rng, dims, outer, tt):
+    basis = TangentBasis(random_point(rng, dims, outer, tt_ranks=tt))
+    mat = basis.ambient_matrix()
+    assert mat.shape == (int(np.prod(dims)), basis.dim)
+    np.testing.assert_allclose(mat, ambient_matrix_by_columns(basis), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
