@@ -35,6 +35,7 @@ from .tt import (
     tt_to_json,
     tt_from_json,
     max_feasible_ranks,
+    generic_outer_ranks,
 )
 from .manifold import (
     ManifoldPoint,
@@ -93,7 +94,6 @@ from .problems import (
     problem_from_config,
     heat_problem,
     rank_collapse_problem,
-    generic_outer_ranks,
 )
 from .experiments import (
     ExperimentConfig,

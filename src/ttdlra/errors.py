@@ -14,7 +14,16 @@ class DegeneratePointError(ValueError):
 
 
 class NotOnManifoldError(ValueError):
-    """A candidate point fails the manifold membership checks."""
+    """A candidate point fails the manifold membership checks.
+
+    ``gap`` is the boundary gap the failing check measured; it is 0.0 where
+    the rank was found deficient without a spectrum (a short unfolding, a
+    singular factor Gramian).
+    """
+
+    def __init__(self, message, gap=0.0):
+        super().__init__(message)
+        self.gap = float(gap)
 
 
 class ConfigError(ValueError):
@@ -22,4 +31,11 @@ class ConfigError(ValueError):
 
 
 class BreakdownError(RuntimeError):
-    """A time step could not be completed because the rank structure collapsed."""
+    """A time step could not be completed because the rank structure collapsed.
+
+    ``gap`` is the boundary gap measured at the collapse.
+    """
+
+    def __init__(self, message, gap=0.0):
+        super().__init__(message)
+        self.gap = float(gap)

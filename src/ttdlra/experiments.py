@@ -12,7 +12,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .fem import SourceTerm, laplacian_operator
 from .integrate import BREAKDOWN_REL, Trajectory, energy_report, solve
 from .manifold import point_to_dense
 from .problems import ParabolicProblem, problem_from_config
-from .retraction import retract
 from .sampling import perturbed_point, random_orthonormal, random_point, random_tt
 from .tangent import aligned_basis_report, curvature_report, polar_align
 from .tt import interface_spectrum, truncate_interface, tt_to_dense
@@ -155,11 +154,6 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
     return out
 
 
-def _run_options(cfg: ExperimentConfig, problem_cfg=None):
-    problem, opts = problem_from_config(problem_cfg or cfg.problem)
-    return problem, opts
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _trajectory_rows(tr: Trajectory):
 
 
 def run_solve(cfg: ExperimentConfig) -> SolveResult:
-    problem, opts = _run_options(cfg)
+    problem, opts = problem_from_config(cfg.problem)
     out = _ensure_out(cfg)
     tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     rep = energy_report(tr, problem)
@@ -353,38 +347,17 @@ class StabilityReport:
 
 def _perturbed_problem(problem: ParabolicProblem, cfg, delta, rng):
     if cfg.perturb == "initial":
-        x = point_to_dense(problem.u0)
-        w = DenseTensor.from_array(rng.standard_normal(problem.dims))
-        w = w * (1.0 / w.norm())
-        u0 = retract(x + delta * w, problem.u0.outer_ranks,
-                     problem.u0.core.ranks if problem.u0.tt_core else None)
-        return ParabolicProblem(
-            disc=problem.disc,
-            diffusion=problem.diffusion,
-            sources=problem.sources,
-            u0=u0,
-            t_end=problem.t_end,
-            outer_ranks=problem.outer_ranks,
-            tt_ranks=problem.tt_ranks,
-        )
+        return replace(problem, u0=perturbed_point(rng, problem.u0, delta)[0])
     extra = SourceTerm(
         time_coeff=delta,
         profiles=tuple([lambda x: np.sin(np.pi * x)] * len(problem.dims)),
     )
-    return ParabolicProblem(
-        disc=problem.disc,
-        diffusion=problem.diffusion,
-        sources=problem.sources + (extra,),
-        u0=problem.u0,
-        t_end=problem.t_end,
-        outer_ranks=problem.outer_ranks,
-        tt_ranks=problem.tt_ranks,
-    )
+    return replace(problem, sources=problem.sources + (extra,))
 
 
 def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     out = _ensure_out(cfg)
-    problem, opts = _run_options(cfg)
+    problem, opts = problem_from_config(cfg.problem)
 
     base = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     if base.breakdown is not None:
@@ -604,7 +577,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     from .fem import check_a1_tangency, lipschitz_constant, mixed_derivative_check
 
     out = _ensure_out(cfg)
-    problem, opts = _run_options(cfg)
+    problem, opts = problem_from_config(cfg.problem)
     rng = np.random.default_rng(cfg.seed)
     disc = problem.disc
     op = problem.operator(0.0)

@@ -47,11 +47,10 @@ import numpy as np
 from .dense import DenseTensor
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .problems import generic_outer_ranks
 from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tangent import TangentBasis, TangentVector, _multiply_modes
-from .tt import TTTensor, orthogonalize, tt_to_dense
+from .tangent import TangentBasis, _check_ambient, _multiply_modes, tangent_tucker
+from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
 __all__ = [
     "EvolutionState",
@@ -126,20 +125,6 @@ def operator_quadratic_form(point: ManifoldPoint, op) -> float:
     return total
 
 
-def _tangent_tucker(v: TangentVector, center) -> tuple:
-    """Tucker form of ``center x U + sum_m C x_m Udot^m x U``: factors
-    ``[U^m, Udot^m]``, ``center`` in core block ``(0, ..., 0)`` and ``C`` in
-    each block with a single 1.  ``center = Cdot`` gives the tangent vector
-    ``v``, ``center = C + Cdot`` the update ``u + v``."""
-    p = v.base
-    d = p.ndim
-    core = p.core_dense().to_array()
-    blocks = {(0,) * d: center}
-    for m in range(d):
-        blocks[tuple(int(j == m) for j in range(d))] = core
-    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
-
-
 def tangent_operator(basis: TangentBasis, op):
     """Matrix-free ``x -> V^T A V x`` in the orthonormal tangent coordinates.
 
@@ -150,7 +135,7 @@ def tangent_operator(basis: TangentBasis, op):
 
     def matvec(x):
         v = basis.to_tangent(x)
-        core, factors = _tangent_tucker(v, v.core_velocity.to_array())
+        core, factors = tangent_tucker(v, v.core_velocity.to_array())
         out = np.zeros(basis.dim)
         for term in op.terms:
             ws = list(factors)
@@ -231,7 +216,7 @@ def _retract_step(tucker, p: ManifoldPoint):
     try:
         return retract_tucker(*tucker, p.outer_ranks, tt_ranks)
     except NotOnManifoldError as exc:
-        raise BreakdownError(f"rank collapse during retraction: {exc}") from exc
+        raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
 
 def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
@@ -265,7 +250,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     v = basis.to_tangent(coords)
-    u_plus = _tangent_tucker(v, core.to_array() + v.core_velocity.to_array())
+    u_plus = tangent_tucker(v, core.to_array() + v.core_velocity.to_array())
     new_point, defect = _retract_step(u_plus, p)
     return state_from_point(
         new_point,
@@ -452,8 +437,8 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
     for _ in range(n_steps):
         try:
             state = step(state, tau, problem)
-        except BreakdownError:
-            breakdown = BreakdownRecord(time=state.time + tau, gap=0.0)
+        except BreakdownError as exc:
+            breakdown = BreakdownRecord(time=state.time + tau, gap=exc.gap)
             break
         states.append(state)
         threshold = BREAKDOWN_REL * np.sqrt(state.energy_l2)
@@ -542,12 +527,11 @@ def dense_implicit_euler(problem, tau: float, t_end: float):
     """Reference solver on the full coefficient space (no rank constraint).
 
     Returns the time grid and the dense states.  Assembles the operator as an
-    explicit matrix, so this is restricted to small ambient sizes.
+    explicit matrix, so the ambient size may not exceed ``AMBIENT_LIMIT``
+    (``OversizeError``).
     """
     dims = problem.disc.dims
-    size = int(np.prod(dims))
-    if size > 4096:
-        raise InvalidArgumentError("dense reference limited to small grids")
+    size = _check_ambient(dims)
     n_steps = _step_count(tau, t_end)
     y = point_to_dense(problem.u0).data.copy()
     times = [0.0]

@@ -15,6 +15,7 @@ core; :func:`make_point` does this by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,21 +147,20 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
 
 
 def _validate_core_ranks(point: ManifoldPoint):
-    core = point.core
     cdense = point.core_dense()
+    if cdense.ndim == 1:
+        return  # a single mode has only the full space
     scale = max(cdense.norm(), np.finfo(float).tiny)
-    if isinstance(core, TTTensor) and core.ndim > 1:
-        spec = interface_spectrum(core)
-        if min(v[-1] for v in spec.values) <= GAP_REJECT_REL * scale:
-            raise NotOnManifoldError(
-                "core interface spectrum is below the boundary rejection threshold"
-            )
-    if cdense.ndim > 1:
-        mspec = mode_spectrum(cdense)
-        # an unfolding with fewer columns than rows cannot have full row rank
-        short = any(v.size < r for v, r in zip(mspec.values, cdense.dims))
-        if short or min(v[-1] for v in mspec.values) <= GAP_REJECT_REL * scale:
-            raise NotOnManifoldError("core does not have full multilinear rank")
+    # a mode unfolding with fewer columns than rows cannot have full row rank
+    if any(r * r > math.prod(cdense.dims) for r in cdense.dims):
+        raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
+    gap = point_boundary_gap(point)
+    if gap <= GAP_REJECT_REL * scale:
+        raise NotOnManifoldError(
+            f"core boundary gap {gap:.3e} is below the rejection threshold "
+            f"{GAP_REJECT_REL * scale:.3e}",
+            gap=gap,
+        )
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:

@@ -29,24 +29,14 @@ from .fem import (
 from .manifold import ManifoldPoint
 from .retraction import orthonormal_tucker, retract_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tt import TTTensor, tt_add, tt_round
+from .tt import TTTensor, generic_outer_ranks, tt_add, tt_round
 
 __all__ = [
     "ParabolicProblem",
     "problem_from_config",
     "heat_problem",
     "rank_collapse_problem",
-    "generic_outer_ranks",
 ]
-
-
-def generic_outer_ranks(dims, tt_ranks) -> tuple:
-    """Outer ranks induced by the train ranks (the generic mode ranks); a
-    single mode has only the full space."""
-    if len(dims) == 1:
-        return (dims[0],)
-    k = (1,) + tuple(tt_ranks) + (1,)
-    return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .manifold import ManifoldPoint, make_point, point_to_dense
-from .tt import TTTensor, tt_round, tt_to_dense
+from .tt import TTTensor, generic_outer_ranks, max_feasible_ranks, tt_round, tt_to_dense
 
 __all__ = [
     "random_orthonormal",
@@ -63,27 +63,22 @@ def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
     """Whether a core of full multilinear rank with these train ranks exists.
 
     No outer rank can exceed the product of the others (the columns of its
-    mode unfolding).  The edge outer ranks must equal the edge train ranks
-    (the corresponding unfoldings coincide) and interior outer ranks cannot
-    exceed the product of the adjacent train ranks.
+    mode unfolding).  With train ranks, every outer rank must be reachable
+    from its adjacent train ranks (the generic outer ranks), and every train
+    rank must be exact on a core of sizes ``outer_ranks``; together these force
+    the edge outer ranks to equal the edge train ranks.
     """
     r = tuple(outer_ranks)
     if len(r) >= 2 and any(rm * rm > math.prod(r) for rm in r):
         return False
     if tt_ranks is None:
         return True
-    k = (1,) + tuple(tt_ranks) + (1,)
-    d = len(r)
-    if len(k) != d + 1:
-        return False
-    if d >= 2 and (r[0] != k[1] or r[-1] != k[-2]):
-        return False
-    for m in range(1, d - 1):
-        if r[m] > k[m] * k[m + 1]:
-            return False
-    from .tt import max_feasible_ranks
-
-    return all(km <= fm for km, fm in zip(tt_ranks, max_feasible_ranks(r)))
+    k = tuple(tt_ranks)
+    return (
+        len(k) == len(r) - 1
+        and generic_outer_ranks(r, k) == r
+        and all(km <= fm for km, fm in zip(k, max_feasible_ranks(r)))
+    )
 
 
 def random_point(

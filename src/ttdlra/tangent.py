@@ -11,8 +11,12 @@ orthogonal subspaces, so the orthogonal projector onto the tangent space
 splits into d+1 independent pieces: one core piece acting on the compressed
 coefficients and one per mode acting on the corresponding matricization.
 
-For a tensor-train core the core projector itself splits along the train
-interfaces into projectors built from prefix and suffix interface bases.
+:class:`TangentBasis` holds orthonormal coordinates for these pieces and is
+the one implementation of the projector: :func:`tangent_project` maps the
+coordinates of a projection back to components, and :func:`tangent_to_ambient`
+expands a tangent vector's Tucker form (:func:`tangent_tucker`).  For a
+tensor-train core the core piece projects onto an orthonormal basis of the
+span of all single-core replacements.
 
 The module also houses an independent brute-force oracle (span, orthonormalize,
 project), polar alignment of subspace bases, and curvature reports comparing
@@ -35,7 +39,8 @@ import numpy as np
 from .dense import DenseTensor, matricize, mode_multiply
 from .errors import DegeneratePointError, InvalidArgumentError, OversizeError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tt import TTTensor, orthogonalize, tt_to_dense
+from .retraction import stack_tucker
+from .tt import TTTensor, tt_to_dense
 
 __all__ = [
     "TangentVector",
@@ -46,6 +51,7 @@ __all__ = [
     "core_tangent_project",
     "core_tangent_basis",
     "tangent_to_ambient",
+    "tangent_tucker",
     "brute_force_projector",
     "apply_tangent_projector",
     "polar_align",
@@ -84,42 +90,12 @@ def _check_ambient(dims):
 # ---------------------------------------------------------------------------
 
 
-def _tt_interface_bases(core: TTTensor):
-    """Orthonormal prefix bases ``L_m`` and suffix bases ``R_m`` per interface.
-
-    ``L_m`` has shape ``(prod(dims[:m+1]), k_m)`` and spans the columns of the
-    prefix unfolding; ``R_m`` has shape ``(prod(dims[m+1:]), k_m)`` and spans
-    its rows.  Row enumeration follows C order of the respective mode groups,
-    matching plain ``reshape`` of a dense array.
-    """
-    d = core.ndim
-    left = orthogonalize(core, d - 1)
-    right = orthogonalize(core, 0)
-    L = []
-    acc = left.cores[0][0]  # (N_0, k_0)
-    L.append(acc.copy())
-    for m in range(1, d - 1):
-        acc = np.tensordot(acc, left.cores[m], axes=(1, 0))
-        acc = acc.reshape(-1, acc.shape[-1])
-        L.append(acc.copy())
-    R = [None] * (d - 1)
-    acc = right.cores[d - 1][:, :, 0]  # (k_{d-2}, N_{d-1})
-    if d >= 2:
-        R[d - 2] = acc.T.copy()
-    for m in range(d - 3, -1, -1):
-        acc = np.tensordot(right.cores[m + 1], acc, axes=(2, 0))
-        acc = acc.reshape(acc.shape[0], -1)
-        R[m] = acc.T.copy()
-    return L, R
-
-
 def core_tangent_project(core, z: DenseTensor) -> DenseTensor:
     """Orthogonal projection onto the tangent space of the core constraint set.
 
     For a dense (plain Tucker) core the set is open and the projector is the
-    identity.  For a train core the projector splits across interfaces; each
-    summand sandwiches the prefix matricization of ``z`` between interface
-    basis projectors.
+    identity; for a train core it is ``B B^T z`` with ``B`` from
+    :func:`core_tangent_basis`.
     """
     if isinstance(core, DenseTensor):
         return z
@@ -127,34 +103,8 @@ def core_tangent_project(core, z: DenseTensor) -> DenseTensor:
         raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
     if z.dims != core.dims:
         raise InvalidArgumentError("argument does not match the core sizes")
-    d = core.ndim
-    if d == 1:
-        return z
-    from .tt import boundary_gap
-
-    boundary_gap(core)  # raises DegeneratePointError on rank deficiency
-
-    dims = core.dims
-    L, R = _tt_interface_bases(core)
-    zarr = z.to_array()
-    out = np.zeros_like(zarr)
-    for m in range(d - 1):
-        pre = int(np.prod(dims[: m + 1]))
-        mat = zarr.reshape(pre, -1)
-        colproj = (mat @ R[m]) @ R[m].T
-        if m == 0:
-            rows_kept = colproj
-        else:
-            pre_prev = int(np.prod(dims[:m]))
-            block = colproj.reshape(pre_prev, dims[m] * colproj.shape[1])
-            rows_kept = (L[m - 1] @ (L[m - 1].T @ block)).reshape(pre, -1)
-        term = rows_kept - L[m] @ (L[m].T @ colproj)
-        out += term.reshape(zarr.shape)
-    # final summand: prefix of the last interface on rows, identity on the last mode
-    pre = int(np.prod(dims[:-1]))
-    mat = zarr.reshape(pre, dims[-1])
-    out += (L[d - 2] @ (L[d - 2].T @ mat)).reshape(zarr.shape)
-    return DenseTensor.from_array(out)
+    b = core_tangent_basis(core)
+    return DenseTensor(z.dims, b @ (b.T @ z.data))
 
 
 def core_tangent_basis(core) -> np.ndarray:
@@ -205,48 +155,38 @@ def _multiply_modes(arr, factors):
 def tangent_project(p: ManifoldPoint, z: DenseTensor) -> TangentVector:
     """Orthogonal projection of ``z`` onto the tangent space at ``p``.
 
-    Requires orthonormal factors.  The ambient embedding of the result is
-    the orthogonal projection of ``z`` and the components satisfy the gauge
-    conditions.
+    Requires orthonormal factors.  The components are those of the projection's
+    coordinates in :class:`TangentBasis`, so they satisfy the gauge conditions.
     """
-    if not p.orthonormal_factors:
-        raise InvalidArgumentError("point has non-orthonormal factors")
     if z.dims != p.dims:
         raise InvalidArgumentError("argument does not match the point sizes")
-    core = p.core_dense()
-    zarr = z.to_array()
-    cz = _multiply_modes(zarr, [(m, u.T) for m, u in enumerate(p.factors)])
-    cdot = core_tangent_project(p.core, DenseTensor.from_array(cz))
-    velocities = []
-    for m, u in enumerate(p.factors):
-        zskip = _multiply_modes(zarr, [(k, w.T) for k, w in enumerate(p.factors) if k != m])
-        zm = matricize(DenseTensor.from_array(zskip), {m})
-        mc = matricize(core, {m})
-        gram_rows = mc @ mc.T
-        raw = zm @ mc.T
-        udot = raw - u @ (u.T @ raw)
-        udot = np.linalg.solve(gram_rows, udot.T).T
-        velocities.append(udot)
-    return TangentVector(base=p, core_velocity=cdot, factor_velocities=tuple(velocities))
+    basis = TangentBasis(p)
+    return basis.to_tangent(basis.project_coords(z))
+
+
+def tangent_tucker(v: TangentVector, center) -> tuple:
+    """Tucker form of ``center x U + sum_m C x_m Udot^m x U``: factors
+    ``[U^m, Udot^m]``, ``center`` in core block ``(0, ..., 0)`` and ``C`` in
+    each block with a single 1.  ``center = Cdot`` gives the tangent vector
+    ``v``, ``center = C + Cdot`` the update ``u + v``."""
+    p = v.base
+    d = p.ndim
+    core = p.core_dense().to_array()
+    blocks = {(0,) * d: center}
+    for m in range(d):
+        blocks[tuple(int(j == m) for j in range(d))] = core
+    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
 
 
 def tangent_to_ambient(v: TangentVector) -> DenseTensor:
-    """Embed the components into the ambient space.
+    """Embed the components into the ambient space: the expansion of
+    :func:`tangent_tucker` with ``center = Cdot``.
 
     The d+1 summands are mutually orthogonal, so the squared norm of the
     embedding is the sum of the squared summand norms.
     """
-    p = v.base
-    core = p.core_dense()
-    out = v.core_velocity
-    for m, u in enumerate(p.factors):
-        out = mode_multiply(out, u, m)
-    for m, udot in enumerate(v.factor_velocities):
-        term = core
-        for mm, u in enumerate(p.factors):
-            term = mode_multiply(term, udot if mm == m else u, mm)
-        out = out + term
-    return out
+    core, factors = tangent_tucker(v, v.core_velocity.to_array())
+    return DenseTensor.from_array(_multiply_modes(core.to_array(), list(enumerate(factors))))
 
 
 def apply_tangent_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
@@ -365,14 +305,6 @@ class TangentBasis:
             theta = blocks[m + 1].reshape(n - r, r, order="F")
             vels.append(self.qperp[m] @ theta @ self.rmap[m].T)
         return TangentVector(self.point, cdot, tuple(vels))
-
-    def from_tangent(self, v: TangentVector) -> np.ndarray:
-        parts = [self.core_basis.T @ v.core_velocity.data]
-        for m, u in enumerate(self.point.factors):
-            mc = matricize(self._core, {m})
-            theta = self.qperp[m].T @ v.factor_velocities[m] @ (mc @ self.qright[m])
-            parts.append(theta.ravel(order="F"))
-        return np.concatenate(parts)
 
     def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
         """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.

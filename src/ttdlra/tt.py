@@ -34,6 +34,7 @@ __all__ = [
     "tt_to_json",
     "tt_from_json",
     "max_feasible_ranks",
+    "generic_outer_ranks",
 ]
 
 # Interface spectra below this relative size count as exact rank deficiency.
@@ -125,6 +126,15 @@ def max_feasible_ranks(dims) -> tuple:
         right = int(np.prod(dims[m + 1 :]))
         out.append(min(left, right))
     return tuple(out)
+
+
+def generic_outer_ranks(dims, tt_ranks) -> tuple:
+    """Outer ranks induced by the train ranks (the generic mode ranks); a
+    single mode has only the full space."""
+    if len(dims) == 1:
+        return (dims[0],)
+    k = (1,) + tuple(tt_ranks) + (1,)
+    return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
 
 def tt_from_dense(x: DenseTensor, ranks=None, rtol=None, return_error=False):

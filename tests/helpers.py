@@ -29,3 +29,21 @@ def ambient_matrix_by_columns(basis):
         e[j] = 1.0
         cols[:, j] = tangent_to_ambient(basis.to_tangent(e)).data
     return cols
+
+
+def summands(v):
+    """The d+1 ambient summands of a tangent vector, each expanded by its own
+    chain of mode products: ``Cdot x U`` and ``C x_m Udot^m x U`` per mode."""
+    from ttdlra.dense import mode_multiply
+
+    p = v.base
+    core = p.core_dense()
+    parts = [v.core_velocity]
+    for m, u in enumerate(p.factors):
+        parts[0] = mode_multiply(parts[0], u, m)
+    for m, udot in enumerate(v.factor_velocities):
+        term = core
+        for mm, u in enumerate(p.factors):
+            term = mode_multiply(term, udot if mm == m else u, mm)
+        parts.append(term)
+    return parts

@@ -13,9 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import kron_matrix
+from helpers import kron_matrix, summands
 
-from ttdlra.dense import DenseTensor, inner, matricize, mode_multiply, svd
+from ttdlra.dense import DenseTensor, inner, matricize, svd
 from ttdlra.experiments import (
     ExperimentConfig,
     run_convergence,
@@ -81,20 +81,6 @@ def projector_instances():
         z = random_dense(rng, dims)
         out.append((p, z))
     return out, t0
-
-
-def summands(v):
-    p = v.base
-    core = p.core_dense()
-    parts = [v.core_velocity]
-    for m, u in enumerate(p.factors):
-        parts[0] = mode_multiply(parts[0], u, m)
-    for m, udot in enumerate(v.factor_velocities):
-        term = core
-        for mm, u in enumerate(p.factors):
-            term = mode_multiply(term, udot if mm == m else u, mm)
-        parts.append(term)
-    return parts
 
 
 def test_criterion_01_projector_oracle_equivalence(projector_instances):

@@ -6,7 +6,7 @@ import pytest
 from helpers import kron_matrix
 
 from ttdlra.dense import DenseTensor, inner
-from ttdlra.errors import InvalidArgumentError
+from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra import integrate
 from ttdlra.fem import laplacian_operator
 from ttdlra.integrate import (
@@ -422,6 +422,12 @@ def test_step_size_must_divide_horizon(monkeypatch):
     # a dividing step size still reaches the horizon exactly
     tr = solve(problem, "projected_euler", tau=0.004, t_end=0.02)
     assert len(steps) == 5 and tr.times[-1] == pytest.approx(0.02, rel=1e-12)
+
+
+def test_dense_reference_rejects_oversize_grid():
+    problem = heat_problem(2, 66, (2,), t_end=0.02)  # 65^2 = 4225 > AMBIENT_LIMIT
+    with pytest.raises(OversizeError):
+        dense_implicit_euler(problem, 0.01, 0.02)
 
 
 def test_initial_gap_below_threshold_rejected(rng):

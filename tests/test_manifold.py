@@ -10,7 +10,13 @@ from ttdlra.manifold import (
     scale_point,
 )
 from ttdlra.retraction import retract
-from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
+from ttdlra.sampling import (
+    feasible_point_ranks,
+    random_dense,
+    random_orthonormal,
+    random_point,
+    random_tt,
+)
 from ttdlra.tt import interface_spectrum, mode_spectrum, tt_to_dense
 
 
@@ -65,6 +71,39 @@ def test_random_point_rejects_rank_above_product_of_others(rng):
         random_point(rng, (5, 6), (2, 3))
     with pytest.raises(InvalidArgumentError):
         random_point(rng, (5, 5, 5), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "outer, tt_ranks, feasible",
+    [
+        ((2, 3, 2), None, True),
+        ((2, 5, 2), None, False),  # 5 > 2 * 2 columns
+        ((2, 2, 2), (2, 2), True),
+        ((2, 4, 4, 2), (2, 2, 2), True),  # interior ranks at the neighbour product
+        ((3, 2, 2), (2, 2), False),  # edge outer rank above the edge train rank
+        ((2, 3, 3), (3, 3), False),  # edge outer rank below the edge train rank
+        ((2, 5, 5, 2), (2, 2, 2), False),  # interior rank above the neighbour product
+        ((2, 2, 2), (2,), False),  # wrong number of train ranks
+        ((4,), (), True),
+    ],
+)
+def test_feasible_point_ranks_table(rng, outer, tt_ranks, feasible):
+    assert feasible_point_ranks(outer, tt_ranks) is feasible
+    dims = tuple(r + 2 for r in outer)
+    if feasible:
+        p = random_point(rng, dims, outer, tt_ranks=tt_ranks)
+        assert p.outer_ranks == outer
+    else:
+        with pytest.raises(InvalidArgumentError):
+            random_point(rng, dims, outer, tt_ranks=tt_ranks)
+
+
+def test_rejection_carries_measured_gap(rng):
+    core = DenseTensor.from_array(np.diag([1.0, 1e-12]))
+    factors = [random_orthonormal(rng, 5, 2) for _ in range(2)]
+    with pytest.raises(NotOnManifoldError) as exc:
+        make_point(core, factors)
+    assert exc.value.gap == pytest.approx(1e-12, rel=1e-6)
 
 
 def test_point_to_dense_matrix_case(rng):

@@ -3,21 +3,23 @@
 import numpy as np
 import pytest
 
+from helpers import summands
+
 from ttdlra.dense import DenseTensor, matricize, mode_multiply
 from ttdlra.errors import BreakdownError, NotOnManifoldError
 from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
 from ttdlra.integrate import (
-    _tangent_tucker,
+    BreakdownRecord,
     energy_report,
     solve,
     state_from_point,
     step_projected_implicit_euler,
 )
-from ttdlra.manifold import make_point, point_to_dense
+from ttdlra.manifold import GAP_REJECT_REL, make_point, point_to_dense
 from ttdlra.problems import ParabolicProblem, generic_outer_ranks, problem_from_config
 from ttdlra.retraction import retract, retract_tucker, train_as_tucker
 from ttdlra.sampling import random_point, random_tt
-from ttdlra.tangent import TangentBasis, tangent_to_ambient
+from ttdlra.tangent import TangentBasis, tangent_tucker
 from ttdlra.tt import tt_to_dense
 
 REL = 1e-12
@@ -67,10 +69,13 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
     coords = rng.standard_normal(basis.dim)
     v = basis.to_tangent(0.5 * p.norm() * coords / np.linalg.norm(coords))
     cdot = v.core_velocity.to_array()
-    core, factors = _tangent_tucker(v, cdot)
-    x = tangent_to_ambient(v)
+    core, factors = tangent_tucker(v, cdot)
+    parts = summands(v)
+    x = parts[0]
+    for part in parts[1:]:
+        x = x + part
     assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
-    core, factors = _tangent_tucker(v, p.core_dense().to_array() + cdot)
+    core, factors = tangent_tucker(v, p.core_dense().to_array() + cdot)
     x = point_to_dense(p) + x
     assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
@@ -100,15 +105,14 @@ def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
         retract_tucker(core, factors, (2, 2, 2), tt_ranks)
 
 
-def test_step_rank_collapse_is_breakdown():
-    # slow x slow plus 1e-9 fast x fast: one long implicit Euler step shrinks
-    # the fast part below the manifold's rejection threshold
-    n_cells = 12
+def _collapse_problem(n_cells, weight):
+    # slow x slow plus weight * fast x fast: one long implicit Euler step
+    # shrinks the fast part below the manifold's rejection threshold
     disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(2)])
     _, evecs = np.linalg.eigh(disc.stiffness_t[0])
     u = evecs[:, [0, -1]]
-    core = DenseTensor.from_array(np.diag([1.0, 1e-9]))
-    problem = ParabolicProblem(
+    core = DenseTensor.from_array(np.diag([1.0, weight]))
+    return ParabolicProblem(
         disc=disc,
         diffusion=DiffusionCoefficient(np.eye(2), np.zeros((2, 2)), horizon=1.0),
         sources=(),
@@ -117,9 +121,27 @@ def test_step_rank_collapse_is_breakdown():
         outer_ranks=(2, 2),
         tt_ranks=None,
     )
-    state = state_from_point(problem.u0, 0.0, disc)
+
+
+def test_step_rank_collapse_is_breakdown():
+    problem = _collapse_problem(12, 1e-9)
+    state = state_from_point(problem.u0, 0.0, problem.disc)
     with pytest.raises(BreakdownError):
         step_projected_implicit_euler(state, 1.0, problem)
+
+
+def test_solve_records_measured_breakdown_gap():
+    # the retraction rejects the collapsed core; the record carries the gap
+    # that rejection measured, not a placeholder
+    problem = _collapse_problem(24, 2e-8)
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    with pytest.raises(BreakdownError) as exc:
+        step_projected_implicit_euler(state, 1.0, problem)
+    gap = exc.value.gap
+    assert 0.0 < gap <= GAP_REJECT_REL * problem.u0.norm()
+    tr = solve(problem, "projected_euler", 1.0, 1.0)
+    assert tr.breakdown == BreakdownRecord(time=1.0, gap=gap)
+    assert len(tr.states) == 1
 
 
 def _config(d, cells, tt_ranks, initial, sources=(), t_end=0.004):
