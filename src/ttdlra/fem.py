@@ -25,7 +25,7 @@ import scipy.linalg
 from .dense import DenseTensor, inner, mode_multiply
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tangent import apply_tangent_projector
+from .tangent import TangentBasis, tangent_to_ambient
 from .tt import TTTensor, tt_add, tt_round, tt_scale
 
 __all__ = [
@@ -291,6 +291,7 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
     terms = []
     for m in range(d):
         terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness_t[m]),), "diag"))
+    transfer_tt = [t.T for t in disc.transfer_t]  # one view per mode, shared by the terms
     for m in range(d):
         for n in range(d):
             if m == n or b[m, n] == 0.0:
@@ -298,7 +299,7 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
             terms.append(
                 OperatorTerm(
                     float(b[m, n]),
-                    ((m, disc.transfer_t[m]), (n, disc.transfer_t[n].T)),
+                    ((m, disc.transfer_t[m]), (n, transfer_tt[n])),
                     "cross",
                 )
             )
@@ -382,10 +383,11 @@ def check_a1_tangency(
     scale = a1u.norm()
     if scale == 0.0:
         return 0.0
+    basis = TangentBasis(p)
     worst = 0.0
     for _ in range(n_samples):
         v = DenseTensor.from_array(rng.standard_normal(p.dims))
-        nperp = v - apply_tangent_projector(p, v)
+        nperp = v - tangent_to_ambient(basis.to_tangent(basis.project_coords(v)))
         worst = max(worst, abs(inner(a1u, nperp)) / (scale * v.norm()))
     return float(worst)
 

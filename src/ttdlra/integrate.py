@@ -25,17 +25,17 @@ ranks.
 
 The Galerkin system is solved matrix-free in orthonormal tangent
 coordinates.  A tangent vector is a Tucker tensor with factors
-``[U^m, Udot^m]`` and a ``(2r)^d`` block core; each operator term acts on its
-factors mode by mode, and :meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker`
-projects the result back (:func:`tangent_operator`).  The source projects the
-same way from its train.  Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
-preconditioned by a fast-diagonalization inverse of the per-mode stiffness
-blocks, so neither the ``dim x dim`` matrix nor the ambient ``n^d`` tensor is
-formed.  ``u + v`` is retracted by
-:func:`~ttdlra.retraction.retract_tucker` on a small core, the sweep's result
-and the source stay trains, and the energy report takes state differences
-through their factors as well; only the reference solver
-:func:`dense_implicit_euler` works in the ambient space.
+``[U^m, Udot^m]`` and a ``(2r)^d`` block core; all operator terms act at once
+(one stacked product per mode over the distinct term matrices) and one batched
+contraction projects them back (:func:`tangent_operator`); the source projects
+through :meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker` from its train.
+Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned per mode
+block by the Schur complement form of the shifted stiffness inverse (one
+Cholesky factorization per mode), so no ``dim x dim`` matrix is formed.
+``u + v`` is retracted by :func:`~ttdlra.retraction.retract_tucker` on a small
+core, the sweep's result and the source stay trains, and the energy report
+takes state differences through their factors as well; only the reference
+solver :func:`dense_implicit_euler` works in the ambient space.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dense import DenseTensor
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
@@ -128,42 +129,54 @@ def operator_quadratic_form(point: ManifoldPoint, op) -> float:
 def tangent_operator(basis: TangentBasis, op):
     """Matrix-free ``x -> V^T A V x`` in the orthonormal tangent coordinates.
 
-    The tangent vector of ``x`` is a Tucker tensor with factors
-    ``[U^m, Udot^m]``; each operator term multiplies its factors mode by mode
-    and :meth:`TangentBasis.coords_of_tucker` projects the result back.
-    """
+    The tangent vector of ``x`` is a Tucker tensor with factors ``[U^m, Udot^m]``;
+    per mode, each distinct term matrix acts on them once, the images are
+    projected onto ``[U^m, Qperp^m]`` together, and
+    :meth:`TangentBasis.coords_of_projected` contracts all terms with the core."""
+    weights = np.array([term.coeff for term in op.terms])
+    groups = []  # per mode: the distinct matrices (None: the identity), the one each term uses
+    for m in range(basis.point.ndim):
+        mats = [dict(term.factors).get(m) for term in op.terms]
+        found = list({id(mat): mat for mat in [None] + mats}.values())
+        groups.append((found, [[id(s) for s in found].index(id(mat)) for mat in mats]))
 
     def matvec(x):
         v = basis.to_tangent(x)
         core, factors = tangent_tucker(v, v.core_velocity.to_array())
-        out = np.zeros(basis.dim)
-        for term in op.terms:
-            ws = list(factors)
-            for m, mat in term.factors:
-                ws[m] = mat @ ws[m]
-            out += term.coeff * basis.coords_of_tucker(core, ws)
-        return out
+        projected = []
+        for f, (found, use), w in zip(basis.frame, groups, factors):
+            images = np.array([w if mat is None else mat @ w for mat in found])
+            projected.append((f.T @ images)[use])
+        return basis.coords_of_projected(core, projected, weights)
 
     return matvec
 
 
 def _preconditioner(basis: TangentBasis, op, tau: float):
     """``tau`` on the core block; on mode block ``mu`` the inverse of
-    ``I/tau + I_r (x) Qperp^T A_mumu Qperp``, by fast diagonalization with one
-    ``eigh`` per mode.  ``A_mumu`` sums the diagonal terms acting on ``mu``."""
-    a = [np.zeros((n, n)) for n in basis.point.dims]
+    ``I/tau + I_r (x) Qperp^T A_mumu Qperp``, ``A_mumu`` the sum of the diagonal
+    terms acting on ``mu``.  With ``S = I/tau + A_mumu`` it is applied in the
+    Schur complement form ``Qperp^T (S^-1 - S^-1 U (U^T S^-1 U)^-1 U^T S^-1)
+    Qperp``: one Cholesky factorization of ``S`` per mode, no eigensolver."""
+    shifted = [np.eye(n) / tau for n in basis.point.dims]
     for term in op.diagonal_part.terms:
         ((m, mat),) = term.factors
-        a[m] = a[m] + term.coeff * mat
-    eigs = [np.linalg.eigh(q.T @ am @ q) for q, am in zip(basis.qperp, a)]
-    splits = np.cumsum(basis.block_sizes)[:-1]
+        shifted[m] += term.coeff * mat
+    solves = []
+    for s, u, frame in zip(shifted, basis.point.factors, basis.frame):
+        chol = scipy.linalg.cho_factor(s)
+        su = scipy.linalg.cho_solve(chol, u)
+        # Qperp^T S^-1 U (U^T S^-1 U)^-1
+        solves.append((chol, (frame.T @ np.linalg.solve(u.T @ su, su.T).T)[u.shape[1] :]))
 
     def apply(x):
-        blocks = np.split(x, splits)
+        blocks = basis._blocks(x)
         out = [tau * blocks[0]]
-        for (lam, e), blk, rank in zip(eigs, blocks[1:], basis.point.outer_ranks):
-            theta = blk.reshape(len(lam), rank, order="F")
-            out.append((e @ ((e.T @ theta) / (1.0 / tau + lam)[:, None])).ravel(order="F"))
+        for (chol, corr), q, frame, blk in zip(solves, basis.qperp, basis.frame, blocks[1:]):
+            r = corr.shape[1]
+            z = scipy.linalg.cho_solve(chol, q @ blk.reshape(-1, r, order="F"), check_finite=False)
+            z = frame.T @ z
+            out.append((z[r:] - corr @ z[:r]).ravel(order="F"))
         return np.concatenate(out)
 
     return apply
@@ -210,6 +223,12 @@ def state_from_point(point: ManifoldPoint, t: float, disc, **diag) -> EvolutionS
     )
 
 
+def _next_time(t: float, tau: float) -> float:
+    """``t + tau``, as the exact multiple ``(k+1) tau`` when ``t = k tau``."""
+    k = round(t / tau)
+    return (k + 1) * tau if k * tau == t else t + tau
+
+
 def _retract_step(tucker, p: ManifoldPoint):
     """Factored retraction of a step's update to the ranks of ``p``."""
     tt_ranks = p.core.ranks if p.tt_core else None
@@ -229,7 +248,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
             "the projected scheme needs at least two modes; a single mode is "
             "the unconstrained problem (use the splitting scheme)"
         )
-    t_new = state.time + tau
+    t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
     basis = TangentBasis(p)
@@ -270,11 +289,6 @@ def _point_to_ambient_tt(p: ManifoldPoint) -> TTTensor:
     for m, u in enumerate(p.factors):
         cores[m] = np.einsum("ij,ajb->aib", u, cores[m])
     return TTTensor(tuple(cores))
-
-
-def _term_matrices(term, d):
-    mats = {m: mat for m, mat in term.factors}
-    return [mats.get(m) for m in range(d)]
 
 
 def _env_update_left(env, core, mat, trial=None):
@@ -318,13 +332,13 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             "the splitting sweep requires generic outer ranks "
             f"{generic_outer_ranks(dims, tt_ranks)}, got {p.outer_ranks}"
         )
-    t_new = state.time + tau
+    t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
 
     y = orthogonalize(_point_to_ambient_tt(p), 0)
     cores = [c.copy() for c in y.cores]
-    terms = [(term.coeff, _term_matrices(term, d)) for term in op.terms]
+    terms = [(term.coeff, [dict(term.factors).get(m) for m in range(d)]) for term in op.terms]
 
     # right environments per term at every interface
     right_envs = [[None] * (d + 1) for _ in terms]
@@ -438,7 +452,7 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
         try:
             state = step(state, tau, problem)
         except BreakdownError as exc:
-            breakdown = BreakdownRecord(time=state.time + tau, gap=exc.gap)
+            breakdown = BreakdownRecord(time=_next_time(state.time, tau), gap=exc.gap)
             break
         states.append(state)
         threshold = BREAKDOWN_REL * np.sqrt(state.energy_l2)

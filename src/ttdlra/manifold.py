@@ -48,6 +48,7 @@ class ManifoldPoint:
     core: object  # TTTensor or DenseTensor
     factors: tuple
     orthonormal_factors: bool
+    gap: float  # the core's boundary gap, measured once by validation
 
     @property
     def ndim(self) -> int:
@@ -74,8 +75,31 @@ class ManifoldPoint:
         return point_to_dense(self).norm()
 
 
-def _core_dims(core) -> tuple:
-    return core.dims
+def _checked_factors(cdims, factors) -> tuple:
+    """The factors as float arrays, checked against the core sizes and for
+    invertible Gramians, and whether they are orthonormal."""
+    factors = tuple(np.asarray(u, dtype=float) for u in factors)
+    if len(factors) != len(cdims):
+        raise InvalidArgumentError(f"{len(factors)} factors for a core of order {len(cdims)}")
+    for m, u in enumerate(factors):
+        if u.ndim != 2:
+            raise InvalidArgumentError("factors must be matrices")
+        if u.shape[1] != cdims[m]:
+            raise InvalidArgumentError(
+                f"factor {m} has {u.shape[1]} columns, core size is {cdims[m]}"
+            )
+        if u.shape[0] < u.shape[1]:
+            raise NotOnManifoldError(f"factor {m} has more columns than rows")
+
+    ortho = True
+    for m, u in enumerate(factors):
+        g = u.T @ u
+        ev = np.linalg.eigvalsh(g)
+        if ev[0] <= _GRAM_REJECT_REL * max(ev[-1], np.finfo(float).tiny):
+            raise NotOnManifoldError(f"factor {m} has a numerically singular Gramian")
+        if not np.allclose(g, np.eye(u.shape[1]), atol=1e-12):
+            ortho = False
+    return factors, ortho
 
 
 def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
@@ -102,31 +126,7 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
     """
     if not isinstance(core, (TTTensor, DenseTensor)):
         raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
-    factors = tuple(np.asarray(u, dtype=float) for u in factors)
-    cdims = _core_dims(core)
-    if len(factors) != len(cdims):
-        raise InvalidArgumentError(
-            f"{len(factors)} factors for a core of order {len(cdims)}"
-        )
-    for m, u in enumerate(factors):
-        if u.ndim != 2:
-            raise InvalidArgumentError("factors must be matrices")
-        if u.shape[1] != cdims[m]:
-            raise InvalidArgumentError(
-                f"factor {m} has {u.shape[1]} columns, core size is {cdims[m]}"
-            )
-        if u.shape[0] < u.shape[1]:
-            raise NotOnManifoldError(f"factor {m} has more columns than rows")
-
-    ortho = True
-    for m, u in enumerate(factors):
-        g = u.T @ u
-        ev = np.linalg.eigvalsh(g)
-        if ev[0] <= _GRAM_REJECT_REL * max(ev[-1], np.finfo(float).tiny):
-            raise NotOnManifoldError(f"factor {m} has a numerically singular Gramian")
-        if not np.allclose(g, np.eye(u.shape[1]), atol=1e-12):
-            ortho = False
-
+    factors, ortho = _checked_factors(core.dims, factors)
     if orthonormalize and not ortho:
         new_factors = []
         for m, u in enumerate(factors):
@@ -141,26 +141,36 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
         factors = tuple(new_factors)
         ortho = True
 
-    point = ManifoldPoint(core=core, factors=factors, orthonormal_factors=ortho)
-    _validate_core_ranks(point)
-    return point
+    return ManifoldPoint(core, factors, ortho, _validated_gap(core))
 
 
-def _validate_core_ranks(point: ManifoldPoint):
-    cdense = point.core_dense()
+def _with_factors(p: ManifoldPoint, factors) -> ManifoldPoint:
+    """``p`` with new factors, checked as in :func:`make_point`; the core keeps its gap."""
+    factors, ortho = _checked_factors(p.core.dims, factors)
+    return ManifoldPoint(p.core, factors, ortho, p.gap)
+
+
+def _validated_gap(core) -> float:
+    """:func:`point_boundary_gap` of a core, measured once; raises
+    ``NotOnManifoldError`` for a core off the manifold."""
+    cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     if cdense.ndim == 1:
-        return  # a single mode has only the full space
-    scale = max(cdense.norm(), np.finfo(float).tiny)
+        return cdense.norm()  # a single mode has only the full space
     # a mode unfolding with fewer columns than rows cannot have full row rank
     if any(r * r > math.prod(cdense.dims) for r in cdense.dims):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
-    gap = point_boundary_gap(point)
+    vals = [float(v[-1]) for v in mode_spectrum(cdense).values]
+    if isinstance(core, TTTensor):
+        vals.extend(float(v[-1]) for v in interface_spectrum(core).values)
+    gap = min(vals)
+    scale = max(cdense.norm(), np.finfo(float).tiny)
     if gap <= GAP_REJECT_REL * scale:
         raise NotOnManifoldError(
             f"core boundary gap {gap:.3e} is below the rejection threshold "
             f"{GAP_REJECT_REL * scale:.3e}",
             gap=gap,
         )
+    return gap
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:
@@ -179,15 +189,7 @@ def point_boundary_gap(p: ManifoldPoint) -> float:
     point to the relative boundary of the manifold from above.  For matrices
     the bound is the exact distance.
     """
-    cdense = p.core_dense()
-    vals = []
-    if p.tt_core and p.core.ndim > 1:
-        vals.extend(float(v[-1]) for v in interface_spectrum(p.core).values)
-    if cdense.ndim > 1:
-        vals.extend(float(v[-1]) for v in mode_spectrum(cdense).values)
-    if not vals:
-        return cdense.norm()
-    return min(vals)
+    return p.gap
 
 
 def scale_point(p: ManifoldPoint, s: float) -> ManifoldPoint:
@@ -195,6 +197,4 @@ def scale_point(p: ManifoldPoint, s: float) -> ManifoldPoint:
     if s <= 0:
         raise InvalidArgumentError("cone scaling requires s > 0")
     core = tt_scale(p.core, s) if p.tt_core else p.core * s
-    return ManifoldPoint(
-        core=core, factors=p.factors, orthonormal_factors=p.orthonormal_factors
-    )
+    return ManifoldPoint(core, p.factors, p.orthonormal_factors, p.gap * s)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dense import DenseTensor, matricize, mode_multiply
 from .errors import InvalidArgumentError
-from .manifold import ManifoldPoint, make_point, point_to_dense
+from .manifold import ManifoldPoint, _with_factors, make_point, point_to_dense
 from .tt import TTTensor, tt_from_dense, tt_to_dense
 
 __all__ = ["retract", "retract_tucker", "orthonormal_tucker", "stack_tucker", "train_as_tucker"]
@@ -116,5 +116,4 @@ def retract_tucker(core: DenseTensor, factors, outer_ranks, tt_ranks=None) -> tu
     small, qs = orthonormal_tucker(core, factors)
     point = retract(small, outer_ranks, tt_ranks)
     defect = (point_to_dense(point) - small).norm()
-    factors = [q @ v for q, v in zip(qs, point.factors)]
-    return make_point(point.core, factors, orthonormalize=False), defect
+    return _with_factors(point, [q @ v for q, v in zip(qs, point.factors)]), defect

@@ -116,22 +116,22 @@ def core_tangent_basis(core) -> np.ndarray:
     """
     if isinstance(core, DenseTensor):
         return np.eye(core.size)
-    d = core.ndim
     size = int(np.prod(core.dims))
-    if d == 1:
+    if core.ndim == 1:
         return np.eye(size)
-    cols = []
-    for m in range(d):
-        shape = core.cores[m].shape
-        for idx in np.ndindex(shape):
-            unit = np.zeros(shape)
-            unit[idx] = 1.0
-            cores = list(core.cores)
-            cores[m] = unit
-            cols.append(tt_to_dense(TTTensor(tuple(cores))).data)
-    span = np.array(cols).T
-    ranks = core.ranks
-    dim = sum(c.size for c in core.cores) - sum(k * k for k in ranks)
+    # prefix[m] contracts cores 0..m-1, suffix[m] cores m+1..d-1; the unit
+    # replacement (a, j, b) of core m is prefix[m][..., a] (x) e_j (x) suffix[m][b]
+    prefix, suffix = [np.ones(1)], [np.ones(1)]
+    for g, h in zip(core.cores[:-1], core.cores[:0:-1]):
+        prefix.append(np.tensordot(prefix[-1], g, axes=(-1, 0)))
+        suffix.insert(0, np.tensordot(h, suffix[0], axes=(-1, 0)))
+    blocks = []
+    for g, left, right in zip(core.cores, prefix, suffix):
+        kl, r, kr = g.shape
+        left, right = left.reshape(-1, kl, order="F"), right.reshape(kr, -1, order="F")
+        blocks.append(np.einsum("pa,xj,bq->qxpajb", left, np.eye(r), right).reshape(size, g.size))
+    span = np.hstack(blocks)
+    dim = sum(c.size for c in core.cores) - sum(k * k for k in core.ranks)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
     if s[dim - 1] <= 1e-10 * s[0]:
         raise DegeneratePointError("core tangent spanning set is rank deficient")
@@ -144,11 +144,14 @@ def core_tangent_basis(core) -> np.ndarray:
 
 
 def _multiply_modes(arr, factors):
-    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array."""
+    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array; a
+    stack of matrices acts term by term along ``arr``'s leading axis (length 1: shared)."""
     for m, mat in factors:
-        shape = arr.shape
-        rows = math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :])
-        arr = (mat @ arr.reshape(rows)).reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
+        b = mat.ndim - 2
+        lead, shape = arr.shape[:b], arr.shape[b:]
+        rows = lead + (math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :]))
+        out = mat[..., None, :, :] @ arr.reshape(rows)
+        arr = out.reshape(out.shape[:b] + shape[:m] + mat.shape[-2:-1] + shape[m + 1 :])
     return arr
 
 
@@ -269,13 +272,15 @@ class TangentBasis:
         self.core_basis = core_tangent_basis(p.core)
         core = p.core_dense()
         self._core = core
+        self.frame = []  # [U^m, Qperp^m], an orthonormal basis of R^{N_m}
         self.qperp = []
         self.rmap = []  # U-dot reconstruction map: P diag(1/sigma)
         self.qright = []  # orthonormal covector coefficients per mode
         for m, u in enumerate(p.factors):
             n, r = u.shape
             full, _ = np.linalg.qr(u, mode="complete")
-            self.qperp.append(full[:, r:])
+            self.frame.append(np.asfortranarray(np.hstack([u, full[:, r:]])))
+            self.qperp.append(self.frame[m][:, r:])
             mc = matricize(core, {m})
             pw, sw, qwt = np.linalg.svd(mc, full_matrices=False)
             if sw[-1] <= 1e-13 * sw[0]:
@@ -288,12 +293,7 @@ class TangentBasis:
         self.dim = int(sum(self.block_sizes))
 
     def _blocks(self, coords):
-        out = []
-        start = 0
-        for size in self.block_sizes:
-            out.append(coords[start : start + size])
-            start += size
-        return out
+        return np.split(coords, np.cumsum(self.block_sizes)[:-1])
 
     def to_tangent(self, coords) -> TangentVector:
         coords = np.asarray(coords, dtype=float)
@@ -312,15 +312,30 @@ class TangentBasis:
         Only the small products ``U^T W^m`` and ``Qperp^T W^m`` enter, so the
         cost is set by the factor widths and the core, not the ambient size.
         """
-        g = core.to_array()
-        small = [u.T @ w for u, w in zip(self.point.factors, factors)]
+        projected = [f.T @ w[None] for f, w in zip(self.frame, factors)]
+        return self.coords_of_projected(core, projected, np.ones(1))
+
+    def coords_of_projected(self, core: DenseTensor, projected, weights) -> np.ndarray:
+        """Coordinates of the tangent projection of the weighted sum
+        ``sum_t weights[t] core x_0 W^0_t ... x_{d-1} W^{d-1}_t``, from
+        ``projected[m]``, the ``[U^m, Qperp^m]^T W^m_t`` stacked along a leading
+        term axis.  The terms are contracted with the core in batched products
+        (the term index is the batch axis), and summed in one product per mode
+        block."""
+        g = core.to_array()[None]
+        small = [pr[:, : u.shape[1]] for pr, u in zip(projected, self.point.factors)]
         modes = []
-        for m, (q, w) in enumerate(zip(self.qperp, factors)):
+        for m, (pr, u) in enumerate(zip(projected, self.point.factors)):
             # g already carries U^T W^k on the modes k < m
-            gm = _multiply_modes(g, [(m, q.T @ w)] + [(k, s) for k, s in enumerate(small) if k > m])
-            rows = np.moveaxis(gm, m, 0).reshape(q.shape[1], self.qright[m].shape[0], order="F")
+            h = _multiply_modes(g, [(k, s) for k, s in enumerate(small) if k > m])
+            # rows (term, mode m), columns the other modes with the first fastest
+            others = [k + 1 for k in reversed(range(len(small))) if k != m]
+            h = np.broadcast_to(h, weights.shape + h.shape[1:]).transpose([0, m + 1] + others)
+            perp = np.concatenate(pr[:, u.shape[1] :] * weights[:, None, None], axis=1)
+            rows = perp @ h.reshape(-1, self.qright[m].shape[0])
             modes.append((rows @ self.qright[m]).ravel(order="F"))
             g = _multiply_modes(g, [(m, small[m])])
+        g = np.tensordot(weights, g, axes=1)
         return np.concatenate([self.core_basis.T @ g.ravel(order="F")] + modes)
 
     def project_coords(self, z: DenseTensor) -> np.ndarray:

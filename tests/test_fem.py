@@ -308,6 +308,35 @@ def test_diagonal_part_maps_into_tangent_space(rng):
     assert res5 <= 1e-10
 
 
+def test_a1_tangency_builds_one_basis(rng, monkeypatch):
+    from ttdlra import fem
+    from ttdlra.tangent import TangentBasis, apply_tangent_projector
+
+    disc = small_disc(8, 3)
+    coeff = DiffusionCoefficient(np.diag([1.0, 1.5, 0.7]), np.zeros((3, 3)), 1.0)
+    op = assemble_operator(coeff, disc, 0.0).diagonal_part
+    p = random_point(rng, disc.dims, (2, 3, 2), tt_ranks=(2, 2))
+    built = []
+
+    class Counted(TangentBasis):
+        def __init__(self, point):
+            built.append(point)
+            super().__init__(point)
+
+    monkeypatch.setattr(fem, "TangentBasis", Counted)
+    res = check_a1_tangency(p, op, np.random.default_rng(5), n_samples=4)
+    assert len(built) == 1
+    # the same value as projecting each sample with its own basis
+    draws = np.random.default_rng(5)
+    a1u = op.apply(point_to_dense(p))
+    worst = 0.0
+    for _ in range(4):
+        v = DenseTensor.from_array(draws.standard_normal(p.dims))
+        pairing = abs(inner(a1u, v - apply_tangent_projector(p, v)))
+        worst = max(worst, pairing / (a1u.norm() * v.norm()))
+    assert res == worst
+
+
 def test_cross_part_negative_control(rng):
     disc = small_disc(8, 3)
     b0 = np.array([[1.0, 0.4, 0.3], [0.4, 1.0, 0.35], [0.3, 0.35, 1.0]])

@@ -1,14 +1,16 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import kron_matrix
 
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra import integrate
-from ttdlra.fem import laplacian_operator
+from ttdlra.fem import OperatorTerm, TTOperator, laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
     dense_implicit_euler,
@@ -67,7 +69,8 @@ def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, source
 
 # (d, cells, outer ranks, train ranks or None for a plain Tucker core); with
 # 5 cells the modes have 4 entries, so rank 4 leaves an empty Qperp block and
-# rank 3 has 2r > n
+# rank 3 has 2r > n; the d = 4 cases exercise the term-batched contraction
+# beyond three modes
 ORACLE_CASES = [
     (3, 6, (2, 3, 2), (2, 2)),
     (2, 8, (2, 2), (2,)),
@@ -75,6 +78,8 @@ ORACLE_CASES = [
     (3, 5, (4, 3, 2), None),
     (3, 5, (2, 3, 3), None),
     (2, 5, (3, 3), None),
+    (4, 5, (2, 3, 3, 2), (2, 2, 2)),
+    (4, 5, (2, 4, 2, 3), None),
 ]
 
 
@@ -153,6 +158,90 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
         dense = np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, b)
         assert iterations <= basis.dim
         assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_matvec_with_repeated_and_equal_term_matrices(rng):
+    # terms that share one matrix object, terms with equal but distinct
+    # arrays, and a mode no term acts on: the matvec groups each mode's
+    # distinct matrices, and every grouping must give the same operator
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
+    disc = problem.disc
+    k0, t1 = disc.stiffness_t[0], disc.transfer_t[1]
+    p = random_point(rng, problem.dims, (2, 3, 2), tt_ranks=(2, 2))
+    basis = TangentBasis(p)
+    shared = TTOperator(
+        problem.dims,
+        (
+            OperatorTerm(1.0, ((0, k0),), "diag"),
+            OperatorTerm(0.5, ((0, k0),), "diag"),
+            OperatorTerm(0.3, ((0, k0), (1, t1)), "cross"),
+            OperatorTerm(-0.2, ((1, t1),), "cross"),
+        ),
+    )
+    copies = TTOperator(
+        problem.dims,
+        tuple(
+            OperatorTerm(t.coeff, tuple((m, np.array(mat)) for m, mat in t.factors), t.part)
+            for t in shared.terms
+        ),
+    )
+    assert_oracle_system(basis, shared)
+    assert_oracle_system(basis, copies)
+    x = rng.standard_normal(basis.dim)
+    a, b = tangent_operator(basis, shared)(x), tangent_operator(basis, copies)(x)
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(a).max()
+
+
+@pytest.mark.parametrize(
+    "d, cells, outer, tt_ranks",
+    [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)],
+)
+def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
+    # tau on the core block and (I/tau + I_r (x) Qperp^T A_mumu Qperp)^-1 on
+    # mode block mu, with A_mumu the diagonal terms on mu; a rank-4 mode of a
+    # 5-cell grid has an empty Qperp
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    op = problem.operator(0.05)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    tau = 1e-2
+    blocks = [tau * np.eye(basis.block_sizes[0])]
+    for m, (q, r) in enumerate(zip(basis.qperp, p.outer_ranks)):
+        a = sum(t.coeff * t.factors[0][1] for t in op.diagonal_part.terms if t.factors[0][0] == m)
+        blocks.append(np.linalg.inv(np.eye(q.shape[1] * r) / tau + np.kron(np.eye(r), q.T @ a @ q)))
+    oracle = scipy.linalg.block_diag(*blocks)
+    apply = _preconditioner(basis, op, tau)
+    got = np.column_stack([apply(e) for e in np.eye(basis.dim)])
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+
+def test_step_times_are_exact_multiples_of_tau():
+    # accumulating t + tau gives 0.9999999999999999 after ten steps of 0.1
+    problem = heat_problem(2, 8, (2,), t_end=1.0)
+    for scheme in ("projected_euler", "projector_splitting"):
+        tr = solve(problem, scheme, tau=0.1, t_end=1.0)
+        assert tr.states[-1].time == 1.0
+        assert list(tr.times) == [k * 0.1 for k in range(11)]
+
+
+def test_step_takes_each_core_spectrum_once(monkeypatch):
+    # the step validates its new point once; the retraction's re-wrapped
+    # point and the state's gap reuse that measurement
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), sources=True)
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    calls = {"interface_spectrum": 0, "mode_spectrum": 0}
+    for name in calls:
+        original = getattr(sys.modules["ttdlra.tt"], name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("ttdlra")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    step_projected_implicit_euler(state, 1e-3, problem)
+    assert calls == {"interface_spectrum": 1, "mode_spectrum": 1}
 
 
 def test_step_residuals_and_memory_below_dense_system():
