@@ -43,6 +43,8 @@ def _load_config(path, command, overrides) -> ExperimentConfig:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"configuration {path} is not a JSON object")
     raw.setdefault("kind", _COMMAND_KIND[command])
     if raw["kind"] != _COMMAND_KIND[command]:
         raise ConfigError(

@@ -74,13 +74,20 @@ class ExperimentConfig:
         problem = raw.get("problem")
         if kind != "curvature" and not isinstance(problem, dict):
             raise ConfigError("configuration needs an inline 'problem' table")
-        ladder = tuple(int(n) for n in raw.get("ladder", ()))
+        try:
+            ladder = tuple(int(n) for n in raw.get("ladder", ()))
+            ref = int(raw.get("reference_cells", 0))
+            deltas = tuple(float(x) for x in raw.get("deltas", ()))
+            seed = int(raw.get("seed", 0))
+            suite = dict(raw.get("suite", {}))
+            threads = max(1, int(raw.get("threads", 1)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed configuration value: {exc}") from exc
         if kind == "convergence":
             if len(ladder) < 2:
                 raise ConfigError("a convergence run needs a ladder of meshes")
             if any(b <= a for a, b in zip(ladder, ladder[1:])):
                 raise ConfigError("mesh ladder must be strictly increasing")
-            ref = int(raw.get("reference_cells", 0))
             if ref <= ladder[-1]:
                 raise ConfigError("reference mesh must be finer than the ladder")
             for n in ladder:
@@ -89,9 +96,6 @@ class ExperimentConfig:
                     raise ConfigError(
                         "ladder meshes must divide the reference mesh by powers of two"
                     )
-        else:
-            ref = int(raw.get("reference_cells", 0))
-        deltas = tuple(float(x) for x in raw.get("deltas", ()))
         if kind == "stability" and not deltas:
             raise ConfigError("a stability run needs perturbation magnitudes")
         perturb = raw.get("perturb", "initial")
@@ -100,14 +104,14 @@ class ExperimentConfig:
         return cls(
             kind=kind,
             problem=problem or {},
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             out_dir=raw.get("out_dir"),
             ladder=ladder,
             reference_cells=ref,
             deltas=deltas,
             perturb=perturb,
-            suite=dict(raw.get("suite", {})),
-            threads=max(1, int(raw.get("threads", 1))),
+            suite=suite,
+            threads=threads,
             raw=raw,
         )
 

@@ -25,8 +25,8 @@ import scipy.linalg
 from .dense import DenseTensor, inner, mode_multiply
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tangent import TangentBasis, tangent_to_ambient
-from .tt import TTTensor, tt_add, tt_round, tt_scale
+from .tangent import TangentBasis, TangentVector, tangent_to_ambient
+from .tt import TTTensor, tt_add, tt_scale
 
 __all__ = [
     "Fem1D",
@@ -142,11 +142,6 @@ class Discretization:
 
     def to_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
         return self.fems[mode].mass_chol.T @ np.asarray(vec, dtype=float)
-
-    def from_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
-        return scipy.linalg.solve_triangular(
-            self.fems[mode].mass_chol.T, np.asarray(vec, dtype=float), lower=False
-        )
 
     def load_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
         """Map a raw load vector into orthonormal coordinates (apply ``L^-1``)."""
@@ -338,7 +333,7 @@ def source_loads(terms, disc: Discretization) -> tuple:
     )
 
 
-def assemble_rhs(terms, disc: Discretization, t: float, round_to=None, loads=None) -> TTTensor:
+def assemble_rhs(terms, disc: Discretization, t: float, loads=None) -> TTTensor:
     """Load tensor of a separable source in orthonormal coordinates.
 
     Each term contributes a rank-one train; the sum has interface ranks at
@@ -350,9 +345,7 @@ def assemble_rhs(terms, disc: Discretization, t: float, round_to=None, loads=Non
         piece = tt_scale(piece, term.coefficient(t))
         acc = piece if acc is None else tt_add(acc, piece)
     if acc is None:
-        acc = TTTensor(tuple(np.zeros((1, n, 1)) for n in disc.dims))
-    if round_to is not None:
-        acc = tt_round(acc, ranks=round_to)
+        return TTTensor(tuple(np.zeros((1, n, 1)) for n in disc.dims))
     return acc
 
 
@@ -387,7 +380,7 @@ def check_a1_tangency(
     worst = 0.0
     for _ in range(n_samples):
         v = DenseTensor.from_array(rng.standard_normal(p.dims))
-        nperp = v - tangent_to_ambient(basis.to_tangent(basis.project_coords(v)))
+        nperp = v - tangent_to_ambient(TangentVector(basis, basis.project_coords(v)))
         worst = max(worst, abs(inner(a1u, nperp)) / (scale * v.norm()))
     return float(worst)
 

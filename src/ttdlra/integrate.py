@@ -24,18 +24,22 @@ requires points whose outer ranks are the generic ones induced by the train
 ranks.
 
 The Galerkin system is solved matrix-free in orthonormal tangent
-coordinates.  A tangent vector is a Tucker tensor with factors
-``[U^m, Udot^m]`` and a ``(2r)^d`` block core; all operator terms act at once
-(one stacked product per mode over the distinct term matrices) and one batched
-contraction projects them back (:func:`tangent_operator`); the source projects
-through :meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker` from its train.
+coordinates.  A tangent vector is its coordinate vector;
+:meth:`~ttdlra.tangent.TangentBasis.tucker` builds its Tucker form (factors
+``[U^m, Udot^m]``, a ``(2r)^d`` block core) straight from the coordinates.  All
+operator terms act on that form at once (one stacked product per mode over the
+distinct term matrices) and one batched contraction projects them back
+(:func:`tangent_operator`); the source projects through
+:meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker` from its train.
 Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned per mode
 block by the Schur complement form of the shifted stiffness inverse (one
 Cholesky factorization per mode), so no ``dim x dim`` matrix is formed.
-``u + v`` is retracted by :func:`~ttdlra.retraction.retract_tucker` on a small
-core, the sweep's result and the source stay trains, and the energy report
-takes state differences through their factors as well; only the reference
-solver :func:`dense_implicit_euler` works in the ambient space.
+``u`` lies in its own tangent space, so ``u + v`` is the Tucker form of the
+summed coordinates; it is retracted by
+:func:`~ttdlra.retraction.retract_tucker` on a small core.  The sweep's result
+and the source stay trains, and the energy report takes state differences
+through their factors as well; only the reference solver
+:func:`dense_implicit_euler` works in the ambient space.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tangent import TangentBasis, _check_ambient, _multiply_modes, tangent_tucker
+from .tangent import TangentBasis, _check_ambient, _multiply_modes
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -129,9 +133,9 @@ def operator_quadratic_form(point: ManifoldPoint, op) -> float:
 def tangent_operator(basis: TangentBasis, op):
     """Matrix-free ``x -> V^T A V x`` in the orthonormal tangent coordinates.
 
-    The tangent vector of ``x`` is a Tucker tensor with factors ``[U^m, Udot^m]``;
-    per mode, each distinct term matrix acts on them once, the images are
-    projected onto ``[U^m, Qperp^m]`` together, and
+    The tangent vector of ``x`` is the Tucker tensor :meth:`TangentBasis.tucker`
+    with factors ``[U^m, Udot^m]``; per mode, each distinct term matrix acts on
+    them once, the images are projected onto ``[U^m, Qperp^m]`` together, and
     :meth:`TangentBasis.coords_of_projected` contracts all terms with the core."""
     weights = np.array([term.coeff for term in op.terms])
     groups = []  # per mode: the distinct matrices (None: the identity), the one each term uses
@@ -141,8 +145,7 @@ def tangent_operator(basis: TangentBasis, op):
         groups.append((found, [[id(s) for s in found].index(id(mat)) for mat in mats]))
 
     def matvec(x):
-        v = basis.to_tangent(x)
-        core, factors = tangent_tucker(v, v.core_velocity.to_array())
+        core, factors = basis.tucker(x)
         projected = []
         for f, (found, use), w in zip(basis.frame, groups, factors):
             images = np.array([w if mat is None else mat @ w for mat in found])
@@ -255,9 +258,8 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     matvec = tangent_operator(basis, op)
 
     # u lies in its own tangent space: coordinates (C, 0, ..., 0)
-    core = p.core_dense()
     u_coords = np.zeros(basis.dim)
-    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ core.data
+    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     au = matvec(u_coords)
     b = (basis.coords_of_tucker(*train_as_tucker(f_tt)) if f_tt is not None else 0.0) - au
     coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau), b)
@@ -268,9 +270,8 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     resid = np.linalg.norm(coords / tau + av - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
-    v = basis.to_tangent(coords)
-    u_plus = tangent_tucker(v, core.to_array() + v.core_velocity.to_array())
-    new_point, defect = _retract_step(u_plus, p)
+    core, factors = basis.tucker(u_coords + coords)
+    new_point, defect = _retract_step((DenseTensor.from_array(core), factors), p)
     return state_from_point(
         new_point,
         t_new,

@@ -10,7 +10,8 @@ case, where the core set is open and carries no extra constraint).
 Because the core constraint set is invariant under invertible basis changes,
 a point with merely independent factor columns can always be re-expressed
 with orthonormal factors by absorbing the triangular QR factors into the
-core; :func:`make_point` does this by default.
+core.  :func:`make_point` does this, so every point carries orthonormal
+factors: its norm is its core's, and the tangent coordinates rely on it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class ManifoldPoint:
     """Validated constrained Tucker point; construct via :func:`make_point`."""
 
     core: object  # TTTensor or DenseTensor
-    factors: tuple
-    orthonormal_factors: bool
+    factors: tuple  # orthonormal columns
     gap: float  # the core's boundary gap, measured once by validation
 
     @property
@@ -70,9 +70,7 @@ class ManifoldPoint:
         return tt_to_dense(self.core) if self.tt_core else self.core
 
     def norm(self) -> float:
-        if self.orthonormal_factors:
-            return self.core_dense().norm()
-        return point_to_dense(self).norm()
+        return self.core_dense().norm()
 
 
 def _checked_factors(cdims, factors) -> tuple:
@@ -102,8 +100,12 @@ def _checked_factors(cdims, factors) -> tuple:
     return factors, ortho
 
 
-def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
+def make_point(core, factors) -> ManifoldPoint:
     """Validate a (core, factors) pair and return a manifold point.
+
+    Factors that are not orthonormal are replaced by their QR factors ``Q``,
+    and the core absorbs the triangular ``R`` (the represented tensor is
+    unchanged); orthonormal factors are kept as given.
 
     Parameters
     ----------
@@ -112,10 +114,6 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
         ranks, a dense core full multilinear rank.
     factors : sequence of ndarray
         One ``(N_m, r_m)`` matrix per mode with independent columns.
-    orthonormalize : bool
-        Re-express the point with orthonormal factors by absorbing the
-        triangular QR factors into the core (the represented tensor is
-        unchanged).  With ``False`` the factors are kept as given.
 
     Raises
     ------
@@ -127,7 +125,7 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
     if not isinstance(core, (TTTensor, DenseTensor)):
         raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
     factors, ortho = _checked_factors(core.dims, factors)
-    if orthonormalize and not ortho:
+    if not ortho:
         new_factors = []
         for m, u in enumerate(factors):
             q, r = np.linalg.qr(u)
@@ -139,15 +137,14 @@ def make_point(core, factors, orthonormalize=True) -> ManifoldPoint:
             else:
                 core = mode_multiply(core, r, m)
         factors = tuple(new_factors)
-        ortho = True
-
-    return ManifoldPoint(core, factors, ortho, _validated_gap(core))
+    return ManifoldPoint(core, factors, _validated_gap(core))
 
 
 def _with_factors(p: ManifoldPoint, factors) -> ManifoldPoint:
-    """``p`` with new factors, checked as in :func:`make_point`; the core keeps its gap."""
-    factors, ortho = _checked_factors(p.core.dims, factors)
-    return ManifoldPoint(p.core, factors, ortho, p.gap)
+    """``p`` with new orthonormal factors, checked as in :func:`make_point`; the
+    core keeps its gap."""
+    factors, _ = _checked_factors(p.core.dims, factors)
+    return ManifoldPoint(p.core, factors, p.gap)
 
 
 def _validated_gap(core) -> float:
@@ -197,4 +194,4 @@ def scale_point(p: ManifoldPoint, s: float) -> ManifoldPoint:
     if s <= 0:
         raise InvalidArgumentError("cone scaling requires s > 0")
     core = tt_scale(p.core, s) if p.tt_core else p.core * s
-    return ManifoldPoint(core, p.factors, p.orthonormal_factors, p.gap * s)
+    return ManifoldPoint(core, p.factors, p.gap * s)

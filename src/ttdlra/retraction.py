@@ -52,7 +52,7 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
         core = x
         if tt_ranks is not None:
             core = tt_from_dense(x)
-        return make_point(core, (np.eye(x.dims[0]),), orthonormalize=False)
+        return make_point(core, (np.eye(x.dims[0]),))
     factors = []
     work = x
     for m, r in enumerate(outer_ranks):
@@ -64,7 +64,7 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     core = work
     if tt_ranks is not None:
         core = tt_from_dense(core, ranks=tuple(tt_ranks))
-    return make_point(core, factors, orthonormalize=False)
+    return make_point(core, factors)
 
 
 def stack_tucker(blocks, factors) -> tuple:

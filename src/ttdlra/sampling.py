@@ -22,6 +22,9 @@ __all__ = [
     "perturbed_point",
 ]
 
+# draws per call before a generator gives up
+_MAX_TRIES = 50
+
 
 def random_orthonormal(rng, n: int, r: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((n, r)))
@@ -32,7 +35,7 @@ def random_dense(rng, dims) -> DenseTensor:
     return DenseTensor.from_array(rng.standard_normal(tuple(dims)))
 
 
-def random_tt(rng, dims, ranks, min_gap_rel=1e-3, max_tries=50) -> TTTensor:
+def random_tt(rng, dims, ranks, min_gap_rel=1e-3) -> TTTensor:
     """Random train with exact interface ranks and a healthy boundary gap.
 
     Draws i.i.d. cores, rounds to the requested ranks, and retries until the
@@ -42,7 +45,7 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3, max_tries=50) -> TTTensor:
 
     dims = tuple(dims)
     bounds = (1,) + tuple(ranks) + (1,)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         cores = tuple(
             rng.standard_normal((bounds[m], dims[m], bounds[m + 1]))
             for m in range(len(dims))
@@ -81,9 +84,7 @@ def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
     )
 
 
-def random_point(
-    rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3, max_tries=50
-) -> ManifoldPoint:
+def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> ManifoldPoint:
     """Random manifold point with orthonormal factors and exact ranks.
 
     ``tt_ranks=None`` gives a plain Tucker point with a dense core.
@@ -97,7 +98,7 @@ def random_point(
         raise InvalidArgumentError(
             f"outer ranks {outer_ranks} incompatible with train ranks {tt_ranks}"
         )
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         factors = tuple(
             random_orthonormal(rng, n, r) for n, r in zip(dims, outer_ranks)
         )

@@ -12,10 +12,12 @@ splits into d+1 independent pieces: one core piece acting on the compressed
 coefficients and one per mode acting on the corresponding matricization.
 
 :class:`TangentBasis` holds orthonormal coordinates for these pieces and is
-the one implementation of the projector: :func:`tangent_project` maps the
-coordinates of a projection back to components, and :func:`tangent_to_ambient`
-expands a tangent vector's Tucker form (:func:`tangent_tucker`).  For a
-tensor-train core the core piece projects onto an orthonormal basis of the
+the one implementation of the projector.  A :class:`TangentVector` is its
+coordinates in a basis; :meth:`TangentBasis.tucker` builds the Tucker form of a
+coordinate vector (factors ``[U^m, Udot^m]``, a ``(2r)^d`` block core) and is
+the only map from coordinates to a tensor: the components, the ambient
+embedding :func:`tangent_to_ambient` and the solver's matvec all read it.  For
+a tensor-train core the core piece projects onto an orthonormal basis of the
 span of all single-core replacements.
 
 The module also houses an independent brute-force oracle (span, orthonormalize,
@@ -39,7 +41,6 @@ import numpy as np
 from .dense import DenseTensor, matricize, mode_multiply
 from .errors import DegeneratePointError, InvalidArgumentError, OversizeError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import stack_tucker
 from .tt import TTTensor, tt_to_dense
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "core_tangent_project",
     "core_tangent_basis",
     "tangent_to_ambient",
-    "tangent_tucker",
     "brute_force_projector",
     "apply_tangent_projector",
     "polar_align",
@@ -66,14 +66,29 @@ AMBIENT_LIMIT = 4096
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Gauge-normalized tangent components at a base point."""
+    """A tangent vector as its orthonormal coordinates in ``basis``; the
+    gauge-normalized components are read off :meth:`TangentBasis.tucker`."""
 
-    base: ManifoldPoint
-    core_velocity: DenseTensor
-    factor_velocities: tuple
+    basis: TangentBasis
+    coords: np.ndarray
+
+    @property
+    def base(self) -> ManifoldPoint:
+        return self.basis.point
+
+    @property
+    def core_velocity(self) -> DenseTensor:
+        core, _ = self.basis.tucker(self.coords)
+        return DenseTensor.from_array(core[tuple(slice(r) for r in self.base.outer_ranks)])
+
+    @property
+    def factor_velocities(self) -> tuple:
+        _, factors = self.basis.tucker(self.coords)
+        return tuple(f[:, r:] for f, r in zip(factors, self.base.outer_ranks))
 
     def norm(self) -> float:
-        return tangent_to_ambient(self).norm()
+        # the coordinate map is an isometry
+        return float(np.linalg.norm(self.coords))
 
 
 def _check_ambient(dims):
@@ -164,32 +179,18 @@ def tangent_project(p: ManifoldPoint, z: DenseTensor) -> TangentVector:
     if z.dims != p.dims:
         raise InvalidArgumentError("argument does not match the point sizes")
     basis = TangentBasis(p)
-    return basis.to_tangent(basis.project_coords(z))
-
-
-def tangent_tucker(v: TangentVector, center) -> tuple:
-    """Tucker form of ``center x U + sum_m C x_m Udot^m x U``: factors
-    ``[U^m, Udot^m]``, ``center`` in core block ``(0, ..., 0)`` and ``C`` in
-    each block with a single 1.  ``center = Cdot`` gives the tangent vector
-    ``v``, ``center = C + Cdot`` the update ``u + v``."""
-    p = v.base
-    d = p.ndim
-    core = p.core_dense().to_array()
-    blocks = {(0,) * d: center}
-    for m in range(d):
-        blocks[tuple(int(j == m) for j in range(d))] = core
-    return stack_tucker(blocks, [[u, ud] for u, ud in zip(p.factors, v.factor_velocities)])
+    return TangentVector(basis, basis.project_coords(z))
 
 
 def tangent_to_ambient(v: TangentVector) -> DenseTensor:
-    """Embed the components into the ambient space: the expansion of
-    :func:`tangent_tucker` with ``center = Cdot``.
+    """Embed the tangent vector into the ambient space: the expansion of its
+    :meth:`TangentBasis.tucker` form.
 
     The d+1 summands are mutually orthogonal, so the squared norm of the
     embedding is the sum of the squared summand norms.
     """
-    core, factors = tangent_tucker(v, v.core_velocity.to_array())
-    return DenseTensor.from_array(_multiply_modes(core.to_array(), list(enumerate(factors))))
+    core, factors = v.basis.tucker(v.coords)
+    return DenseTensor.from_array(_multiply_modes(core, list(enumerate(factors))))
 
 
 def apply_tangent_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
@@ -266,12 +267,10 @@ class TangentBasis:
     """
 
     def __init__(self, p: ManifoldPoint):
-        if not p.orthonormal_factors:
-            raise InvalidArgumentError("tangent coordinates require orthonormal factors")
         self.point = p
         self.core_basis = core_tangent_basis(p.core)
         core = p.core_dense()
-        self._core = core
+        self.core = core.to_array()  # the point's core, expanded once
         self.frame = []  # [U^m, Qperp^m], an orthonormal basis of R^{N_m}
         self.qperp = []
         self.rmap = []  # U-dot reconstruction map: P diag(1/sigma)
@@ -295,16 +294,24 @@ class TangentBasis:
     def _blocks(self, coords):
         return np.split(coords, np.cumsum(self.block_sizes)[:-1])
 
-    def to_tangent(self, coords) -> TangentVector:
-        coords = np.asarray(coords, dtype=float)
-        blocks = self._blocks(coords)
-        cdot = DenseTensor(self._core.dims, self.core_basis @ blocks[0])
-        vels = []
-        for m, u in enumerate(self.point.factors):
-            n, r = u.shape
-            theta = blocks[m + 1].reshape(n - r, r, order="F")
-            vels.append(self.qperp[m] @ theta @ self.rmap[m].T)
-        return TangentVector(self.point, cdot, tuple(vels))
+    def tucker(self, coords) -> tuple:
+        """Tucker form ``(core, factors)`` of the tangent vector with these
+        coordinates: factors ``[U^m, Udot^m]`` with ``Udot^m = Qperp^m theta_m
+        rmap_m^T``, and a ``(2r)^d`` core holding ``Cdot`` in block
+        ``(0, ..., 0)`` and the point's core ``C`` in each block with a single 1.
+        The coordinates of ``u + v`` give the update, since ``u`` lies in its own
+        tangent space."""
+        blocks = self._blocks(np.asarray(coords, dtype=float))
+        ranks = self.core.shape
+        core = np.zeros(tuple(2 * r for r in ranks))
+        low = tuple(slice(r) for r in ranks)
+        core[low] = (self.core_basis @ blocks[0]).reshape(ranks, order="F")
+        factors = []
+        for m, (u, r) in enumerate(zip(self.point.factors, ranks)):
+            core[low[:m] + (slice(r, 2 * r),) + low[m + 1 :]] = self.core
+            theta = blocks[m + 1].reshape(-1, r, order="F")
+            factors.append(np.hstack([u, self.qperp[m] @ theta @ self.rmap[m].T]))
+        return core, factors
 
     def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
         """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.
@@ -313,16 +320,16 @@ class TangentBasis:
         cost is set by the factor widths and the core, not the ambient size.
         """
         projected = [f.T @ w[None] for f, w in zip(self.frame, factors)]
-        return self.coords_of_projected(core, projected, np.ones(1))
+        return self.coords_of_projected(core.to_array(), projected, np.ones(1))
 
-    def coords_of_projected(self, core: DenseTensor, projected, weights) -> np.ndarray:
+    def coords_of_projected(self, core, projected, weights) -> np.ndarray:
         """Coordinates of the tangent projection of the weighted sum
-        ``sum_t weights[t] core x_0 W^0_t ... x_{d-1} W^{d-1}_t``, from
-        ``projected[m]``, the ``[U^m, Qperp^m]^T W^m_t`` stacked along a leading
-        term axis.  The terms are contracted with the core in batched products
-        (the term index is the batch axis), and summed in one product per mode
-        block."""
-        g = core.to_array()[None]
+        ``sum_t weights[t] core x_0 W^0_t ... x_{d-1} W^{d-1}_t`` (``core`` an
+        array), from ``projected[m]``, the ``[U^m, Qperp^m]^T W^m_t`` stacked
+        along a leading term axis.  The terms are contracted with the core in
+        batched products (the term index is the batch axis), and summed in one
+        product per mode block."""
+        g = core[None]
         small = [pr[:, : u.shape[1]] for pr, u in zip(projected, self.point.factors)]
         modes = []
         for m, (pr, u) in enumerate(zip(projected, self.point.factors)):
@@ -352,11 +359,11 @@ class TangentBasis:
         size = _check_ambient(self.point.dims)
         factors = self.point.factors
         d = len(factors)
-        core_cols = self.core_basis.reshape(self._core.dims + (-1,), order="F")
+        core_cols = self.core_basis.reshape(self.core.shape + (-1,), order="F")
         blocks = [_multiply_modes(core_cols, list(enumerate(factors)))]
         for m, (q, rmap) in enumerate(zip(self.qperp, self.rmap)):
             dm = _multiply_modes(
-                self._core.to_array(),
+                self.core,
                 [(m, rmap.T)] + [(k, u) for k, u in enumerate(factors) if k != m],
             )
             # axes (others..., a, x, i) -> (modes with x at m, i, a)

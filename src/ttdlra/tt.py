@@ -137,7 +137,7 @@ def generic_outer_ranks(dims, tt_ranks) -> tuple:
     return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
 
-def tt_from_dense(x: DenseTensor, ranks=None, rtol=None, return_error=False):
+def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
     """Sweep of truncated SVDs turning a dense tensor into a train.
 
     Parameters
@@ -145,10 +145,7 @@ def tt_from_dense(x: DenseTensor, ranks=None, rtol=None, return_error=False):
     x : DenseTensor
     ranks : sequence of int, optional
         Interface size caps ``(k_0, ..., k_{d-2})``.  Must be feasible.
-    rtol : float, optional
-        Relative Frobenius accuracy; discarded singular values satisfy
-        ``sqrt(sum sigma^2) <= rtol * |x|`` in total.  Without ``ranks`` and
-        ``rtol`` the decomposition is exact.
+        Without caps the decomposition is exact.
     return_error : bool
         Also return the truncation error committed by the sweep.
 
@@ -170,11 +167,6 @@ def tt_from_dense(x: DenseTensor, ranks=None, rtol=None, return_error=False):
             raise InvalidArgumentError(
                 f"requested ranks {ranks} exceed the feasible {feasible}"
             )
-    xnorm = x.norm()
-    delta = None
-    if rtol is not None:
-        delta = rtol * xnorm / max(np.sqrt(d - 1), 1.0)
-
     carry = x.to_array().reshape((1,) + dims)
     cores = []
     discarded_sq = 0.0
@@ -182,13 +174,9 @@ def tt_from_dense(x: DenseTensor, ranks=None, rtol=None, return_error=False):
         kl = carry.shape[0]
         mat = carry.reshape(kl * dims[m], -1)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        if delta is not None:
-            tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-            k = max(1, int(np.count_nonzero(tail > delta)))
-        else:
-            # exact decomposition: keep the numerical rank of the unfolding
-            tol = max(mat.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            k = max(1, int(np.count_nonzero(s > tol)))
+        # keep the numerical rank of the unfolding
+        tol = max(mat.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+        k = max(1, int(np.count_nonzero(s > tol)))
         if ranks is not None:
             k = min(k, ranks[m])
         discarded_sq += float(np.sum(s[k:] ** 2))
@@ -313,7 +301,7 @@ def truncate_interface(t: TTTensor, interface: int) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
-def tt_round(t: TTTensor, ranks=None, rtol=None, return_error=False):
+def tt_round(t: TTTensor, ranks=None, return_error=False):
     """Quasi-optimal truncation of a train to lower interface sizes.
 
     One left-orthogonalization sweep followed by a right-to-left sweep of
@@ -328,18 +316,11 @@ def tt_round(t: TTTensor, ranks=None, rtol=None, return_error=False):
             raise InvalidArgumentError("invalid interface size caps")
     work = orthogonalize(t, d - 1)
     cores = [c.copy() for c in work.cores]
-    delta = None
-    if rtol is not None:
-        nrm = float(np.linalg.norm(cores[-1]))
-        delta = rtol * nrm / max(np.sqrt(d - 1), 1.0)
     discarded_sq = 0.0
     for m in range(d - 1, 0, -1):
         mat = _right_unfold(cores[m])
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
         k = s.size
-        if delta is not None:
-            tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-            k = max(1, int(np.count_nonzero(tail > delta)))
         if ranks is not None:
             k = min(k, ranks[m - 1])
         discarded_sq += float(np.sum(s[k:] ** 2))

@@ -20,14 +20,14 @@ def kron_matrix(op):
 
 def ambient_matrix_by_columns(basis):
     """Oracle for ``TangentBasis.ambient_matrix``: embed one unit coordinate
-    vector at a time through ``to_tangent`` and ``tangent_to_ambient``."""
-    from ttdlra.tangent import tangent_to_ambient
+    vector at a time through ``tangent_to_ambient``."""
+    from ttdlra.tangent import TangentVector, tangent_to_ambient
 
     cols = np.zeros((int(np.prod(basis.point.dims)), basis.dim))
     for j in range(basis.dim):
         e = np.zeros(basis.dim)
         e[j] = 1.0
-        cols[:, j] = tangent_to_ambient(basis.to_tangent(e)).data
+        cols[:, j] = tangent_to_ambient(TangentVector(basis, e)).data
     return cols
 
 

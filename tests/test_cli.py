@@ -154,3 +154,20 @@ def test_kind_mismatch_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "c.json", payload)
     proc = run_cli(["solve", "--config", cfg])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("solve", [heat_config()]),
+        ("solve", heat_config(seed="abc")),
+        ("converge", heat_config(ladder=5, reference_cells=16)),
+    ],
+    ids=["top-level-array", "non-integer-seed", "scalar-ladder"],
+)
+def test_malformed_config_values_are_config_errors(tmp_path, command, payload):
+    cfg = write_config(tmp_path / "c.json", payload)
+    proc = run_cli([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr

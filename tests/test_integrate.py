@@ -192,6 +192,34 @@ def test_matvec_with_repeated_and_equal_term_matrices(rng):
     assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(a).max()
 
 
+@pytest.mark.parametrize("outer, tt_ranks", [((2, 3, 2), (2, 2)), ((2, 3, 2), None)])
+def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
+    # the matvec builds the tangent vector's Tucker form from its coordinates:
+    # no DenseTensor, and no re-expansion of the train core
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    matvec = tangent_operator(basis, problem.operator(0.05))
+    x = rng.standard_normal(basis.dim)
+    calls = {"DenseTensor": 0, "tt_to_dense": 0}
+    post_init = DenseTensor.__post_init__
+
+    def counted_post_init(self):
+        calls["DenseTensor"] += 1
+        post_init(self)
+
+    def counted_tt_to_dense(*args):
+        calls["tt_to_dense"] += 1
+        return tt_to_dense(*args)
+
+    monkeypatch.setattr(DenseTensor, "__post_init__", counted_post_init)
+    for module in [m for k, m in sys.modules.items() if k.startswith("ttdlra")]:
+        if getattr(module, "tt_to_dense", None) is tt_to_dense:
+            monkeypatch.setattr(module, "tt_to_dense", counted_tt_to_dense)
+    matvec(x)
+    assert calls == {"DenseTensor": 0, "tt_to_dense": 0}
+
+
 @pytest.mark.parametrize(
     "d, cells, outer, tt_ranks",
     [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)],

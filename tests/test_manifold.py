@@ -22,7 +22,6 @@ from ttdlra.tt import interface_spectrum, mode_spectrum, tt_to_dense
 
 def test_make_point_orthonormal_accepted(rng):
     p = random_point(rng, (5, 6, 4), (2, 3, 2), tt_ranks=(2, 2))
-    assert p.orthonormal_factors
     for u in p.factors:
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
 
@@ -39,12 +38,13 @@ def test_make_point_rejects_duplicated_columns(rng):
 def test_make_point_reorthonormalization_preserves_value(rng):
     core = random_tt(rng, (2, 3, 2), (2, 2))
     factors = [rng.standard_normal((n, r)) for n, r in zip((5, 6, 4), (2, 3, 2))]
-    loose = make_point(core, factors, orthonormalize=False)
-    tight = make_point(core, factors, orthonormalize=True)
-    assert not loose.orthonormal_factors
-    assert tight.orthonormal_factors
-    d = (point_to_dense(loose) - point_to_dense(tight)).norm()
-    assert d <= 1e-12 * point_to_dense(loose).norm()
+    p = make_point(core, factors)
+    for u in p.factors:
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+    x = tt_to_dense(core)
+    for m, w in enumerate(factors):
+        x = mode_multiply(x, w, m)
+    assert (point_to_dense(p) - x).norm() <= 1e-12 * x.norm()
 
 
 def test_make_point_rejects_rank_deficient_core(rng):
