@@ -1,9 +1,10 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 2 configuration error, 3 rank breakdown,
-4 suite violation (a theorem-backed check failed or a negative control
-passed vacuously).  The thread count comes from ``--threads`` unless the
-``TTDLRA_THREADS`` environment variable overrides it.
+Exit codes: 0 success, 2 configuration error (a ``ConfigError``, raised
+before the run starts; any other error partway through a run is not one),
+3 rank breakdown, 4 suite violation (a theorem-backed check failed or a
+negative control passed vacuously).  The thread count comes from
+``--threads`` unless the ``TTDLRA_THREADS`` environment variable overrides it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import BreakdownError, ConfigError, InvalidArgumentError
+from .errors import BreakdownError, ConfigError
 from .experiments import (
     ExperimentConfig,
     run_convergence,
@@ -133,9 +134,6 @@ def main(argv=None) -> int:
             return EXIT_VIOLATION if rep.violations else EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidArgumentError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BreakdownError as exc:

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .dense import DenseTensor, inner, matricize, mode_multiply, svd
-from .errors import BreakdownError, ConfigError
+from .errors import BreakdownError, ConfigError, InvalidArgumentError
 from .fem import SourceTerm, laplacian_operator
-from .integrate import BREAKDOWN_REL, Trajectory, energy_report, solve
+from .integrate import BREAKDOWN_REL, Trajectory, check_run, energy_report, solve
 from .manifold import point_to_dense
 from .problems import ParabolicProblem, problem_from_config
 from .sampling import perturbed_point, random_orthonormal, random_point, random_tt
@@ -79,7 +79,7 @@ class ExperimentConfig:
             ref = int(raw.get("reference_cells", 0))
             deltas = tuple(float(x) for x in raw.get("deltas", ()))
             seed = int(raw.get("seed", 0))
-            suite = dict(raw.get("suite", {}))
+            suite = {name: int(count) for name, count in dict(raw.get("suite", {})).items()}
             threads = max(1, int(raw.get("threads", 1)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
@@ -158,6 +158,17 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
     return out
 
 
+def _run_problem(pcfg: dict) -> tuple:
+    """:func:`problem_from_config` for a run: options that :func:`solve` would
+    refuse before its first step (:func:`check_run`) are a ``ConfigError``."""
+    problem, opts = problem_from_config(pcfg)
+    try:
+        check_run(problem.u0, opts["scheme"], opts["tau"], opts["t_end"])
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"invalid run options: {exc}") from exc
+    return problem, opts
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -199,7 +210,7 @@ def _trajectory_rows(tr: Trajectory):
 
 
 def run_solve(cfg: ExperimentConfig) -> SolveResult:
-    problem, opts = problem_from_config(cfg.problem)
+    problem, opts = _run_problem(cfg.problem)
     out = _ensure_out(cfg)
     tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     rep = energy_report(tr, problem)
@@ -293,7 +304,7 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
     def rung(n_cells):
         pcfg = dict(cfg.problem)
         pcfg["cells"] = n_cells
-        problem, opts = problem_from_config(pcfg)
+        problem, opts = _run_problem(pcfg)
         return problem.disc, _terminal_nodal(problem, opts)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -361,7 +372,7 @@ def _perturbed_problem(problem: ParabolicProblem, cfg, delta, rng):
 
 def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     out = _ensure_out(cfg)
-    problem, opts = problem_from_config(cfg.problem)
+    problem, opts = _run_problem(cfg.problem)
 
     base = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     if base.breakdown is not None:
@@ -455,10 +466,10 @@ class CurvatureSuiteReport:
 def run_curvature_suite(cfg: ExperimentConfig) -> CurvatureSuiteReport:
     out = _ensure_out(cfg)
     rng = np.random.default_rng(cfg.seed)
-    n_pairs = int(cfg.suite.get("matrix_pairs", 200))
-    n_aligned = int(cfg.suite.get("aligned_draws", 500))
-    n_trunc = int(cfg.suite.get("truncation_instances", 100))
-    n_heuristic = int(cfg.suite.get("heuristic_pairs", 20))
+    n_pairs = cfg.suite.get("matrix_pairs", 200)
+    n_aligned = cfg.suite.get("aligned_draws", 500)
+    n_trunc = cfg.suite.get("truncation_instances", 100)
+    n_heuristic = cfg.suite.get("heuristic_pairs", 20)
     rows = []
     violations = {
         "matrix_projector_bound": 0,

@@ -9,20 +9,25 @@ mixed derivatives, which is merely bounded), mirroring the operator splitting
 the evolution theory rests on.
 
 All operators and loads are expressed in mass-orthonormal coordinates: the
-per-dimension congruence by the Cholesky factor of the mass matrix turns the
-discrete L2 inner product into the Euclidean product of coefficient tensors,
-so the manifold geometry (orthogonal projectors, interface spectra) applies
-to coefficients verbatim.
+per-dimension congruence by the Cholesky factor ``L`` of the mass matrix turns
+the discrete L2 inner product into the Euclidean product of coefficient
+tensors, so the manifold geometry (orthogonal projectors, interface spectra)
+applies to coefficients verbatim.  The P1 matrices are tridiagonal and ``L``
+is bidiagonal, so only their nonzero entries are stored: every operator
+factor ``L^-1 X L^-T`` (:class:`ModeFactor`) acts on an n x k block in O(n k)
+by two bidiagonal solves around a tridiagonal product, and no n x n matrix is
+formed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .dense import DenseTensor, inner, mode_multiply
+from .dense import DenseTensor, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import TangentBasis, TangentVector, tangent_to_ambient
@@ -30,6 +35,7 @@ from .tt import TTTensor, tt_add, tt_scale
 
 __all__ = [
     "Fem1D",
+    "ModeFactor",
     "build_fem1d",
     "load_vector",
     "Discretization",
@@ -51,11 +57,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Fem1D:
-    """P1 matrices on a uniform grid of (0,1) with eliminated boundary nodes.
+    """P1 tridiagonals on a uniform grid of (0,1) with eliminated boundary nodes.
 
-    ``transfer`` holds the first-derivative pairing ``(i, j) -> Int phi_i phi_j'``
-    with stencil (-1/2, 0, 1/2); it is exactly antisymmetric because the
-    boundary terms vanish.
+    ``mass``, ``stiffness`` and ``transfer`` hold row i of the matrix in row i,
+    ``(X[i, i-1], X[i, i], X[i, i+1])``; the corners ``[0, 0]`` and ``[-1, 2]``
+    are never read, and for a symmetric ``X`` the rows ``[:, 1:].T`` are its
+    LAPACK lower band storage.  ``transfer`` pairs ``(i, j) -> Int phi_i
+    phi_j'``, stencil (-1/2, 0, 1/2), exactly antisymmetric.  ``mass_chol`` is
+    the bidiagonal Cholesky factor ``L`` of the mass matrix in lower band
+    storage, as ``dpbtrf`` returns it.
     """
 
     n_cells: int
@@ -68,26 +78,90 @@ class Fem1D:
 
 
 def build_fem1d(n_cells: int) -> Fem1D:
-    """Assemble the 1D P1 mass, stiffness, and transfer matrices."""
+    """Assemble the 1D P1 mass, stiffness, and transfer tridiagonals."""
     n_cells = int(n_cells)
     if n_cells < 2:
         raise InvalidArgumentError("need at least 2 cells for an interior node")
     n = n_cells - 1
     h = 1.0 / n_cells
-    main = np.ones(n)
-    off = np.ones(n - 1)
-    mass = h / 6.0 * (4.0 * np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
-    stiffness = (2.0 * np.diag(main) - np.diag(off, 1) - np.diag(off, -1)) / h
-    transfer = 0.5 * (np.diag(off, 1) - np.diag(off, -1))
+    rows = np.ones((n, 1))  # one stencil per matrix row
+    mass = np.array([1.0, 4.0, 1.0]) * (h / 6.0) * rows
+    chol, info = scipy.linalg.lapack.dpbtrf(mass[:, 1:].T, lower=1)
+    if info != 0:
+        raise InvalidArgumentError(f"mass matrix Cholesky factorization failed (info {info})")
     return Fem1D(
         n_cells=n_cells,
         h=h,
         n_interior=n,
         mass=mass,
-        stiffness=stiffness,
-        transfer=transfer,
-        mass_chol=np.linalg.cholesky(mass),
+        stiffness=np.array([-1.0, 2.0, -1.0]) / h * rows,
+        transfer=np.array([-0.5, 0.0, 0.5]) * rows,
+        mass_chol=chol,
     )
+
+
+def factor_images(rows, chol, y) -> np.ndarray:
+    """``L^-1 X L^-T y`` for every tridiagonal ``X`` whose rows (as in
+    :class:`Fem1D`) are stacked in ``rows`` (n x nb x 3), on an n x k block
+    ``y``: an nb x n x k array from two bidiagonal solves in all, around one
+    batched tridiagonal product."""
+    z = chol_solve(chol, y, "T")
+    windows = np.zeros((len(z), 3, z.shape[1]))  # row i: rows i-1, i, i+1 of z
+    windows[1:, 0], windows[:, 1], windows[:-1, 2] = z[:-1], z, z[1:]
+    z = chol_solve(chol, (rows @ windows).reshape(len(z), -1), "N")
+    return z.reshape(len(z), rows.shape[1], -1).transpose(1, 0, 2)
+
+
+def chol_matmul(chol, y, trans: str) -> np.ndarray:
+    """``L @ y`` (``trans="N"``) or ``L^T @ y`` (``"T"``) for the bidiagonal ``L``."""
+    out = chol[0, :, None] * y
+    if trans == "N":
+        out[1:] += chol[1, :-1, None] * y[:-1]
+    else:
+        out[:-1] += chol[1, :-1, None] * y[1:]
+    return out
+
+
+def chol_solve(chol, y, trans: str) -> np.ndarray:
+    """``L^-1 y`` (``trans="N"``) or ``L^-T y`` (``"T"``): one bidiagonal solve."""
+    x, info = scipy.linalg.lapack.dtbtrs(chol, y, uplo="L", trans=trans)
+    if info != 0:
+        raise InvalidArgumentError(f"banded triangular solve failed (info {info})")
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class ModeFactor:
+    """Operator factor ``L^-1 X L^-T`` of one mode: ``rows`` are the rows of the
+    tridiagonal ``X`` (as in :class:`Fem1D`), ``fem`` the mode's elements with
+    the shared factor ``L``.  ``@`` applies it to an n x k block in O(n k) by
+    :func:`factor_images`.  ``T`` and the n x n ``dense`` matrix (for the
+    splitting sweep and desk-size oracles) are built once, when first read."""
+
+    rows: np.ndarray
+    fem: Fem1D
+
+    def __matmul__(self, y) -> np.ndarray:
+        w = np.asarray(y, dtype=float)
+        out = factor_images(self.rows[:, None], self.fem.mass_chol, w.reshape(len(w), -1))
+        return out[0].reshape(w.shape)
+
+    @functools.cached_property
+    def T(self) -> "ModeFactor":
+        r, t = self.rows, np.zeros_like(self.rows)
+        t[1:, 0], t[:, 1], t[:-1, 2] = r[:-1, 2], r[:, 1], r[1:, 0]
+        return ModeFactor(t, self.fem)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        return self @ np.eye(self.fem.n_interior)
+
+
+def along_mode(x: DenseTensor, mode: int, apply) -> DenseTensor:
+    """Apply ``apply`` (a map of n x k blocks) to the mode-``mode`` fibres of ``x``."""
+    arr = np.moveaxis(x.to_array(), mode, 0)
+    out = apply(arr.reshape(arr.shape[0], -1)).reshape((-1,) + arr.shape[1:])
+    return DenseTensor.from_array(np.moveaxis(out, 0, mode))
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -111,26 +185,18 @@ def load_vector(fem: Fem1D, profile) -> np.ndarray:
 
 
 class Discretization:
-    """Per-dimension elements with cached mass-orthonormal congruences.
+    """Per-dimension elements with their banded mass-orthonormal congruences.
 
-    ``stiffness_t`` and ``transfer_t`` are ``L^-1 A L^-T`` for the Cholesky
-    factor ``L`` of the mass matrix; the transformed mass is the identity.
+    ``stiffness[m]`` and ``transfer[m]`` are the :class:`ModeFactor` s
+    ``L^-1 K L^-T`` and ``L^-1 T L^-T``; the transformed mass is the identity.
     ``to_orthonormal``/``from_orthonormal`` convert nodal coefficient tensors
     to and from the orthonormal coordinates.
     """
 
     def __init__(self, fems):
         self.fems = tuple(fems)
-        self.stiffness_t = []
-        self.transfer_t = []
-        for fem in self.fems:
-            l = fem.mass_chol
-            s = scipy.linalg.solve_triangular(l, fem.stiffness, lower=True)
-            s = scipy.linalg.solve_triangular(l, s.T, lower=True).T
-            t = scipy.linalg.solve_triangular(l, fem.transfer, lower=True)
-            t = scipy.linalg.solve_triangular(l, t.T, lower=True).T
-            self.stiffness_t.append(0.5 * (s + s.T))
-            self.transfer_t.append(t)
+        self.stiffness = [ModeFactor(fem.stiffness, fem) for fem in self.fems]
+        self.transfer = [ModeFactor(fem.transfer, fem) for fem in self.fems]
 
     @property
     def ndim(self) -> int:
@@ -141,25 +207,22 @@ class Discretization:
         return tuple(f.n_interior for f in self.fems)
 
     def to_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
-        return self.fems[mode].mass_chol.T @ np.asarray(vec, dtype=float)
+        """Map a nodal vector into orthonormal coordinates (apply ``L^T``)."""
+        return chol_matmul(self.fems[mode].mass_chol, np.asarray(vec, float)[:, None], "T")[:, 0]
 
     def load_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
         """Map a raw load vector into orthonormal coordinates (apply ``L^-1``)."""
-        return scipy.linalg.solve_triangular(
-            self.fems[mode].mass_chol, np.asarray(vec, dtype=float), lower=True
-        )
+        return chol_solve(self.fems[mode].mass_chol, np.asarray(vec, float)[:, None], "N")[:, 0]
 
     def to_orthonormal(self, x: DenseTensor) -> DenseTensor:
-        out = x
         for m, fem in enumerate(self.fems):
-            out = mode_multiply(out, fem.mass_chol.T, m)
-        return out
+            x = along_mode(x, m, lambda w, c=fem.mass_chol: chol_matmul(c, w, "T"))
+        return x
 
     def from_orthonormal(self, y: DenseTensor) -> DenseTensor:
-        out = y
         for m, fem in enumerate(self.fems):
-            out = mode_multiply(out, np.linalg.inv(fem.mass_chol.T), m)
-        return out
+            y = along_mode(y, m, lambda w, c=fem.mass_chol: chol_solve(c, w, "T"))
+        return y
 
 
 def mass_orthonormalize(fems) -> Discretization:
@@ -211,7 +274,7 @@ class DiffusionCoefficient:
 @dataclass(frozen=True)
 class OperatorTerm:
     coeff: float
-    factors: tuple  # ((mode, matrix), ...) sorted by mode; other modes identity
+    factors: tuple  # ((mode, ModeFactor), ...) sorted by mode; other modes identity
     part: str  # "diag" or "cross"
 
 
@@ -219,9 +282,10 @@ class OperatorTerm:
 class TTOperator:
     """Sum of elementary tensor-product operators on coefficient tensors.
 
-    Every term is a scalar times a Kronecker product with a small matrix on
-    one or two modes and the identity elsewhere, the natural matrix-product
-    operator structure of the discretized diffusion form.
+    Every term is a scalar times a Kronecker product with a banded mode
+    factor on one or two modes and the identity elsewhere, the natural
+    matrix-product operator structure of the discretized diffusion form.
+    ``apply`` is the dense-ambient oracle.
     """
 
     dims: tuple
@@ -235,8 +299,8 @@ class TTOperator:
         acc = np.zeros(xt.dims)
         for term in self.terms:
             y = xt
-            for mode, mat in term.factors:
-                y = mode_multiply(y, mat, mode)
+            for mode, factor in term.factors:
+                y = along_mode(y, mode, factor.__matmul__)
             acc += term.coeff * y.to_array()
         out = DenseTensor.from_array(acc)
         return out if dense_in else out.to_array()
@@ -259,7 +323,7 @@ def laplacian_operator(disc: Discretization) -> TTOperator:
     """Unit-diffusion diagonal operator; its quadratic form is the discrete
     squared H1 seminorm in orthonormal coordinates."""
     terms = [
-        OperatorTerm(1.0, ((m, disc.stiffness_t[m]),), "diag")
+        OperatorTerm(1.0, ((m, disc.stiffness[m]),), "diag")
         for m in range(disc.ndim)
     ]
     return TTOperator(disc.dims, tuple(terms))
@@ -285,8 +349,8 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
         raise InvalidArgumentError("diffusion matrix is not positive definite")
     terms = []
     for m in range(d):
-        terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness_t[m]),), "diag"))
-    transfer_tt = [t.T for t in disc.transfer_t]  # one view per mode, shared by the terms
+        terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness[m]),), "diag"))
+    transposed = [t.T for t in disc.transfer]  # one per mode, shared by the terms
     for m in range(d):
         for n in range(d):
             if m == n or b[m, n] == 0.0:
@@ -294,7 +358,7 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
             terms.append(
                 OperatorTerm(
                     float(b[m, n]),
-                    ((m, disc.transfer_t[m]), (n, transfer_tt[n])),
+                    ((m, disc.transfer[m]), (n, transposed[n])),
                     "cross",
                 )
             )
@@ -357,7 +421,7 @@ def lipschitz_constant(disc: Discretization, coeff: DiffusionCoefficient) -> flo
     stiffness eigenvalue (the transfer Gramians are dominated by the
     stiffness, since projecting a derivative cannot increase its norm).
     """
-    lam = max(np.linalg.eigvalsh(s)[-1] for s in disc.stiffness_t)
+    lam = max(np.linalg.eigvalsh(s.dense)[-1] for s in disc.stiffness)
     return float(np.sqrt(lam) * np.abs(coeff.b1).sum())
 
 
@@ -400,23 +464,21 @@ def mixed_derivative_check(p: ManifoldPoint, disc: Discretization) -> MixedDeriv
 
     ``sigma`` is the boundary gap of the point, a lower bound for every
     singular value of every separation of ``u``, which is what drives the
-    estimate.  All quadratic forms are evaluated through the transformed
-    stiffness factors.
+    estimate.  All quadratic forms are evaluated through the banded stiffness
+    factors.
     """
     if p.ndim < 2:
         raise InvalidArgumentError("mixed derivatives need at least two modes")
     y = point_to_dense(p)
     sigma = point_boundary_gap(p)
-    h1 = 0.0
-    for m in range(p.ndim):
-        sy = mode_multiply(y, disc.stiffness_t[m], m)
-        h1 += inner(sy, y)
+    sy = [along_mode(y, m, disc.stiffness[m].__matmul__) for m in range(p.ndim)]
+    h1 = sum(inner(s, y) for s in sy)
     pairs = []
     ok = True
     bound = h1 / (2.0 * sigma)
     for m in range(p.ndim):
         for n in range(m + 1, p.ndim):
-            yy = mode_multiply(mode_multiply(y, disc.stiffness_t[m], m), disc.stiffness_t[n], n)
+            yy = along_mode(sy[m], n, disc.stiffness[n].__matmul__)
             lhs = float(np.sqrt(max(inner(yy, y), 0.0)))
             pairs.append((m, n, lhs, bound))
             if lhs > bound * (1.0 + 1e-9) + 1e-13:

@@ -23,23 +23,19 @@ unconstrained implicit Euler step exactly when the ranks are full.  It
 requires points whose outer ranks are the generic ones induced by the train
 ranks.
 
-The Galerkin system is solved matrix-free in orthonormal tangent
-coordinates.  A tangent vector is its coordinate vector;
-:meth:`~ttdlra.tangent.TangentBasis.tucker` builds its Tucker form (factors
-``[U^m, Udot^m]``, a ``(2r)^d`` block core) straight from the coordinates.  All
-operator terms act on that form at once (one stacked product per mode over the
-distinct term matrices) and one batched contraction projects them back
-(:func:`tangent_operator`); the source projects through
-:meth:`~ttdlra.tangent.TangentBasis.coords_of_tucker` from its train.
-Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned per mode
-block by the Schur complement form of the shifted stiffness inverse (one
-Cholesky factorization per mode), so no ``dim x dim`` matrix is formed.
-``u`` lies in its own tangent space, so ``u + v`` is the Tucker form of the
-summed coordinates; it is retracted by
-:func:`~ttdlra.retraction.retract_tucker` on a small core.  The sweep's result
-and the source stay trains, and the energy report takes state differences
-through their factors as well; only the reference solver
-:func:`dense_implicit_euler` works in the ambient space.
+The Galerkin system is solved matrix-free in the gauge-form tangent
+coordinates of :class:`~ttdlra.tangent.TangentBasis`, whose ``tucker`` builds
+a coordinate vector's Tucker form.  :func:`tangent_operator` applies all
+banded operator terms to that form at once and projects them back in one
+batched contraction.  Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
+preconditioned per mode block by the Schur complement form of the shifted
+stiffness inverse (one banded Cholesky factorization per mode), so neither a
+``dim x dim`` nor an n x n matrix is formed.  ``u + v`` is the Tucker form of
+the summed coordinates, since ``u`` lies in its own tangent space, and
+:func:`~ttdlra.retraction.retract_tucker` retracts it on a small core.  The
+sweep's result, the source and the energy report's state differences stay
+factored; only the reference solver :func:`dense_implicit_euler` works in the
+ambient space.
 """
 
 from __future__ import annotations
@@ -54,6 +50,7 @@ from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
+from .fem import chol_matmul, factor_images, laplacian_operator
 from .tangent import TangentBasis, _check_ambient, _multiply_modes
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
@@ -66,6 +63,7 @@ __all__ = [
     "step_projected_implicit_euler",
     "step_projector_splitting",
     "solve",
+    "check_run",
     "energy_report",
     "EnergyReport",
     "dense_implicit_euler",
@@ -131,55 +129,69 @@ def operator_quadratic_form(point: ManifoldPoint, op) -> float:
 
 
 def tangent_operator(basis: TangentBasis, op):
-    """Matrix-free ``x -> V^T A V x`` in the orthonormal tangent coordinates.
+    """Matrix-free ``x -> V^T A V x`` in the tangent coordinates.
 
     The tangent vector of ``x`` is the Tucker tensor :meth:`TangentBasis.tucker`
-    with factors ``[U^m, Udot^m]``; per mode, each distinct term matrix acts on
-    them once, the images are projected onto ``[U^m, Qperp^m]`` together, and
-    :meth:`TangentBasis.coords_of_projected` contracts all terms with the core."""
+    with factors ``W = [U^m, Udot^m]``.  Per mode, the distinct term factors
+    ``L^-1 X L^-T`` act on ``W`` with two bidiagonal solves in all: ``L^-T W``
+    once, each tridiagonal ``X`` on it, ``L^-1`` once on the stacked images.
+    :meth:`TangentBasis.coords_of_projected` contracts all terms with the core
+    and projects the mode blocks onto the gauge space."""
     weights = np.array([term.coeff for term in op.terms])
-    groups = []  # per mode: the distinct matrices (None: the identity), the one each term uses
+    groups = []  # per mode: the distinct factors' stacked rows, their L, each term's image
     for m in range(basis.point.ndim):
-        mats = [dict(term.factors).get(m) for term in op.terms]
-        found = list({id(mat): mat for mat in [None] + mats}.values())
-        groups.append((found, [[id(s) for s in found].index(id(mat)) for mat in mats]))
+        factors = [dict(term.factors).get(m) for term in op.terms]
+        found = list({id(f): f for f in factors if f is not None}.values())
+        use = [0 if f is None else 1 + [id(g) for g in found].index(id(f)) for f in factors]
+        rows = np.stack([f.rows for f in found], axis=1) if found else None
+        groups.append((rows, found[0].fem.mass_chol if found else None, np.array(use)))
 
     def matvec(x):
         core, factors = basis.tucker(x)
-        projected = []
-        for f, (found, use), w in zip(basis.frame, groups, factors):
-            images = np.array([w if mat is None else mat @ w for mat in found])
-            projected.append((f.T @ images)[use])
-        return basis.coords_of_projected(core, projected, weights)
+        small, images = [], []
+        for u, (rows, chol, use), w in zip(basis.point.factors, groups, factors):
+            found = w[None]  # the identity's image, then each distinct factor's
+            if rows is not None:
+                found = np.concatenate([found, factor_images(rows, chol, w)])
+            small.append((u.T @ found)[use])
+            images.append(found[use])
+        return basis.coords_of_projected(core, small, images, weights)
 
     return matvec
 
 
 def _preconditioner(basis: TangentBasis, op, tau: float):
     """``tau`` on the core block; on mode block ``mu`` the inverse of
-    ``I/tau + I_r (x) Qperp^T A_mumu Qperp``, ``A_mumu`` the sum of the diagonal
-    terms acting on ``mu``.  With ``S = I/tau + A_mumu`` it is applied in the
-    Schur complement form ``Qperp^T (S^-1 - S^-1 U (U^T S^-1 U)^-1 U^T S^-1)
-    Qperp``: one Cholesky factorization of ``S`` per mode, no eigensolver."""
-    shifted = [np.eye(n) / tau for n in basis.point.dims]
+    ``S = I/tau + A_mumu`` on the gauge space, ``A_mumu`` the sum of the
+    diagonal terms on ``mu`` (every mode has one), in the Schur complement form
+    ``S^-1 - S^-1 U (U^T S^-1 U)^-1 U^T S^-1``, which maps into the gauge space.
+    ``S^-1 = L^T (M/tau + sum_t c_t X_t)^-1 L`` takes one banded Cholesky
+    factorization per mode and one banded solve per apply."""
+    shifted = {}  # mode -> (elements, the rows of M/tau + sum_t c_t X_t)
     for term in op.diagonal_part.terms:
-        ((m, mat),) = term.factors
-        shifted[m] += term.coeff * mat
+        ((m, factor),) = term.factors
+        fem, rows = shifted.get(m, (factor.fem, factor.fem.mass / tau))
+        shifted[m] = (fem, rows + term.coeff * factor.rows)
     solves = []
-    for s, u, frame in zip(shifted, basis.point.factors, basis.frame):
-        chol = scipy.linalg.cho_factor(s)
-        su = scipy.linalg.cho_solve(chol, u)
-        # Qperp^T S^-1 U (U^T S^-1 U)^-1
-        solves.append((chol, (frame.T @ np.linalg.solve(u.T @ su, su.T).T)[u.shape[1] :]))
+    for m, u in enumerate(basis.point.factors):
+        fem, rows = shifted[m]
+        chol, info = scipy.linalg.lapack.dpbtrf(rows[:, 1:].T, lower=1)
+        if info != 0:
+            raise InvalidArgumentError("shifted diagonal operator is not positive definite")
+
+        def s_inv(g, chol=chol, mass_chol=fem.mass_chol):
+            z, _ = scipy.linalg.lapack.dpbtrs(chol, chol_matmul(mass_chol, g, "N"), lower=1)
+            return chol_matmul(mass_chol, z, "T")
+
+        su = s_inv(u)
+        solves.append((s_inv, np.linalg.solve(u.T @ su, su.T).T))  # S^-1 U (U^T S^-1 U)^-1
 
     def apply(x):
         blocks = basis._blocks(x)
         out = [tau * blocks[0]]
-        for (chol, corr), q, frame, blk in zip(solves, basis.qperp, basis.frame, blocks[1:]):
-            r = corr.shape[1]
-            z = scipy.linalg.cho_solve(chol, q @ blk.reshape(-1, r, order="F"), check_finite=False)
-            z = frame.T @ z
-            out.append((z[r:] - corr @ z[:r]).ravel(order="F"))
+        for (s_inv, corr), u, blk in zip(solves, basis.point.factors, blocks[1:]):
+            z = s_inv(blk.reshape(u.shape, order="F"))
+            out.append((z - corr @ (u.T @ z)).ravel(order="F"))
         return np.concatenate(out)
 
     return apply
@@ -214,8 +226,6 @@ def _pcg(apply, precond, b) -> tuple:
 
 
 def state_from_point(point: ManifoldPoint, t: float, disc, **diag) -> EvolutionState:
-    from .fem import laplacian_operator
-
     return EvolutionState(
         time=float(t),
         point=point,
@@ -241,16 +251,20 @@ def _retract_step(tucker, p: ManifoldPoint):
         raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
 
-def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
-    """One implicit Euler step in the current tangent space, then retraction."""
-    if tau <= 0:
-        raise InvalidArgumentError("step size must be positive")
-    p = state.point
+def _projected_admits(p: ManifoldPoint) -> None:
     if p.ndim < 2:
         raise InvalidArgumentError(
             "the projected scheme needs at least two modes; a single mode is "
             "the unconstrained problem (use the splitting scheme)"
         )
+
+
+def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
+    """One implicit Euler step in the current tangent space, then retraction."""
+    if tau <= 0:
+        raise InvalidArgumentError("step size must be positive")
+    p = state.point
+    _projected_admits(p)
     t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
@@ -258,7 +272,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     matvec = tangent_operator(basis, op)
 
     # u lies in its own tangent space: coordinates (C, 0, ..., 0)
-    u_coords = np.zeros(basis.dim)
+    u_coords = np.zeros(sum(basis.block_sizes))
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     au = matvec(u_coords)
     b = (basis.coords_of_tucker(*train_as_tucker(f_tt)) if f_tt is not None else 0.0) - au
@@ -313,6 +327,16 @@ def _env_update_right(env, core, mat, trial=None):
     return np.tensordot(core, tmp, axes=([1, 2], [1, 2]))  # a, a'
 
 
+def _splitting_admits(p: ManifoldPoint) -> None:
+    if not p.tt_core:
+        raise InvalidArgumentError("the splitting sweep needs a train-format core")
+    generic = generic_outer_ranks(p.dims, p.core.ranks)
+    if p.outer_ranks != generic:
+        raise InvalidArgumentError(
+            f"the splitting sweep requires generic outer ranks {generic}, got {p.outer_ranks}"
+        )
+
+
 def step_projector_splitting(state: EvolutionState, tau: float, problem) -> EvolutionState:
     """One first-order splitting sweep with implicit Euler substeps.
 
@@ -323,23 +347,18 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     if tau <= 0:
         raise InvalidArgumentError("step size must be positive")
     p = state.point
-    if not p.tt_core:
-        raise InvalidArgumentError("the splitting sweep needs a train-format core")
+    _splitting_admits(p)
     dims = p.dims
     d = p.ndim
-    tt_ranks = p.core.ranks
-    if p.outer_ranks != generic_outer_ranks(dims, tt_ranks):
-        raise InvalidArgumentError(
-            "the splitting sweep requires generic outer ranks "
-            f"{generic_outer_ranks(dims, tt_ranks)}, got {p.outer_ranks}"
-        )
     t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
     f_tt = problem.rhs_tt(t_new)
 
     y = orthogonalize(_point_to_ambient_tt(p), 0)
     cores = [c.copy() for c in y.cores]
-    terms = [(term.coeff, [dict(term.factors).get(m) for m in range(d)]) for term in op.terms]
+    # the local systems are assembled densely, from dense mode matrices
+    terms = [(t.coeff, {m: f.dense for m, f in t.factors}) for t in op.terms]
+    terms = [(c, [mats.get(m) for m in range(d)]) for c, mats in terms]
 
     # right environments per term at every interface
     right_envs = [[None] * (d + 1) for _ in terms]
@@ -427,6 +446,23 @@ _SCHEMES = {
     "projected_euler": step_projected_implicit_euler,
     "projector_splitting": step_projector_splitting,
 }
+_ADMITS = {"projected_euler": _projected_admits, "projector_splitting": _splitting_admits}
+
+
+def check_run(u0: ManifoldPoint, scheme: str, tau: float, t_end: float) -> int:
+    """What :func:`solve` checks before its first step: a known scheme that
+    admits the rank structure of ``u0``, ``tau > 0`` dividing ``t_end``, and an
+    initial boundary gap above the breakdown threshold.  Returns the step count."""
+    if scheme not in _SCHEMES:
+        raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    _ADMITS[scheme](u0)
+    n_steps = _step_count(tau, t_end)
+    threshold = BREAKDOWN_REL * u0.norm()
+    if u0.gap <= threshold:
+        raise InvalidArgumentError(
+            f"initial boundary gap {u0.gap:.3e} is below the breakdown threshold {threshold:.3e}"
+        )
+    return n_steps
 
 
 def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
@@ -436,17 +472,9 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
     the norm; a state below the threshold is recorded as the final entry
     together with a breakdown record, and the run stops there.
     """
-    if scheme not in _SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    n_steps = _step_count(tau, t_end)
+    n_steps = check_run(problem.u0, scheme, tau, t_end)
     step = _SCHEMES[scheme]
     state = state_from_point(problem.u0, 0.0, problem.disc)
-    threshold = BREAKDOWN_REL * np.sqrt(state.energy_l2)
-    if state.gap <= threshold:
-        raise InvalidArgumentError(
-            f"initial boundary gap {state.gap:.3e} is below the breakdown "
-            f"threshold {threshold:.3e}"
-        )
     states = [state]
     breakdown = None
     for _ in range(n_steps):

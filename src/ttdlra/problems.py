@@ -268,7 +268,7 @@ def rank_collapse_problem(n_cells: int = 12, weight: float = 0.15, t_end: float 
     """
     disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(2)])
     diffusion = DiffusionCoefficient(np.eye(2), np.zeros((2, 2)), horizon=t_end)
-    evals, evecs = np.linalg.eigh(disc.stiffness_t[0])
+    evals, evecs = np.linalg.eigh(disc.stiffness[0].dense)
     slow = evecs[:, 0]
     fast = evecs[:, 2]
     core = DenseTensor.from_array(np.diag([1.0, float(weight)]))

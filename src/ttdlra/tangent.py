@@ -11,14 +11,15 @@ orthogonal subspaces, so the orthogonal projector onto the tangent space
 splits into d+1 independent pieces: one core piece acting on the compressed
 coefficients and one per mode acting on the corresponding matricization.
 
-:class:`TangentBasis` holds orthonormal coordinates for these pieces and is
-the one implementation of the projector.  A :class:`TangentVector` is its
-coordinates in a basis; :meth:`TangentBasis.tucker` builds the Tucker form of a
-coordinate vector (factors ``[U^m, Udot^m]``, a ``(2r)^d`` block core) and is
-the only map from coordinates to a tensor: the components, the ambient
-embedding :func:`tangent_to_ambient` and the solver's matvec all read it.  For
-a tensor-train core the core piece projects onto an orthonormal basis of the
-span of all single-core replacements.
+:class:`TangentBasis` holds coordinates for these pieces and is the one
+implementation of the projector: orthonormal ones for the core piece and,
+per mode, a gauge-form block ``theta_m`` with ``(U^m)^T theta_m = 0``, so
+projecting applies ``I - U U^T`` and no complement of ``U^m`` is built.  A
+:class:`TangentVector` is its coordinates in a basis;
+:meth:`TangentBasis.tucker` builds their Tucker form (factors
+``[U^m, Udot^m]``, a ``(2r)^d`` block core), the only map from coordinates to
+a tensor.  For a tensor-train core the core piece projects onto an
+orthonormal basis of the span of all single-core replacements.
 
 The module also houses an independent brute-force oracle (span, orthonormalize,
 project), polar alignment of subspace bases, and curvature reports comparing
@@ -34,7 +35,7 @@ angle between the tangent spaces, with no iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,8 +67,9 @@ AMBIENT_LIMIT = 4096
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A tangent vector as its orthonormal coordinates in ``basis``; the
-    gauge-normalized components are read off :meth:`TangentBasis.tucker`."""
+    """A tangent vector as its coordinates in ``basis``; the gauge-normalized
+    components are read off :meth:`TangentBasis.tucker`.  Any coordinate vector
+    is one: its mode blocks are read through the gauge projection."""
 
     basis: TangentBasis
     coords: np.ndarray
@@ -87,8 +89,9 @@ class TangentVector:
         return tuple(f[:, r:] for f, r in zip(factors, self.base.outer_ranks))
 
     def norm(self) -> float:
-        # the coordinate map is an isometry
-        return float(np.linalg.norm(self.coords))
+        # the coordinate map is an isometry on the gauge-projected coordinates
+        c, thetas = self.basis.gauge_blocks(self.coords)
+        return float(np.sqrt(c @ c + sum(np.sum(t * t) for t in thetas)))
 
 
 def _check_ambient(dims):
@@ -212,25 +215,20 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
     cols = []
     core = p.core_dense()
     if p.tt_core and p.core.ndim > 1:
+        directions = []
         for m in range(p.core.ndim):
             shape = p.core.cores[m].shape
             for idx in np.ndindex(shape):
-                unit = np.zeros(shape)
-                unit[idx] = 1.0
                 cores = list(p.core.cores)
-                cores[m] = unit
-                cdir = tt_to_dense(TTTensor(tuple(cores)))
-                vec = cdir
-                for mm, u in enumerate(p.factors):
-                    vec = mode_multiply(vec, u, mm)
-                cols.append(vec.data)
+                cores[m] = np.zeros(shape)
+                cores[m][idx] = 1.0
+                directions.append(tt_to_dense(TTTensor(tuple(cores))))
     else:
-        for j in range(core.size):
-            cdir = DenseTensor(core.dims, np.eye(core.size)[:, j])
-            vec = cdir
-            for mm, u in enumerate(p.factors):
-                vec = mode_multiply(vec, u, mm)
-            cols.append(vec.data)
+        directions = [DenseTensor(core.dims, e) for e in np.eye(core.size)]
+    for vec in directions:
+        for mm, u in enumerate(p.factors):
+            vec = mode_multiply(vec, u, mm)
+        cols.append(vec.data)
     for m, u in enumerate(p.factors):
         n, r = u.shape
         for i in range(n):
@@ -259,88 +257,87 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
 
 
 class TangentBasis:
-    """Orthonormal coordinates on the tangent space at a fixed point.
-
-    The coordinate map is an isometry: the Euclidean norm of a coordinate
-    vector equals the ambient norm of the tangent vector it encodes.  Layout:
-    first the core block, then one gauge block per mode stored column-major.
-    """
+    """Coordinates on the tangent space at a fixed point: the core block, then
+    per mode the column-major ``theta_m`` (N_m x r_m, ``(U^m)^T theta_m = 0``,
+    ``Udot^m = theta_m rmap_m^T``).  ``dim`` is the tangent dimension;
+    coordinate vectors have ``sum(block_sizes)`` entries, ``r_m^2`` per mode
+    more, and are read through :meth:`gauge_blocks`, on whose gauge vectors the
+    coordinate map is an isometry."""
 
     def __init__(self, p: ManifoldPoint):
         self.point = p
         self.core_basis = core_tangent_basis(p.core)
         core = p.core_dense()
         self.core = core.to_array()  # the point's core, expanded once
-        self.frame = []  # [U^m, Qperp^m], an orthonormal basis of R^{N_m}
-        self.qperp = []
         self.rmap = []  # U-dot reconstruction map: P diag(1/sigma)
         self.qright = []  # orthonormal covector coefficients per mode
-        for m, u in enumerate(p.factors):
-            n, r = u.shape
-            full, _ = np.linalg.qr(u, mode="complete")
-            self.frame.append(np.asfortranarray(np.hstack([u, full[:, r:]])))
-            self.qperp.append(self.frame[m][:, r:])
+        for m in range(p.ndim):
             mc = matricize(core, {m})
             pw, sw, qwt = np.linalg.svd(mc, full_matrices=False)
             if sw[-1] <= 1e-13 * sw[0]:
                 raise DegeneratePointError("core loses full multilinear rank")
             self.rmap.append(pw / sw)
             self.qright.append(qwt.T)
-        self.block_sizes = [self.core_basis.shape[1]] + [
-            q.shape[1] * u.shape[1] for q, u in zip(self.qperp, p.factors)
-        ]
-        self.dim = int(sum(self.block_sizes))
+        self.block_sizes = [self.core_basis.shape[1]] + [u.size for u in p.factors]
+        self.dim = self.block_sizes[0] + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
 
     def _blocks(self, coords):
         return np.split(coords, np.cumsum(self.block_sizes)[:-1])
 
+    def gauge_blocks(self, coords) -> tuple:
+        """The core block and the mode blocks ``theta_m`` (n x r), projected by
+        ``I - U U^T`` onto the gauge space (gauge vectors stay as they are)."""
+        blocks = self._blocks(np.asarray(coords, dtype=float))
+        thetas = [b.reshape(u.shape, order="F") for b, u in zip(blocks[1:], self.point.factors)]
+        return blocks[0], [t - u @ (u.T @ t) for t, u in zip(thetas, self.point.factors)]
+
     def tucker(self, coords) -> tuple:
         """Tucker form ``(core, factors)`` of the tangent vector with these
-        coordinates: factors ``[U^m, Udot^m]`` with ``Udot^m = Qperp^m theta_m
-        rmap_m^T``, and a ``(2r)^d`` core holding ``Cdot`` in block
-        ``(0, ..., 0)`` and the point's core ``C`` in each block with a single 1.
-        The coordinates of ``u + v`` give the update, since ``u`` lies in its own
-        tangent space."""
-        blocks = self._blocks(np.asarray(coords, dtype=float))
+        coordinates: factors ``[U^m, Udot^m]`` with ``Udot^m = theta_m
+        rmap_m^T`` (``theta_m`` from :meth:`gauge_blocks`), and a ``(2r)^d``
+        core holding ``Cdot`` in block ``(0, ..., 0)`` and the point's core
+        ``C`` in each block with a single 1.  The coordinates of ``u + v`` give
+        the update, since ``u`` lies in its own tangent space."""
+        c, thetas = self.gauge_blocks(coords)
         ranks = self.core.shape
         core = np.zeros(tuple(2 * r for r in ranks))
         low = tuple(slice(r) for r in ranks)
-        core[low] = (self.core_basis @ blocks[0]).reshape(ranks, order="F")
+        core[low] = (self.core_basis @ c).reshape(ranks, order="F")
         factors = []
-        for m, (u, r) in enumerate(zip(self.point.factors, ranks)):
+        for m, (u, r, theta) in enumerate(zip(self.point.factors, ranks, thetas)):
             core[low[:m] + (slice(r, 2 * r),) + low[m + 1 :]] = self.core
-            theta = blocks[m + 1].reshape(-1, r, order="F")
-            factors.append(np.hstack([u, self.qperp[m] @ theta @ self.rmap[m].T]))
+            factors.append(np.hstack([u, theta @ self.rmap[m].T]))
         return core, factors
 
     def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
         """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.
 
-        Only the small products ``U^T W^m`` and ``Qperp^T W^m`` enter, so the
-        cost is set by the factor widths and the core, not the ambient size.
+        Only thin products of the n x k factors ``W^m`` enter, so the cost is
+        set by the factor sizes and the core, not the ambient size.
         """
-        projected = [f.T @ w[None] for f, w in zip(self.frame, factors)]
-        return self.coords_of_projected(core.to_array(), projected, np.ones(1))
+        small = [u.T @ w[None] for u, w in zip(self.point.factors, factors)]
+        images = [w[None] for w in factors]
+        return self.coords_of_projected(core.to_array(), small, images, np.ones(1))
 
-    def coords_of_projected(self, core, projected, weights) -> np.ndarray:
+    def coords_of_projected(self, core, small, images, weights) -> np.ndarray:
         """Coordinates of the tangent projection of the weighted sum
         ``sum_t weights[t] core x_0 W^0_t ... x_{d-1} W^{d-1}_t`` (``core`` an
-        array), from ``projected[m]``, the ``[U^m, Qperp^m]^T W^m_t`` stacked
-        along a leading term axis.  The terms are contracted with the core in
-        batched products (the term index is the batch axis), and summed in one
-        product per mode block."""
+        array), from ``images[m]``, the ``W^m_t`` stacked along a leading term
+        axis, and ``small[m]``, the ``U^T W^m_t``.  The terms are contracted
+        with the core in batched products (the term index is the batch axis)
+        and summed in one product per mode block, which ``I - U U^T`` then
+        projects onto the gauge space."""
         g = core[None]
-        small = [pr[:, : u.shape[1]] for pr, u in zip(projected, self.point.factors)]
         modes = []
-        for m, (pr, u) in enumerate(zip(projected, self.point.factors)):
+        for m, (w, u) in enumerate(zip(images, self.point.factors)):
             # g already carries U^T W^k on the modes k < m
             h = _multiply_modes(g, [(k, s) for k, s in enumerate(small) if k > m])
             # rows (term, mode m), columns the other modes with the first fastest
             others = [k + 1 for k in reversed(range(len(small))) if k != m]
             h = np.broadcast_to(h, weights.shape + h.shape[1:]).transpose([0, m + 1] + others)
-            perp = np.concatenate(pr[:, u.shape[1] :] * weights[:, None, None], axis=1)
-            rows = perp @ h.reshape(-1, self.qright[m].shape[0])
-            modes.append((rows @ self.qright[m]).ravel(order="F"))
+            stacked = np.concatenate(w * weights[:, None, None], axis=1)  # the terms side by side
+            block = stacked @ h.reshape(-1, self.qright[m].shape[0]) @ self.qright[m]
+            modes.append((block - u @ (u.T @ block)).ravel(order="F"))
             g = _multiply_modes(g, [(m, small[m])])
         g = np.tensordot(weights, g, axes=1)
         return np.concatenate([self.core_basis.T @ g.ravel(order="F")] + modes)
@@ -350,18 +347,21 @@ class TangentBasis:
         return self.coords_of_tucker(z, [np.eye(n) for n in z.dims])
 
     def ambient_matrix(self) -> np.ndarray:
-        """Dense ambient basis matrix, one orthonormal column per coordinate.
+        """Dense orthonormal basis of the tangent space, ``dim`` columns.
 
-        Each block is one batched product.  Column ``(i, a)`` of mode block m
-        is the tensor with mode-m vector ``Qperp[:, i]`` and the other modes
-        from slice ``a`` of ``D = C x_m rmap^T x_{k != m} U^k``.
+        Each block is one batched product.  Mode block m completes ``U^m`` to
+        ``[U^m, Qperp]`` by a complete QR (desk size only); its column
+        ``(i, a)``, the embedding of ``theta_m = Qperp[:, i] e_a^T``, has mode-m
+        vector ``Qperp[:, i]`` and the other modes from slice ``a`` of
+        ``D = C x_m rmap^T x_{k != m} U^k``.
         """
         size = _check_ambient(self.point.dims)
         factors = self.point.factors
         d = len(factors)
         core_cols = self.core_basis.reshape(self.core.shape + (-1,), order="F")
         blocks = [_multiply_modes(core_cols, list(enumerate(factors)))]
-        for m, (q, rmap) in enumerate(zip(self.qperp, self.rmap)):
+        for m, rmap in enumerate(self.rmap):
+            q = np.linalg.qr(factors[m], mode="complete")[0][:, rmap.shape[0] :]
             dm = _multiply_modes(
                 self.core,
                 [(m, rmap.T)] + [(k, u) for k, u in enumerate(factors) if k != m],
@@ -460,18 +460,7 @@ class CurvatureReport:
     sigma_kind: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "ndim": self.ndim,
-            "distance": self.distance,
-            "projector_difference_norm": self.projector_difference_norm,
-            "normal_defect": self.normal_defect,
-            "projector_bound_outer": self.projector_bound_outer,
-            "normal_bound_outer": self.normal_bound_outer,
-            "projector_bound_tt": self.projector_bound_tt,
-            "normal_bound_tt": self.normal_bound_tt,
-            "sigma_used": self.sigma_used,
-            "sigma_kind": self.sigma_kind,
-        }
+        return asdict(self)
 
 
 def curvature_report(x: ManifoldPoint, y: ManifoldPoint) -> CurvatureReport:

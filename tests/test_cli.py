@@ -171,3 +171,48 @@ def test_malformed_config_values_are_config_errors(tmp_path, command, payload):
     assert proc.returncode == 2, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_suite_value_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {"kind": "curvature", "suite": {"matrix_pairs": "x"}})
+    proc = run_cli(["curvature", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_options_are_checked_before_the_run(tmp_path):
+    # options that solve would refuse are a ConfigError before the first step;
+    # a diagnostics run, which never solves, does not check them
+    from ttdlra.errors import ConfigError
+    from ttdlra.experiments import ExperimentConfig, run_diagnostics, run_solve
+
+    for options in (
+        {"scheme": "leapfrog"},
+        {"scheme": "projector_splitting", "tt_ranks": None},
+        {"tau": 0.0},
+        {"tau": -0.005},
+        {"tau": 0.003},
+    ):
+        raw = heat_config(kind="solve", out_dir=str(tmp_path / "solve"))
+        raw["problem"] = dict(raw["problem"], **options)
+        with pytest.raises(ConfigError):
+            run_solve(ExperimentConfig.from_dict(raw))
+    raw = heat_config(kind="diagnostics", out_dir=str(tmp_path / "diagnose"))
+    raw["problem"] = dict(raw["problem"], tau=0.003)
+    assert run_diagnostics(ExperimentConfig.from_dict(raw)).violations == 0
+
+
+def test_invalid_argument_mid_run_is_not_a_config_error(tmp_path, monkeypatch):
+    # exit 2 means a bad configuration; a step that fails partway through a
+    # run must not pass for one
+    from ttdlra import cli, integrate
+    from ttdlra.errors import InvalidArgumentError
+
+    def failing_step(state, tau, problem):
+        raise InvalidArgumentError("raised partway through the run")
+
+    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", failing_step)
+    cfg = write_config(tmp_path / "c.json", heat_config())
+    with pytest.raises(InvalidArgumentError, match="partway"):
+        cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -3,10 +3,13 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from helpers import dense_mode_factors, kron_matrix, p1_matrices
+
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError
 from ttdlra.fem import (
     DiffusionCoefficient,
+    ModeFactor,
     SourceTerm,
     assemble_operator,
     assemble_rhs,
@@ -27,23 +30,6 @@ def small_disc(n_cells, d):
     return mass_orthonormalize([build_fem1d(n_cells) for _ in range(d)])
 
 
-def kron_matrix(op):
-    """Dense oracle: assemble the operator as one big matrix acting on
-    column-major flattened coefficients (mode-0 factor last in the kron)."""
-    dims = op.dims
-    total = int(np.prod(dims))
-    out = np.zeros((total, total))
-    for term in op.terms:
-        mats = [np.eye(n) for n in dims]
-        for mode, mat in term.factors:
-            mats[mode] = mat
-        acc = mats[-1]
-        for m in range(len(dims) - 2, -1, -1):
-            acc = np.kron(acc, mats[m])
-        out += term.coeff * acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # 1D elements
 # ---------------------------------------------------------------------------
@@ -53,15 +39,41 @@ def test_p1_stencils_exact():
     fem = build_fem1d(8)
     h = 1.0 / 8
     assert fem.n_interior == 7
-    np.testing.assert_allclose(np.diag(fem.stiffness), 2.0 / h)
-    np.testing.assert_allclose(np.diag(fem.stiffness, 1), -1.0 / h)
-    np.testing.assert_allclose(np.diag(fem.mass), 4 * h / 6)
-    np.testing.assert_allclose(np.diag(fem.mass, 1), h / 6)
-    np.testing.assert_allclose(np.diag(fem.transfer, 1), 0.5)
-    np.testing.assert_allclose(np.diag(fem.transfer, -1), -0.5)
-    np.testing.assert_allclose(np.diag(fem.transfer), 0.0)
+    # row i holds (X[i, i-1], X[i, i], X[i, i+1])
+    np.testing.assert_allclose(fem.stiffness[:, 1], 2.0 / h)
+    np.testing.assert_allclose(fem.stiffness[1:, 0], -1.0 / h)
+    np.testing.assert_allclose(fem.stiffness[:-1, 2], -1.0 / h)
+    np.testing.assert_allclose(fem.mass[:, 1], 4 * h / 6)
+    np.testing.assert_allclose(fem.mass[:-1, 2], h / 6)
+    np.testing.assert_allclose(fem.transfer[:-1, 2], 0.5)
+    np.testing.assert_allclose(fem.transfer[1:, 0], -0.5)
+    np.testing.assert_allclose(fem.transfer[:, 1], 0.0)
     # exact antisymmetry: boundary terms vanish for interior hat functions
-    np.testing.assert_array_equal(fem.transfer + fem.transfer.T, np.zeros((7, 7)))
+    np.testing.assert_array_equal(fem.transfer[:-1, 2] + fem.transfer[1:, 0], np.zeros(6))
+    # the bidiagonal mass Cholesky factor, lower band storage
+    l = np.diag(fem.mass_chol[0]) + np.diag(fem.mass_chol[1, :-1], -1)
+    np.testing.assert_allclose(l, np.linalg.cholesky(p1_matrices(8)[0]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n_cells", [2, 8, 65])
+def test_banded_mode_factors_match_dense_congruence(rng, n_cells):
+    # each L^-1 X L^-T against the dense congruence built from the stencils,
+    # on one vector and on a block
+    disc = small_disc(n_cells, 1)
+    oracle = dense_mode_factors(n_cells)
+    factors = {
+        "stiffness": disc.stiffness[0],
+        "transfer": disc.transfer[0],
+        "transfer_transposed": disc.transfer[0].T,
+    }
+    n = n_cells - 1
+    for name, factor in factors.items():
+        dense = oracle[name]
+        for y in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+            want = dense @ y
+            assert np.linalg.norm(factor @ y - want) <= 1e-12 * np.linalg.norm(want)
+        got = factor @ np.eye(n)
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_build_fem1d_rejects_tiny():
@@ -70,8 +82,8 @@ def test_build_fem1d_rejects_tiny():
 
 
 def test_smallest_generalized_eigenvalue_near_pi_squared():
-    fem = build_fem1d(64)
-    evals = scipy.linalg.eigh(fem.stiffness, fem.mass, eigvals_only=True)
+    mass, stiffness, _ = p1_matrices(64)
+    evals = scipy.linalg.eigh(stiffness, mass, eigvals_only=True)
     assert abs(evals[0] - np.pi**2) <= 0.02 * np.pi**2
 
 
@@ -103,16 +115,15 @@ def test_load_vector_sine_against_quadrature_oracle():
 def test_transformed_mass_is_identity():
     disc = small_disc(12, 1)
     fem = disc.fems[0]
-    l = fem.mass_chol
-    transformed = np.linalg.solve(l, fem.mass) @ np.linalg.inv(l.T)
+    transformed = ModeFactor(fem.mass, fem) @ np.eye(fem.n_interior)
     np.testing.assert_allclose(transformed, np.eye(fem.n_interior), atol=1e-12)
 
 
 def test_transformed_stiffness_spectrum_matches_generalized():
     disc = small_disc(16, 1)
-    fem = disc.fems[0]
-    gen = scipy.linalg.eigh(fem.stiffness, fem.mass, eigvals_only=True)
-    own = np.linalg.eigvalsh(disc.stiffness_t[0])
+    mass, stiffness, _ = p1_matrices(16)
+    gen = scipy.linalg.eigh(stiffness, mass, eigvals_only=True)
+    own = np.linalg.eigvalsh(disc.stiffness[0] @ np.eye(15))
     np.testing.assert_allclose(own, gen, rtol=1e-10)
 
 

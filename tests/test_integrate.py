@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import kron_matrix
+from helpers import dense_mode_factors, gauge_frame, kron_matrix
 
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra import integrate
-from ttdlra.fem import OperatorTerm, TTOperator, laplacian_operator
+from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
     dense_implicit_euler,
@@ -85,15 +85,19 @@ ORACLE_CASES = [
 
 def oracle_system(basis, op):
     """Desk-size ``V^T A V`` built column by column from the matvec, the
-    dense oracle, and the point image from both."""
+    dense oracle, and the point image from both.  ``V^T A V`` is taken in the
+    orthonormal coordinates of ``ambient_matrix``: the matvec acts on their
+    gauge vectors, the columns of ``gauge_frame``; the point image is in gauge
+    coordinates."""
     vmat = basis.ambient_matrix()
+    frame = gauge_frame(basis)
     amat = kron_matrix(op)
     matvec = tangent_operator(basis, op)
-    h = np.column_stack([matvec(e) for e in np.eye(basis.dim)])
+    h = frame.T @ np.column_stack([matvec(e) for e in frame.T])
     u = point_to_dense(basis.point)
     # u lies in its own tangent space, so the image of A u is the matvec at u
     au = matvec(basis.project_coords(u))
-    return h, vmat.T @ amat @ vmat, au, vmat.T @ (amat @ u.data)
+    return h, vmat.T @ amat @ vmat, au, frame @ (vmat.T @ (amat @ u.data))
 
 
 def assert_oracle_system(basis, op):
@@ -121,7 +125,7 @@ def test_matvec_and_source_match_dense_basis_oracle(rng, d, cells, outer, tt_ran
     basis = TangentBasis(p)
     assert_oracle_system(basis, problem.operator(0.05))
     f = problem.rhs_tt(0.05)
-    oracle = basis.ambient_matrix().T @ tt_to_dense(f).data
+    oracle = gauge_frame(basis) @ (basis.ambient_matrix().T @ tt_to_dense(f).data)
     np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
 
 
@@ -131,7 +135,7 @@ def test_reduced_rhs_matches_dense_basis_oracle(rng):
     p = random_point(rng, problem.dims, (2, 3, 2), tt_ranks=(2, 2))
     basis = TangentBasis(p)
     vmat = basis.ambient_matrix()
-    oracle = vmat.T @ tt_to_dense(f).data
+    oracle = gauge_frame(basis) @ (vmat.T @ tt_to_dense(f).data)
     np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
     z = tt_to_dense(f)
     np.testing.assert_allclose(basis.project_coords(z), oracle, atol=1e-12)
@@ -153,20 +157,21 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
     _, h_oracle, au, _ = oracle_system(basis, op)
     matvec = tangent_operator(basis, op)
     b = basis.coords_of_tucker(*train_as_tucker(problem.rhs_tt(0.05))) - au
+    frame = gauge_frame(basis)
     for tau in (1e-3, 1e-2):
         x, iterations = _pcg(lambda y: y / tau + matvec(y), _preconditioner(basis, op, tau), b)
-        dense = np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, b)
+        dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
         assert iterations <= basis.dim
         assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_matvec_with_repeated_and_equal_term_matrices(rng):
-    # terms that share one matrix object, terms with equal but distinct
-    # arrays, and a mode no term acts on: the matvec groups each mode's
-    # distinct matrices, and every grouping must give the same operator
+    # terms that share one factor object, terms with equal but distinct
+    # factors, and a mode no term acts on: the matvec groups each mode's
+    # distinct factors, and every grouping must give the same operator
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
     disc = problem.disc
-    k0, t1 = disc.stiffness_t[0], disc.transfer_t[1]
+    k0, t1 = disc.stiffness[0], disc.transfer[1]
     p = random_point(rng, problem.dims, (2, 3, 2), tt_ranks=(2, 2))
     basis = TangentBasis(p)
     shared = TTOperator(
@@ -181,13 +186,15 @@ def test_matvec_with_repeated_and_equal_term_matrices(rng):
     copies = TTOperator(
         problem.dims,
         tuple(
-            OperatorTerm(t.coeff, tuple((m, np.array(mat)) for m, mat in t.factors), t.part)
+            OperatorTerm(
+                t.coeff, tuple((m, ModeFactor(f.rows.copy(), f.fem)) for m, f in t.factors), t.part
+            )
             for t in shared.terms
         ),
     )
     assert_oracle_system(basis, shared)
     assert_oracle_system(basis, copies)
-    x = rng.standard_normal(basis.dim)
+    x = gauge_frame(basis) @ rng.standard_normal(basis.dim)
     a, b = tangent_operator(basis, shared)(x), tangent_operator(basis, copies)(x)
     assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(a).max()
 
@@ -200,7 +207,7 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     matvec = tangent_operator(basis, problem.operator(0.05))
-    x = rng.standard_normal(basis.dim)
+    x = rng.standard_normal(sum(basis.block_sizes))
     calls = {"DenseTensor": 0, "tt_to_dense": 0}
     post_init = DenseTensor.__post_init__
 
@@ -225,21 +232,26 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
     [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)],
 )
 def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
-    # tau on the core block and (I/tau + I_r (x) Qperp^T A_mumu Qperp)^-1 on
-    # mode block mu, with A_mumu the diagonal terms on mu; a rank-4 mode of a
-    # 5-cell grid has an empty Qperp
+    # tau on the core block and, on gauge block mu, the inverse of
+    # S = I/tau + A_mumu on the gauge space, Qperp (Qperp^T S Qperp)^-1 Qperp^T,
+    # per column of theta, with A_mumu the diagonal terms on mu from the dense
+    # stencil oracle; a rank-4 mode of a 5-cell grid has an empty Qperp
     problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
     op = problem.operator(0.05)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     tau = 1e-2
+    stiffness = dense_mode_factors(cells)["stiffness"]
     blocks = [tau * np.eye(basis.block_sizes[0])]
-    for m, (q, r) in enumerate(zip(basis.qperp, p.outer_ranks)):
-        a = sum(t.coeff * t.factors[0][1] for t in op.diagonal_part.terms if t.factors[0][0] == m)
-        blocks.append(np.linalg.inv(np.eye(q.shape[1] * r) / tau + np.kron(np.eye(r), q.T @ a @ q)))
+    for m, u in enumerate(p.factors):
+        n, r = u.shape
+        a = sum(t.coeff * stiffness for t in op.diagonal_part.terms if t.factors[0][0] == m)
+        q = np.linalg.qr(u, mode="complete")[0][:, r:]
+        inv = q @ np.linalg.inv(q.T @ (np.eye(n) / tau + a) @ q) @ q.T
+        blocks.append(np.kron(np.eye(r), inv))
     oracle = scipy.linalg.block_diag(*blocks)
     apply = _preconditioner(basis, op, tau)
-    got = np.column_stack([apply(e) for e in np.eye(basis.dim)])
+    got = np.column_stack([apply(e) for e in np.eye(sum(basis.block_sizes))])
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
 
 
@@ -299,6 +311,33 @@ def test_step_residuals_and_memory_below_dense_system():
     # a dense Galerkin matrix alone would take dim^2 doubles
     assert peak < dim * dim * 8
     state = step_projected_implicit_euler(state, 0.001, problem)
+    assert state.tangent_residual <= 1e-12
+
+
+def test_setup_and_step_memory_below_one_mode_matrix():
+    # 1023 nodes per mode: the banded operators, gauge-form blocks and banded
+    # preconditioner keep the set-up and a step below one n x n double array
+    cfg = {
+        "dims": 3,
+        "cells": 1024,
+        "t_end": 0.001,
+        "tau": 0.001,
+        "tt_ranks": [3, 3],
+        "initial": [
+            {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * 3}
+            for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
+        ],
+        "sources": [{"time_poly": [1.0], "profiles": ["constant"] * 3}],
+    }
+    tracemalloc.start()
+    try:
+        problem, _ = problem_from_config(cfg)
+        state = state_from_point(problem.u0, 0.0, problem.disc)
+        state = step_projected_implicit_euler(state, 0.001, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1023 * 1023 * 8
     assert state.tangent_residual <= 1e-12
 
 

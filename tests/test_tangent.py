@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import ambient_matrix_by_columns, summands
+from helpers import ambient_matrix_by_columns, gauge_frame, summands
 
 from ttdlra.dense import DenseTensor, inner, matricize
 from ttdlra.errors import InvalidArgumentError, OversizeError
@@ -164,7 +164,7 @@ def test_pythagoras_over_summands(rng):
 def test_zero_components_embed_to_zero(rng):
     p, _ = instance_grid(rng, 1)[0]
     basis = TangentBasis(p)
-    v = TangentVector(basis, np.zeros(basis.dim))
+    v = TangentVector(basis, np.zeros(sum(basis.block_sizes)))
     assert tangent_to_ambient(v).norm() == 0.0
 
 
@@ -174,7 +174,7 @@ def test_single_factor_velocity_matricization(rng):
     v = tangent_project(p, z)
     basis = v.basis
     start = np.cumsum(basis.block_sizes)
-    coords = np.zeros(basis.dim)
+    coords = np.zeros(start[-1])
     coords[start[0] : start[1]] = v.coords[start[0] : start[1]]
     lone = TangentVector(basis, coords)
     amb = matricize(tangent_to_ambient(lone), {0})
@@ -272,9 +272,26 @@ def test_tangent_basis_isometry_and_roundtrip(rng):
         assert (amb - brute_force_projector(p, z)).norm() <= 1e-10 * max(
             amb.norm(), 1.0
         )
-        c = rng.standard_normal(basis.dim)
+        c = gauge_frame(basis) @ rng.standard_normal(basis.dim)
         back = basis.project_coords(tangent_to_ambient(TangentVector(basis, c)))
         np.testing.assert_allclose(back, c, atol=1e-10)
+
+
+def test_any_coordinate_vector_is_its_gauge_projection(rng):
+    # coordinates with components along U^m are read through the gauge
+    # projection: same embedding, same Tucker velocities, and the ambient norm
+    for p, _ in instance_grid(rng, 3):
+        basis = TangentBasis(p)
+        c = rng.standard_normal(sum(basis.block_sizes))
+        g = gauge_frame(basis)
+        projected = g @ (g.T @ c)
+        v, w = TangentVector(basis, c), TangentVector(basis, projected)
+        amb = tangent_to_ambient(v)
+        assert (amb - tangent_to_ambient(w)).norm() <= 1e-12 * amb.norm()
+        np.testing.assert_allclose(v.norm(), amb.norm(), rtol=1e-12)
+        np.testing.assert_allclose(v.norm(), np.linalg.norm(projected), rtol=1e-12)
+        for fv, fw in zip(v.factor_velocities, w.factor_velocities):
+            np.testing.assert_allclose(fv, fw, atol=1e-12)
 
 
 def test_tangent_basis_ambient_matrix_orthonormal(rng):
@@ -283,7 +300,7 @@ def test_tangent_basis_ambient_matrix_orthonormal(rng):
     mat = basis.ambient_matrix()
     np.testing.assert_allclose(mat.T @ mat, np.eye(basis.dim), atol=1e-10)
     np.testing.assert_allclose(
-        mat @ basis.project_coords(z),
+        mat @ (gauge_frame(basis).T @ basis.project_coords(z)),
         brute_force_projector(p, z).data,
         atol=1e-10,
     )
