@@ -4,6 +4,13 @@ Every experiment is driven by a JSON-compatible configuration, seeds all
 randomness from a single integer, and writes deterministic artifacts (CSV
 tables with a JSON metadata sidecar).  Identical configuration and seed give
 byte-identical outputs.
+
+The convergence and stability errors are distances of low-rank states,
+measured factored by :func:`~ttdlra.retraction.tucker_distance`: a coarse
+rung's factors are lifted to the reference grid mode by mode (an n_ref x r
+block each), and no state is expanded onto the grid.  The ambient grid is
+used only by the diagnostics probes and by the random direction of an
+initial-data perturbation.
 """
 
 from __future__ import annotations
@@ -17,12 +24,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .dense import DenseTensor, inner, matricize, mode_multiply, svd
+from .dense import DenseTensor, inner, matricize, svd
 from .errors import BreakdownError, ConfigError, InvalidArgumentError
-from .fem import SourceTerm, laplacian_operator
+from .fem import SourceTerm, chol_matmul, chol_solve, laplacian_operator
 from .integrate import BREAKDOWN_REL, Trajectory, check_run, energy_report, solve
-from .manifold import point_to_dense
 from .problems import ParabolicProblem, problem_from_config
+from .retraction import tucker_distance
 from .sampling import perturbed_point, random_orthonormal, random_point, random_tt
 from .tangent import aligned_basis_report, curvature_report, polar_align
 from .tt import interface_spectrum, truncate_interface, tt_to_dense
@@ -46,6 +53,12 @@ __all__ = [
 def config_hash(config: dict) -> str:
     text = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# the sizes of the curvature suite and their defaults
+_SUITE_DEFAULTS = {
+    "matrix_pairs": 200, "aligned_draws": 500, "truncation_instances": 100, "heuristic_pairs": 20
+}
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,10 @@ class ExperimentConfig:
             threads = max(1, int(raw.get("threads", 1)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
+        if suite.keys() - _SUITE_DEFAULTS.keys():
+            raise ConfigError(f"suite entries must be among {sorted(_SUITE_DEFAULTS)}")
+        if not isinstance(raw.get("out_dir"), (str, type(None))):
+            raise ConfigError("out_dir must be a string")
         if kind == "convergence":
             if len(ladder) < 2:
                 raise ConfigError("a convergence run needs a ladder of meshes")
@@ -261,40 +278,34 @@ class ConvergenceTable:
 
 def _prolong_1d(n_coarse_cells: int) -> np.ndarray:
     """Exact P1 injection from a mesh of n cells to one of 2n cells."""
-    n = n_coarse_cells
-    p = np.zeros((2 * n - 1, n - 1))
-    for i in range(1, n):  # coarse interior node index (1-based)
-        p[2 * i - 1, i - 1] = 1.0
-    for j in range(1, 2 * n, 2):  # odd fine nodes sit mid-cell
-        left = (j - 1) // 2
-        right = left + 1
-        if 1 <= left <= n - 1:
-            p[j - 1, left - 1] += 0.5
-        if 1 <= right <= n - 1:
-            p[j - 1, right - 1] += 0.5
+    p = np.zeros((2 * n_coarse_cells - 1, n_coarse_cells - 1))
+    c = np.arange(n_coarse_cells - 1)  # coarse node c is fine node 2c + 1
+    p[2 * c + 1, c] = 1.0
+    p[2 * c, c] = p[2 * c + 2, c] = 0.5  # the mid-cell fine nodes beside it
     return p
 
 
-def _prolong_coefficients(x: DenseTensor, n_from: int, n_to: int) -> DenseTensor:
-    out = x
-    n = n_from
-    while n < n_to:
-        p = _prolong_1d(n)
-        for m in range(out.ndim):
-            out = mode_multiply(out, p, m)
-        n *= 2
-    return out
+def _lifted_factors(point, disc, ref_disc) -> list:
+    """The factors of a point of ``disc`` in the orthonormal coordinates of the
+    finer ``ref_disc``, mode by mode: the nodal factor ``L^-T U``, its exact
+    P1 doublings, then ``L_ref^T``; an n_ref x r block per mode."""
+    lifted = []
+    for u, fem, ref in zip(point.factors, disc.fems, ref_disc.fems):
+        w, n = chol_solve(fem.mass_chol, u, "T"), fem.n_cells
+        while n < ref.n_cells:
+            w, n = _prolong_1d(n) @ w, 2 * n
+        lifted.append(chol_matmul(ref.mass_chol, w, "T"))
+    return lifted
 
 
-def _terminal_nodal(problem, opts) -> DenseTensor:
+def _terminal_point(problem, opts):
     tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     if tr.breakdown is not None:
         raise BreakdownError(
             f"solve on {problem.disc.fems[0].n_cells} cells broke down at "
             f"t = {tr.breakdown.time}"
         )
-    y = point_to_dense(tr.states[-1].point)
-    return problem.disc.from_orthonormal(y)
+    return tr.states[-1].point
 
 
 def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
@@ -305,17 +316,16 @@ def run_convergence(cfg: ExperimentConfig) -> ConvergenceTable:
         pcfg = dict(cfg.problem)
         pcfg["cells"] = n_cells
         problem, opts = _run_problem(pcfg)
-        return problem.disc, _terminal_nodal(problem, opts)
+        return problem.disc, _terminal_point(problem, opts)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         rungs = list(pool.map(rung, meshes))
     ref_disc, ref = rungs[-1]
     rows = []
     prev = None
-    for n_cells, (_, coarse) in zip(cfg.ladder, rungs):
-        lifted = _prolong_coefficients(coarse, n_cells, cfg.reference_cells)
-        diff = lifted - ref
-        err = ref_disc.to_orthonormal(diff).norm()
+    for n_cells, (disc, point) in zip(cfg.ladder, rungs):
+        lifted = (point.tucker()[0], _lifted_factors(point, disc, ref_disc))
+        err = tucker_distance(lifted, ref.tucker())
         ratio = err / prev if prev else float("nan")
         rows.append((n_cells, 1.0 / n_cells, err, ratio))
         prev = err
@@ -394,7 +404,7 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     diffs_by_delta = []
     for delta, tr in zip(cfg.deltas, perturbed):
         diffs = [
-            (point_to_dense(a.point) - point_to_dense(b.point)).norm()
+            tucker_distance(a.point.tucker(), b.point.tucker())
             for a, b in zip(base.states, tr.states)
         ]
         diffs_by_delta.append(diffs)
@@ -466,10 +476,8 @@ class CurvatureSuiteReport:
 def run_curvature_suite(cfg: ExperimentConfig) -> CurvatureSuiteReport:
     out = _ensure_out(cfg)
     rng = np.random.default_rng(cfg.seed)
-    n_pairs = cfg.suite.get("matrix_pairs", 200)
-    n_aligned = cfg.suite.get("aligned_draws", 500)
-    n_trunc = cfg.suite.get("truncation_instances", 100)
-    n_heuristic = cfg.suite.get("heuristic_pairs", 20)
+    counts = {**_SUITE_DEFAULTS, **cfg.suite}
+    n_pairs, n_aligned, n_trunc, n_heuristic = counts.values()
     rows = []
     violations = {
         "matrix_projector_bound": 0,
@@ -556,12 +564,6 @@ def run_curvature_suite(cfg: ExperimentConfig) -> CurvatureSuiteReport:
             ("heuristic_projector", i, rep.projector_difference_norm, rep.projector_bound_outer, -1)
         )
 
-    counts = {
-        "matrix_pairs": n_pairs,
-        "aligned_draws": n_aligned,
-        "truncation_instances": n_trunc,
-        "heuristic_pairs": n_heuristic,
-    }
     meta = _metadata(cfg, {"counts": counts, "violations": violations, "heuristic": heuristic})
     csv_path = os.path.join(out, "curvature.csv")
     meta_path = os.path.join(out, "metadata.json")

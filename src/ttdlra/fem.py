@@ -16,7 +16,12 @@ applies to coefficients verbatim.  The P1 matrices are tridiagonal and ``L``
 is bidiagonal, so only their nonzero entries are stored: every operator
 factor ``L^-1 X L^-T`` (:class:`ModeFactor`) acts on an n x k block in O(n k)
 by two bidiagonal solves around a tridiagonal product, and no n x n matrix is
-formed.
+formed.  A nodal factor ``V`` has the orthonormal coordinates ``L^T V``.
+
+The quadratic form ``<A u, u>`` of a point (:func:`operator_quadratic_form`,
+behind the energies and the mixed-derivative check) is contracted on its core
+through the r x r matrices ``U^T X U``.  Only the oracle ``TTOperator.apply``
+and the tangency probe ``check_a1_tangency`` work on the ambient grid.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import scipy.linalg
 from .dense import DenseTensor, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tangent import TangentBasis, TangentVector, tangent_to_ambient
+from .tangent import TangentBasis, TangentVector, _multiply_modes, tangent_to_ambient
 from .tt import TTTensor, tt_add, tt_scale
 
 __all__ = [
@@ -45,6 +50,7 @@ __all__ = [
     "OperatorTerm",
     "laplacian_operator",
     "assemble_operator",
+    "operator_quadratic_form",
     "assemble_rhs",
     "source_loads",
     "SourceTerm",
@@ -157,13 +163,6 @@ class ModeFactor:
         return self @ np.eye(self.fem.n_interior)
 
 
-def along_mode(x: DenseTensor, mode: int, apply) -> DenseTensor:
-    """Apply ``apply`` (a map of n x k blocks) to the mode-``mode`` fibres of ``x``."""
-    arr = np.moveaxis(x.to_array(), mode, 0)
-    out = apply(arr.reshape(arr.shape[0], -1)).reshape((-1,) + arr.shape[1:])
-    return DenseTensor.from_array(np.moveaxis(out, 0, mode))
-
-
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -189,8 +188,6 @@ class Discretization:
 
     ``stiffness[m]`` and ``transfer[m]`` are the :class:`ModeFactor` s
     ``L^-1 K L^-T`` and ``L^-1 T L^-T``; the transformed mass is the identity.
-    ``to_orthonormal``/``from_orthonormal`` convert nodal coefficient tensors
-    to and from the orthonormal coordinates.
     """
 
     def __init__(self, fems):
@@ -213,16 +210,6 @@ class Discretization:
     def load_orthonormal_1d(self, vec, mode: int) -> np.ndarray:
         """Map a raw load vector into orthonormal coordinates (apply ``L^-1``)."""
         return chol_solve(self.fems[mode].mass_chol, np.asarray(vec, float)[:, None], "N")[:, 0]
-
-    def to_orthonormal(self, x: DenseTensor) -> DenseTensor:
-        for m, fem in enumerate(self.fems):
-            x = along_mode(x, m, lambda w, c=fem.mass_chol: chol_matmul(c, w, "T"))
-        return x
-
-    def from_orthonormal(self, y: DenseTensor) -> DenseTensor:
-        for m, fem in enumerate(self.fems):
-            y = along_mode(y, m, lambda w, c=fem.mass_chol: chol_solve(c, w, "T"))
-        return y
 
 
 def mass_orthonormalize(fems) -> Discretization:
@@ -293,15 +280,15 @@ class TTOperator:
 
     def apply(self, x):
         dense_in = isinstance(x, DenseTensor)
-        xt = x if dense_in else DenseTensor.from_array(x)
-        if xt.dims != self.dims:
+        arr = x.to_array() if dense_in else np.asarray(x, dtype=float)
+        if arr.shape != self.dims:
             raise InvalidArgumentError("operand does not match the operator sizes")
-        acc = np.zeros(xt.dims)
+        acc = np.zeros(self.dims)
         for term in self.terms:
-            y = xt
-            for mode, factor in term.factors:
-                y = along_mode(y, mode, factor.__matmul__)
-            acc += term.coeff * y.to_array()
+            y = arr
+            for mode, factor in term.factors:  # the factor on the mode's fibres
+                y = np.moveaxis(factor @ np.moveaxis(y, mode, 0), 0, mode)
+            acc += term.coeff * y
         out = DenseTensor.from_array(acc)
         return out if dense_in else out.to_array()
 
@@ -413,6 +400,20 @@ def assemble_rhs(terms, disc: Discretization, t: float, loads=None) -> TTTensor:
     return acc
 
 
+def operator_quadratic_form(point, op) -> float:
+    """``<A u, u>`` for a manifold point (or the point of a
+    :class:`~ttdlra.tangent.TangentBasis`), contracted on the core through
+    the factor-compressed matrices ``U_m^T X_m U_m``."""
+    if isinstance(point, TangentBasis):
+        point = point.point
+    core, us = point.tucker()
+    total = 0.0
+    for term in op.terms:
+        w = _multiply_modes(core, [(m, us[m].T @ (mat @ us[m])) for m, mat in term.factors])
+        total += term.coeff * float(np.tensordot(w, core, axes=core.ndim))
+    return total
+
+
 def lipschitz_constant(disc: Discretization, coeff: DiffusionCoefficient) -> float:
     """Discrete time-Lipschitz constant of the operator family.
 
@@ -464,22 +465,21 @@ def mixed_derivative_check(p: ManifoldPoint, disc: Discretization) -> MixedDeriv
 
     ``sigma`` is the boundary gap of the point, a lower bound for every
     singular value of every separation of ``u``, which is what drives the
-    estimate.  All quadratic forms are evaluated through the banded stiffness
-    factors.
+    estimate.  The H1 form and the mixed forms ``<K_m K_n u, u>`` are
+    :func:`operator_quadratic_form` s on the core.
     """
     if p.ndim < 2:
         raise InvalidArgumentError("mixed derivatives need at least two modes")
-    y = point_to_dense(p)
     sigma = point_boundary_gap(p)
-    sy = [along_mode(y, m, disc.stiffness[m].__matmul__) for m in range(p.ndim)]
-    h1 = sum(inner(s, y) for s in sy)
+    h1 = operator_quadratic_form(p, laplacian_operator(disc))
     pairs = []
     ok = True
     bound = h1 / (2.0 * sigma)
+    k = disc.stiffness
     for m in range(p.ndim):
         for n in range(m + 1, p.ndim):
-            yy = along_mode(sy[m], n, disc.stiffness[n].__matmul__)
-            lhs = float(np.sqrt(max(inner(yy, y), 0.0)))
+            mixed = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n])), "cross"),))
+            lhs = float(np.sqrt(max(operator_quadratic_form(p, mixed), 0.0)))
             pairs.append((m, n, lhs, bound))
             if lhs > bound * (1.0 + 1e-9) + 1e-13:
                 ok = False

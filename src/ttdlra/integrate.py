@@ -33,9 +33,11 @@ stiffness inverse (one banded Cholesky factorization per mode), so neither a
 ``dim x dim`` nor an n x n matrix is formed.  ``u + v`` is the Tucker form of
 the summed coordinates, since ``u`` lies in its own tangent space, and
 :func:`~ttdlra.retraction.retract_tucker` retracts it on a small core.  The
-sweep's result, the source and the energy report's state differences stay
-factored; only the reference solver :func:`dense_implicit_euler` works in the
-ambient space.
+sweep's result and the source stay factored, and so do the energies: the
+quadratic forms are :func:`~ttdlra.fem.operator_quadratic_form` s on the
+core, and the state differences of the energy report are
+:func:`~ttdlra.retraction.tucker_distance` s.  Only the reference solver
+:func:`dense_implicit_euler` works in the ambient space.
 """
 
 from __future__ import annotations
@@ -48,10 +50,10 @@ import scipy.linalg
 from .dense import DenseTensor
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import orthonormal_tucker, retract_tucker, stack_tucker, train_as_tucker
+from .retraction import retract_tucker, train_as_tucker, tucker_distance
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .fem import chol_matmul, factor_images, laplacian_operator
-from .tangent import TangentBasis, _check_ambient, _multiply_modes
+from .fem import chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
+from .tangent import TangentBasis, _check_ambient
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -68,7 +70,6 @@ __all__ = [
     "EnergyReport",
     "dense_implicit_euler",
     "tangent_operator",
-    "operator_quadratic_form",
 ]
 
 # states whose boundary gap falls below this fraction of the norm stop the run
@@ -113,19 +114,6 @@ class Trajectory:
 
 # relative residual at which the conjugate gradient solve stops
 CG_RTOL = 1e-12
-
-
-def operator_quadratic_form(point: ManifoldPoint, op) -> float:
-    """``<A u, u>`` for a manifold point, via factor-compressed contractions."""
-    if isinstance(point, TangentBasis):
-        point = point.point
-    core = point.core_dense().to_array()
-    total = 0.0
-    for term in op.terms:
-        us = point.factors
-        w = _multiply_modes(core, [(m, us[m].T @ (mat @ us[m])) for m, mat in term.factors])
-        total += term.coeff * float(np.tensordot(w, core, axes=core.ndim))
-    return total
 
 
 def tangent_operator(basis: TangentBasis, op):
@@ -442,11 +430,10 @@ def _step_count(tau: float, t_end: float) -> int:
     return n_steps
 
 
-_SCHEMES = {
-    "projected_euler": step_projected_implicit_euler,
-    "projector_splitting": step_projector_splitting,
+_SCHEMES = {  # name -> (step, the check that a point's rank structure admits the scheme)
+    "projected_euler": (step_projected_implicit_euler, _projected_admits),
+    "projector_splitting": (step_projector_splitting, _splitting_admits),
 }
-_ADMITS = {"projected_euler": _projected_admits, "projector_splitting": _splitting_admits}
 
 
 def check_run(u0: ManifoldPoint, scheme: str, tau: float, t_end: float) -> int:
@@ -455,7 +442,7 @@ def check_run(u0: ManifoldPoint, scheme: str, tau: float, t_end: float) -> int:
     initial boundary gap above the breakdown threshold.  Returns the step count."""
     if scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    _ADMITS[scheme](u0)
+    _SCHEMES[scheme][1](u0)
     n_steps = _step_count(tau, t_end)
     threshold = BREAKDOWN_REL * u0.norm()
     if u0.gap <= threshold:
@@ -473,7 +460,7 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
     together with a breakdown record, and the run stops there.
     """
     n_steps = check_run(problem.u0, scheme, tau, t_end)
-    step = _SCHEMES[scheme]
+    step, _ = _SCHEMES[scheme]
     state = state_from_point(problem.u0, 0.0, problem.disc)
     states = [state]
     breakdown = None
@@ -532,11 +519,7 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     v_integral = float(sum(s.energy_v for s in states[1:]) * tau)
     du = 0.0
     for a, b in zip(states[:-1], states[1:]):
-        # u_a - u_b: factors [U_a, U_b] and block-diagonal core (C_a, -C_b)
-        ca, cb = a.point.core_dense().to_array(), b.point.core_dense().to_array()
-        blocks = {(0,) * ca.ndim: ca, (1,) * ca.ndim: -cb}
-        diff = stack_tucker(blocks, [list(ws) for ws in zip(a.point.factors, b.point.factors)])
-        du += orthonormal_tucker(*diff)[0].norm() ** 2 / tau
+        du += tucker_distance(a.point.tucker(), b.point.tucker()) ** 2 / tau
     v_sup = float(max(s.energy_v for s in states))
     f_integral = 0.0
     for s in states[1:]:

@@ -69,6 +69,10 @@ class ManifoldPoint:
     def core_dense(self) -> DenseTensor:
         return tt_to_dense(self.core) if self.tt_core else self.core
 
+    def tucker(self) -> tuple:
+        """The Tucker form ``(core array, factors)``."""
+        return self.core_dense().to_array(), self.factors
+
     def norm(self) -> float:
         return self.core_dense().norm()
 

@@ -12,6 +12,8 @@ factors that need not be orthonormal: it QR-factors ``W^m = Q^m R^m``,
 absorbs the ``R^m`` into the core and retracts that small core, whose mode
 spectra are those of the represented tensor.  The truncation is the same up
 to round-off, and the ambient ``n^d`` tensor is never formed.
+:func:`tucker_distance` measures the difference of two Tucker tensors the same
+way, on a small core.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, _with_factors, make_point, point_to_dense
 from .tt import TTTensor, tt_from_dense, tt_to_dense
 
-__all__ = ["retract", "retract_tucker", "orthonormal_tucker", "stack_tucker", "train_as_tucker"]
+__all__ = ["retract", "retract_tucker", "orthonormal_tucker", "tucker_distance", "train_as_tucker"]
 
 
 def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
@@ -67,20 +69,6 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     return make_point(core, factors)
 
 
-def stack_tucker(blocks, factors) -> tuple:
-    """Tucker form ``(core, factors)`` of a sum of Tucker tensors.
-
-    ``factors[m]`` lists the matrices stacked side by side in mode ``m``;
-    ``blocks`` maps ``(j_0, ..., j_{d-1})`` to the core array multiplying
-    ``factors[0][j_0], ..., factors[d-1][j_{d-1}]``.
-    """
-    offsets = [np.cumsum([0] + [w.shape[1] for w in ws]) for ws in factors]
-    core = np.zeros(tuple(int(o[-1]) for o in offsets))
-    for index, block in blocks.items():
-        core[tuple(slice(o[j], o[j + 1]) for o, j in zip(offsets, index))] += block
-    return DenseTensor.from_array(core), [np.hstack(ws) for ws in factors]
-
-
 def train_as_tucker(t: TTTensor) -> tuple:
     """Tucker form ``(core, factors)`` of a train: factor ``m`` is the mode
     unfolding of core ``m`` (column ``a k_m + b`` holds ``G_m[a, :, b]``), and
@@ -102,6 +90,22 @@ def orthonormal_tucker(core: DenseTensor, factors) -> tuple:
         qs.append(q)
         core = mode_multiply(core, r, m)
     return core, qs
+
+
+def tucker_distance(a, b) -> float:
+    """Frobenius distance of two Tucker tensors given as ``(core array,
+    factors)`` pairs, neither of them formed: the difference has the factors
+    ``[W_a, W_b]`` and the block-diagonal core ``(C_a, -C_b)``, and
+    :func:`orthonormal_tucker` turns it into a small core of the same norm.
+    Equal inputs give exactly 0."""
+    (ca, wa), (cb, wb) = a, b
+    if np.array_equal(ca, cb) and all(np.array_equal(x, y) for x, y in zip(wa, wb)):
+        return 0.0
+    core = np.zeros(tuple(p + q for p, q in zip(ca.shape, cb.shape)))
+    core[tuple(slice(p) for p in ca.shape)] = ca
+    core[tuple(slice(p, None) for p in ca.shape)] = -cb
+    factors = [np.hstack(ws) for ws in zip(wa, wb)]
+    return orthonormal_tucker(DenseTensor.from_array(core), factors)[0].norm()
 
 
 def retract_tucker(core: DenseTensor, factors, outer_ranks, tt_ranks=None) -> tuple:

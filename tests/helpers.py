@@ -84,3 +84,64 @@ def summands(v):
             term = mode_multiply(term, udot if mm == m else u, mm)
         parts.append(term)
     return parts
+
+
+def _along_mode(arr, mode, apply):
+    """``apply``, a map of n x k blocks, on the mode-``mode`` fibres of ``arr``."""
+    moved = np.moveaxis(arr, mode, 0)
+    out = apply(moved.reshape(len(moved), -1)).reshape((-1,) + moved.shape[1:])
+    return np.moveaxis(out, 0, mode)
+
+
+def to_orthonormal(disc, x):
+    """Orthonormal coordinates of a nodal coefficient tensor: ``L_m^T`` on
+    every mode."""
+    from ttdlra.dense import DenseTensor
+    from ttdlra.fem import chol_matmul
+
+    arr = x.to_array()
+    for m, fem in enumerate(disc.fems):
+        arr = _along_mode(arr, m, lambda w, c=fem.mass_chol: chol_matmul(c, w, "T"))
+    return DenseTensor.from_array(arr)
+
+
+def from_orthonormal(disc, y):
+    """Nodal coefficient tensor of orthonormal coordinates: ``L_m^-T`` on every
+    mode."""
+    from ttdlra.dense import DenseTensor
+    from ttdlra.fem import chol_solve
+
+    arr = y.to_array()
+    for m, fem in enumerate(disc.fems):
+        arr = _along_mode(arr, m, lambda w, c=fem.mass_chol: chol_solve(c, w, "T"))
+    return DenseTensor.from_array(arr)
+
+
+def prolong_coefficients(x, n_from, n_to):
+    """Nodal coefficient tensor on ``n_from`` cells per mode injected into the
+    P1 space of ``n_to`` cells by exact doublings."""
+    from ttdlra.dense import mode_multiply
+    from ttdlra.experiments import _prolong_1d
+
+    n = n_from
+    while n < n_to:
+        p = _prolong_1d(n)
+        for m in range(x.ndim):
+            x = mode_multiply(x, p, m)
+        n *= 2
+    return x
+
+
+def terminal_nodal(problem, opts):
+    """Nodal coefficient tensor of the terminal state of a run."""
+    from ttdlra.experiments import _terminal_point
+    from ttdlra.manifold import point_to_dense
+
+    return from_orthonormal(problem.disc, point_to_dense(_terminal_point(problem, opts)))
+
+
+def nodal_convergence_error(coarse, ref, n_from, n_to, ref_disc):
+    """The convergence error through the ambient grid: the coarse nodal tensor
+    prolonged to the reference mesh, minus the reference, in orthonormal
+    coordinates of the reference mesh."""
+    return to_orthonormal(ref_disc, prolong_coefficients(coarse, n_from, n_to) - ref).norm()

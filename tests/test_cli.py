@@ -181,6 +181,22 @@ def test_malformed_suite_value_is_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_unknown_suite_entry_is_config_error(tmp_path):
+    # a misspelled suite size must not fall back to its default
+    cfg = write_config(tmp_path / "c.json", {"kind": "curvature", "suite": {"matrix_pair": 5}})
+    proc = run_cli(["curvature", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+
+
+def test_non_string_out_dir_is_config_error(tmp_path):
+    cfg = write_config(tmp_path / "c.json", heat_config(out_dir=5))
+    proc = run_cli(["solve", "--config", cfg])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_options_are_checked_before_the_run(tmp_path):
     # options that solve would refuse are a ConfigError before the first step;
     # a diagnostics run, which never solves, does not check them
@@ -212,7 +228,9 @@ def test_invalid_argument_mid_run_is_not_a_config_error(tmp_path, monkeypatch):
     def failing_step(state, tau, problem):
         raise InvalidArgumentError("raised partway through the run")
 
-    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", failing_step)
+    monkeypatch.setitem(
+        integrate._SCHEMES, "projected_euler", (failing_step, integrate._projected_admits)
+    )
     cfg = write_config(tmp_path / "c.json", heat_config())
     with pytest.raises(InvalidArgumentError, match="partway"):
         cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])

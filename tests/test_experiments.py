@@ -4,6 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from helpers import (
+    from_orthonormal,
+    nodal_convergence_error,
+    prolong_coefficients,
+    terminal_nodal,
+    to_orthonormal,
+)
+from ttdlra.dense import DenseTensor
 from ttdlra.errors import ConfigError
 from ttdlra.experiments import (
     ExperimentConfig,
@@ -122,20 +130,18 @@ def test_run_convergence_small_ladder(tmp_path):
 
 def test_identical_meshes_give_zero_error(tmp_path):
     # degenerate check: comparing the reference against itself
-    from ttdlra.experiments import _prolong_coefficients, _terminal_nodal
     from ttdlra.problems import problem_from_config
 
     pcfg = base_problem(d=2, cells=8, tau=0.01, t_end=0.02)
     problem, opts = problem_from_config(pcfg)
-    a = _terminal_nodal(problem, opts)
-    b = _terminal_nodal(problem, opts)
+    a = terminal_nodal(problem, opts)
+    b = terminal_nodal(problem, opts)
     assert (a - b).norm() == 0.0
 
 
 def test_full_rank_ladder_shows_classical_fem_rate():
     # with maximal ranks on every mesh the evolution is unconstrained, so the
     # ladder reproduces the classical second-order L2 convergence of P1
-    from ttdlra.experiments import _prolong_coefficients
     from ttdlra.integrate import solve
     from ttdlra.manifold import point_to_dense
     from ttdlra.problems import heat_problem
@@ -156,15 +162,64 @@ def test_full_rank_ladder_shows_classical_fem_rate():
         return problem, point_to_dense(tr.states[-1].point)
 
     ref_problem, ref = run(32)
-    ref_nodal = ref_problem.disc.from_orthonormal(ref)
+    ref_nodal = from_orthonormal(ref_problem.disc, ref)
     errors = []
     for n in (4, 8, 16):
         problem, term = run(n)
-        nodal = problem.disc.from_orthonormal(term)
-        lifted = _prolong_coefficients(nodal, n, 32)
-        errors.append(ref_problem.disc.to_orthonormal(lifted - ref_nodal).norm())
+        nodal = from_orthonormal(problem.disc, term)
+        lifted = prolong_coefficients(nodal, n, 32)
+        errors.append(to_orthonormal(ref_problem.disc, lifted - ref_nodal).norm())
     ratios = [b / a for a, b in zip(errors, errors[1:])]
     assert all(0.15 <= r <= 0.4 for r in ratios)
+
+
+def test_factored_convergence_error_matches_nodal_path(tmp_path):
+    # the errors of run_convergence, from factors lifted mode by mode, against
+    # the ambient path: nodal tensors prolonged and differenced on the grid
+    from ttdlra.problems import problem_from_config
+
+    pcfg = base_problem(d=3, tau=0.005, t_end=0.02)
+    raw = {
+        "kind": "convergence",
+        "problem": pcfg,
+        "ladder": [4, 8],
+        "reference_cells": 16,
+        "out_dir": str(tmp_path),
+    }
+    table = run_convergence(ExperimentConfig.from_dict(raw))
+
+    def nodal(n):
+        problem, opts = problem_from_config(dict(pcfg, cells=n))
+        return problem.disc, terminal_nodal(problem, opts)
+
+    ref_disc, ref = nodal(16)
+    for n, _, err, _ in table.rows:
+        expected = nodal_convergence_error(nodal(n)[1], ref, n, 16, ref_disc)
+        assert abs(err - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("kind", ["convergence", "stability"])
+def test_runs_build_no_tensor_of_the_finest_grid(tmp_path, monkeypatch, kind):
+    # the errors are distances of factored states: no DenseTensor as large as
+    # the finest grid (the source perturbation needs no ambient direction)
+    sizes = []
+    post_init = DenseTensor.__post_init__
+
+    def counted_post_init(self):
+        post_init(self)
+        sizes.append(self.data.size)
+
+    monkeypatch.setattr(DenseTensor, "__post_init__", counted_post_init)
+    raw = {"kind": kind, "problem": base_problem(d=3, tau=0.005, t_end=0.02)}
+    if kind == "convergence":
+        raw.update(ladder=[4, 8], reference_cells=16, out_dir=str(tmp_path))
+        run_convergence(ExperimentConfig.from_dict(raw))
+        finest = 15**3
+    else:
+        raw.update(deltas=[1e-2], perturb="source", out_dir=str(tmp_path))
+        run_stability(ExperimentConfig.from_dict(raw))
+        finest = 7**3
+    assert sizes and max(sizes) < finest
 
 
 def test_prolongation_is_exact_p1_injection(rng):

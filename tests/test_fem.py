@@ -3,14 +3,22 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from helpers import dense_mode_factors, kron_matrix, p1_matrices
+from helpers import (
+    dense_mode_factors,
+    from_orthonormal,
+    kron_matrix,
+    p1_matrices,
+    to_orthonormal,
+)
 
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError
 from ttdlra.fem import (
     DiffusionCoefficient,
     ModeFactor,
+    OperatorTerm,
     SourceTerm,
+    TTOperator,
     assemble_operator,
     assemble_rhs,
     build_fem1d,
@@ -130,7 +138,7 @@ def test_transformed_stiffness_spectrum_matches_generalized():
 def test_coordinate_round_trip(rng):
     disc = small_disc(8, 3)
     x = random_dense(rng, disc.dims)
-    back = disc.from_orthonormal(disc.to_orthonormal(x))
+    back = from_orthonormal(disc, to_orthonormal(disc, x))
     assert (back - x).norm() <= 1e-12 * x.norm()
 
 
@@ -253,7 +261,7 @@ def test_rhs_constant_source(rng):
     f = assemble_rhs([term], disc, 0.0)
     assert f.ranks == (1,)
     # undo the coordinate change and compare with the analytic loads
-    raw = disc.from_orthonormal(tt_to_dense(f))
+    raw = from_orthonormal(disc, tt_to_dense(f))
     h = disc.fems[0].h
     expected = np.full(disc.dims, h * h)
     # raw above is the coefficient tensor of M^-1 F; compare loads instead
@@ -379,6 +387,23 @@ def test_mixed_derivative_random_points(rng):
         p = random_point(rng, disc.dims, (2, 3, 2), tt_ranks=(2, 2))
         rep = mixed_derivative_check(p, disc)
         assert rep.passed
+
+
+def test_mixed_derivative_forms_match_dense_oracle(rng):
+    # the H1 form and the mixed forms <K_m K_n u, u>, contracted on the core,
+    # against the Kronecker matrices of the stencil oracle on the expanded point
+    disc = small_disc(7, 3)
+    k = disc.stiffness
+    for tt_ranks in ((2, 2), None):
+        p = random_point(rng, disc.dims, (2, 3, 2), tt_ranks=tt_ranks)
+        y = point_to_dense(p).data
+        rep = mixed_derivative_check(p, disc)
+        h1 = y @ kron_matrix(laplacian_operator(disc)) @ y
+        assert abs(rep.h1_seminorm_sq - h1) <= 1e-12 * h1
+        for m, n, lhs, _ in rep.pairs:
+            op = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n])), "cross"),))
+            mixed = np.sqrt(y @ kron_matrix(op) @ y)
+            assert abs(lhs - mixed) <= 1e-12 * mixed
 
 
 def test_mixed_derivative_near_boundary(rng):

@@ -569,7 +569,9 @@ def test_step_size_must_divide_horizon(monkeypatch):
         steps.append(state.time)
         return step_projected_implicit_euler(state, tau, problem)
 
-    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", counted)
+    monkeypatch.setitem(
+        integrate._SCHEMES, "projected_euler", (counted, integrate._projected_admits)
+    )
     with pytest.raises(InvalidArgumentError, match="does not divide"):
         solve(problem, "projected_euler", tau=0.003, t_end=0.02)
     assert steps == []

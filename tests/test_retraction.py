@@ -17,7 +17,7 @@ from ttdlra.integrate import (
 )
 from ttdlra.manifold import GAP_REJECT_REL, make_point, point_to_dense
 from ttdlra.problems import ParabolicProblem, generic_outer_ranks, problem_from_config
-from ttdlra.retraction import retract, retract_tucker, train_as_tucker
+from ttdlra.retraction import retract, retract_tucker, train_as_tucker, tucker_distance
 from ttdlra.sampling import random_point, random_tt
 from ttdlra.tangent import TangentBasis, TangentVector
 from ttdlra.tt import tt_to_dense
@@ -222,6 +222,29 @@ def test_single_mode_auto_outer_ranks_is_full_space():
     assert generic_outer_ranks((7,), ()) == (7,)
     tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     assert tr.breakdown is None and len(tr.states) == 11
+
+
+@pytest.mark.parametrize(
+    "dims, outer_a, tt_a, outer_b, tt_b",
+    [
+        ((6, 5), (2, 2), (2,), (3, 3), (3,)),
+        ((6, 5), (3, 3), None, (2, 2), (2,)),
+        ((5, 6, 4), (2, 3, 2), (2, 2), (2, 2, 2), (2, 2)),
+        ((5, 6, 4), (2, 2, 2), None, (3, 2, 3), None),
+        ((4, 5, 4, 3), (2, 2, 2, 2), (2, 2, 2), (3, 2, 2, 2), None),
+    ],
+)
+def test_tucker_distance_matches_dense_difference(rng, dims, outer_a, tt_a, outer_b, tt_b):
+    # train and plain-Tucker cores, unequal ranks, d = 2, 3, 4
+    a = random_point(rng, dims, outer_a, tt_ranks=tt_a)
+    b = random_point(rng, dims, outer_b, tt_ranks=tt_b)
+    dense = (point_to_dense(a) - point_to_dense(b)).norm()
+    assert abs(tucker_distance(a.tucker(), b.tucker()) - dense) <= 1e-12 * dense
+    assert abs(tucker_distance(b.tucker(), a.tucker()) - dense) <= 1e-12 * dense
+    # equal inputs, also as copies, give exactly zero
+    core, factors = a.tucker()
+    assert tucker_distance(a.tucker(), a.tucker()) == 0.0
+    assert tucker_distance(a.tucker(), (core.copy(), [u.copy() for u in factors])) == 0.0
 
 
 def test_energy_report_matches_dense_quadratures():
