@@ -96,6 +96,8 @@ class ExperimentConfig:
             threads = max(1, int(raw.get("threads", 1)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
+        if seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if suite.keys() - _SUITE_DEFAULTS.keys():
             raise ConfigError(f"suite entries must be among {sorted(_SUITE_DEFAULTS)}")
         if not isinstance(raw.get("out_dir"), (str, type(None))):
@@ -276,13 +278,14 @@ class ConvergenceTable:
         return [r[2] for r in self.rows]
 
 
-def _prolong_1d(n_coarse_cells: int) -> np.ndarray:
-    """Exact P1 injection from a mesh of n cells to one of 2n cells."""
-    p = np.zeros((2 * n_coarse_cells - 1, n_coarse_cells - 1))
-    c = np.arange(n_coarse_cells - 1)  # coarse node c is fine node 2c + 1
-    p[2 * c + 1, c] = 1.0
-    p[2 * c, c] = p[2 * c + 2, c] = 0.5  # the mid-cell fine nodes beside it
-    return p
+def _prolong_1d(w) -> np.ndarray:
+    """Exact P1 injection of the nodal rows ``w`` ((n - 1) x r, the interior
+    nodes of n cells) into the 2n-cell mesh: (2n - 1) x r."""
+    fine = np.zeros((2 * len(w) + 1,) + w.shape[1:])
+    fine[1::2] = w  # coarse node c is fine node 2c + 1
+    fine[:-1:2] += 0.5 * w  # the mid-cell fine nodes beside it
+    fine[2::2] += 0.5 * w
+    return fine
 
 
 def _lifted_factors(point, disc, ref_disc) -> list:
@@ -293,7 +296,7 @@ def _lifted_factors(point, disc, ref_disc) -> list:
     for u, fem, ref in zip(point.factors, disc.fems, ref_disc.fems):
         w, n = chol_solve(fem.mass_chol, u, "T"), fem.n_cells
         while n < ref.n_cells:
-            w, n = _prolong_1d(n) @ w, 2 * n
+            w, n = _prolong_1d(w), 2 * n
         lifted.append(chol_matmul(ref.mass_chol, w, "T"))
     return lifted
 
@@ -640,9 +643,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     mixed = None
     if problem.u0.ndim >= 2:
         mixed = mixed_derivative_check(problem.u0, disc)
-    from .manifold import point_boundary_gap
-
-    gap_val = point_boundary_gap(problem.u0)
+    gap_val = problem.u0.gap
     gap_rel = gap_val / problem.u0.norm()
 
     checks = {

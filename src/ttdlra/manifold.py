@@ -12,18 +12,20 @@ a point with merely independent factor columns can always be re-expressed
 with orthonormal factors by absorbing the triangular QR factors into the
 core.  :func:`make_point` does this, so every point carries orthonormal
 factors: its norm is its core's, and the tangent coordinates rely on it.
+It also keeps what its validation measured, the expanded core and the SVD of
+each mode unfolding; the gap, norm and tangent basis read them from the point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dense import DenseTensor, mode_multiply
+from .dense import DenseTensor, matricize, mode_multiply, svd
 from .errors import InvalidArgumentError, NotOnManifoldError
-from .tt import TTTensor, interface_spectrum, mode_spectrum, tt_to_dense, tt_scale
+from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
 __all__ = [
     "ManifoldPoint",
@@ -44,11 +46,15 @@ _GRAM_REJECT_REL = 1e-12
 
 @dataclass(frozen=True)
 class ManifoldPoint:
-    """Validated constrained Tucker point; construct via :func:`make_point`."""
+    """Validated constrained Tucker point; construct via :func:`make_point`.
+    Beside core and factors it keeps the core's measurement: gap, expansion (a
+    dense core is its own) and the ``SvdResult`` of each mode unfolding."""
 
     core: object  # TTTensor or DenseTensor
     factors: tuple  # orthonormal columns
     gap: float  # the core's boundary gap, measured once by validation
+    expanded: DenseTensor = field(compare=False, repr=False)
+    mode_svds: tuple = field(compare=False, repr=False)
 
     @property
     def ndim(self) -> int:
@@ -67,14 +73,14 @@ class ManifoldPoint:
         return isinstance(self.core, TTTensor)
 
     def core_dense(self) -> DenseTensor:
-        return tt_to_dense(self.core) if self.tt_core else self.core
+        return self.expanded
 
     def tucker(self) -> tuple:
         """The Tucker form ``(core array, factors)``."""
-        return self.core_dense().to_array(), self.factors
+        return self.expanded.to_array(), self.factors
 
     def norm(self) -> float:
-        return self.core_dense().norm()
+        return self.expanded.norm()
 
 
 def _checked_factors(cdims, factors) -> tuple:
@@ -109,7 +115,8 @@ def make_point(core, factors) -> ManifoldPoint:
 
     Factors that are not orthonormal are replaced by their QR factors ``Q``,
     and the core absorbs the triangular ``R`` (the represented tensor is
-    unchanged); orthonormal factors are kept as given.
+    unchanged); orthonormal factors are kept as given.  The point keeps the
+    measurement of its core: gap, expansion and mode-unfolding SVDs.
 
     Parameters
     ----------
@@ -141,26 +148,27 @@ def make_point(core, factors) -> ManifoldPoint:
             else:
                 core = mode_multiply(core, r, m)
         factors = tuple(new_factors)
-    return ManifoldPoint(core, factors, _validated_gap(core))
+    return ManifoldPoint(core, factors, *_measured(core))
 
 
 def _with_factors(p: ManifoldPoint, factors) -> ManifoldPoint:
-    """``p`` with new orthonormal factors, checked as in :func:`make_point`; the
-    core keeps its gap."""
+    """``p`` with new orthonormal factors, checked as in :func:`make_point`."""
     factors, _ = _checked_factors(p.core.dims, factors)
-    return ManifoldPoint(p.core, factors, p.gap)
+    return replace(p, factors=factors)
 
 
-def _validated_gap(core) -> float:
-    """:func:`point_boundary_gap` of a core, measured once; raises
-    ``NotOnManifoldError`` for a core off the manifold."""
+def _measured(core) -> tuple:
+    """The core's :func:`point_boundary_gap`, its expansion and the SVD of each
+    mode unfolding, measured once; raises ``NotOnManifoldError`` for a core
+    off the manifold."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     if cdense.ndim == 1:
-        return cdense.norm()  # a single mode has only the full space
+        return cdense.norm(), cdense, ()  # a single mode has only the full space
     # a mode unfolding with fewer columns than rows cannot have full row rank
     if any(r * r > math.prod(cdense.dims) for r in cdense.dims):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
-    vals = [float(v[-1]) for v in mode_spectrum(cdense).values]
+    svds = tuple(svd(matricize(cdense, {m})) for m in range(cdense.ndim))
+    vals = [float(s.singular_values[-1]) for s in svds]
     if isinstance(core, TTTensor):
         vals.extend(float(v[-1]) for v in interface_spectrum(core).values)
     gap = min(vals)
@@ -171,12 +179,12 @@ def _validated_gap(core) -> float:
             f"{GAP_REJECT_REL * scale:.3e}",
             gap=gap,
         )
-    return gap
+    return gap, cdense, svds
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:
     """Expand the point into the ambient space by a chain of mode products."""
-    out = p.core_dense()
+    out = p.expanded
     for m, u in enumerate(p.factors):
         out = mode_multiply(out, u, m)
     return out
@@ -197,5 +205,4 @@ def scale_point(p: ManifoldPoint, s: float) -> ManifoldPoint:
     """Scale the represented tensor by ``s > 0`` (the manifold is a cone)."""
     if s <= 0:
         raise InvalidArgumentError("cone scaling requires s > 0")
-    core = tt_scale(p.core, s) if p.tt_core else p.core * s
-    return ManifoldPoint(core, p.factors, p.gap * s)
+    return make_point(tt_scale(p.core, s) if p.tt_core else p.core * s, p.factors)

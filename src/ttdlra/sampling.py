@@ -11,7 +11,9 @@ import math
 import numpy as np
 
 from .dense import DenseTensor
-from .manifold import ManifoldPoint, make_point, point_to_dense
+from .errors import InvalidArgumentError
+from .manifold import ManifoldPoint, make_point, point_boundary_gap, point_to_dense
+from .retraction import retract
 from .tt import TTTensor, generic_outer_ranks, max_feasible_ranks, tt_round, tt_to_dense
 
 __all__ = [
@@ -89,9 +91,6 @@ def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> Man
 
     ``tt_ranks=None`` gives a plain Tucker point with a dense core.
     """
-    from .errors import InvalidArgumentError
-    from .manifold import point_boundary_gap
-
     dims = tuple(dims)
     outer_ranks = tuple(outer_ranks)
     if not feasible_point_ranks(outer_ranks, tt_ranks):
@@ -124,8 +123,6 @@ def perturbed_point(rng, p: ManifoldPoint, eps: float, direction=None):
     Returns the retracted point and the perturbation direction used, so a
     sweep over ``eps`` can reuse one direction.
     """
-    from .retraction import retract  # local import to avoid cycle
-
     x = point_to_dense(p)
     if direction is None:
         direction = random_dense(rng, p.dims)

@@ -14,7 +14,8 @@ coefficients and one per mode acting on the corresponding matricization.
 :class:`TangentBasis` holds coordinates for these pieces and is the one
 implementation of the projector: orthonormal ones for the core piece and,
 per mode, a gauge-form block ``theta_m`` with ``(U^m)^T theta_m = 0``, so
-projecting applies ``I - U U^T`` and no complement of ``U^m`` is built.  A
+projecting applies ``I - U U^T`` and no complement of ``U^m`` is built; it
+maps ``theta_m`` to ``Udot^m`` by the SVD of the point's core unfolding.  A
 :class:`TangentVector` is its coordinates in a basis;
 :meth:`TangentBasis.tucker` builds their Tucker form (factors
 ``[U^m, Udot^m]``, a ``(2r)^d`` block core), the only map from coordinates to
@@ -240,9 +241,7 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
                     term = mode_multiply(term, e if mm == m else uu, mm)
                 cols.append(term.data)
     span = np.array(cols).T
-    q_core = (
-        core_tangent_basis(p.core).shape[1] if p.tt_core else core.size
-    )
+    q_core = core_tangent_basis(p.core).shape[1] if p.tt_core else core.size
     dim = q_core + sum((u.shape[0] - u.shape[1]) * u.shape[1] for u in p.factors)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
     if s[dim - 1] <= 1e-10 * s[0]:
@@ -262,22 +261,17 @@ class TangentBasis:
     ``Udot^m = theta_m rmap_m^T``).  ``dim`` is the tangent dimension;
     coordinate vectors have ``sum(block_sizes)`` entries, ``r_m^2`` per mode
     more, and are read through :meth:`gauge_blocks`, on whose gauge vectors the
-    coordinate map is an isometry."""
+    coordinate map is an isometry.  The expanded core and the mode-unfolding
+    SVDs are the point's own (kept by :func:`~ttdlra.manifold.make_point`)."""
 
     def __init__(self, p: ManifoldPoint):
+        if p.ndim == 1:
+            raise InvalidArgumentError("a single-mode point has no mode unfoldings to parametrize")
         self.point = p
         self.core_basis = core_tangent_basis(p.core)
-        core = p.core_dense()
-        self.core = core.to_array()  # the point's core, expanded once
-        self.rmap = []  # U-dot reconstruction map: P diag(1/sigma)
-        self.qright = []  # orthonormal covector coefficients per mode
-        for m in range(p.ndim):
-            mc = matricize(core, {m})
-            pw, sw, qwt = np.linalg.svd(mc, full_matrices=False)
-            if sw[-1] <= 1e-13 * sw[0]:
-                raise DegeneratePointError("core loses full multilinear rank")
-            self.rmap.append(pw / sw)
-            self.qright.append(qwt.T)
+        self.core = p.core_dense().to_array()
+        self.rmap = [s.left_vectors / s.singular_values for s in p.mode_svds]  # P diag(1/sigma)
+        self.qright = [s.right_vectors for s in p.mode_svds]  # Q, of C_(m) = P diag(sigma) Q^T
         self.block_sizes = [self.core_basis.shape[1]] + [u.size for u in p.factors]
         self.dim = self.block_sizes[0] + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
 

@@ -1,4 +1,27 @@
+import sys
+
 import numpy as np
+
+
+def count_calls(monkeypatch, module, *names):
+    """Count the calls of the functions ``names`` of the ``ttdlra`` module
+    ``module``: each is wrapped under every name that looks it up in a loaded
+    ``ttdlra`` module, as ``perfbench/tracer.py`` does.  Returns the counts,
+    a dict by name that the wrappers keep up to date."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if m is not None and k.split(".")[0] == "ttdlra"]
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def kron_matrix(op):
@@ -119,17 +142,16 @@ def from_orthonormal(disc, y):
 
 def prolong_coefficients(x, n_from, n_to):
     """Nodal coefficient tensor on ``n_from`` cells per mode injected into the
-    P1 space of ``n_to`` cells by exact doublings."""
-    from ttdlra.dense import mode_multiply
+    P1 space of ``n_to`` cells by exact doublings, mode by mode."""
+    from ttdlra.dense import DenseTensor
     from ttdlra.experiments import _prolong_1d
 
-    n = n_from
+    arr, n = x.to_array(), n_from
     while n < n_to:
-        p = _prolong_1d(n)
-        for m in range(x.ndim):
-            x = mode_multiply(x, p, m)
+        for m in range(arr.ndim):
+            arr = _along_mode(arr, m, _prolong_1d)
         n *= 2
-    return x
+    return DenseTensor.from_array(arr)
 
 
 def terminal_nodal(problem, opts):

@@ -173,6 +173,44 @@ def test_malformed_config_values_are_config_errors(tmp_path, command, payload):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("curvature", {"kind": "curvature"}),
+        ("stability", heat_config(deltas=[0.01])),
+        ("diagnose", heat_config()),
+    ],
+    ids=["curvature", "stability", "diagnose"],
+)
+def test_negative_seed_is_config_error(tmp_path, command, payload):
+    # numpy refuses a negative seed; the configuration must refuse it first
+    cfg = write_config(tmp_path / "c.json", payload)
+    proc = run_cli([command, "--config", cfg, "--seed", "-2", "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_diagnose_single_mode_command(tmp_path):
+    # the tangent space of a one-mode point is the whole space
+    payload = {
+        "problem": {
+            "dims": 1,
+            "cells": 8,
+            "t_end": 0.05,
+            "tau": 0.005,
+            "tt_ranks": [],
+            "initial": [{"coefficient": 1.0, "profiles": [{"kind": "sine", "frequency": 1}]}],
+        },
+        "seed": 0,
+    }
+    cfg = write_config(tmp_path / "c.json", payload)
+    proc = run_cli(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "tangency_ok: True" in proc.stdout
+    assert "negative_control_applicable: False" in proc.stdout
+
+
 def test_malformed_suite_value_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"kind": "curvature", "suite": {"matrix_pairs": "x"}})
     proc = run_cli(["curvature", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -223,21 +223,26 @@ def test_runs_build_no_tensor_of_the_finest_grid(tmp_path, monkeypatch, kind):
 
 
 def test_prolongation_is_exact_p1_injection(rng):
+    # the doubled block equals the product with the injection matrix bit for
+    # bit, and interpolates the coarse piecewise-linear function
     from ttdlra.experiments import _prolong_1d
 
-    n = 5
-    p = _prolong_1d(n)
-    coarse = rng.standard_normal(n - 1)
-    fine = p @ coarse
+    for n in (2, 3, 4, 5, 8, 33):
+        p = np.zeros((2 * n - 1, n - 1))
+        c = np.arange(n - 1)  # coarse node c is fine node 2c + 1
+        p[2 * c + 1, c] = 1.0
+        p[2 * c, c] = p[2 * c + 2, c] = 0.5
+        block = rng.standard_normal((n - 1, 3))
+        fine = _prolong_1d(block)
+        assert np.array_equal(fine, p @ block)
 
-    def coarse_fun(x):
-        # piecewise linear with values `coarse` at the interior nodes
-        nodes = np.concatenate([[0], (np.arange(1, n)) / n, [1]])
-        vals = np.concatenate([[0], coarse, [0]])
-        return np.interp(x, nodes, vals)
+        def coarse_fun(x, vals=block[:, 0]):
+            # piecewise linear with values `vals` at the interior nodes
+            nodes = np.concatenate([[0], np.arange(1, n) / n, [1]])
+            return np.interp(x, nodes, np.concatenate([[0], vals, [0]]))
 
-    fine_nodes = (np.arange(1, 2 * n)) / (2 * n)
-    np.testing.assert_allclose(fine, [coarse_fun(x) for x in fine_nodes], atol=1e-14)
+        fine_nodes = np.arange(1, 2 * n) / (2 * n)
+        np.testing.assert_allclose(fine[:, 0], coarse_fun(fine_nodes), atol=1e-14)
 
 
 def test_run_stability_linear_regime(tmp_path):

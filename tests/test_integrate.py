@@ -1,15 +1,14 @@
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import dense_mode_factors, gauge_frame, kron_matrix
+from helpers import count_calls, dense_mode_factors, gauge_frame, kron_matrix
 
+from ttdlra import dense, integrate, tt
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError, OversizeError
-from ttdlra import integrate
 from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
@@ -208,23 +207,17 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
     basis = TangentBasis(p)
     matvec = tangent_operator(basis, problem.operator(0.05))
     x = rng.standard_normal(sum(basis.block_sizes))
-    calls = {"DenseTensor": 0, "tt_to_dense": 0}
+    constructed = []
     post_init = DenseTensor.__post_init__
 
     def counted_post_init(self):
-        calls["DenseTensor"] += 1
+        constructed.append(self)
         post_init(self)
 
-    def counted_tt_to_dense(*args):
-        calls["tt_to_dense"] += 1
-        return tt_to_dense(*args)
-
     monkeypatch.setattr(DenseTensor, "__post_init__", counted_post_init)
-    for module in [m for k, m in sys.modules.items() if k.startswith("ttdlra")]:
-        if getattr(module, "tt_to_dense", None) is tt_to_dense:
-            monkeypatch.setattr(module, "tt_to_dense", counted_tt_to_dense)
+    calls = count_calls(monkeypatch, tt, "tt_to_dense")
     matvec(x)
-    assert calls == {"DenseTensor": 0, "tt_to_dense": 0}
+    assert not constructed and calls == {"tt_to_dense": 0}
 
 
 @pytest.mark.parametrize(
@@ -265,23 +258,18 @@ def test_step_times_are_exact_multiples_of_tau():
 
 
 def test_step_takes_each_core_spectrum_once(monkeypatch):
-    # the step validates its new point once; the retraction's re-wrapped
-    # point and the state's gap reuse that measurement
+    # the step measures its new point once: one expansion of the new core (the
+    # other expansion is the source's wire train), d mode-unfolding SVDs and
+    # one interface spectrum; the retraction's re-wrapped point, the state's
+    # gap, norm and energies and the next step's basis read that measurement
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), sources=True)
     state = state_from_point(problem.u0, 0.0, problem.disc)
-    calls = {"interface_spectrum": 0, "mode_spectrum": 0}
-    for name in calls:
-        original = getattr(sys.modules["ttdlra.tt"], name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module in [m for k, m in sys.modules.items() if k.startswith("ttdlra")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    step_projected_implicit_euler(state, 1e-3, problem)
-    assert calls == {"interface_spectrum": 1, "mode_spectrum": 1}
+    tt_calls = count_calls(monkeypatch, tt, "interface_spectrum", "tt_to_dense")
+    svd_calls = count_calls(monkeypatch, dense, "svd")
+    new = step_projected_implicit_euler(state, 1e-3, problem)
+    TangentBasis(new.point)
+    assert tt_calls == {"interface_spectrum": 1, "tt_to_dense": 2}
+    assert svd_calls == {"svd": 3}
 
 
 def test_step_residuals_and_memory_below_dense_system():

@@ -17,7 +17,7 @@ from ttdlra.sampling import (
     random_point,
     random_tt,
 )
-from ttdlra.tt import interface_spectrum, mode_spectrum, tt_to_dense
+from ttdlra.tt import interface_spectrum, mode_spectrum, tt_scale, tt_to_dense
 
 
 def test_make_point_orthonormal_accepted(rng):
@@ -138,6 +138,10 @@ def test_cone_scaling(rng):
     for s in (0.25, 2.0, 7.5):
         q = scale_point(p, s)
         np.testing.assert_allclose(point_boundary_gap(q), s * g, rtol=1e-12)
+        # the scaled point is measured as make_point measures the scaled core
+        r = make_point(tt_scale(p.core, s), p.factors)
+        assert all(np.array_equal(a, b) for a, b in zip(q.core.cores, r.core.cores))
+        assert q.gap == r.gap and np.array_equal(q.core_dense().data, r.core_dense().data)
         d = (point_to_dense(q) - s * point_to_dense(p)).norm()
         assert d <= 1e-12 * s * point_to_dense(p).norm()
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import ambient_matrix_by_columns, gauge_frame, summands
+from helpers import ambient_matrix_by_columns, count_calls, gauge_frame, summands
 
+import ttdlra
 from ttdlra.dense import DenseTensor, inner, matricize
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra.manifold import make_point, point_to_dense
@@ -327,6 +328,30 @@ def test_ambient_matrix_matches_column_loop(rng, dims, outer, tt):
 # ---------------------------------------------------------------------------
 # polar alignment and the sqrt(2) inequalities
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("tt_ranks", [(2, 2), None], ids=["train", "plain"])
+def test_basis_reads_the_point_measurement(rng, monkeypatch, tt_ranks):
+    # the basis takes the expanded core and the mode SVDs from the point: no
+    # expansion or unfolding of its own, and the arrays of a fresh SVD
+    p = random_point(rng, (5, 6, 5), (2, 3, 2), tt_ranks=tt_ranks)
+    tt_calls = count_calls(monkeypatch, ttdlra.tt, "tt_to_dense")
+    dense_calls = count_calls(monkeypatch, ttdlra.dense, "matricize", "svd")
+    basis = TangentBasis(p)
+    assert tt_calls == {"tt_to_dense": 0}
+    assert dense_calls == {"matricize": 0, "svd": 0}
+    core = tt_to_dense(p.core) if tt_ranks else p.core
+    assert np.array_equal(basis.core, core.to_array())
+    for m in range(3):
+        pw, sw, qwt = np.linalg.svd(matricize(core, {m}), full_matrices=False)
+        assert np.array_equal(basis.rmap[m], pw / sw)
+        assert np.array_equal(basis.qright[m], qwt.T)
+
+
+def test_single_mode_point_has_no_basis():
+    p = make_point(DenseTensor.from_array(np.array([1.0, 2.0])), (np.eye(2),))
+    with pytest.raises(InvalidArgumentError, match="single-mode"):
+        TangentBasis(p)
 
 
 def test_polar_align_identity_and_sign(rng):
