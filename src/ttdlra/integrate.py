@@ -24,10 +24,10 @@ requires points whose outer ranks are the generic ones induced by the train
 ranks.
 
 The Galerkin system is solved matrix-free in the gauge-form tangent
-coordinates of :class:`~ttdlra.tangent.TangentBasis`, whose ``tucker`` builds
-a coordinate vector's Tucker form.  :func:`tangent_operator` applies all
-banded operator terms to that form at once and projects them back in one
-batched contraction.  Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
+coordinates of :class:`~ttdlra.tangent.TangentBasis`.
+:func:`tangent_operator` builds the step's core couplings once, so a matvec
+applies the banded factors to the mode blocks and contracts no core.
+Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
 preconditioned per mode block by the Schur complement form of the shifted
 stiffness inverse (one banded Cholesky factorization per mode), so neither a
 ``dim x dim`` nor an n x n matrix is formed.  ``u + v`` is the Tucker form of
@@ -53,7 +53,7 @@ from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_tucker, train_as_tucker, tucker_distance
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
 from .fem import chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
-from .tangent import TangentBasis, _check_ambient
+from .tangent import TangentBasis, _check_ambient, _multiply_modes
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -117,33 +117,115 @@ CG_RTOL = 1e-12
 
 
 def tangent_operator(basis: TangentBasis, op):
-    """Matrix-free ``x -> V^T A V x`` in the tangent coordinates.
+    """Matrix-free ``x -> V^T A V x`` in the gauge coordinates
+    ``x = (c, theta_0, ..., theta_{d-1})``.  The mode blocks are read as gauge
+    vectors (``U_m^T theta_m = 0``), as all vectors of the step's CG are.
 
-    The tangent vector of ``x`` is the Tucker tensor :meth:`TangentBasis.tucker`
-    with factors ``W = [U^m, Udot^m]``.  Per mode, the distinct term factors
-    ``L^-1 X L^-T`` act on ``W`` with two bidiagonal solves in all: ``L^-T W``
-    once, each tridiagonal ``X`` on it, ``L^-1`` once on the stacked images.
-    :meth:`TangentBasis.coords_of_projected` contracts all terms with the core
-    and projects the mode blocks onto the gauge space."""
-    weights = np.array([term.coeff for term in op.terms])
-    groups = []  # per mode: the distinct factors' stacked rows, their L, each term's image
-    for m in range(basis.point.ndim):
-        factors = [dict(term.factors).get(m) for term in op.terms]
-        found = list({id(f): f for f in factors if f is not None}.values())
-        use = [0 if f is None else 1 + [id(g) for g in found].index(id(f)) for f in factors]
-        rows = np.stack([f.rows for f in found], axis=1) if found else None
-        groups.append((rows, found[0].fem.mass_chol if found else None, np.array(use)))
+    A term acts on at most two modes, and ``U^T Udot = 0``, so the core enters
+    ``V^T A V`` only through couplings that are linear in ``c`` and in the
+    r x r products ``beta = U_m^T X theta_m`` (Kressner, Steinlechner and
+    Vandereycken, SISC 2016).  They are built once, from the core, the core
+    basis, ``rmap``, ``qright`` and the ``U_k^T X U_k``.  With ``X theta_m``
+    the banded images under mode m's distinct factors ``X``,
+
+        c_out       = K_cc c + K_cbeta beta,
+        theta_out_m = P_m [theta_m G0_m + sum_X (X theta_m) G^X_m + sum_X (X U_m) R^X_m],
+
+    where ``R = K_Rc c + K_Rbeta beta`` and ``P_m = I - U_m U_m^T``.  ``G0_m``
+    sums the terms off mode m, ``G^X_m`` and ``R^X_m`` those with factor ``X``
+    on it.  A matvec takes two bidiagonal solves per mode, one product with
+    the coupling matrix ``K`` and n x r by r x r products; it forms no
+    core-sized array.  A term on more than two modes is an
+    ``InvalidArgumentError``."""
+    p, core = basis.point, basis.core
+    d, ranks = p.ndim, core.shape
+    distinct = [{} for _ in range(d)]  # per mode: id -> factor, in slot order
+    terms = []
+    for term in op.terms:
+        if len(term.factors) > 2:
+            raise InvalidArgumentError("an operator term may act on at most two modes")
+        for m, f in term.factors:
+            distinct[m].setdefault(id(f), f)
+        terms.append((term.coeff, [(m, list(distinct[m]).index(id(f))) for m, f in term.factors]))
+    banded, xu, a = [], [], []  # per mode: (rows, L) of the distinct factors, X U, U^T X U
+    for u, fs in zip(p.factors, distinct):
+        fs = list(fs.values())
+        stacked = np.stack([f.rows for f in fs], axis=1) if fs else None
+        banded.append((stacked, fs[0].fem.mass_chol) if fs else None)
+        xu.append(factor_images(*banded[-1], u) if fs else np.zeros((0,) + u.shape))
+        a.append(u.T @ xu[-1])
+    q = basis.core_basis.shape[1]
+    starts = np.cumsum([q] + [len(fs) * r * r for fs, r in zip(distinct, ranks)])
+    kmat = np.zeros((starts[-1], starts[-1]))  # rows (c_out, R), columns (c, beta)
+
+    def span(m, j):  # the rows of R^j_m and the columns of beta^j_m
+        return slice(starts[m] + j * ranks[m] ** 2, starts[m] + (j + 1) * ranks[m] ** 2)
+
+    def contract(x, y, keep):  # over the core modes not in keep: x's kept and trailing axes, y's
+        rest = [k for k in range(d) if k not in keep]
+        return np.tensordot(x, y, axes=(rest, rest))
+
+    def image(arr, coeff, factors):  # coeff * arr x_k mat for each (k, mat) in factors
+        if not factors:
+            return coeff * arr
+        (k, mat), *others = factors
+        return _multiply_modes(arr, [(k, coeff * mat)] + others)
+
+    cbt = np.ascontiguousarray(basis.core_basis.reshape(ranks + (q,), order="F"))
+    # Q_m with its column index at mode m, and C x_m rmap_m^T
+    qt = [np.moveaxis(qr.reshape(ranks[:m] + ranks[m + 1 :] + ranks[m : m + 1], order="F"), -1, m)
+          for m, qr in enumerate(basis.qright)]
+    crm = [_multiply_modes(core, [(m, rm.T)]) for m, rm in enumerate(basis.rmap)]
+    # sums over the terms: the core block's; per mode and slot (0: the terms
+    # off the mode, 1 + j: factor j on it) the output side Q_m x a^T; per mode
+    # and factor the input side C x rmap^T x a
+    cc = np.zeros(cbt.shape)
+    out = [np.zeros((1 + len(fs),) + ranks) for fs in distinct]
+    into = [np.zeros((len(fs),) + ranks) for fs in distinct]
+    # (m, l) -> [(i, j), (x, y)], summed over the other modes: (C x_l rmap_l^T)[i@m, y@l]
+    # Q_m[j@m, x@l], which maps beta^i_l to R^j_m through a term on modes m and l
+    pair = {}
+    for coeff, slots in terms:
+        cc += image(cbt, coeff, [(k, a[k][j]) for k, j in slots])
+        on = dict(slots)
+        for m in range(d):
+            others = [(k, a[k][j].T) for k, j in slots if k != m]
+            out[m][on.get(m, -1) + 1] += image(qt[m], coeff, others)
+        for l, i in slots:
+            into[l][i] += image(crm[l], coeff, [(k, a[k][j]) for k, j in slots if k != l])
+        if len(slots) == 2:
+            for (m, j), (l, i) in (slots, slots[::-1]):
+                if (m, l) not in pair:
+                    t = contract(crm[l], qt[m], sorted((m, l)))
+                    t = t.transpose((0, 2, 3, 1) if m < l else (1, 3, 2, 0))
+                    pair[m, l] = t.reshape(ranks[m] ** 2, ranks[l] ** 2)
+                kmat[span(m, j), span(l, i)] += coeff * pair[m, l]
+    kmat[:q, :q] = contract(cbt, cc, [])
+    gs = []  # per mode: G0 and the G^j stacked
+    for m, r in enumerate(ranks):
+        rows, outs = slice(starts[m], starts[m + 1]), np.moveaxis(out[m], 0, -1)
+        g = np.tensordot(basis.rmap[m].T, contract(core, outs, [m]), axes=1)  # (i, j, slot)
+        gs.append(g.transpose(2, 0, 1).reshape(-1, r))
+        outs = contract(cbt, outs[..., 1:], [m])  # (i, core basis, j, slot)
+        kmat[rows, :q] = outs.transpose(3, 0, 2, 1).reshape(-1, q)
+        ins = contract(cbt, np.moveaxis(into[m], 0, -1), [m])  # (x, core basis, y, slot)
+        kmat[:q, rows] = ins.transpose(1, 3, 0, 2).reshape(q, -1)
+    xu = [w.transpose(1, 0, 2).reshape(w.shape[1], w.shape[0] * w.shape[2]) for w in xu]
 
     def matvec(x):
-        core, factors = basis.tucker(x)
-        small, images = [], []
-        for u, (rows, chol, use), w in zip(basis.point.factors, groups, factors):
-            found = w[None]  # the identity's image, then each distinct factor's
-            if rows is not None:
-                found = np.concatenate([found, factor_images(rows, chol, w)])
-            small.append((u.T @ found)[use])
-            images.append(found[use])
-        return basis.coords_of_projected(core, small, images, weights)
+        blocks = basis._blocks(x)
+        images = []  # per mode: theta_m and its banded images
+        for b, u, bm in zip(blocks[1:], p.factors, banded):
+            t = b.reshape(u.shape, order="F")
+            images.append(np.concatenate([t[None], factor_images(*bm, t)]) if bm else t[None])
+        betas = [(u.T @ w[1:]).ravel() for u, w in zip(p.factors, images)]
+        y = kmat @ np.concatenate([blocks[0]] + betas)
+        res = [y[:q]]
+        for m, (u, w, g, xum) in enumerate(zip(p.factors, images, gs, xu)):
+            r = y[starts[m] : starts[m + 1]].reshape(-1, u.shape[1])
+            z = w.transpose(1, 0, 2).reshape(len(u), -1) @ g + xum @ r
+            res.append((z - u @ (u.T @ z)).ravel(order="F"))
+        return np.concatenate(res)
 
     return matvec
 

@@ -163,6 +163,8 @@ def problem_from_config(config: dict) -> tuple:
     """
     try:
         d = int(config["dims"])
+        if d < 1:
+            raise ConfigError("dims must be at least 1")
         cells = config.get("cells", 8)
         if isinstance(cells, (int, float)):
             cells = [int(cells)] * d

@@ -163,14 +163,12 @@ def core_tangent_basis(core) -> np.ndarray:
 
 
 def _multiply_modes(arr, factors):
-    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array; a
-    stack of matrices acts term by term along ``arr``'s leading axis (length 1: shared)."""
+    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array."""
     for m, mat in factors:
-        b = mat.ndim - 2
-        lead, shape = arr.shape[:b], arr.shape[b:]
-        rows = lead + (math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :]))
-        out = mat[..., None, :, :] @ arr.reshape(rows)
-        arr = out.reshape(out.shape[:b] + shape[:m] + mat.shape[-2:-1] + shape[m + 1 :])
+        shape = arr.shape
+        rows = (math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :]))
+        out = mat[None, :, :] @ arr.reshape(rows)
+        arr = out.reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
     return arr
 
 
@@ -306,34 +304,21 @@ class TangentBasis:
     def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
         """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.
 
-        Only thin products of the n x k factors ``W^m`` enter, so the cost is
-        set by the factor sizes and the core, not the ambient size.
+        Only thin products of the n x k factors ``W^m`` enter: mode block m is
+        ``(I - U U^T) W^m [core x_{k != m} U^T W^k]_(m) Q_m``, the core block
+        the core basis applied to ``core x_k U^T W^k``.  The cost is set by the
+        factor sizes and the core, not the ambient size.
         """
-        small = [u.T @ w[None] for u, w in zip(self.point.factors, factors)]
-        images = [w[None] for w in factors]
-        return self.coords_of_projected(core.to_array(), small, images, np.ones(1))
-
-    def coords_of_projected(self, core, small, images, weights) -> np.ndarray:
-        """Coordinates of the tangent projection of the weighted sum
-        ``sum_t weights[t] core x_0 W^0_t ... x_{d-1} W^{d-1}_t`` (``core`` an
-        array), from ``images[m]``, the ``W^m_t`` stacked along a leading term
-        axis, and ``small[m]``, the ``U^T W^m_t``.  The terms are contracted
-        with the core in batched products (the term index is the batch axis)
-        and summed in one product per mode block, which ``I - U U^T`` then
-        projects onto the gauge space."""
-        g = core[None]
+        g = core.to_array()
+        small = [u.T @ w for u, w in zip(self.point.factors, factors)]
         modes = []
-        for m, (w, u) in enumerate(zip(images, self.point.factors)):
+        for m, (w, u) in enumerate(zip(factors, self.point.factors)):
             # g already carries U^T W^k on the modes k < m
             h = _multiply_modes(g, [(k, s) for k, s in enumerate(small) if k > m])
-            # rows (term, mode m), columns the other modes with the first fastest
-            others = [k + 1 for k in reversed(range(len(small))) if k != m]
-            h = np.broadcast_to(h, weights.shape + h.shape[1:]).transpose([0, m + 1] + others)
-            stacked = np.concatenate(w * weights[:, None, None], axis=1)  # the terms side by side
-            block = stacked @ h.reshape(-1, self.qright[m].shape[0]) @ self.qright[m]
+            # rows mode m, columns the other modes with the first fastest
+            block = w @ (np.moveaxis(h, m, 0).reshape(h.shape[m], -1, order="F") @ self.qright[m])
             modes.append((block - u @ (u.T @ block)).ravel(order="F"))
             g = _multiply_modes(g, [(m, small[m])])
-        g = np.tensordot(weights, g, axes=1)
         return np.concatenate([self.core_basis.T @ g.ravel(order="F")] + modes)
 
     def project_coords(self, z: DenseTensor) -> np.ndarray:

@@ -211,6 +211,19 @@ def test_diagnose_single_mode_command(tmp_path):
     assert "negative_control_applicable: False" in proc.stdout
 
 
+def test_zero_dims_is_config_error(tmp_path):
+    # a zero-mode problem once reached the diffusion check, whose eigvalsh of
+    # a 0 x 0 matrix is empty, and ended in an uncaught IndexError
+    with open(os.path.join(PKG_SRC, "..", "configs", "solve_rank_collapse.json")) as fh:
+        payload = json.load(fh)
+    payload["problem"]["dims"] = 0
+    cfg = write_config(tmp_path / "c.json", payload)
+    proc = run_cli(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_malformed_suite_value_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"kind": "curvature", "suite": {"matrix_pairs": "x"}})
     proc = run_cli(["curvature", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,5 +1,6 @@
 """The shipped configuration files load and build under the CLI's validation."""
 
+import copy
 import glob
 import json
 import os
@@ -7,6 +8,8 @@ import os
 import pytest
 
 from ttdlra import cli
+from ttdlra.errors import ConfigError
+from ttdlra.experiments import ExperimentConfig, _run_problem
 from ttdlra.problems import problem_from_config
 
 CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.json")))
@@ -26,3 +29,33 @@ def test_shipped_config_loads_and_builds(path):
     if "problem" in cfg.raw:
         problem, _ = problem_from_config(cfg.problem)
         assert problem.u0.dims == problem.disc.dims
+
+
+# the values every top-level and problem field takes in the sweep below
+MALFORMED = (None, "x", -1, 0, [], {}, 1.5, True, [-1], ["x"])
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_malformed_field_values_are_accepted_or_config_errors(path):
+    # each field of a shipped config (never threads, which sizes a thread
+    # pool) takes each malformed value in turn; what a run checks before its
+    # first step (the experiment options, the problem, the run options) must
+    # accept the result or raise ConfigError, never another exception
+    with open(path) as fh:
+        raw = json.load(fh)
+    fields = [(k,) for k in raw if k != "threads"]
+    fields += [("problem", k) for k in raw.get("problem", {})]
+    unexpected = []
+    for field in fields:
+        for value in MALFORMED:
+            mutated = copy.deepcopy(raw)
+            (mutated if len(field) == 1 else mutated["problem"])[field[-1]] = value
+            try:
+                cfg = ExperimentConfig.from_dict(mutated)
+                if cfg.kind != "curvature":
+                    _run_problem(cfg.problem)
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001  the sweep reports every kind
+                unexpected.append(f"{'.'.join(field)} = {value!r}: {exc!r}")
+    assert not unexpected, "\n".join(unexpected)

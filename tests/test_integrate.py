@@ -6,7 +6,7 @@ import scipy.linalg
 
 from helpers import count_calls, dense_mode_factors, gauge_frame, kron_matrix
 
-from ttdlra import dense, integrate, tt
+from ttdlra import dense, integrate, tangent, tt
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, laplacian_operator
@@ -68,8 +68,8 @@ def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, source
 
 # (d, cells, outer ranks, train ranks or None for a plain Tucker core); with
 # 5 cells the modes have 4 entries, so rank 4 leaves an empty Qperp block and
-# rank 3 has 2r > n; the d = 4 cases exercise the term-batched contraction
-# beyond three modes
+# rank 3 has 2r > n; the d = 4 cases take the operator's couplings beyond
+# three modes
 ORACLE_CASES = [
     (3, 6, (2, 3, 2), (2, 2)),
     (2, 8, (2, 2), (2,)),
@@ -80,6 +80,35 @@ ORACLE_CASES = [
     (4, 5, (2, 3, 3, 2), (2, 2, 2)),
     (4, 5, (2, 4, 2, 3), None),
 ]
+
+
+# CG iterations to CG_RTOL at tau = 1e-3 and 1e-2 per ORACLE_CASES entry, as
+# the earlier operator took them, which projected the (2r)^d block core of
+# TangentBasis.tucker term by term on every matvec
+CG_ITERATIONS = dict(
+    zip(
+        ORACLE_CASES,
+        [(13, 24), (13, 22), (12, 21), (11, 22), (12, 23), (10, 15), (11, 22), (13, 26)],
+    )
+)
+
+
+def term_by_term(basis, op, x):
+    """Test-local ``V^T A V x``: each term's images of the factors of
+    ``basis.tucker(x)``, projected by ``coords_of_tucker`` and summed."""
+    core, factors = basis.tucker(x)
+    core = DenseTensor.from_array(core)
+    total = 0.0
+    for term in op.terms:
+        mats = dict(term.factors)
+        images = [mats[m] @ w if m in mats else w for m, w in enumerate(factors)]
+        total = total + term.coeff * basis.coords_of_tucker(core, images)
+    return total
+
+
+def assert_term_by_term(basis, op, x):
+    want = term_by_term(basis, op, x)
+    assert np.max(np.abs(tangent_operator(basis, op)(x) - want)) <= 1e-13 * np.abs(want).max()
 
 
 def oracle_system(basis, op):
@@ -157,10 +186,10 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
     matvec = tangent_operator(basis, op)
     b = basis.coords_of_tucker(*train_as_tucker(problem.rhs_tt(0.05))) - au
     frame = gauge_frame(basis)
-    for tau in (1e-3, 1e-2):
+    for tau, pinned in zip((1e-3, 1e-2), CG_ITERATIONS[d, cells, outer, tt_ranks]):
         x, iterations = _pcg(lambda y: y / tau + matvec(y), _preconditioner(basis, op, tau), b)
         dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
-        assert iterations <= basis.dim
+        assert iterations == pinned
         assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
@@ -196,12 +225,34 @@ def test_matvec_with_repeated_and_equal_term_matrices(rng):
     x = gauge_frame(basis) @ rng.standard_normal(basis.dim)
     a, b = tangent_operator(basis, shared)(x), tangent_operator(basis, copies)(x)
     assert np.max(np.abs(a - b)) <= 1e-13 * np.abs(a).max()
+    assert_term_by_term(basis, shared, x)
+    assert_term_by_term(basis, copies, x)
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_matvec_matches_term_by_term_projection(rng, d, cells, outer, tt_ranks):
+    # at a random gauge vector and at the point's own coordinates
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    op = problem.operator(0.05)
+    assert_term_by_term(basis, op, gauge_frame(basis) @ rng.standard_normal(basis.dim))
+    assert_term_by_term(basis, op, basis.project_coords(point_to_dense(p)))
+
+
+def test_term_on_three_modes_is_rejected():
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
+    op = TTOperator(
+        problem.dims, (OperatorTerm(1.0, tuple(enumerate(problem.disc.stiffness)), "cross"),)
+    )
+    with pytest.raises(InvalidArgumentError, match="at most two modes"):
+        tangent_operator(TangentBasis(problem.u0), op)
 
 
 @pytest.mark.parametrize("outer, tt_ranks", [((2, 3, 2), (2, 2)), ((2, 3, 2), None)])
 def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
-    # the matvec builds the tangent vector's Tucker form from its coordinates:
-    # no DenseTensor, and no re-expansion of the train core
+    # the matvec contracts no core: no DenseTensor, no re-expansion of the
+    # train core, no Tucker form of the tangent vector and no mode product
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
@@ -215,9 +266,14 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
         post_init(self)
 
     monkeypatch.setattr(DenseTensor, "__post_init__", counted_post_init)
+    tuckers = []
+    tucker = TangentBasis.tucker
+    monkeypatch.setattr(TangentBasis, "tucker", lambda b, c: tuckers.append(c) or tucker(b, c))
     calls = count_calls(monkeypatch, tt, "tt_to_dense")
+    products = count_calls(monkeypatch, tangent, "_multiply_modes")
     matvec(x)
     assert not constructed and calls == {"tt_to_dense": 0}
+    assert products == {"_multiply_modes": 0} and not tuckers
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,24 @@
-"""Scaling record of the projected-Euler set-up and step in the grid size.
+"""Scaling record of the projected-Euler step in the grid size and in d.
 
     python3 tools/bench_banded.py --label before --src <parent checkout>/src --out BENCH_banded.json
     python3 tools/bench_banded.py --label after --src src --out BENCH_banded.json
+    python3 tools/bench_banded.py --grid dims --label before --src <parent checkout>/src \
+        --out BENCH_reduced.json
+    python3 tools/bench_banded.py --grid dims --dims 3 4 5 6 7 8 --label after --src src \
+        --out BENCH_reduced.json
 
-Times, for d = 3 at 128, 256, 512 and 1024 cells, the set-up
-(``problem_from_config``), one projected implicit Euler step from the initial
-state and the preconditioner build of that step, each the median of
-``REPEATS`` runs with BLAS pinned to one thread.  The problem is the one of
-the ``pe3d_n128`` benchmark workload: three sine terms, a constant source,
-tau = 1e-3, train ranks (3, 3) and auto outer ranks.  ``--src`` selects the
-source tree to import, so the same script records a parent checkout
-(``--label before``) and this one (``--label after``); rows with the same label
-and cells in ``--out`` are replaced, all others kept.
+``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
+cells, the set-up (``problem_from_config``), one projected implicit Euler step
+from the initial state and the preconditioner build of that step.
+``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
+one step, one matvec of the Galerkin operator and the operator's set-up
+(``tangent_operator``).  Each time is the median of ``REPEATS`` runs with BLAS
+pinned to one thread.  The problem is the one of the ``pe3d_n128`` benchmark
+workload, in d modes: three sine terms, a constant source, tau = 1e-3, train
+ranks 3 and auto outer ranks.  ``--src`` selects the source tree to import,
+so the same script records a parent checkout (``--label before``) and this one
+(``--label after``); rows with the same label, d and cells in ``--out`` are
+replaced, all others kept.
 """
 
 from __future__ import annotations
@@ -30,25 +37,27 @@ for _var in THREAD_VARS:
 
 D = 3
 CELLS = (128, 256, 512, 1024)
+DIMS = (3, 4, 5, 6, 7)
+DIMS_CELLS = 16
 REPEATS = 7
 TAU = 1e-3
-TT_RANKS = (3, 3)
+TT_RANK = 3
 
 
-def _config(cells):
+def _config(cells, d=D):
     return {
-        "dims": D,
+        "dims": d,
         "cells": cells,
-        "b0": [[1.0 if i == j else 0.25 for j in range(D)] for i in range(D)],
+        "b0": [[1.0 if i == j else 0.25 for j in range(d)] for i in range(d)],
         "t_end": TAU,
         "tau": TAU,
         "scheme": "projected_euler",
-        "tt_ranks": list(TT_RANKS),
+        "tt_ranks": [TT_RANK] * (d - 1),
         "initial": [
-            {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * D}
+            {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * d}
             for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
         ],
-        "sources": [{"time_poly": [1.0], "profiles": ["constant"] * D}],
+        "sources": [{"time_poly": [1.0], "profiles": ["constant"] * d}],
     }
 
 
@@ -61,7 +70,7 @@ def _median_ms(fn):
     return 1e3 * statistics.median(times)
 
 
-def measure(cells):
+def measure_cells(cells):
     from ttdlra.integrate import _preconditioner, state_from_point, step_projected_implicit_euler
     from ttdlra.problems import problem_from_config
     from ttdlra.tangent import TangentBasis
@@ -75,16 +84,47 @@ def measure(cells):
     basis = TangentBasis(problem.u0)
     op = problem.operator(TAU)
     precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU))
-    return {
-        "d": D,
-        "cells": cells,
-        "train_ranks": list(TT_RANKS),
-        "outer_ranks": list(problem.u0.outer_ranks),
-        "tangent_dim": int(basis.dim),
-        "repeats": REPEATS,
+    return _row(D, cells, problem, basis) | {
         "setup_ms": round(setup_ms, 3),
         "step_ms": round(step_ms, 3),
         "preconditioner_build_ms": round(precond_ms, 3),
+    }
+
+
+def measure_dims(d):
+    import numpy as np
+
+    from ttdlra.integrate import state_from_point, step_projected_implicit_euler, tangent_operator
+    from ttdlra.problems import problem_from_config
+    from ttdlra.tangent import TangentBasis
+
+    problem, _ = problem_from_config(_config(DIMS_CELLS, d))
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    step_projected_implicit_euler(state, TAU, problem)  # warm-up
+    step_ms = _median_ms(lambda: step_projected_implicit_euler(state, TAU, problem))
+    basis = TangentBasis(problem.u0)
+    op = problem.operator(TAU)
+    setup_ms = _median_ms(lambda: tangent_operator(basis, op))
+    matvec = tangent_operator(basis, op)
+    u_coords = np.zeros(sum(basis.block_sizes))
+    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
+    x = matvec(u_coords)  # a gauge vector, as CG applies the operator to
+    matvec_ms = _median_ms(lambda: matvec(x))
+    return _row(d, DIMS_CELLS, problem, basis) | {
+        "step_ms": round(step_ms, 3),
+        "matvec_ms": round(matvec_ms, 3),
+        "operator_setup_ms": round(setup_ms, 3),
+    }
+
+
+def _row(d, cells, problem, basis):
+    return {
+        "d": d,
+        "cells": cells,
+        "train_ranks": [TT_RANK] * (d - 1),
+        "outer_ranks": list(problem.u0.outer_ranks),
+        "tangent_dim": int(basis.dim),
+        "repeats": REPEATS,
     }
 
 
@@ -93,6 +133,8 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="row label, e.g. before or after")
     parser.add_argument("--src", required=True, help="source tree holding the ttdlra package")
     parser.add_argument("--out", required=True, help="JSON record to update")
+    parser.add_argument("--grid", choices=("cells", "dims"), default="cells", help="what to scan")
+    parser.add_argument("--dims", type=int, nargs="+", default=DIMS, help="d of the dims grid")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy
@@ -110,13 +152,14 @@ def main(argv=None):
         "cores": os.cpu_count(),
         "machine": platform.machine(),
     }
-    for cells in CELLS:
-        row = {"label": args.label, **measure(cells)}
+    sizes, measure = (CELLS, measure_cells) if args.grid == "cells" else (args.dims, measure_dims)
+    for size in sizes:
+        row = {"label": args.label, **measure(size)}
         print(json.dumps(row), flush=True)
-        record["rows"] = [
-            r for r in record["rows"] if (r["label"], r["cells"]) != (args.label, cells)
-        ] + [row]
-    record["rows"].sort(key=lambda r: (r["label"] != "before", r["cells"]))
+        key = (row["label"], row["d"], row["cells"])
+        record["rows"] = [r for r in record["rows"] if (r["label"], r["d"], r["cells"]) != key]
+        record["rows"].append(row)
+    record["rows"].sort(key=lambda r: (r["label"] != "before", r["d"], r["cells"]))
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
