@@ -4,9 +4,9 @@ Each coordinate direction carries piecewise-linear elements on a uniform grid
 with homogeneous Dirichlet conditions (boundary nodes eliminated).  The
 d-dimensional bilinear form with diffusion matrix ``B(t) = B0 + t B1`` splits
 into a diagonal part (one stiffness term per mode, which maps manifold points
-into their own tangent space) and a cross part (transfer-matrix pairs for the
-mixed derivatives, which is merely bounded), mirroring the operator splitting
-the evolution theory rests on.
+into their own tangent space) and a cross part (one transfer-factor pair per
+unordered mode pair for the mixed derivatives, which is merely bounded),
+mirroring the operator splitting the evolution theory rests on.
 
 All operators and loads are expressed in mass-orthonormal coordinates: the
 per-dimension congruence by the Cholesky factor ``L`` of the mass matrix turns
@@ -141,8 +141,8 @@ class ModeFactor:
     """Operator factor ``L^-1 X L^-T`` of one mode: ``rows`` are the rows of the
     tridiagonal ``X`` (as in :class:`Fem1D`), ``fem`` the mode's elements with
     the shared factor ``L``.  ``@`` applies it to an n x k block in O(n k) by
-    :func:`factor_images`.  ``T`` and the n x n ``dense`` matrix (for the
-    splitting sweep and desk-size oracles) are built once, when first read."""
+    :func:`factor_images`.  The n x n ``dense`` matrix (for the splitting
+    sweep and desk-size oracles) is built once, when first read."""
 
     rows: np.ndarray
     fem: Fem1D
@@ -151,12 +151,6 @@ class ModeFactor:
         w = np.asarray(y, dtype=float)
         out = factor_images(self.rows[:, None], self.fem.mass_chol, w.reshape(len(w), -1))
         return out[0].reshape(w.shape)
-
-    @functools.cached_property
-    def T(self) -> "ModeFactor":
-        r, t = self.rows, np.zeros_like(self.rows)
-        t[1:, 0], t[:, 1], t[:-1, 2] = r[:-1, 2], r[:, 1], r[1:, 0]
-        return ModeFactor(t, self.fem)
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -320,9 +314,10 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
     """Galerkin operator of the diffusion form at time ``t``.
 
     The diagonal part collects ``b_mm(t)`` times one transformed stiffness
-    factor per mode; the cross part collects ``b_mn(t)`` times a transfer
-    factor on mode ``m`` paired with a transposed transfer factor on mode
-    ``n``, for every ordered pair ``m != n``.
+    factor per mode.  The cross part has one term per unordered pair
+    ``m < n``: the transfer factor is exactly antisymmetric, ``T^T = -T``, so
+    the ordered pairs ``b_mn T_m (x) T_n^T + b_nm T_n (x) T_m^T`` merge into
+    ``-(b_mn + b_nm) T_m (x) T_n``, d(d+1)/2 terms in all.
     """
     d = disc.ndim
     if coeff.d != d:
@@ -337,18 +332,12 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
     terms = []
     for m in range(d):
         terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness[m]),), "diag"))
-    transposed = [t.T for t in disc.transfer]  # one per mode, shared by the terms
     for m in range(d):
-        for n in range(d):
-            if m == n or b[m, n] == 0.0:
-                continue
-            terms.append(
-                OperatorTerm(
-                    float(b[m, n]),
-                    ((m, disc.transfer[m]), (n, transposed[n])),
-                    "cross",
-                )
-            )
+        for n in range(m + 1, d):
+            c = -(b[m, n] + b[n, m])
+            if c != 0.0:
+                pair = ((m, disc.transfer[m]), (n, disc.transfer[n]))
+                terms.append(OperatorTerm(float(c), pair, "cross"))
     return TTOperator(disc.dims, tuple(terms))
 
 

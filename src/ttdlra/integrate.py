@@ -27,15 +27,17 @@ The Galerkin system is solved matrix-free in the gauge-form tangent
 coordinates of :class:`~ttdlra.tangent.TangentBasis`.
 :func:`tangent_operator` builds the step's core couplings once, so a matvec
 applies the banded factors to the mode blocks and contracts no core.
-Conjugate gradients solve ``(I/tau + V^T A V) x = b``,
-preconditioned per mode block by the Schur complement form of the shifted
-stiffness inverse (one banded Cholesky factorization per mode), so neither a
-``dim x dim`` nor an n x n matrix is formed.  ``u + v`` is the Tucker form of
-the summed coordinates, since ``u`` lies in its own tangent space, and
-:func:`~ttdlra.retraction.retract_tucker` retracts it on a small core.  The
-sweep's result and the source stay factored, and so do the energies: the
-quadratic forms are :func:`~ttdlra.fem.operator_quadratic_form` s on the
-core, and the state differences of the energy report are
+Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned by a
+block-diagonal inverse built from those couplings: the exact core block, and
+per mode the block of every term but the two-mode terms on that mode,
+inverted by fast diagonalization in one stacked tridiagonal
+factorization, so neither a ``dim x dim`` nor an n x n matrix is formed.
+``u + v`` is the Tucker form of the summed coordinates, since ``u`` lies in
+its own tangent space, and :func:`~ttdlra.retraction.retract_tucker`
+retracts it on a small core.  The sweep's result and the source stay
+factored, and so do the energies: the quadratic forms are
+:func:`~ttdlra.fem.operator_quadratic_form` s on the core, and the state
+differences of the energy report are
 :func:`~ttdlra.retraction.tucker_distance` s.  Only the reference solver
 :func:`dense_implicit_euler` works in the ambient space.
 """
@@ -136,7 +138,8 @@ def tangent_operator(basis: TangentBasis, op):
     on it.  A matvec takes two bidiagonal solves per mode, one product with
     the coupling matrix ``K`` and n x r by r x r products; it forms no
     core-sized array.  A term on more than two modes is an
-    ``InvalidArgumentError``."""
+    ``InvalidArgumentError``.  The returned matvec carries ``core_block``,
+    ``K_cc``, and ``off_mode``, the ``G0_m``, for :func:`_preconditioner`."""
     p, core = basis.point, basis.core
     d, ranks = p.ndim, core.shape
     distinct = [{} for _ in range(d)]  # per mode: id -> factor, in slot order
@@ -227,41 +230,82 @@ def tangent_operator(basis: TangentBasis, op):
             res.append((z - u @ (u.T @ z)).ravel(order="F"))
         return np.concatenate(res)
 
+    matvec.core_block = kmat[:q, :q]
+    matvec.off_mode = [g[:r] for g, r in zip(gs, ranks)]
     return matvec
 
 
-def _preconditioner(basis: TangentBasis, op, tau: float):
-    """``tau`` on the core block; on mode block ``mu`` the inverse of
-    ``S = I/tau + A_mumu`` on the gauge space, ``A_mumu`` the sum of the
-    diagonal terms on ``mu`` (every mode has one), in the Schur complement form
-    ``S^-1 - S^-1 U (U^T S^-1 U)^-1 U^T S^-1``, which maps into the gauge space.
-    ``S^-1 = L^T (M/tau + sum_t c_t X_t)^-1 L`` takes one banded Cholesky
-    factorization per mode and one banded solve per apply."""
-    shifted = {}  # mode -> (elements, the rows of M/tau + sum_t c_t X_t)
-    for term in op.diagonal_part.terms:
-        ((m, factor),) = term.factors
-        fem, rows = shifted.get(m, (factor.fem, factor.fem.mass / tau))
-        shifted[m] = (fem, rows + term.coeff * factor.rows)
-    solves = []
-    for m, u in enumerate(basis.point.factors):
-        fem, rows = shifted[m]
-        chol, info = scipy.linalg.lapack.dpbtrf(rows[:, 1:].T, lower=1)
-        if info != 0:
-            raise InvalidArgumentError("shifted diagonal operator is not positive definite")
+def _preconditioner(basis: TangentBasis, op, tau: float, matvec=None):
+    """Block-diagonal inverse of ``I/tau + V^T A V`` without the two-mode
+    terms on each mode block (Kressner, Steinlechner and Vandereycken, SISC
+    2016).  It reads ``core_block`` and ``off_mode`` of ``matvec``, the step's
+    :func:`tangent_operator` (built here when not given), so it contracts no
+    core.
 
-        def s_inv(g, chol=chol, mass_chol=fem.mass_chol):
-            z, _ = scipy.linalg.lapack.dpbtrs(chol, chol_matmul(mass_chol, g, "N"), lower=1)
-            return chol_matmul(mass_chol, z, "T")
+    The core block is ``(I/tau + K_cc)^-1``, formed as a q x q matrix.
+    Mode block m inverts ``theta -> theta/tau + A_m theta + theta G0_m`` on the
+    gauge space, with ``A_m`` the sum of the one-mode terms on m and ``G0_m``
+    the symmetric positive semidefinite coupling of the terms off m.  Fast
+    diagonalization (Lynch, Rice and Thomas 1964) with ``G0_m = W diag(lam)
+    W^T`` turns it into one shifted operator ``S_j = (1/tau + lam_j) I + A_m``
+    per column j of ``theta W``, inverted on the gauge space in the Schur
+    complement form ``S_j^-1 - S_j^-1 U (U^T S_j^-1 U)^-1 U^T S_j^-1``.  As
+    ``S_j^-1 = L^T ((1/tau + lam_j) M + sum_t c_t X_t)^-1 L``, the tridiagonal
+    systems of all modes and columns stack into one tridiagonal matrix: one
+    ``dpttrf`` per build, one ``dpttrs`` per apply."""
+    matvec = matvec or tangent_operator(basis, op)
+    core = np.linalg.inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
+    fems = {m: f.fem for term in op.terms for m, f in term.factors}
+    one_mode = dict.fromkeys(range(basis.point.ndim), 0.0)  # mode -> rows of A_m
+    for term in op.terms:
+        if len(term.factors) == 1:
+            ((m, f),) = term.factors
+            one_mode[m] = one_mode[m] + term.coeff * f.rows
+    factors = basis.point.factors
+    q = basis.block_sizes[0]
+    spans = [slice(s.start - q, s.stop - q) for s in basis._slices[1:]]  # rows of mode m
+    diags, offs, chols, rots = [], [], [], []  # per mode: the tridiagonals and L of its columns, W
+    for m, (u, g0) in enumerate(zip(factors, matvec.off_mode)):
+        if m not in fems:
+            raise InvalidArgumentError(f"no operator term acts on mode {m}")
+        (n, r), fem = u.shape, fems[m]
+        lam, w = np.linalg.eigh(g0)
+        rows = (1.0 / tau + lam)[:, None, None] * fem.mass + one_mode[m]
+        rows[:, -1, 2] = 0.0  # no coupling from one column to the next
+        diags.append(rows[..., 1].ravel())
+        offs.append(rows[..., 2].ravel())
+        chols.append(np.tile(fem.mass_chol, r))
+        chols[-1][1, n - 1 :: n] = 0.0
+        rots.append(w)
+    diag, off, info = scipy.linalg.lapack.dpttrf(np.concatenate(diags), np.concatenate(offs)[:-1])
+    if info != 0:
+        raise InvalidArgumentError("the preconditioner's shifted operator is not positive definite")
+    chol = np.hstack(chols)
 
-        su = s_inv(u)
-        solves.append((s_inv, np.linalg.solve(u.T @ su, su.T).T))  # S^-1 U (U^T S^-1 U)^-1
+    def s_inv(g):
+        z, _ = scipy.linalg.lapack.dpttrs(diag, off, chol_matmul(chol, g, "N"))
+        return chol_matmul(chol, z, "T")
+
+    su = np.zeros((spans[-1].stop, max(u.shape[1] for u in factors)))
+    for u, span in zip(factors, spans):  # U in every column of every mode
+        su[span, : u.shape[1]] = np.tile(u, (u.shape[1], 1))
+    su = s_inv(su)
+    corrs = []  # per mode and column j: S_j^-1 U (U^T S_j^-1 U)^-1
+    for u, span in zip(factors, spans):
+        n, r = u.shape
+        s = su[span, :r].reshape(r, n, r)
+        corrs.append(s @ np.linalg.inv(u.T @ s))
 
     def apply(x):
         blocks = basis._blocks(x)
-        out = [tau * blocks[0]]
-        for (s_inv, corr), u, blk in zip(solves, basis.point.factors, blocks[1:]):
-            z = s_inv(blk.reshape(u.shape, order="F"))
-            out.append((z - corr @ (u.T @ z)).ravel(order="F"))
+        rotated = [(b.reshape(u.shape, order="F") @ w).ravel(order="F")
+                   for b, u, w in zip(blocks[1:], factors, rots)]
+        z = s_inv(np.concatenate(rotated)[:, None])[:, 0]
+        out = [core @ blocks[0]]
+        for u, w, corr, span in zip(factors, rots, corrs, spans):
+            y = z[span].reshape(u.shape, order="F")
+            y = y - (corr @ (u.T @ y).T[:, :, None])[:, :, 0].T
+            out.append((y @ w.T).ravel(order="F"))
         return np.concatenate(out)
 
     return apply
@@ -346,7 +390,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     au = matvec(u_coords)
     b = (basis.coords_of_tucker(*train_as_tucker(f_tt)) if f_tt is not None else 0.0) - au
-    coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau), b)
+    coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau, matvec), b)
 
     # one explicit matvec at the solution gives the residual and the
     # pre-retraction energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>

@@ -53,15 +53,11 @@ def p1_matrices(n_cells):
 
 
 def dense_mode_factors(n_cells):
-    """Dense ``L^-1 X L^-T`` for X = K, T and T^T, with ``L`` the dense
-    Cholesky factor of the P1 mass matrix."""
+    """Dense ``L^-1 X L^-T`` for X = K and T, with ``L`` the dense Cholesky
+    factor of the P1 mass matrix."""
     mass, stiffness, transfer = p1_matrices(n_cells)
     linv = np.linalg.inv(np.linalg.cholesky(mass))
-    return {
-        "stiffness": linv @ stiffness @ linv.T,
-        "transfer": linv @ transfer @ linv.T,
-        "transfer_transposed": linv @ transfer.T @ linv.T,
-    }
+    return {"stiffness": linv @ stiffness @ linv.T, "transfer": linv @ transfer @ linv.T}
 
 
 def gauge_frame(basis):

@@ -69,11 +69,7 @@ def test_banded_mode_factors_match_dense_congruence(rng, n_cells):
     # on one vector and on a block
     disc = small_disc(n_cells, 1)
     oracle = dense_mode_factors(n_cells)
-    factors = {
-        "stiffness": disc.stiffness[0],
-        "transfer": disc.transfer[0],
-        "transfer_transposed": disc.transfer[0].T,
-    }
+    factors = {"stiffness": disc.stiffness[0], "transfer": disc.transfer[0]}
     n = n_cells - 1
     for name, factor in factors.items():
         dense = oracle[name]
@@ -171,6 +167,33 @@ def test_operator_matches_kronecker_oracle(rng):
             rhs = dense @ x.data
             scale = max(np.linalg.norm(rhs), 1e-30)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cross_terms_merge_the_ordered_pairs(d):
+    # T^T = -T, so one term -(b_mn + b_nm) T_m (x) T_n per pair m < n is the
+    # sum over the ordered pairs m != n of b_mn T_m (x) T_n^T
+    disc = small_disc(5, d)
+    b4 = np.array(
+        [
+            [1.0, 0.3, -0.2, 0.1],
+            [0.3, 1.5, 0.25, -0.15],
+            [-0.2, 0.25, 0.8, 0.05],
+            [0.1, -0.15, 0.05, 1.2],
+        ]
+    )
+    b0 = b4[:d, :d]
+    op = assemble_operator(DiffusionCoefficient(b0, np.zeros((d, d)), horizon=1.0), disc, 0.0)
+    assert len(op.terms) == d * (d + 1) // 2
+    k, t = [f.dense for f in disc.stiffness], [f.dense for f in disc.transfer]
+    ordered = [OperatorTerm(b0[m, m], ((m, k[m]),), "diag") for m in range(d)] + [
+        OperatorTerm(b0[m, n], ((m, t[m]), (n, t[n].T)), "cross")
+        for m in range(d)
+        for n in range(d)
+        if m != n
+    ]
+    want = kron_matrix(TTOperator(disc.dims, tuple(ordered)))
+    assert np.max(np.abs(kron_matrix(op) - want)) <= 1e-14 * np.abs(want).max()
 
 
 def test_operator_symmetric_and_coercive(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import count_calls, dense_mode_factors, gauge_frame, kron_matrix
+from helpers import count_calls, gauge_frame, kron_matrix
 
 from ttdlra import dense, integrate, tangent, tt
 from ttdlra.dense import DenseTensor, inner
@@ -82,13 +82,21 @@ ORACLE_CASES = [
 ]
 
 
-# CG iterations to CG_RTOL at tau = 1e-3 and 1e-2 per ORACLE_CASES entry, as
-# the earlier operator took them, which projected the (2r)^d block core of
-# TangentBasis.tucker term by term on every matvec
+# CG iterations to CG_RTOL at tau = 1e-3, 1e-2 and 10 per ORACLE_CASES entry
+CG_TAUS = (1e-3, 1e-2, 10.0)
 CG_ITERATIONS = dict(
     zip(
         ORACLE_CASES,
-        [(13, 24), (13, 22), (12, 21), (11, 22), (12, 23), (10, 15), (11, 22), (13, 26)],
+        [
+            (11, 16, 18),
+            (11, 13, 14),
+            (8, 12, 14),
+            (9, 13, 15),
+            (9, 14, 16),
+            (9, 13, 13),
+            (9, 12, 13),
+            (9, 12, 14),
+        ],
     )
 )
 
@@ -186,8 +194,9 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
     matvec = tangent_operator(basis, op)
     b = basis.coords_of_tucker(*train_as_tucker(problem.rhs_tt(0.05))) - au
     frame = gauge_frame(basis)
-    for tau, pinned in zip((1e-3, 1e-2), CG_ITERATIONS[d, cells, outer, tt_ranks]):
-        x, iterations = _pcg(lambda y: y / tau + matvec(y), _preconditioner(basis, op, tau), b)
+    for tau, pinned in zip(CG_TAUS, CG_ITERATIONS[d, cells, outer, tt_ranks]):
+        precond = _preconditioner(basis, op, tau, matvec)
+        x, iterations = _pcg(lambda y: y / tau + matvec(y), precond, b)
         dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
         assert iterations == pinned
         assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -281,24 +290,29 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
     [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)],
 )
 def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
-    # tau on the core block and, on gauge block mu, the inverse of
-    # S = I/tau + A_mumu on the gauge space, Qperp (Qperp^T S Qperp)^-1 Qperp^T,
-    # per column of theta, with A_mumu the diagonal terms on mu from the dense
-    # stencil oracle; a rank-4 mode of a 5-cell grid has an empty Qperp
+    # in the orthonormal coordinates of ambient_matrix: on the core block the
+    # inverse of the dense Galerkin core block of I/tau + A; on mode block m
+    # the inverse of the dense Galerkin block of I/tau plus the terms that do
+    # not couple m with another mode; gauge_frame maps both to gauge
+    # coordinates, and a rank-4 mode of a 5-cell grid has an empty block
     problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
     op = problem.operator(0.05)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     tau = 1e-2
-    stiffness = dense_mode_factors(cells)["stiffness"]
-    blocks = [tau * np.eye(basis.block_sizes[0])]
-    for m, u in enumerate(p.factors):
-        n, r = u.shape
-        a = sum(t.coeff * stiffness for t in op.diagonal_part.terms if t.factors[0][0] == m)
-        q = np.linalg.qr(u, mode="complete")[0][:, r:]
-        inv = q @ np.linalg.inv(q.T @ (np.eye(n) / tau + a) @ q) @ q.T
-        blocks.append(np.kron(np.eye(r), inv))
-    oracle = scipy.linalg.block_diag(*blocks)
+    vmat = basis.ambient_matrix()
+    sizes = [basis.block_sizes[0]] + [(n - r) * r for n, r in zip(p.dims, p.outer_ranks)]
+    cols = np.split(vmat, np.cumsum(sizes)[:-1], axis=1)
+    def off_pairs(m):  # the terms that do not couple m with another mode
+        return tuple(t for t in op.terms if len(t.factors) == 1 or m not in dict(t.factors))
+
+    kept = [op] + [TTOperator(op.dims, off_pairs(m)) for m in range(d)]
+    blocks = [
+        np.linalg.inv(np.eye(size) / tau + c.T @ kron_matrix(part) @ c)
+        for size, c, part in zip(sizes, cols, kept)
+    ]
+    frame = gauge_frame(basis)
+    oracle = frame @ scipy.linalg.block_diag(*blocks) @ frame.T
     apply = _preconditioner(basis, op, tau)
     got = np.column_stack([apply(e) for e in np.eye(sum(basis.block_sizes))])
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()

@@ -7,13 +7,17 @@
     python3 tools/bench_banded.py --grid dims --dims 3 4 5 6 7 8 --label after --src src \
         --out BENCH_reduced.json
 
+``BENCH_precond.json`` holds both default grids, recorded the same way.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
-from the initial state and the preconditioner build of that step.
-``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
-one step, one matvec of the Galerkin operator and the operator's set-up
-(``tangent_operator``).  Each time is the median of ``REPEATS`` runs with BLAS
-pinned to one thread.  The problem is the one of the ``pe3d_n128`` benchmark
+from the initial state, the Galerkin operator's set-up (``tangent_operator``)
+and the preconditioner build of that step, ``_preconditioner(basis, op,
+tau)``; where the preconditioner reads the operator's couplings, that build
+includes the operator's set-up.  ``--grid dims`` times, at 16 cells for each d
+of ``--dims`` (default 3 to 7), one step, one matvec of the Galerkin operator
+and the operator's set-up.  Each time is the median of ``REPEATS`` runs with
+BLAS pinned to one thread; ``cg_iterations`` lists the CG iteration count of
+each timed step.  The problem is the one of the ``pe3d_n128`` benchmark
 workload, in d modes: three sine terms, a constant source, tau = 1e-3, train
 ranks 3 and auto outer ranks.  ``--src`` selects the source tree to import,
 so the same script records a parent checkout (``--label before``) and this one
@@ -39,7 +43,7 @@ D = 3
 CELLS = (128, 256, 512, 1024)
 DIMS = (3, 4, 5, 6, 7)
 DIMS_CELLS = 16
-REPEATS = 7
+REPEATS = 15
 TAU = 1e-3
 TT_RANK = 3
 
@@ -70,23 +74,46 @@ def _median_ms(fn):
     return 1e3 * statistics.median(times)
 
 
+def _time_steps(problem):
+    """Median time of one projected Euler step from the initial state, after
+    a warm-up, and the CG iteration count of each timed step (read by
+    wrapping ``integrate._pcg``)."""
+    from ttdlra import integrate
+
+    state = integrate.state_from_point(problem.u0, 0.0, problem.disc)
+    integrate.step_projected_implicit_euler(state, TAU, problem)  # warm-up
+    counts, pcg = [], integrate._pcg
+
+    def counted(*args):
+        x, iterations = pcg(*args)
+        counts.append(iterations)
+        return x, iterations
+
+    integrate._pcg = counted
+    try:
+        step_ms = _median_ms(lambda: integrate.step_projected_implicit_euler(state, TAU, problem))
+    finally:
+        integrate._pcg = pcg
+    return {"step_ms": round(step_ms, 3), "cg_iterations": counts}
+
+
 def measure_cells(cells):
-    from ttdlra.integrate import _preconditioner, state_from_point, step_projected_implicit_euler
+    from ttdlra.integrate import _preconditioner, tangent_operator
     from ttdlra.problems import problem_from_config
     from ttdlra.tangent import TangentBasis
 
     cfg = _config(cells)
     problem, _ = problem_from_config(cfg)
     setup_ms = _median_ms(lambda: problem_from_config(cfg))
-    state = state_from_point(problem.u0, 0.0, problem.disc)
-    step_projected_implicit_euler(state, TAU, problem)  # warm-up
-    step_ms = _median_ms(lambda: step_projected_implicit_euler(state, TAU, problem))
+    steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
     op = problem.operator(TAU)
+    operator_ms = _median_ms(lambda: tangent_operator(basis, op))
     precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU))
     return _row(D, cells, problem, basis) | {
         "setup_ms": round(setup_ms, 3),
-        "step_ms": round(step_ms, 3),
+        **steps,
+        "operator_setup_ms": round(operator_ms, 3),
         "preconditioner_build_ms": round(precond_ms, 3),
     }
 
@@ -94,14 +121,12 @@ def measure_cells(cells):
 def measure_dims(d):
     import numpy as np
 
-    from ttdlra.integrate import state_from_point, step_projected_implicit_euler, tangent_operator
+    from ttdlra.integrate import tangent_operator
     from ttdlra.problems import problem_from_config
     from ttdlra.tangent import TangentBasis
 
     problem, _ = problem_from_config(_config(DIMS_CELLS, d))
-    state = state_from_point(problem.u0, 0.0, problem.disc)
-    step_projected_implicit_euler(state, TAU, problem)  # warm-up
-    step_ms = _median_ms(lambda: step_projected_implicit_euler(state, TAU, problem))
+    steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
     op = problem.operator(TAU)
     setup_ms = _median_ms(lambda: tangent_operator(basis, op))
@@ -111,7 +136,7 @@ def measure_dims(d):
     x = matvec(u_coords)  # a gauge vector, as CG applies the operator to
     matvec_ms = _median_ms(lambda: matvec(x))
     return _row(d, DIMS_CELLS, problem, basis) | {
-        "step_ms": round(step_ms, 3),
+        **steps,
         "matvec_ms": round(matvec_ms, 3),
         "operator_setup_ms": round(setup_ms, 3),
     }
