@@ -15,6 +15,7 @@ calibrated to double precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,16 @@ def mode_multiply(x: DenseTensor, m, mode: int) -> DenseTensor:
     arr = np.tensordot(m, x.to_array(), axes=(1, mode))
     arr = np.moveaxis(arr, 0, mode)
     return DenseTensor.from_array(arr)
+
+
+def _multiply_modes(arr, factors):
+    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array."""
+    for m, mat in factors:
+        shape = arr.shape
+        rows = (math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :]))
+        out = mat[None, :, :] @ arr.reshape(rows)
+        arr = out.reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
+    return arr
 
 
 def svd(m) -> SvdResult:

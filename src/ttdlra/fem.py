@@ -32,10 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense import DenseTensor, inner
+from .dense import DenseTensor, _multiply_modes, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tangent import TangentBasis, TangentVector, _multiply_modes, tangent_to_ambient
+from .tangent import TangentBasis, TangentVector, tangent_to_ambient
 from .tt import TTTensor, tt_add, tt_scale
 
 __all__ = [

@@ -49,13 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_tucker, train_as_tucker, tucker_distance
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
 from .fem import chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
-from .tangent import TangentBasis, _check_ambient, _multiply_modes
+from .tangent import TangentBasis, _check_ambient
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
 
 __all__ = [
@@ -286,7 +286,8 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec=None):
         z, _ = scipy.linalg.lapack.dpttrs(diag, off, chol_matmul(chol, g, "N"))
         return chol_matmul(chol, z, "T")
 
-    su = np.zeros((spans[-1].stop, max(u.shape[1] for u in factors)))
+    # column-major, so the broadcasts of chol_matmul run down the long columns
+    su = np.zeros((spans[-1].stop, max(u.shape[1] for u in factors)), order="F")
     for u, span in zip(factors, spans):  # U in every column of every mode
         su[span, : u.shape[1]] = np.tile(u, (u.shape[1], 1))
     su = s_inv(su)
@@ -399,7 +400,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     core, factors = basis.tucker(u_coords + coords)
-    new_point, defect = _retract_step((DenseTensor.from_array(core), factors), p)
+    new_point, defect = _retract_step((core, factors), p)
     return state_from_point(
         new_point,
         t_new,

@@ -19,11 +19,11 @@ each mode unfolding; the gap, norm and tangent basis read them from the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, matricize, mode_multiply, svd
+from .dense import DenseTensor, _multiply_modes, matricize, mode_multiply, svd
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
@@ -105,8 +105,8 @@ def _checked_factors(cdims, factors) -> tuple:
         ev = np.linalg.eigvalsh(g)
         if ev[0] <= _GRAM_REJECT_REL * max(ev[-1], np.finfo(float).tiny):
             raise NotOnManifoldError(f"factor {m} has a numerically singular Gramian")
-        if not np.allclose(g, np.eye(u.shape[1]), atol=1e-12):
-            ortho = False
+        eye = np.eye(len(g))  # np.allclose(g, eye, atol=1e-12), written out
+        ortho = ortho and bool(np.all(np.abs(g - eye) <= 1e-12 + 1e-5 * eye))
     return factors, ortho
 
 
@@ -116,7 +116,9 @@ def make_point(core, factors) -> ManifoldPoint:
     Factors that are not orthonormal are replaced by their QR factors ``Q``,
     and the core absorbs the triangular ``R`` (the represented tensor is
     unchanged); orthonormal factors are kept as given.  The point keeps the
-    measurement of its core: gap, expansion and mode-unfolding SVDs.
+    measurement of its core: the expansion, the SVDs of its mode unfoldings,
+    and the gap, the smallest of their singular values and, for a train of
+    order d > 3, of its interior interface spectra (:func:`_measured`).
 
     Parameters
     ----------
@@ -137,30 +139,20 @@ def make_point(core, factors) -> ManifoldPoint:
         raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
     factors, ortho = _checked_factors(core.dims, factors)
     if not ortho:
-        new_factors = []
-        for m, u in enumerate(factors):
-            q, r = np.linalg.qr(u)
-            new_factors.append(q)
-            if isinstance(core, TTTensor):
-                cores = list(core.cores)
-                cores[m] = np.einsum("ij,ajb->aib", r, cores[m])
-                core = TTTensor(tuple(cores))
-            else:
-                core = mode_multiply(core, r, m)
-        factors = tuple(new_factors)
+        factors, rs = zip(*(np.linalg.qr(u) for u in factors))
+        if isinstance(core, TTTensor):
+            core = TTTensor(tuple(np.einsum("ij,ajb->aib", r, c) for r, c in zip(rs, core.cores)))
+        else:
+            core = DenseTensor.from_array(_multiply_modes(core.to_array(), list(enumerate(rs))))
     return ManifoldPoint(core, factors, *_measured(core))
-
-
-def _with_factors(p: ManifoldPoint, factors) -> ManifoldPoint:
-    """``p`` with new orthonormal factors, checked as in :func:`make_point`."""
-    factors, _ = _checked_factors(p.core.dims, factors)
-    return replace(p, factors=factors)
 
 
 def _measured(core) -> tuple:
     """The core's :func:`point_boundary_gap`, its expansion and the SVD of each
     mode unfolding, measured once; raises ``NotOnManifoldError`` for a core
-    off the manifold."""
+    off the manifold.  The end interfaces 0 and d-2 of a train are its mode-0
+    and mode-(d-1) unfoldings, so of its interface spectra only the interior
+    ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     if cdense.ndim == 1:
         return cdense.norm(), cdense, ()  # a single mode has only the full space
@@ -169,8 +161,8 @@ def _measured(core) -> tuple:
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
     svds = tuple(svd(matricize(cdense, {m})) for m in range(cdense.ndim))
     vals = [float(s.singular_values[-1]) for s in svds]
-    if isinstance(core, TTTensor):
-        vals.extend(float(v[-1]) for v in interface_spectrum(core).values)
+    if isinstance(core, TTTensor) and core.ndim > 3:
+        vals.extend(float(v[-1]) for v in interface_spectrum(core).values[1:-1])
     gap = min(vals)
     scale = max(cdense.norm(), np.finfo(float).tiny)
     if gap <= GAP_REJECT_REL * scale:

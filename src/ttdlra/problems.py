@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, matricize, svd
+from .dense import DenseTensor, svd
 from .errors import ConfigError, InvalidArgumentError
 from .fem import (
     DiffusionCoefficient,
@@ -128,7 +128,7 @@ def _initial_point(
         small, _ = orthonormal_tucker(*tucker)
         ranks = []
         for m, n in enumerate(disc.dims):
-            s = svd(matricize(small, {m})).singular_values
+            s = svd(np.moveaxis(small, m, 0).reshape(small.shape[m], -1)).singular_values
             r = int(np.count_nonzero(s > 1e-10 * s[0]))
             if tt_ranks is not None:
                 r = min(r, generic_outer_ranks(disc.dims, tt_ranks)[m])

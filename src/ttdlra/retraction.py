@@ -6,23 +6,24 @@ ranks.  Each stage is an orthogonal projection, so the retraction never
 increases the norm, and it reproduces points that already have the target
 ranks exactly.
 
-:func:`retract` takes an ambient tensor and is the reference.
-:func:`retract_tucker` takes ``core x_0 W^0 ... x_{d-1} W^{d-1}`` with tall
-factors that need not be orthonormal: it QR-factors ``W^m = Q^m R^m``,
-absorbs the ``R^m`` into the core and retracts that small core, whose mode
-spectra are those of the represented tensor.  The truncation is the same up
-to round-off, and the ambient ``n^d`` tensor is never formed.
-:func:`tucker_distance` measures the difference of two Tucker tensors the same
-way, on a small core.
+Both entries share one truncation on plain arrays.  :func:`retract` takes an
+ambient tensor and is the reference.  :func:`retract_tucker` takes
+``core x_0 W^0 ... x_{d-1} W^{d-1}`` with tall factors that need not be
+orthonormal: :func:`orthonormal_tucker` QR-factors ``W^m = Q^m R^m`` and
+absorbs the ``R^m`` into a small core with the mode spectra of the represented
+tensor.  The truncation runs on that core, and one :func:`make_point` on the
+final factors ``Q^m V^m`` builds, validates and measures the new point: no
+intermediate point and no ambient ``n^d`` tensor is formed.  The difference of
+two Tucker tensors, :func:`tucker_distance`, is measured on a small core too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dense import DenseTensor, matricize, mode_multiply
+from .dense import DenseTensor, _multiply_modes
 from .errors import InvalidArgumentError
-from .manifold import ManifoldPoint, _with_factors, make_point, point_to_dense
+from .manifold import ManifoldPoint, make_point, point_to_dense
 from .tt import TTTensor, tt_from_dense, tt_to_dense
 
 __all__ = ["retract", "retract_tucker", "orthonormal_tucker", "tucker_distance", "train_as_tucker"]
@@ -51,22 +52,26 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
         # single mode: the only manifold is the full space
         if outer_ranks != (x.dims[0],):
             raise InvalidArgumentError("single-mode points must have full rank")
-        core = x
-        if tt_ranks is not None:
-            core = tt_from_dense(x)
+        core = x if tt_ranks is None else tt_from_dense(x)
         return make_point(core, (np.eye(x.dims[0]),))
+    return make_point(*_truncate(x.to_array(), outer_ranks, tt_ranks))
+
+
+def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
+    """``(core, [V^m])``: the sequentially truncated HOSVD of the array, each
+    ``V^m`` leading left singular vectors of the mode-m unfolding (columns in
+    :func:`~ttdlra.dense.matricize`'s order) of what earlier modes left, and
+    the core rounded to the train ranks (kept dense for ``tt_ranks=None``)."""
     factors = []
-    work = x
     for m, r in enumerate(outer_ranks):
-        mat = matricize(work, {m})
-        u, _, _ = np.linalg.svd(mat, full_matrices=False)
-        u = u[:, :r]
-        factors.append(u)
-        work = mode_multiply(work, u.T, m)
-    core = work
+        unfolding = np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1, order="F")
+        v = np.linalg.svd(unfolding, full_matrices=False)[0][:, :r]
+        factors.append(v)
+        arr = _multiply_modes(arr, [(m, v.T)])
+    core = DenseTensor.from_array(arr)
     if tt_ranks is not None:
         core = tt_from_dense(core, ranks=tuple(tt_ranks))
-    return make_point(core, factors)
+    return core, factors
 
 
 def train_as_tucker(t: TTTensor) -> tuple:
@@ -81,15 +86,14 @@ def train_as_tucker(t: TTTensor) -> tuple:
     return tt_to_dense(TTTensor(tuple(wires))), factors
 
 
-def orthonormal_tucker(core: DenseTensor, factors) -> tuple:
+def orthonormal_tucker(core, factors) -> tuple:
     """Equal tensor ``(core', [Q^m])`` with orthonormal factors: each
-    ``W^m = Q^m R^m`` (thin QR) and the core absorbs the ``R^m``."""
-    qs = []
-    for m, w in enumerate(factors):
-        q, r = np.linalg.qr(w)
-        qs.append(q)
-        core = mode_multiply(core, r, m)
-    return core, qs
+    ``W^m = Q^m R^m`` (thin QR) and the core absorbs the ``R^m``.  ``core`` is
+    a ``DenseTensor`` or an array; ``core'`` is an array."""
+    if isinstance(core, DenseTensor):
+        core = core.to_array()
+    qs, rs = zip(*(np.linalg.qr(w) for w in factors))
+    return _multiply_modes(core, list(enumerate(rs))), list(qs)
 
 
 def tucker_distance(a, b) -> float:
@@ -105,19 +109,22 @@ def tucker_distance(a, b) -> float:
     core[tuple(slice(p) for p in ca.shape)] = ca
     core[tuple(slice(p, None) for p in ca.shape)] = -cb
     factors = [np.hstack(ws) for ws in zip(wa, wb)]
-    return orthonormal_tucker(DenseTensor.from_array(core), factors)[0].norm()
+    return float(np.linalg.norm(orthonormal_tucker(core, factors)[0]))
 
 
-def retract_tucker(core: DenseTensor, factors, outer_ranks, tt_ranks=None) -> tuple:
-    """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}``, computed on the
-    small core.  Returns ``(point, defect)``, ``defect`` being the distance of
-    the point to the input.  Raises what :func:`retract` raises."""
+def retract_tucker(core, factors, outer_ranks, tt_ranks=None) -> tuple:
+    """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}`` (``core`` a
+    ``DenseTensor`` or an array), computed on the small core.  Returns
+    ``(point, defect)``, ``defect`` being the distance of the point to the
+    input.  Raises what :func:`retract` raises."""
+    small, qs = orthonormal_tucker(core, factors)
     if len(factors) == 1:
         # single mode: the full space, where the tensor is only a vector
-        x = DenseTensor.from_array(factors[0] @ core.data)
+        x = DenseTensor.from_array(qs[0] @ small)
         point = retract(x, outer_ranks, tt_ranks)
         return point, (point_to_dense(point) - x).norm()
-    small, qs = orthonormal_tucker(core, factors)
-    point = retract(small, outer_ranks, tt_ranks)
-    defect = (point_to_dense(point) - small).norm()
-    return _with_factors(point, [q @ v for q, v in zip(qs, point.factors)]), defect
+    new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
+    point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])
+    # the point's core is in the coordinates of the V^m, as is the small core
+    approx = _multiply_modes(point.expanded.to_array(), list(enumerate(vs)))
+    return point, float(np.linalg.norm(approx - small))

@@ -35,12 +35,11 @@ angle between the tangent spaces, with no iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, matricize, mode_multiply
+from .dense import DenseTensor, _multiply_modes, matricize, mode_multiply
 from .errors import DegeneratePointError, InvalidArgumentError, OversizeError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tt import TTTensor, tt_to_dense
@@ -160,16 +159,6 @@ def core_tangent_basis(core) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full tangent projector
 # ---------------------------------------------------------------------------
-
-
-def _multiply_modes(arr, factors):
-    """``arr x_m mat`` for each ``(m, mat)`` in ``factors``, on a plain array."""
-    for m, mat in factors:
-        shape = arr.shape
-        rows = (math.prod(shape[:m]), shape[m], math.prod(shape[m + 1 :]))
-        out = mat[None, :, :] @ arr.reshape(rows)
-        arr = out.reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
-    return arr
 
 
 def tangent_project(p: ManifoldPoint, z: DenseTensor) -> TangentVector:

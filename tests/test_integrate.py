@@ -330,16 +330,20 @@ def test_step_times_are_exact_multiples_of_tau():
 def test_step_takes_each_core_spectrum_once(monkeypatch):
     # the step measures its new point once: one expansion of the new core (the
     # other expansion is the source's wire train), d mode-unfolding SVDs and
-    # one interface spectrum; the retraction's re-wrapped point, the state's
-    # gap, norm and energies and the next step's basis read that measurement
-    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), sources=True)
-    state = state_from_point(problem.u0, 0.0, problem.disc)
-    tt_calls = count_calls(monkeypatch, tt, "interface_spectrum", "tt_to_dense")
-    svd_calls = count_calls(monkeypatch, dense, "svd")
-    new = step_projected_implicit_euler(state, 1e-3, problem)
-    TangentBasis(new.point)
-    assert tt_calls == {"interface_spectrum": 1, "tt_to_dense": 2}
-    assert svd_calls == {"svd": 3}
+    # the spectra of the interior interfaces only (the end interfaces are the
+    # mode-0 and mode-(d-1) unfoldings): none at d = 3, one at d = 4.  The
+    # state's gap, norm and energies and the next step's basis read that
+    # measurement
+    for d, interior in ((3, 0), (4, 1)):
+        problem = anisotropic_problem(d=d, n=6, tt_ranks=(2,) * (d - 1), sources=True)
+        state = state_from_point(problem.u0, 0.0, problem.disc)
+        with monkeypatch.context() as patch:
+            tt_calls = count_calls(patch, tt, "interface_spectrum", "tt_to_dense")
+            svd_calls = count_calls(patch, dense, "svd")
+            new = step_projected_implicit_euler(state, 1e-3, problem)
+            TangentBasis(new.point)
+        assert tt_calls == {"interface_spectrum": interior, "tt_to_dense": 2}
+        assert svd_calls == {"svd": d}
 
 
 def test_step_residuals_and_memory_below_dense_system():

@@ -17,7 +17,14 @@ from ttdlra.sampling import (
     random_point,
     random_tt,
 )
-from ttdlra.tt import interface_spectrum, mode_spectrum, tt_scale, tt_to_dense
+from ttdlra.tt import (
+    TTTensor,
+    interface_spectrum,
+    mode_spectrum,
+    orthogonalize,
+    tt_scale,
+    tt_to_dense,
+)
 
 
 def test_make_point_orthonormal_accepted(rng):
@@ -104,6 +111,65 @@ def test_rejection_carries_measured_gap(rng):
     with pytest.raises(NotOnManifoldError) as exc:
         make_point(core, factors)
     assert exc.value.gap == pytest.approx(1e-12, rel=1e-6)
+
+
+def _gap_by_definition(core):
+    # the smallest singular value over every mode unfolding of the expanded
+    # core and, for a train, over every interface
+    vals = [v[-1] for v in mode_spectrum(core).values]
+    if isinstance(core, TTTensor):
+        vals += [v[-1] for v in interface_spectrum(core).values]
+    return min(vals)
+
+
+@pytest.mark.parametrize(
+    "outer, tt_ranks",
+    [
+        ((2, 2), (2,)),
+        ((2, 3, 2), (2, 2)),
+        ((2, 4, 4, 2), (2, 2, 2)),
+        ((2, 3, 4, 3, 2), (2, 2, 2, 2)),
+        ((2, 3, 2), None),  # dense core
+    ],
+)
+def test_gap_matches_full_definition(rng, outer, tt_ranks):
+    # make_point reads the end interfaces off the mode SVDs
+    dims = tuple(r + 2 for r in outer)
+    for _ in range(3):
+        p = random_point(rng, dims, outer, tt_ranks=tt_ranks)
+        assert abs(p.gap - _gap_by_definition(p.core)) <= 1e-14 * p.gap
+
+
+def test_gap_at_interior_interface_matches_full_definition(rng):
+    # a d = 4 train whose interface-1 spectrum is (s_0, 1e-3 s_0) while every
+    # mode unfolding keeps rank 2 from the leading interface term alone
+    t = orthogonalize(random_tt(rng, (2, 2, 2, 2), (2, 2, 2)), 1)
+    cores = list(t.cores)
+    u, s, vh = np.linalg.svd(cores[1].reshape(4, 2), full_matrices=False)
+    cores[1] = ((u * [s[0], 1e-3 * s[0]]) @ vh).reshape(2, 2, 2)
+    core = TTTensor(tuple(cores))
+    p = make_point(core, [random_orthonormal(rng, 5, 2) for _ in range(4)])
+    interior = interface_spectrum(core).values[1][-1]
+    assert interior < min(v[-1] for v in mode_spectrum(core).values)
+    assert abs(p.gap - interior) <= 1e-14 * interior
+    assert abs(p.gap - _gap_by_definition(core)) <= 1e-14 * p.gap
+
+
+def test_collapsed_end_interface_raises_with_its_gap(rng):
+    # interface 0 has the spectrum (1, 1e-11); modes 1 and 2 stay at 1/sqrt 2
+    g = 1e-11
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    core = TTTensor(
+        (
+            np.diag([1.0, g]).reshape(1, 2, 2),
+            np.stack([np.eye(2), swap]) / np.sqrt(2.0),
+            np.eye(2).reshape(2, 2, 1),
+        )
+    )
+    assert interface_spectrum(core).values[0][-1] == pytest.approx(g, rel=1e-12)
+    with pytest.raises(NotOnManifoldError) as exc:
+        make_point(core, [random_orthonormal(rng, 5, 2) for _ in range(3)])
+    assert exc.value.gap == pytest.approx(g, rel=1e-12)
 
 
 def test_point_to_dense_matrix_case(rng):

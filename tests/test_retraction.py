@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import gauge_frame, summands
+from helpers import count_calls, gauge_frame, summands
 
+from ttdlra import manifold
 from ttdlra.dense import DenseTensor, matricize, mode_multiply
 from ttdlra.errors import BreakdownError, NotOnManifoldError
 from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
@@ -108,6 +109,40 @@ def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
         retract(tucker_to_dense(core, factors), (2, 2, 2), tt_ranks)
     with pytest.raises(NotOnManifoldError):
         retract_tucker(core, factors, (2, 2, 2), tt_ranks)
+
+
+@pytest.mark.parametrize("tt_ranks", [(2, 2), None])
+def test_retract_tucker_validates_its_point_once(monkeypatch, rng, tt_ranks):
+    # one make_point on the final factors: no intermediate point is checked
+    core = DenseTensor.from_array(rng.standard_normal((4, 5, 3)))
+    factors = [rng.standard_normal((n, w)) for n, w in zip((7, 6, 5), (4, 5, 3))]
+    calls = count_calls(monkeypatch, manifold, "_checked_factors", "_measured")
+    retract_tucker(core, factors, (2, 3, 2), tt_ranks)
+    assert calls == {"_checked_factors": 1, "_measured": 1}
+
+
+@pytest.mark.parametrize(
+    "entry, delta, expected",
+    [
+        (None, 0.0, True),
+        ((0, 0), 9e-6, True),  # inside the relative tolerance of the diagonal
+        ((0, 0), 1.1e-5, False),
+        ((0, 1), 5e-13, True),  # inside the absolute tolerance
+        ((0, 1), 2e-12, False),
+    ],
+)
+def test_orthonormality_test_is_allclose(rng, entry, delta, expected):
+    # the Gramian of q @ m is m^T m: the identity moved by delta at entry
+    q = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    m = np.eye(3)
+    if entry == (0, 0):
+        m[0, 0] = np.sqrt(1.0 + delta)
+    elif entry == (0, 1):
+        m[0, 1] = delta
+    u = q @ m
+    _, ortho = manifold._checked_factors((3,), [u])
+    assert ortho is expected
+    assert ortho == np.allclose(u.T @ u, np.eye(3), atol=1e-12)
 
 
 def _collapse_problem(n_cells, weight):

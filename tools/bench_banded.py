@@ -7,22 +7,28 @@
     python3 tools/bench_banded.py --grid dims --dims 3 4 5 6 7 8 --label after --src src \
         --out BENCH_reduced.json
 
-``BENCH_precond.json`` holds both default grids, recorded the same way.
+``BENCH_precond.json`` holds both default grids, recorded the same way, and
+``BENCH_retract.json`` both grids (dims 3 to 8) in alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
-from the initial state, the Galerkin operator's set-up (``tangent_operator``)
-and the preconditioner build of that step, ``_preconditioner(basis, op,
-tau)``; where the preconditioner reads the operator's couplings, that build
-includes the operator's set-up.  ``--grid dims`` times, at 16 cells for each d
-of ``--dims`` (default 3 to 7), one step, one matvec of the Galerkin operator
-and the operator's set-up.  Each time is the median of ``REPEATS`` runs with
-BLAS pinned to one thread; ``cg_iterations`` lists the CG iteration count of
-each timed step.  The problem is the one of the ``pe3d_n128`` benchmark
+from the initial state and its retraction (``integrate._retract_step``, timed
+by wrapping it, so a parent tree is timed the same way), the Galerkin
+operator's set-up (``tangent_operator``) and the preconditioner build of that
+step, ``_preconditioner(basis, op, tau)``; where the preconditioner reads the
+operator's couplings, that build includes the operator's set-up.  ``--grid
+dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7), one step
+and its retraction, one matvec of the Galerkin operator and the operator's
+set-up.  Each time is the median of ``REPEATS`` runs with BLAS pinned to one
+thread; ``cg_iterations`` lists the CG iteration count of each timed step of
+the last pass.  The problem is the one of the ``pe3d_n128`` benchmark
 workload, in d modes: three sine terms, a constant source, tau = 1e-3, train
 ranks 3 and auto outer ranks.  ``--src`` selects the source tree to import,
-so the same script records a parent checkout (``--label before``) and this one
-(``--label after``); rows with the same label, d and cells in ``--out`` are
-replaced, all others kept.
+so the same script records a parent checkout (``--label before``) and this
+one (``--label after``).  A pass adds its times to the row of the same
+label, d and cells in ``--out``: the row keeps each pass's times under
+``per_pass`` and reports their median, with the count in ``passes``, so
+passes of the two labels run alternately give before/after medians under the
+same host load.  A row without ``per_pass`` (an older record) is replaced.
 """
 
 from __future__ import annotations
@@ -76,25 +82,37 @@ def _median_ms(fn):
 
 def _time_steps(problem):
     """Median time of one projected Euler step from the initial state, after
-    a warm-up, and the CG iteration count of each timed step (read by
-    wrapping ``integrate._pcg``)."""
+    a warm-up, the median time of its retraction, and the CG iteration count
+    of each timed step (read by wrapping ``integrate._pcg`` and
+    ``integrate._retract_step``)."""
     from ttdlra import integrate
 
     state = integrate.state_from_point(problem.u0, 0.0, problem.disc)
     integrate.step_projected_implicit_euler(state, TAU, problem)  # warm-up
-    counts, pcg = [], integrate._pcg
+    counts, retract_times = [], []
+    pcg, retract = integrate._pcg, integrate._retract_step
 
     def counted(*args):
         x, iterations = pcg(*args)
         counts.append(iterations)
         return x, iterations
 
-    integrate._pcg = counted
+    def timed(*args):
+        start = time.perf_counter()
+        out = retract(*args)
+        retract_times.append(time.perf_counter() - start)
+        return out
+
+    integrate._pcg, integrate._retract_step = counted, timed
     try:
         step_ms = _median_ms(lambda: integrate.step_projected_implicit_euler(state, TAU, problem))
     finally:
-        integrate._pcg = pcg
-    return {"step_ms": round(step_ms, 3), "cg_iterations": counts}
+        integrate._pcg, integrate._retract_step = pcg, retract
+    return {
+        "step_ms": round(step_ms, 3),
+        "retract_ms": round(1e3 * statistics.median(retract_times), 3),
+        "cg_iterations": counts,
+    }
 
 
 def measure_cells(cells):
@@ -153,6 +171,19 @@ def _row(d, cells, problem, basis):
     }
 
 
+def _accumulate(old, row):
+    """``row`` with the times of its pass appended to those of ``old`` under
+    ``per_pass``, and each time the median over the passes."""
+    times = [k for k in row if k.endswith("_ms")]
+    per_pass = {k: [] for k in times}
+    if old is not None and "per_pass" in old:
+        per_pass = old["per_pass"]
+    for k in times:
+        per_pass[k].append(row[k])
+    medians = {k: round(statistics.median(v), 3) for k, v in per_pass.items()}
+    return row | medians | {"passes": len(per_pass[times[0]]), "per_pass": per_pass}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="row label, e.g. before or after")
@@ -182,8 +213,9 @@ def main(argv=None):
         row = {"label": args.label, **measure(size)}
         print(json.dumps(row), flush=True)
         key = (row["label"], row["d"], row["cells"])
+        old = [r for r in record["rows"] if (r["label"], r["d"], r["cells"]) == key]
         record["rows"] = [r for r in record["rows"] if (r["label"], r["d"], r["cells"]) != key]
-        record["rows"].append(row)
+        record["rows"].append(_accumulate(old[0] if old else None, row))
     record["rows"].sort(key=lambda r: (r["label"] != "before", r["d"], r["cells"]))
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
