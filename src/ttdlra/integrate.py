@@ -235,12 +235,11 @@ def tangent_operator(basis: TangentBasis, op):
     return matvec
 
 
-def _preconditioner(basis: TangentBasis, op, tau: float, matvec=None):
+def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     """Block-diagonal inverse of ``I/tau + V^T A V`` without the two-mode
     terms on each mode block (Kressner, Steinlechner and Vandereycken, SISC
     2016).  It reads ``core_block`` and ``off_mode`` of ``matvec``, the step's
-    :func:`tangent_operator` (built here when not given), so it contracts no
-    core.
+    :func:`tangent_operator`, so it contracts no core.
 
     The core block is ``(I/tau + K_cc)^-1``, formed as a q x q matrix.
     Mode block m inverts ``theta -> theta/tau + A_m theta + theta G0_m`` on the
@@ -253,7 +252,6 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec=None):
     ``S_j^-1 = L^T ((1/tau + lam_j) M + sum_t c_t X_t)^-1 L``, the tridiagonal
     systems of all modes and columns stack into one tridiagonal matrix: one
     ``dpttrf`` per build, one ``dpttrs`` per apply."""
-    matvec = matvec or tangent_operator(basis, op)
     core = np.linalg.inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
     fems = {m: f.fem for term in op.terms for m, f in term.factors}
     one_mode = dict.fromkeys(range(basis.point.ndim), 0.0)  # mode -> rows of A_m

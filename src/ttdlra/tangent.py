@@ -19,8 +19,8 @@ maps ``theta_m`` to ``Udot^m`` by the SVD of the point's core unfolding.  A
 :class:`TangentVector` is its coordinates in a basis;
 :meth:`TangentBasis.tucker` builds their Tucker form (factors
 ``[U^m, Udot^m]``, a ``(2r)^d`` block core), the only map from coordinates to
-a tensor.  For a tensor-train core the core piece projects onto an
-orthonormal basis of the span of all single-core replacements.
+a tensor.  For a tensor-train core the core piece uses gauge-conditioned
+single-core replacements, orthonormal as built (:func:`core_tangent_basis`).
 
 The module also houses an independent brute-force oracle (span, orthonormalize,
 project), polar alignment of subspace bases, and curvature reports comparing
@@ -129,31 +129,42 @@ def core_tangent_basis(core) -> np.ndarray:
     """Orthonormal basis of the core tangent space, one column per direction.
 
     Columns are column-major vectorizations.  For a dense core the basis is
-    the identity; for a train core it is obtained by orthonormalizing the
-    span of all single-core replacements.
+    the identity.  For a train core block m holds the gauge-conditioned
+    replacements of core m (Holtz, Rohwedder and Schneider 2012): a
+    left-orthogonal prefix of cores 0..m-1, the complement of the
+    left-orthogonal core m in its left unfolding (the identity for the last
+    core) and a right-orthogonal suffix of cores m+1..d-1.  The blocks are
+    orthonormal and mutually orthogonal as built, so their
+    ``sum |G_m| - sum k_m^2`` columns take no rank test.
     """
     if isinstance(core, DenseTensor):
         return np.eye(core.size)
-    size = int(np.prod(core.dims))
     if core.ndim == 1:
-        return np.eye(size)
-    # prefix[m] contracts cores 0..m-1, suffix[m] cores m+1..d-1; the unit
-    # replacement (a, j, b) of core m is prefix[m][..., a] (x) e_j (x) suffix[m][b]
-    prefix, suffix = [np.ones(1)], [np.ones(1)]
-    for g, h in zip(core.cores[:-1], core.cores[:0:-1]):
-        prefix.append(np.tensordot(prefix[-1], g, axes=(-1, 0)))
-        suffix.insert(0, np.tensordot(h, suffix[0], axes=(-1, 0)))
-    blocks = []
-    for g, left, right in zip(core.cores, prefix, suffix):
-        kl, r, kr = g.shape
-        left, right = left.reshape(-1, kl, order="F"), right.reshape(kr, -1, order="F")
-        blocks.append(np.einsum("pa,xj,bq->qxpajb", left, np.eye(r), right).reshape(size, g.size))
-    span = np.hstack(blocks)
-    dim = sum(c.size for c in core.cores) - sum(k * k for k in core.ranks)
-    u, s, _ = np.linalg.svd(span, full_matrices=False)
-    if s[dim - 1] <= 1e-10 * s[0]:
-        raise DegeneratePointError("core tangent spanning set is rank deficient")
-    return u[:, :dim]
+        return np.eye(int(np.prod(core.dims)))
+    if any(kl > n * kr or kr > kl * n for kl, n, kr in (g.shape for g in core.cores)):
+        raise InvalidArgumentError("a train rank exceeds the size of its unfolding")
+    # prefixes and suffixes have one row per index of the modes before (after)
+    # m, the last mode slowest, and one orthonormal column per interface index
+    cores, suffixes = list(core.cores), [np.ones((1, 1))]
+    for m in range(core.ndim - 1, 0, -1):  # right sweep: reduced QR, R carried left
+        kl, n, kr = cores[m].shape
+        q, r = np.linalg.qr(cores[m].transpose(2, 1, 0).reshape(kr * n, kl))
+        suffixes.insert(0, (suffixes[0] @ q.reshape(kr, n * kl)).reshape(-1, kl))
+        cores[m - 1] = cores[m - 1] @ r.T
+    prefix, carry, blocks = np.ones((1, 1)), np.ones((1, 1)), []
+    for m, (g, suffix) in enumerate(zip(core.cores, suffixes)):  # left sweep: complete QR
+        kl, n, kr = g.shape
+        if m == core.ndim - 1:
+            q, kr = np.eye(n * kl), 0
+        else:
+            g = (carry @ g.transpose(1, 0, 2)).reshape(n * kl, kr)
+            q, r = np.linalg.qr(g, mode="complete")
+            carry = r[:kr]
+        lq = (prefix @ q.reshape(n, kl, n * kl)).reshape(-1, n * kl)  # rows: mode m slowest
+        prefix, gauge = lq[:, :kr], lq[:, kr:]
+        outer = np.multiply.outer(suffix, gauge)  # (after m, k_m, up to m, gauge)
+        blocks.append(outer.swapaxes(1, 2).reshape(len(suffix) * len(gauge), -1))
+    return np.hstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +239,8 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
                     term = mode_multiply(term, e if mm == m else uu, mm)
                 cols.append(term.data)
     span = np.array(cols).T
-    q_core = core_tangent_basis(p.core).shape[1] if p.tt_core else core.size
-    dim = q_core + sum((u.shape[0] - u.shape[1]) * u.shape[1] for u in p.factors)
+    gauges = sum(k * k for k in p.core.ranks) if p.tt_core else 0  # k^2 per train interface
+    dim = len(directions) - gauges + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
     u, s, _ = np.linalg.svd(span, full_matrices=False)
     if s[dim - 1] <= 1e-10 * s[0]:
         raise DegeneratePointError("tangent spanning set is rank deficient")

@@ -285,3 +285,18 @@ def test_invalid_argument_mid_run_is_not_a_config_error(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "c.json", heat_config())
     with pytest.raises(InvalidArgumentError, match="partway"):
         cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_long_heat_run_finishes(tmp_path):
+    # solve_heat3d run to t = 0.6 once exited 1 at t = 0.5815: the core tangent
+    # basis rejected the left-orthogonal train, which carries its whole norm
+    # (1.8e-8) in its last core, though the state was healthy
+    from ttdlra import cli
+
+    with open(os.path.join(PKG_SRC, "..", "configs", "solve_heat3d.json")) as fh:
+        payload = json.load(fh)
+    payload["problem"]["t_end"] = 0.6
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    meta = json.load(open(tmp_path / "o" / "metadata.json"))
+    assert meta["breakdown"] is None and meta["energy"]["dissipation_ok"]

@@ -313,7 +313,7 @@ def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks
     ]
     frame = gauge_frame(basis)
     oracle = frame @ scipy.linalg.block_diag(*blocks) @ frame.T
-    apply = _preconditioner(basis, op, tau)
+    apply = _preconditioner(basis, op, tau, tangent_operator(basis, op))
     got = np.column_stack([apply(e) for e in np.eye(sum(basis.block_sizes))])
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
 

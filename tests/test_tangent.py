@@ -20,7 +20,7 @@ from ttdlra.tangent import (
     tangent_project,
     tangent_to_ambient,
 )
-from ttdlra.tt import TTTensor, tt_to_dense
+from ttdlra.tt import TTTensor, orthogonalize, tt_to_dense
 
 
 def instance_grid(rng, count):
@@ -248,15 +248,44 @@ def test_core_projector_matches_spanning_oracle(rng):
     np.testing.assert_allclose(core_tangent_project(c, z).data, oracle, atol=1e-10)
 
 
-def test_core_basis_orthonormal_and_spans_projector(rng):
-    c = random_tt(rng, (3, 4, 3), (2, 2))
+@pytest.mark.parametrize(
+    "dims, ranks",
+    [
+        ((3, 4, 3), (2, 2)),
+        ((4, 5), (3,)),
+        ((3, 2, 3, 2), (2, 3, 2)),
+        ((2, 3, 2, 3, 2), (2, 2, 3, 2)),
+        ((1, 2, 2, 1), (1, 2, 1)),  # square left unfoldings of cores 0 and 1: empty blocks
+    ],
+    ids=["d3", "d2", "d4", "d5", "square-unfolding"],
+)
+def test_core_basis_orthonormal_and_spans_projector(rng, dims, ranks):
+    c = random_tt(rng, dims, ranks)
     b = core_tangent_basis(c)
     np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-12)
     oracle = core_spanning_oracle(c)
-    z = random_dense(rng, (3, 4, 3))
+    assert b.shape == oracle.shape
+    z = random_dense(rng, dims)
     np.testing.assert_allclose(
         b @ (b.T @ z.data), oracle @ (oracle.T @ z.data), atol=1e-10
     )
+
+
+def test_core_basis_rejects_ranks_beyond_the_unfoldings(rng):
+    # interface rank 3 on two modes of size 2: no train of that rank exists
+    c = TTTensor((rng.standard_normal((1, 2, 3)), rng.standard_normal((3, 2, 1))))
+    with pytest.raises(InvalidArgumentError):
+        core_tangent_basis(c)
+
+
+def test_core_basis_does_not_depend_on_the_gauge_scale(rng):
+    # a left-orthogonal train carries its whole norm in its last core; a basis
+    # built from the spanning set in that gauge failed its rank test from a
+    # scale of 1e-9 on, on a healthy point
+    c = orthogonalize(random_tt(rng, (3, 3, 3), (3, 3)), 2)
+    b = core_tangent_basis(c)
+    small = core_tangent_basis(TTTensor(c.cores[:-1] + (1e-9 * c.cores[-1],)))
+    np.testing.assert_allclose(small @ small.T, b @ b.T, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ cells, the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
 by wrapping it, so a parent tree is timed the same way), the Galerkin
 operator's set-up (``tangent_operator``) and the preconditioner build of that
-step, ``_preconditioner(basis, op, tau)``; where the preconditioner reads the
-operator's couplings, that build includes the operator's set-up.  ``--grid
-dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7), one step
-and its retraction, one matvec of the Galerkin operator and the operator's
+step, ``_preconditioner(basis, op, tau, tangent_operator(basis, op))``, which
+includes the operator's set-up, since the preconditioner reads its couplings.
+``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
+one step and its retraction, the tangent basis of the initial point
+(``TangentBasis``), one matvec of the Galerkin operator and the operator's
 set-up.  Each time is the median of ``REPEATS`` runs with BLAS pinned to one
 thread; ``cg_iterations`` lists the CG iteration count of each timed step of
 the last pass.  The problem is the one of the ``pe3d_n128`` benchmark
@@ -127,7 +128,7 @@ def measure_cells(cells):
     basis = TangentBasis(problem.u0)
     op = problem.operator(TAU)
     operator_ms = _median_ms(lambda: tangent_operator(basis, op))
-    precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU))
+    precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU, tangent_operator(basis, op)))
     return _row(D, cells, problem, basis) | {
         "setup_ms": round(setup_ms, 3),
         **steps,
@@ -146,6 +147,7 @@ def measure_dims(d):
     problem, _ = problem_from_config(_config(DIMS_CELLS, d))
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
+    basis_ms = _median_ms(lambda: TangentBasis(problem.u0))
     op = problem.operator(TAU)
     setup_ms = _median_ms(lambda: tangent_operator(basis, op))
     matvec = tangent_operator(basis, op)
@@ -155,6 +157,7 @@ def measure_dims(d):
     matvec_ms = _median_ms(lambda: matvec(x))
     return _row(d, DIMS_CELLS, problem, basis) | {
         **steps,
+        "basis_ms": round(basis_ms, 3),
         "matvec_ms": round(matvec_ms, 3),
         "operator_setup_ms": round(setup_ms, 3),
     }
