@@ -43,6 +43,7 @@ __all__ = [
     "ModeFactor",
     "build_fem1d",
     "load_vector",
+    "profile_values",
     "Discretization",
     "mass_orthonormalize",
     "DiffusionCoefficient",
@@ -160,9 +161,24 @@ class ModeFactor:
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
+def profile_values(profile, x: np.ndarray) -> np.ndarray:
+    """``profile`` called once on the array of points ``x``.  A scalar result
+    broadcasts; any other must have the shape of ``x``, and all must be finite
+    (``InvalidArgumentError``, naming the profile, otherwise)."""
+    name = getattr(profile, "__qualname__", repr(profile))
+    with np.errstate(all="ignore"):  # non-finite values are reported below
+        fx = np.asarray(profile(x), dtype=float)
+    if fx.shape not in ((), x.shape):
+        raise InvalidArgumentError(f"profile {name} gives shape {fx.shape} on points {x.shape}")
+    if not np.isfinite(fx).all():
+        raise InvalidArgumentError(f"profile {name} has non-finite values")
+    return fx if fx.shape else np.full(x.shape, fx)
+
+
 def load_vector(fem: Fem1D, profile) -> np.ndarray:
     """Interior load ``Int profile(x) phi_i(x) dx`` by composite Gauss quadrature.
 
+    The profile is called once, on the (cells x 12) array of quadrature points.
     Twelve points per cell push the quadrature error for smooth profiles far
     below 1e-10 of the load norm.
     """
@@ -170,7 +186,7 @@ def load_vector(fem: Fem1D, profile) -> np.ndarray:
     a = np.arange(fem.n_cells)[:, None] * h  # left cell edges
     x = a + (_GAUSS_NODES + 1.0) * (h / 2.0)  # one row of quadrature points per cell
     w = _GAUSS_WEIGHTS * (h / 2.0)
-    fx = np.asarray([profile(xi) for xi in x.ravel()], dtype=float).reshape(x.shape)
+    fx = profile_values(profile, x)
     # interior node i is the right edge of cell i and the left edge of cell i + 1
     to_right = np.sum(w * fx * ((x - a) / h), axis=1)
     to_left = np.sum(w * fx * (1.0 - (x - a) / h), axis=1)
@@ -346,7 +362,8 @@ class SourceTerm:
     """One separable source term ``c(t) * prod_m g_m(x_m)``.
 
     ``time_coeff`` is a callable of ``t`` (or a constant); ``profiles`` holds
-    one callable per mode.
+    one callable per mode, called on an array of points (a scalar result
+    broadcasts).
     """
 
     time_coeff: object

@@ -34,8 +34,9 @@ inverted by fast diagonalization in one stacked tridiagonal
 factorization, so neither a ``dim x dim`` nor an n x n matrix is formed.
 ``u + v`` is the Tucker form of the summed coordinates, since ``u`` lies in
 its own tangent space, and :func:`~ttdlra.retraction.retract_tucker`
-retracts it on a small core.  The sweep's result and the source stay
-factored, and so do the energies: the quadratic forms are
+retracts it on a small core.  The sweep's result is a train that
+:func:`~ttdlra.retraction.retract_train` retracts on its cores.  The source
+stays factored, and so do the energies: the quadratic forms are
 :func:`~ttdlra.fem.operator_quadratic_form` s on the core, and the state
 differences of the energy report are
 :func:`~ttdlra.retraction.tucker_distance` s.  Only the reference solver
@@ -52,11 +53,11 @@ import scipy.linalg
 from .dense import DenseTensor, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import retract_tucker, train_as_tucker, tucker_distance
+from .retraction import retract_train, retract_tucker, train_as_tucker, tucker_distance
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
 from .fem import chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
 from .tangent import TangentBasis, _check_ambient
-from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_to_dense
+from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale, tt_to_dense
 
 __all__ = [
     "EvolutionState",
@@ -355,11 +356,12 @@ def _next_time(t: float, tau: float) -> float:
     return (k + 1) * tau if k * tau == t else t + tau
 
 
-def _retract_step(tucker, p: ManifoldPoint):
-    """Factored retraction of a step's update to the ranks of ``p``."""
+def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
+    """``retract_fn(*x)`` of a step's update to the ranks of ``p``, a rank
+    collapse raised as ``BreakdownError`` with its gap."""
     tt_ranks = p.core.ranks if p.tt_core else None
     try:
-        return retract_tucker(*tucker, p.outer_ranks, tt_ranks)
+        return retract_fn(*x, p.outer_ranks, tt_ranks)
     except NotOnManifoldError as exc:
         raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
@@ -398,7 +400,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     core, factors = basis.tucker(u_coords + coords)
-    new_point, defect = _retract_step((core, factors), p)
+    new_point, defect = _retract_step(retract_tucker, (core, factors), p)
     return state_from_point(
         new_point,
         t_new,
@@ -534,7 +536,10 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             s1.reshape(ks, ks), cores[m + 1], axes=(1, 0)
         )
 
-    new_point, defect = _retract_step(train_as_tucker(TTTensor(tuple(cores))), p)
+    # cores 0 ... d-2 are left-orthogonal: the sweep leaves its center at d-1
+    x = TTTensor(tuple(cores), ortho_center=d - 1)
+    new_point = _retract_step(retract_train, (x,), p)
+    defect = tt_add(x, tt_scale(_point_to_ambient_tt(new_point), -1.0)).norm()
     return state_from_point(
         new_point,
         t_new,

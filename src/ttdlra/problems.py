@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, svd
+from .dense import DenseTensor
 from .errors import ConfigError, InvalidArgumentError
 from .fem import (
     DiffusionCoefficient,
@@ -24,12 +24,14 @@ from .fem import (
     assemble_rhs,
     build_fem1d,
     mass_orthonormalize,
+    profile_values,
     source_loads,
 )
 from .manifold import ManifoldPoint
-from .retraction import orthonormal_tucker, retract_tucker, train_as_tucker
+from .retraction import retract_train
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tt import TTTensor, generic_outer_ranks, tt_add, tt_round
+from .tt import TTTensor, tt_add, tt_round
+from .tt import generic_outer_ranks  # noqa: F401  re-exported
 
 __all__ = [
     "ParabolicProblem",
@@ -80,12 +82,15 @@ def _profile(spec):
         kind, spec = str(spec), {}
     if kind == "sine":
         freq = float(spec.get("frequency", 1.0))
-        return lambda x: np.sin(freq * np.pi * x)
-    if kind == "constant":
-        return lambda x: 1.0
-    if kind == "bump":
-        return lambda x: x * (1.0 - x)
-    raise ConfigError(f"unknown profile kind {kind!r}")
+        f = lambda x: np.sin(freq * np.pi * x)  # noqa: E731
+    elif kind == "constant":
+        f = lambda x: 1.0  # noqa: E731
+    elif kind == "bump":
+        f = lambda x: x * (1.0 - x)  # noqa: E731
+    else:
+        raise ConfigError(f"unknown profile kind {kind!r}")
+    f.__qualname__ = repr(spec or kind)  # the name profile_values reports
+    return f
 
 
 def _time_poly(coeffs):
@@ -102,9 +107,9 @@ def _initial_point(
 ) -> ManifoldPoint:
     """Nodal interpolation of a separable sum, transformed and retracted.
 
-    With ``outer_ranks=None`` the mode ranks are read off the assembled data
-    (after rounding to the train ranks), so the initial point always carries
-    exact ranks.
+    Each profile is called once, on the array of its mode's interior nodes.
+    With ``outer_ranks=None`` the mode ranks are read off the train (after
+    rounding to the train ranks), so the initial point carries exact ranks.
     """
     if not terms:
         raise ConfigError("initial data needs at least one separable term")
@@ -113,28 +118,14 @@ def _initial_point(
         cores = []
         for m, fem in enumerate(disc.fems):
             nodes = (np.arange(fem.n_interior) + 1) * fem.h
-            vals = np.asarray([profiles[m](x) for x in nodes], dtype=float)
+            vals = profile_values(profiles[m], nodes)
             cores.append(disc.to_orthonormal_1d(vals, m).reshape(1, -1, 1))
         cores[0] = cores[0] * float(coefficient)
         piece = TTTensor(tuple(cores))
         acc = piece if acc is None else tt_add(acc, piece)
     if tt_ranks is not None:
         acc = tt_round(acc, ranks=tt_ranks)
-    tucker = train_as_tucker(acc)
-    if outer_ranks is None and len(disc.dims) == 1:
-        outer_ranks = generic_outer_ranks(disc.dims, ())
-    elif outer_ranks is None:
-        # orthonormal factors: the small core's mode spectra are the ambient ones
-        small, _ = orthonormal_tucker(*tucker)
-        ranks = []
-        for m, n in enumerate(disc.dims):
-            s = svd(np.moveaxis(small, m, 0).reshape(small.shape[m], -1)).singular_values
-            r = int(np.count_nonzero(s > 1e-10 * s[0]))
-            if tt_ranks is not None:
-                r = min(r, generic_outer_ranks(disc.dims, tt_ranks)[m])
-            ranks.append(max(1, r))
-        outer_ranks = tuple(ranks)
-    return retract_tucker(*tucker, outer_ranks, tt_ranks)[0]
+    return retract_train(acc, outer_ranks, tt_ranks)
 
 
 def problem_from_config(config: dict) -> tuple:
@@ -203,21 +194,20 @@ def problem_from_config(config: dict) -> tuple:
                 SourceTerm(time_coeff=_time_poly(term.get("time_poly", [1.0])), profiles=profiles)
             )
         u0 = _initial_point(disc, init_terms, outer, tt_ranks)
-        if outer is None:
-            outer = u0.outer_ranks
+        # the source loads are evaluated here, so a bad profile is a config error
+        problem = ParabolicProblem(
+            disc=disc,
+            diffusion=diffusion,
+            sources=tuple(sources),
+            u0=u0,
+            t_end=t_end,
+            outer_ranks=u0.outer_ranks if outer is None else outer,
+            tt_ranks=tt_ranks,
+        )
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc
-    problem = ParabolicProblem(
-        disc=disc,
-        diffusion=diffusion,
-        sources=tuple(sources),
-        u0=u0,
-        t_end=t_end,
-        outer_ranks=outer,
-        tt_ranks=tt_ranks,
-    )
     return problem, {"tau": tau, "scheme": scheme, "t_end": t_end}
 
 
@@ -232,7 +222,8 @@ def heat_problem(
     outer_ranks=None,
     t_end=0.1,
 ) -> ParabolicProblem:
-    """Programmatic construction used by tests and demonstration scripts."""
+    """Programmatic construction used by tests and demonstration scripts; the
+    profiles of ``initial_terms`` and ``sources`` are called on point arrays."""
     disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(d)])
     b0 = np.eye(d) if b0 is None else np.asarray(b0, dtype=float)
     b1 = np.zeros((d, d)) if b1 is None else np.asarray(b1, dtype=float)
@@ -242,20 +233,14 @@ def heat_problem(
         base = [lambda x: np.sin(np.pi * x)] * d
         second = [lambda x: np.sin(2 * np.pi * x)] * d
         initial_terms = [(1.0, base), (0.35, second)]
-    u0 = _initial_point(
-        disc,
-        initial_terms,
-        tuple(outer_ranks) if outer_ranks is not None else None,
-        tt_ranks,
-    )
-    outer_ranks = u0.outer_ranks
+    u0 = _initial_point(disc, initial_terms, outer_ranks, tt_ranks)
     return ParabolicProblem(
         disc=disc,
         diffusion=diffusion,
         sources=tuple(sources),
         u0=u0,
         t_end=t_end,
-        outer_ranks=tuple(outer_ranks),
+        outer_ranks=u0.outer_ranks,
         tt_ranks=tt_ranks,
     )
 

@@ -1,32 +1,38 @@
 """Retraction onto the constrained Tucker manifold.
 
 The map truncates mode by mode to the outer ranks (sequentially truncated
-higher-order SVD) and then rounds the resulting core to the inner train
-ranks.  Each stage is an orthogonal projection, so the retraction never
+higher-order SVD, ST-HOSVD) and then rounds the resulting core to the inner
+train ranks.  Each stage is an orthogonal projection, so the retraction never
 increases the norm, and it reproduces points that already have the target
 ranks exactly.
 
-Both entries share one truncation on plain arrays.  :func:`retract` takes an
-ambient tensor and is the reference.  :func:`retract_tucker` takes
+Three entries compute it, each building, validating and measuring the new
+point with one :func:`make_point`.  :func:`retract` takes an ambient tensor
+and is the reference.  :func:`retract_tucker` takes the projected step's
 ``core x_0 W^0 ... x_{d-1} W^{d-1}`` with tall factors that need not be
 orthonormal: :func:`orthonormal_tucker` QR-factors ``W^m = Q^m R^m`` and
-absorbs the ``R^m`` into a small core with the mode spectra of the represented
-tensor.  The truncation runs on that core, and one :func:`make_point` on the
-final factors ``Q^m V^m`` builds, validates and measures the new point: no
-intermediate point and no ambient ``n^d`` tensor is formed.  The difference of
-two Tucker tensors, :func:`tucker_distance`, is measured on a small core too.
+absorbs the ``R^m`` into a small core, which the reference's truncation
+truncates; the new factors are ``Q^m V^m``.  :func:`retract_train` takes a
+train (the initial data, the splitting sweep's result) and runs the ST-HOSVD
+on its cores, one ``n_m x k_{m-1} k_m`` site matrix per mode, so no array
+larger than a site core is formed.  The difference of two Tucker tensors,
+:func:`tucker_distance`, is measured on a small core too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dense import DenseTensor, _multiply_modes
-from .errors import InvalidArgumentError
-from .manifold import ManifoldPoint, make_point, point_to_dense
-from .tt import TTTensor, tt_from_dense, tt_to_dense
+from .errors import InvalidArgumentError, NotOnManifoldError
+from .manifold import ManifoldPoint, make_point
+from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
+from .tt import tt_from_dense, tt_to_dense
 
-__all__ = ["retract", "retract_tucker", "orthonormal_tucker", "tucker_distance", "train_as_tucker"]
+__all__ = ["retract", "retract_tucker", "retract_train", "orthonormal_tucker", "tucker_distance",
+           "train_as_tucker"]
 
 
 def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
@@ -74,6 +80,60 @@ def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
     return core, factors
 
 
+def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
+    """:func:`retract` of the train ``t``, computed on its cores; a train with
+    ``ortho_center == 0`` is already right-orthogonal and is used as it is.
+    ``outer_ranks=None`` keeps each mode's numerical rank: the count of its
+    singular values above 1e-10 of the largest, at most the generic rank of
+    ``tt_ranks``, read in a first sweep that truncates nothing."""
+    if t.ndim == 1:
+        return retract(tt_to_dense(t), t.dims if outer_ranks is None else outer_ranks, tt_ranks)
+    cores = (t if t.ortho_center == 0 else orthogonalize(t, 0)).cores
+    if outer_ranks is None:
+        caps = t.dims if tt_ranks is None else generic_outer_ranks(t.dims, tt_ranks)
+        spectra = _site_sweep(cores, [None] * t.ndim)[2]
+        outer_ranks = [max(1, min(c, int(np.sum(s > 1e-10 * s[0])))) for c, s in zip(caps, spectra)]
+    cores, factors, _ = _site_sweep(cores, [int(r) for r in outer_ranks])
+    if tt_ranks is None:
+        return make_point(tt_to_dense(TTTensor(cores)), factors)
+    widths = [v.shape[1] for v in factors]
+    # right-orthogonalize, then round left to right as tt_from_dense does
+    cores = list(orthogonalize(TTTensor(cores), 0).cores)
+    for m, cap in enumerate(_checked_caps(widths, tt_ranks)):
+        kl, r, kr = cores[m].shape
+        u, s, vh = np.linalg.svd(cores[m].reshape(kl * r, kr), full_matrices=False)
+        tol = max(kl * r, math.prod(widths[m + 1 :])) * np.finfo(float).eps * s[0]
+        k = min(cap, max(1, int(np.sum(s > tol))))
+        cores[m] = u[:, :k].reshape(kl, r, k)
+        cores[m + 1] = np.tensordot(s[:k, None] * vh[:k], cores[m + 1], axes=(1, 0))
+    return make_point(TTTensor(tuple(cores), ortho_center=len(cores) - 1), factors)
+
+
+def _site_sweep(cores, outer_ranks) -> tuple:
+    """ST-HOSVD of the train ``cores`` (center 0) in mode order: with the center
+    at site m, the leading ``outer_ranks[m]`` (all for ``None``) left singular
+    vectors ``V^m`` of the site matrix are those of the mode-m unfolding of
+    what earlier modes left.  The site core becomes ``V^m^T G_m`` and one QR
+    moves the center on.  Returns the cores (center ``d - 1``), the ``V^m``
+    and the singular values of each site."""
+    cores, factors, spectra = list(cores), [], []
+    for m, r in enumerate(outer_ranks):
+        kl, n, kr = cores[m].shape
+        u, s, wh = np.linalg.svd(cores[m].transpose(1, 0, 2).reshape(n, -1), full_matrices=False)
+        r = s.size if r is None else r
+        if r > s.size:  # the dense reference keeps a zero singular value here and rejects
+            raise NotOnManifoldError(f"mode {m} has rank at most {s.size}, below {r}")
+        factors.append(np.ascontiguousarray(u[:, :r]))  # the step reads it many times
+        spectra.append(s)
+        core = (s[:r, None] * wh[:r]).reshape(r, kl, kr).transpose(1, 0, 2)
+        if m + 1 < len(cores):
+            q, rf = np.linalg.qr(core.reshape(kl * r, kr))
+            core = q.reshape(kl, r, q.shape[1])
+            cores[m + 1] = np.tensordot(rf, cores[m + 1], axes=(1, 0))
+        cores[m] = core
+    return tuple(cores), factors, spectra
+
+
 def train_as_tucker(t: TTTensor) -> tuple:
     """Tucker form ``(core, factors)`` of a train: factor ``m`` is the mode
     unfolding of core ``m`` (column ``a k_m + b`` holds ``G_m[a, :, b]``), and
@@ -117,12 +177,9 @@ def retract_tucker(core, factors, outer_ranks, tt_ranks=None) -> tuple:
     ``DenseTensor`` or an array), computed on the small core.  Returns
     ``(point, defect)``, ``defect`` being the distance of the point to the
     input.  Raises what :func:`retract` raises."""
-    small, qs = orthonormal_tucker(core, factors)
     if len(factors) == 1:
-        # single mode: the full space, where the tensor is only a vector
-        x = DenseTensor.from_array(qs[0] @ small)
-        point = retract(x, outer_ranks, tt_ranks)
-        return point, (point_to_dense(point) - x).norm()
+        raise InvalidArgumentError("a single mode has only the full space; use retract")
+    small, qs = orthonormal_tucker(core, factors)
     new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])
     # the point's core is in the coordinates of the V^m, as is the small core

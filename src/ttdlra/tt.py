@@ -137,6 +137,20 @@ def generic_outer_ranks(dims, tt_ranks) -> tuple:
     return tuple(min(n, k[m] * k[m + 1]) for m, n in enumerate(dims))
 
 
+def _checked_caps(dims, ranks) -> tuple:
+    """``ranks`` as interface size caps of a train over ``dims``: d - 1
+    positive ints within :func:`max_feasible_ranks`."""
+    ranks = tuple(int(k) for k in ranks)
+    if len(ranks) != len(dims) - 1:
+        raise InvalidArgumentError(f"expected {len(dims) - 1} interface sizes, got {len(ranks)}")
+    if any(k < 1 for k in ranks):
+        raise InvalidArgumentError("interface sizes must be positive")
+    feasible = max_feasible_ranks(dims)
+    if any(k > f for k, f in zip(ranks, feasible)):
+        raise InvalidArgumentError(f"requested ranks {ranks} exceed the feasible {feasible}")
+    return ranks
+
+
 def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
     """Sweep of truncated SVDs turning a dense tensor into a train.
 
@@ -154,19 +168,8 @@ def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
     """
     dims = x.dims
     d = len(dims)
-    feasible = max_feasible_ranks(dims)
     if ranks is not None:
-        ranks = tuple(int(k) for k in ranks)
-        if len(ranks) != d - 1:
-            raise InvalidArgumentError(
-                f"expected {d - 1} interface sizes, got {len(ranks)}"
-            )
-        if any(k < 1 for k in ranks):
-            raise InvalidArgumentError("interface sizes must be positive")
-        if any(k > f for k, f in zip(ranks, feasible)):
-            raise InvalidArgumentError(
-                f"requested ranks {ranks} exceed the feasible {feasible}"
-            )
+        ranks = _checked_caps(dims, ranks)
     carry = x.to_array().reshape((1,) + dims)
     cores = []
     discarded_sq = 0.0

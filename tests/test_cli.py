@@ -300,3 +300,25 @@ def test_long_heat_run_finishes(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     meta = json.load(open(tmp_path / "o" / "metadata.json"))
     assert meta["breakdown"] is None and meta["energy"]["dissipation_ok"]
+
+
+@pytest.mark.parametrize("field", ["sources", "initial"])
+def test_non_finite_profile_is_config_error(tmp_path, capsys, field):
+    # a source profile sin(inf * pi * x) once passed configuration and the
+    # first step died in the retraction with LinAlgError (exit 1); in the
+    # initial data it exited 2 with only "SVD did not converge"
+    from ttdlra import cli
+
+    with open(os.path.join(PKG_SRC, "..", "configs", "solve_heat3d.json")) as fh:
+        payload = json.load(fh)
+    bad = [{"kind": "sine", "frequency": 1}, {"kind": "sine", "frequency": float("inf")}, "bump"]
+    if field == "sources":
+        payload["problem"]["sources"] = [{"time_poly": [1.0], "profiles": bad}]
+    else:
+        payload["problem"]["initial"][1]["profiles"] = bad
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert "Infinity" in open(cfg).read()
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "{'kind': 'sine', 'frequency': inf}" in err and "non-finite" in err

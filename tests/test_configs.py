@@ -31,6 +31,30 @@ def test_shipped_config_loads_and_builds(path):
         assert problem.u0.dims == problem.disc.dims
 
 
+# the auto outer ranks each shipped problem reads off its initial data
+AUTO_OUTER_RANKS = {
+    "converge_anisotropic.json": (1, 1, 1),
+    "diagnose_heat3d.json": (2, 2, 2),
+    "solve_heat3d.json": (3, 3, 3),
+    "solve_rank_collapse.json": (2, 2),
+    "stability_perturbed.json": (2, 2),
+}
+
+
+def test_auto_outer_ranks_of_shipped_problems():
+    found = {}
+    for path in CONFIGS:
+        with open(path) as fh:
+            kind = json.load(fh)["kind"]
+        cfg = cli._load_config(path, COMMAND_OF_KIND[kind], {})
+        if "problem" in cfg.raw:
+            assert cfg.problem.get("outer_ranks", "auto") == "auto"
+            problem, _ = problem_from_config(cfg.problem)
+            assert problem.outer_ranks == problem.u0.outer_ranks
+            found[os.path.basename(path)] = problem.outer_ranks
+    assert found == AUTO_OUTER_RANKS
+
+
 # the values every top-level and problem field takes in the sweep below
 MALFORMED = (None, "x", -1, 0, [], {}, 1.5, True, [-1], ["x"])
 

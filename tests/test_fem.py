@@ -28,6 +28,7 @@ from ttdlra.fem import (
     load_vector,
     mass_orthonormalize,
     mixed_derivative_check,
+    profile_values,
 )
 from ttdlra.manifold import make_point, point_to_dense, scale_point
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
@@ -109,6 +110,49 @@ def test_load_vector_sine_against_quadrature_oracle():
 
         ref, _ = scipy.integrate.quad(hat, max(0.0, xi - h), min(1.0, xi + h), limit=200)
         assert abs(load[i] - ref) <= 1e-12
+
+
+def test_profile_is_called_once_on_the_point_array():
+    fem = build_fem1d(10)
+    shapes = []
+
+    def profile(x):
+        shapes.append(np.shape(x))
+        return np.sin(np.pi * x)
+
+    load = load_vector(fem, profile)
+    assert shapes == [(10, 12)]
+    # the same load as one call per point
+    per_point = load_vector(fem, np.vectorize(lambda x: np.sin(np.pi * x)))
+    np.testing.assert_allclose(load, per_point, rtol=1e-14, atol=0)
+
+
+def test_scalar_profile_broadcasts():
+    fem = build_fem1d(10)
+    x = np.linspace(0.1, 0.9, 7)
+    np.testing.assert_array_equal(profile_values(lambda x: 2.5, x), np.full(7, 2.5))
+    np.testing.assert_allclose(
+        load_vector(fem, lambda x: 2.5), 2.5 * load_vector(fem, lambda x: 1.0), rtol=1e-15
+    )
+
+
+def test_wrong_shape_profile_is_invalid_argument():
+    def mean_only(x):
+        return np.array([np.mean(x)] * 3)
+
+    with pytest.raises(InvalidArgumentError, match="mean_only gives shape"):
+        load_vector(build_fem1d(10), mean_only)
+    with pytest.raises(InvalidArgumentError, match="mean_only gives shape"):
+        profile_values(mean_only, np.linspace(0.1, 0.9, 7))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_profile_is_invalid_argument(value):
+    def spiky(x):
+        return np.where(x > 0.5, value, x)
+
+    with pytest.raises(InvalidArgumentError, match="profile .*spiky has non-finite values"):
+        load_vector(build_fem1d(10), spiky)
 
 
 # ---------------------------------------------------------------------------

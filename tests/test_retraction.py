@@ -1,5 +1,7 @@
 """Factored retraction and the factored solver paths against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from helpers import count_calls, gauge_frame, summands
 
 from ttdlra import manifold
 from ttdlra.dense import DenseTensor, matricize, mode_multiply
-from ttdlra.errors import BreakdownError, NotOnManifoldError
+from ttdlra.errors import BreakdownError, ConfigError, NotOnManifoldError
 from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
 from ttdlra.integrate import (
     BreakdownRecord,
@@ -15,13 +17,20 @@ from ttdlra.integrate import (
     solve,
     state_from_point,
     step_projected_implicit_euler,
+    step_projector_splitting,
 )
 from ttdlra.manifold import GAP_REJECT_REL, make_point, point_to_dense
 from ttdlra.problems import ParabolicProblem, generic_outer_ranks, problem_from_config
-from ttdlra.retraction import retract, retract_tucker, train_as_tucker, tucker_distance
+from ttdlra.retraction import (
+    retract,
+    retract_train,
+    retract_tucker,
+    train_as_tucker,
+    tucker_distance,
+)
 from ttdlra.sampling import random_point, random_tt
 from ttdlra.tangent import TangentBasis, TangentVector
-from ttdlra.tt import tt_to_dense
+from ttdlra.tt import TTTensor, orthogonalize, tt_add, tt_from_dense, tt_to_dense
 
 REL = 1e-12
 
@@ -99,16 +108,60 @@ def test_train_as_tucker_matches_dense(rng, dims, train_ranks, outer, tt_ranks):
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
 
 
+# mode sizes, train ranks of the input, outer ranks and train ranks of the
+# point; (2, 3, 2) is below the generic (2, 4, 2) of train ranks (2, 2)
+TRAIN_CASES = [
+    ((7,), (), (7,), ()),
+    ((7,), (), (7,), None),
+    ((6, 5), (4,), (2, 2), (2,)),
+    ((6, 5), (4,), (3, 3), None),
+    ((7, 6, 5), (3, 4), (2, 3, 2), (2, 2)),
+    ((7, 6, 5), (3, 4), (2, 3, 2), None),
+    ((7, 6, 5), (3, 4), (3, 4, 4), (3, 4)),
+    ((5, 4, 6, 5), (3, 4, 3), (2, 3, 3, 2), (2, 3, 2)),
+    ((5, 4, 6, 5), (3, 4, 3), (2, 3, 3, 2), None),
+    ((4, 5, 4, 5, 4), (3, 4, 4, 3), (2, 3, 3, 3, 2), (2, 3, 3, 2)),
+    ((4, 5, 4, 5, 4), (3, 4, 4, 3), (2, 3, 3, 3, 2), None),
+]
+
+
+@pytest.mark.parametrize("dims, train_ranks, outer, tt_ranks", TRAIN_CASES)
+def test_retract_train_matches_dense_retraction(rng, dims, train_ranks, outer, tt_ranks):
+    t = random_tt(rng, dims, train_ranks)
+    x = tt_to_dense(t)
+    ref = retract(x, outer, tt_ranks)
+    # the gauge the train carries: right-orthogonal (reused), left-orthogonal
+    # and none at all
+    gauges = [orthogonalize(t, 0), orthogonalize(t, len(dims) - 1), TTTensor(t.cores)]
+    for train in gauges:
+        point = retract_train(train, outer, tt_ranks)
+        assert point.outer_ranks == ref.outer_ranks
+        assert point.tt_core == ref.tt_core
+        if point.tt_core:
+            assert point.core.ranks == ref.core.ranks
+        for u in point.factors:
+            np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+        assert (point_to_dense(point) - point_to_dense(ref)).norm() <= REL * x.norm()
+
+
 @pytest.mark.parametrize("tt_ranks", [(2, 2), None])
 def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
-    # multilinear rank (1, 1, 1) asked to carry outer ranks (2, 2, 2)
+    # multilinear rank (1, 1, 1) asked to carry outer ranks (2, 2, 2), through
+    # the Tucker and the train path
     vecs = [rng.standard_normal(3) for _ in range(3)]
     core = DenseTensor.from_array(np.einsum("i,j,k->ijk", *vecs))
     factors = [rng.standard_normal((n, 3)) for n in (6, 5, 7)]
+    x = tucker_to_dense(core, factors)
     with pytest.raises(NotOnManifoldError):
-        retract(tucker_to_dense(core, factors), (2, 2, 2), tt_ranks)
+        retract(x, (2, 2, 2), tt_ranks)
     with pytest.raises(NotOnManifoldError):
         retract_tucker(core, factors, (2, 2, 2), tt_ranks)
+    # the exact train of x has interface ranks (1, 1); the sum t + t has
+    # ranks (2, 2) and multilinear rank (1, 1, 1), as x has
+    t = tt_from_dense(x)
+    for train in (t, tt_add(t, t)):
+        with pytest.raises(NotOnManifoldError):
+            retract_train(train, (2, 2, 2), tt_ranks)
 
 
 @pytest.mark.parametrize("tt_ranks", [(2, 2), None])
@@ -161,6 +214,30 @@ def _collapse_problem(n_cells, weight):
         outer_ranks=(2, 2),
         tt_ranks=None,
     )
+
+
+def test_splitting_sweep_retracts_its_train_natively(monkeypatch, rng):
+    # the sweep's train goes through retract_train, not the (k^2)^d wiring
+    # core of train_as_tucker, and at generic ranks its defect is round-off
+    from ttdlra import integrate
+
+    def wiring_core(t):
+        raise AssertionError("train_as_tucker called")
+
+    monkeypatch.setattr(integrate, "train_as_tucker", wiring_core)
+    disc = mass_orthonormalize([build_fem1d(10) for _ in range(3)])
+    problem = ParabolicProblem(
+        disc=disc,
+        diffusion=DiffusionCoefficient(np.eye(3), np.zeros((3, 3)), horizon=1.0),
+        sources=(),
+        u0=random_point(rng, disc.dims, (2, 4, 2), tt_ranks=(2, 2)),
+        t_end=1.0,
+        outer_ranks=(2, 4, 2),
+        tt_ranks=(2, 2),
+    )
+    state = step_projector_splitting(state_from_point(problem.u0, 0.0, disc), 1e-3, problem)
+    assert state.point.outer_ranks == (2, 4, 2) and state.point.core.ranks == (2, 2)
+    assert 0.0 <= state.retraction_defect <= 1e-13 * state.point.norm()
 
 
 def test_step_rank_collapse_is_breakdown():
@@ -241,6 +318,44 @@ def test_initial_point_and_auto_ranks_match_dense_construction(tt_ranks):
     ref = retract(x, ranks, tt_ranks)
     assert problem.u0.tt_core == ref.tt_core
     assert (point_to_dense(problem.u0) - point_to_dense(ref)).norm() <= REL * x.norm()
+
+
+def _large_d_config(d):
+    # three sine terms and train ranks 3 at 16 cells, as the set-up benchmark
+    return _config(d, 16, [3] * (d - 1), [
+        {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * d}
+        for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
+    ])
+
+
+def test_setup_at_d8_stays_small():
+    # the set-up once passed the train through a (k^2)^d wiring core: 219 MiB
+    # traced at d = 8; on the train it peaks at about 0.5 MiB
+    config = _large_d_config(8)
+    tracemalloc.start()
+    try:
+        problem, _ = problem_from_config(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.outer_ranks == (3,) * 8
+    assert peak <= 4 * 2**20
+
+
+def test_setup_at_d10_runs():
+    problem, _ = problem_from_config(_large_d_config(10))
+    assert problem.outer_ranks == problem.u0.outer_ranks == (3,) * 10
+    assert problem.u0.core.ranks == (3,) * 9
+    assert problem.u0.gap > GAP_REJECT_REL * problem.u0.norm()
+
+
+def test_outer_rank_above_the_initial_train_is_config_error():
+    # mode 0 of a train with interface ranks (2, 2) has rank at most 2; the
+    # set-up once returned a u0 of outer ranks (2, 2, 2) for a problem that
+    # claimed (3, 2, 2)
+    config = dict(_config(3, 8, [2, 2], INITIAL), outer_ranks=[3, 2, 2])
+    with pytest.raises(ConfigError, match="mode 0 has rank at most 2, below 3"):
+        problem_from_config(config)
 
 
 def test_single_mode_auto_outer_ranks_is_full_space():

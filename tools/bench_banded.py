@@ -1,4 +1,4 @@
-"""Scaling record of the projected-Euler step in the grid size and in d.
+"""Scaling record of the projected-Euler step and the set-up in the grid size and in d.
 
     python3 tools/bench_banded.py --label before --src <parent checkout>/src --out BENCH_banded.json
     python3 tools/bench_banded.py --label after --src src --out BENCH_banded.json
@@ -6,9 +6,12 @@
         --out BENCH_reduced.json
     python3 tools/bench_banded.py --grid dims --dims 3 4 5 6 7 8 --label after --src src \
         --out BENCH_reduced.json
+    python3 tools/bench_banded.py --grid setup --dims 3 4 5 6 7 8 9 --label before \
+        --src <parent checkout>/src --out BENCH_setup.json
 
-``BENCH_precond.json`` holds both default grids, recorded the same way, and
-``BENCH_retract.json`` both grids (dims 3 to 8) in alternating passes.
+``BENCH_precond.json`` holds both default grids, recorded the same way,
+``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
+and ``BENCH_setup.json`` the set-up grid.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
@@ -19,17 +22,23 @@ includes the operator's set-up, since the preconditioner reads its couplings.
 ``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
 one step and its retraction, the tangent basis of the initial point
 (``TangentBasis``), one matvec of the Galerkin operator and the operator's
-set-up.  Each time is the median of ``REPEATS`` runs with BLAS pinned to one
-thread; ``cg_iterations`` lists the CG iteration count of each timed step of
-the last pass.  The problem is the one of the ``pe3d_n128`` benchmark
-workload, in d modes: three sine terms, a constant source, tau = 1e-3, train
-ranks 3 and auto outer ranks.  ``--src`` selects the source tree to import,
-so the same script records a parent checkout (``--label before``) and this
-one (``--label after``).  A pass adds its times to the row of the same
-label, d and cells in ``--out``: the row keeps each pass's times under
-``per_pass`` and reports their median, with the count in ``passes``, so
-passes of the two labels run alternately give before/after medians under the
-same host load.  A row without ``per_pass`` (an older record) is replaced.
+set-up.  ``--grid setup`` times the set-up alone, at 128 cells for d = 3 and
+at 16 cells for each d of ``--dims``: ``setup_ms``, and ``setup_peak_mib``,
+the peak of one further call traced by ``tracemalloc``.  ``peak_rss_mib`` is
+the process's peak RSS after the size; sizes run in the order given, so it
+bounds the size's own peak from above.  A size whose first call takes more
+than ``SLOW_S`` seconds is timed by that call alone (``repeats`` 1).  Every
+other time is the median of ``REPEATS`` runs.  BLAS is pinned to one thread;
+``cg_iterations`` lists the CG iteration count of each timed step of the last
+pass.  The problem is the one of the ``pe3d_n128`` benchmark workload, in d
+modes: three sine terms, a constant source, tau = 1e-3, train ranks 3 and
+auto outer ranks.  ``--src`` selects the source tree to import, so the same
+script records a parent checkout (``--label before``) and this one
+(``--label after``).  A pass adds its times to the row of the same label, d
+and cells in ``--out``: the row keeps each pass's times under ``per_pass``
+and reports their median, with the count in ``passes``, so passes of the two
+labels run alternately give before/after medians under the same host load.
+A row without ``per_pass`` (an older record) is replaced.
 """
 
 from __future__ import annotations
@@ -51,6 +60,8 @@ CELLS = (128, 256, 512, 1024)
 DIMS = (3, 4, 5, 6, 7)
 DIMS_CELLS = 16
 REPEATS = 15
+SETUP_CELLS = 128  # the set-up grid's d = 3 row, the pe3d_n128 workload's size
+SLOW_S = 1.0
 TAU = 1e-3
 TT_RANK = 3
 
@@ -163,6 +174,37 @@ def measure_dims(d):
     }
 
 
+def measure_setup(size):
+    import resource
+    import tracemalloc
+
+    from ttdlra.problems import problem_from_config
+
+    d, cells = size
+    cfg = _config(cells, d)
+    start = time.perf_counter()
+    problem, _ = problem_from_config(cfg)
+    first = time.perf_counter() - start
+    slow = first > SLOW_S
+    setup_ms = 1e3 * first if slow else _median_ms(lambda: problem_from_config(cfg))
+    tracemalloc.start()
+    try:
+        problem_from_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "d": d,
+        "cells": cells,
+        "train_ranks": [TT_RANK] * (d - 1),
+        "outer_ranks": list(problem.u0.outer_ranks),
+        "repeats": 1 if slow else REPEATS,
+        "setup_ms": round(setup_ms, 3),
+        "setup_peak_mib": round(peak / 2**20, 3),
+        "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
 def _row(d, cells, problem, basis):
     return {
         "d": d,
@@ -192,7 +234,9 @@ def main(argv=None):
     parser.add_argument("--label", required=True, help="row label, e.g. before or after")
     parser.add_argument("--src", required=True, help="source tree holding the ttdlra package")
     parser.add_argument("--out", required=True, help="JSON record to update")
-    parser.add_argument("--grid", choices=("cells", "dims"), default="cells", help="what to scan")
+    parser.add_argument(
+        "--grid", choices=("cells", "dims", "setup"), default="cells", help="what to scan"
+    )
     parser.add_argument("--dims", type=int, nargs="+", default=DIMS, help="d of the dims grid")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -211,7 +255,11 @@ def main(argv=None):
         "cores": os.cpu_count(),
         "machine": platform.machine(),
     }
-    sizes, measure = (CELLS, measure_cells) if args.grid == "cells" else (args.dims, measure_dims)
+    sizes, measure = {
+        "cells": (CELLS, measure_cells),
+        "dims": (args.dims, measure_dims),
+        "setup": ([(D, SETUP_CELLS)] + [(d, DIMS_CELLS) for d in args.dims], measure_setup),
+    }[args.grid]
     for size in sizes:
         row = {"label": args.label, **measure(size)}
         print(json.dumps(row), flush=True)
