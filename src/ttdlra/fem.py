@@ -30,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dense import DenseTensor, _multiply_modes, inner
 from .errors import InvalidArgumentError
@@ -60,6 +59,15 @@ __all__ = [
     "mixed_derivative_check",
     "MixedDerivativeReport",
 ]
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on first use: it costs tens of MiB,
+    which code that factors no banded matrix (the curvature suite) skips."""
+    import scipy.linalg
+
+    return scipy.linalg.lapack
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ def build_fem1d(n_cells: int) -> Fem1D:
     h = 1.0 / n_cells
     rows = np.ones((n, 1))  # one stencil per matrix row
     mass = np.array([1.0, 4.0, 1.0]) * (h / 6.0) * rows
-    chol, info = scipy.linalg.lapack.dpbtrf(mass[:, 1:].T, lower=1)
+    chol, info = _lapack().dpbtrf(mass[:, 1:].T, lower=1)
     if info != 0:
         raise InvalidArgumentError(f"mass matrix Cholesky factorization failed (info {info})")
     return Fem1D(
@@ -131,7 +139,7 @@ def chol_matmul(chol, y, trans: str) -> np.ndarray:
 
 def chol_solve(chol, y, trans: str) -> np.ndarray:
     """``L^-1 y`` (``trans="N"``) or ``L^-T y`` (``"T"``): one bidiagonal solve."""
-    x, info = scipy.linalg.lapack.dtbtrs(chol, y, uplo="L", trans=trans)
+    x, info = _lapack().dtbtrs(chol, y, uplo="L", trans=trans)
     if info != 0:
         raise InvalidArgumentError(f"banded triangular solve failed (info {info})")
     return x

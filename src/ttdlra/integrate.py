@@ -37,10 +37,11 @@ its own tangent space, and :func:`~ttdlra.retraction.retract_tucker`
 retracts it on a small core.  The sweep's result is a train that
 :func:`~ttdlra.retraction.retract_train` retracts on its cores.  The source
 stays factored, and so do the energies: the quadratic forms are
-:func:`~ttdlra.fem.operator_quadratic_form` s on the core, and the state
-differences of the energy report are
-:func:`~ttdlra.retraction.tucker_distance` s.  Only the reference solver
-:func:`dense_implicit_euler` works in the ambient space.
+:func:`~ttdlra.fem.operator_quadratic_form` s on the core.  Each step records
+how far it moved, measured where both states share a frame, and the energy
+report reads those records and the problem's load Gram matrix, so it forms
+no tensor.  Only the reference solver :func:`dense_implicit_euler` works in
+the ambient space.
 """
 
 from __future__ import annotations
@@ -48,14 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dense import DenseTensor, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import retract_train, retract_tucker, train_as_tucker, tucker_distance
+from .retraction import retract_train, retract_tucker, train_as_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .fem import chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
+from .fem import _lapack, chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
 from .tangent import TangentBasis, _check_ambient
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale, tt_to_dense
 
@@ -81,7 +81,10 @@ BREAKDOWN_REL = 1e-8
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """One accepted snapshot of the evolution in orthonormal coordinates."""
+    """One accepted snapshot of the evolution in orthonormal coordinates.
+
+    ``step_distance`` is ``|u_n - u_{n-1}|``, recorded by the step that made
+    the state; a state no step made carries NaN."""
 
     time: float
     point: ManifoldPoint
@@ -91,6 +94,7 @@ class EvolutionState:
     tangent_residual: float = 0.0
     retraction_defect: float = 0.0
     dissipation_form: float = 0.0  # a(u+, u+) of the pre-retraction update
+    step_distance: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -276,13 +280,13 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
         chols.append(np.tile(fem.mass_chol, r))
         chols[-1][1, n - 1 :: n] = 0.0
         rots.append(w)
-    diag, off, info = scipy.linalg.lapack.dpttrf(np.concatenate(diags), np.concatenate(offs)[:-1])
+    diag, off, info = _lapack().dpttrf(np.concatenate(diags), np.concatenate(offs)[:-1])
     if info != 0:
         raise InvalidArgumentError("the preconditioner's shifted operator is not positive definite")
     chol = np.hstack(chols)
 
     def s_inv(g):
-        z, _ = scipy.linalg.lapack.dpttrs(diag, off, chol_matmul(chol, g, "N"))
+        z, _ = _lapack().dpttrs(diag, off, chol_matmul(chol, g, "N"))
         return chol_matmul(chol, z, "T")
 
     # column-major, so the broadcasts of chol_matmul run down the long columns
@@ -314,7 +318,12 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
 def _pcg(apply, precond, b) -> tuple:
     """Preconditioned conjugate gradients for ``apply(x) = b`` from ``x = 0``,
     stopping at relative residual ``CG_RTOL`` or after ``len(b)`` iterations.
-    Returns the solution and the iteration count."""
+    Returns the solution and the iteration count.  CG runs on ``b`` scaled by
+    the power of two that brings its largest entry into [0.5, 1): no inner
+    product underflows, and the exact scaling leaves normal-range results
+    bit-identical."""
+    exponent = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    b = np.ldexp(b, -exponent)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -323,7 +332,7 @@ def _pcg(apply, precond, b) -> tuple:
     stop = CG_RTOL * np.linalg.norm(b)
     for it in range(b.size):
         if np.linalg.norm(r) <= stop:
-            return x, it
+            return np.ldexp(x, exponent), it
         q = apply(p)
         alpha = rz / float(p @ q)
         x += alpha * p
@@ -331,7 +340,7 @@ def _pcg(apply, precond, b) -> tuple:
         z = precond(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
-    return x, b.size
+    return np.ldexp(x, exponent), b.size
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +365,12 @@ def _next_time(t: float, tau: float) -> float:
     return (k + 1) * tau if k * tau == t else t + tau
 
 
-def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
-    """``retract_fn(*x)`` of a step's update to the ranks of ``p``, a rank
-    collapse raised as ``BreakdownError`` with its gap."""
+def _retract_step(retract_fn, x: tuple, p: ManifoldPoint, **kwargs):
+    """``retract_fn(*x, **kwargs)`` of a step's update to the ranks of ``p``, a
+    rank collapse raised as ``BreakdownError`` with its gap."""
     tt_ranks = p.core.ranks if p.tt_core else None
     try:
-        return retract_fn(*x, p.outer_ranks, tt_ranks)
+        return retract_fn(*x, p.outer_ranks, tt_ranks, **kwargs)
     except NotOnManifoldError as exc:
         raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
@@ -400,7 +409,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     core, factors = basis.tucker(u_coords + coords)
-    new_point, defect = _retract_step(retract_tucker, (core, factors), p)
+    new_point, defect, distance = _retract_step(retract_tucker, (core, factors), p, origin=basis.core)
     return state_from_point(
         new_point,
         t_new,
@@ -408,6 +417,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
         tangent_residual=float(resid),
         retraction_defect=float(defect),
         dissipation_form=float(a_form),
+        step_distance=distance,
     )
 
 
@@ -539,14 +549,15 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     # cores 0 ... d-2 are left-orthogonal: the sweep leaves its center at d-1
     x = TTTensor(tuple(cores), ortho_center=d - 1)
     new_point = _retract_step(retract_train, (x,), p)
-    defect = tt_add(x, tt_scale(_point_to_ambient_tt(new_point), -1.0)).norm()
+    minus_new = tt_scale(_point_to_ambient_tt(new_point), -1.0)
     return state_from_point(
         new_point,
         t_new,
         problem.disc,
         tangent_residual=0.0,
-        retraction_defect=float(defect),
+        retraction_defect=tt_add(x, minus_new).norm(),
         dissipation_form=float("nan"),
+        step_distance=tt_add(y, minus_new).norm(),
     )
 
 
@@ -635,6 +646,10 @@ class EnergyReport:
 def energy_report(tr: Trajectory, problem) -> EnergyReport:
     """Quadratures of the energy quantities and the zero-source decay check.
 
+    Arithmetic over the states' records: ``du_integral`` sums their
+    ``step_distance`` s (NaN for a state no step made), and ``|f(t)|^2`` is
+    the problem's ``rhs_norm_sq``, so no tensor is formed.
+
     With zero source, implicit Euler satisfies, per step and before
     retraction, ``|u+|^2 + 2 tau a(u+, u+) <= |u|^2``; the retraction only
     shrinks norms, so the accumulated inequality must hold up to round-off.
@@ -648,13 +663,12 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     l2_terminal = states[-1].energy_l2
     v_integral = float(sum(s.energy_v for s in states[1:]) * tau)
     du = 0.0
-    for a, b in zip(states[:-1], states[1:]):
-        du += tucker_distance(a.point.tucker(), b.point.tucker()) ** 2 / tau
+    for s in states[1:]:
+        du += s.step_distance**2 / tau
     v_sup = float(max(s.energy_v for s in states))
     f_integral = 0.0
     for s in states[1:]:
-        f = problem.rhs_tt(s.time)
-        f_integral += (f.norm() ** 2 if f is not None else 0.0) * tau
+        f_integral += problem.rhs_norm_sq(s.time) * tau
     dissipation_ok = True
     if f_integral == 0.0 and len(states) > 1:
         if any(np.isnan(s.dissipation_form) for s in states[1:]):

@@ -53,11 +53,18 @@ class ParabolicProblem:
     outer_ranks: tuple
     tt_ranks: tuple | None
     # mode loads of the sources, computed once: only the coefficients c(t)
-    # depend on time, so rhs_tt(t) only scales and adds these cores
+    # depend on time, so rhs_tt(t) only scales and adds these cores; their
+    # Gram matrix, a product of mode inner products per entry, gives |f(t)|
     loads: tuple = field(init=False, repr=False, compare=False)
+    load_gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", source_loads(self.sources, self.disc))
+        gram = np.ones((len(self.loads),) * 2)
+        for cores in zip(*(load.cores for load in self.loads)):
+            modes = np.stack([c.ravel() for c in cores])
+            gram = gram * (modes @ modes.T)
+        object.__setattr__(self, "load_gram", gram)
 
     def operator(self, t: float) -> TTOperator:
         return assemble_operator(self.diffusion, self.disc, t)
@@ -66,6 +73,12 @@ class ParabolicProblem:
         if not self.sources:
             return None
         return assemble_rhs(self.sources, self.disc, t, loads=self.loads)
+
+    def rhs_norm_sq(self, t: float) -> float:
+        """``|f(t)|^2 = c(t)^T G c(t)``, ``G`` the ``load_gram``; clamped at 0,
+        so zero coefficients give exactly 0.0."""
+        c = np.array([term.coefficient(t) for term in self.sources])
+        return max(float(c @ self.load_gram @ c), 0.0)
 
     @property
     def dims(self) -> tuple:

@@ -15,7 +15,9 @@ absorbs the ``R^m`` into a small core, which the reference's truncation
 truncates; the new factors are ``Q^m V^m``.  :func:`retract_train` takes a
 train (the initial data, the splitting sweep's result) and runs the ST-HOSVD
 on its cores, one ``n_m x k_{m-1} k_m`` site matrix per mode, so no array
-larger than a site core is formed.  The difference of two Tucker tensors,
+larger than a site core is formed.  :func:`retract_tucker` also measures
+the point's distance to the step's starting state, which lies in the same
+frame, so the energy report reads it.  The difference of two Tucker tensors,
 :func:`tucker_distance`, is measured on a small core too.
 """
 
@@ -147,13 +149,13 @@ def train_as_tucker(t: TTTensor) -> tuple:
 
 
 def orthonormal_tucker(core, factors) -> tuple:
-    """Equal tensor ``(core', [Q^m])`` with orthonormal factors: each
+    """Equal tensor ``(core', [Q^m], [R^m])`` with orthonormal factors: each
     ``W^m = Q^m R^m`` (thin QR) and the core absorbs the ``R^m``.  ``core`` is
     a ``DenseTensor`` or an array; ``core'`` is an array."""
     if isinstance(core, DenseTensor):
         core = core.to_array()
     qs, rs = zip(*(np.linalg.qr(w) for w in factors))
-    return _multiply_modes(core, list(enumerate(rs))), list(qs)
+    return _multiply_modes(core, list(enumerate(rs))), list(qs), list(rs)
 
 
 def tucker_distance(a, b) -> float:
@@ -172,16 +174,24 @@ def tucker_distance(a, b) -> float:
     return float(np.linalg.norm(orthonormal_tucker(core, factors)[0]))
 
 
-def retract_tucker(core, factors, outer_ranks, tt_ranks=None) -> tuple:
+def retract_tucker(core, factors, outer_ranks, tt_ranks=None, origin=None) -> tuple:
     """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}`` (``core`` a
     ``DenseTensor`` or an array), computed on the small core.  Returns
     ``(point, defect)``, ``defect`` being the distance of the point to the
-    input.  Raises what :func:`retract` raises."""
+    input.  ``origin``, a core array ``C`` whose tensor ``C x_m W^m[:, :r_m]``
+    lives in the leading columns of the factors (a step's starting state),
+    adds the point's distance to that tensor as a third entry.  Raises what
+    :func:`retract` raises."""
     if len(factors) == 1:
         raise InvalidArgumentError("a single mode has only the full space; use retract")
-    small, qs = orthonormal_tucker(core, factors)
+    small, qs, rs = orthonormal_tucker(core, factors)
     new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])
     # the point's core is in the coordinates of the V^m, as is the small core
     approx = _multiply_modes(point.expanded.to_array(), list(enumerate(vs)))
-    return point, float(np.linalg.norm(approx - small))
+    defect = float(np.linalg.norm(approx - small))
+    if origin is None:
+        return point, defect
+    # W^m[:, :r_m] = Q^m R^m[:, :r_m]: the origin in the same coordinates
+    start = _multiply_modes(origin, [(m, r[:, :k]) for m, (r, k) in enumerate(zip(rs, origin.shape))])
+    return point, defect, float(np.linalg.norm(approx - start))

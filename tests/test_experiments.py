@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +304,30 @@ def test_run_curvature_suite_small(tmp_path):
     assert rep.counts["matrix_pairs"] == 10
     assert rep.heuristic_observations["pairs"] == 3
     assert os.path.exists(rep.csv_path)
+
+
+def test_curvature_suite_leaves_scipy_linalg_unloaded(tmp_path):
+    # the package loads scipy.linalg on the first banded factorization, which
+    # the suite never makes
+    raw = {
+        "kind": "curvature",
+        "seed": 5,
+        "out_dir": str(tmp_path),
+        "suite": {"matrix_pairs": 4, "aligned_draws": 4, "truncation_instances": 2},
+    }
+    code = (
+        "import json, sys\n"
+        "import ttdlra\n"
+        "ttdlra.run_curvature_suite(ttdlra.ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(raw)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_run_diagnostics_clean_problem(tmp_path):

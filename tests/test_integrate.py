@@ -6,12 +6,13 @@ import scipy.linalg
 
 from helpers import count_calls, gauge_frame, kron_matrix
 
-from ttdlra import dense, integrate, tangent, tt
+from ttdlra import dense, fem, integrate, retraction, tangent, tt
 from ttdlra.dense import DenseTensor, inner
 from ttdlra.errors import InvalidArgumentError, OversizeError
 from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
+    Trajectory,
     dense_implicit_euler,
     energy_report,
     _pcg,
@@ -23,9 +24,9 @@ from ttdlra.integrate import (
     step_projector_splitting,
     tangent_operator,
 )
-from ttdlra.manifold import point_to_dense
+from ttdlra.manifold import point_to_dense, scale_point
 from ttdlra.problems import heat_problem, problem_from_config, rank_collapse_problem
-from ttdlra.retraction import train_as_tucker
+from ttdlra.retraction import train_as_tucker, tucker_distance
 from ttdlra.sampling import random_point
 from ttdlra.tangent import TangentBasis
 from ttdlra.tt import tt_to_dense
@@ -200,6 +201,24 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
         dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
         assert iterations == pinned
         assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_pcg_scales_its_right_hand_side_exactly(rng):
+    a = rng.standard_normal((12, 12))
+    a = a @ a.T + 12.0 * np.eye(12)
+    apply, precond = (lambda y: a @ y), (lambda y: y / np.diag(a))
+    b = rng.standard_normal(12)
+    x, iterations = _pcg(apply, precond, b)
+    assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
+    # a power of two scales every CG quantity exactly
+    for k in (-900, -40, 40, 900):
+        xk, ik = _pcg(apply, precond, np.ldexp(b, k))
+        assert ik == iterations and np.array_equal(xk, np.ldexp(x, k))
+    # entries near 1e-300 square to zero: unscaled, CG read |b| = 0 and
+    # returned x = 0 without an iteration
+    tiny, iterations = _pcg(apply, precond, 1e-300 * b)
+    assert iterations > 0
+    assert np.linalg.norm(1e300 * tiny - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_matvec_with_repeated_and_equal_term_matrices(rng):
@@ -712,3 +731,65 @@ def test_energy_v_matches_dense_laplacian(rng):
     x = point_to_dense(p)
     np.testing.assert_allclose(state.energy_v, inner(lap.apply(x), x), rtol=1e-10)
     np.testing.assert_allclose(state.energy_l2, x.norm() ** 2, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the step's recorded distance, scale equivariance, and the report's inputs
+# ---------------------------------------------------------------------------
+
+
+def assert_step_distance(old, new):
+    want = tucker_distance(old.point.tucker(), new.point.tucker())
+    assert want > 0 and abs(new.step_distance - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_projected_step_distance_matches_tucker_distance(rng, d, cells, outer, tt_ranks):
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    state = state_from_point(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks), 0.0, problem.disc)
+    assert np.isnan(state.step_distance)
+    assert_step_distance(state, step_projected_implicit_euler(state, 1e-2, problem))
+
+
+@pytest.mark.parametrize("d, outer, tt_ranks", [(2, (2, 2), (2,)), (3, (2, 4, 2), (2, 2))])
+def test_splitting_step_distance_matches_tucker_distance(rng, d, outer, tt_ranks):
+    problem = anisotropic_problem(d=d, n=8, tt_ranks=tt_ranks, sources=True)
+    state = state_from_point(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks), 0.0, problem.disc)
+    for _ in range(3):
+        new = step_projector_splitting(state, 1e-2, problem)
+        assert_step_distance(state, new)
+        state = new
+
+
+SCALES = (1e-300, 1e-200, 1e-165, 1e-160, 1e-150, 1e-100, 1.0, 1e100)
+
+
+@pytest.mark.parametrize("scheme", ["projected_euler", "projector_splitting"])
+def test_zero_source_step_is_scale_equivariant(rng, scheme):
+    # the zero-source step is linear: step(s u) = s step(u), also where the
+    # squared norm of the state underflows (below about 1e-162), so points are
+    # compared, not energies
+    step = integrate._SCHEMES[scheme][0]
+    problem = anisotropic_problem(d=3, n=16, tt_ranks=(2, 2))
+    p = random_point(rng, problem.dims, (2, 4, 2), tt_ranks=(2, 2))
+    ref = step(state_from_point(p, 0.0, problem.disc), 1e-3, problem).point
+    assert tucker_distance(ref.tucker(), p.tucker()) > 1e-3 * p.norm()
+    for s in SCALES:
+        new = step(state_from_point(scale_point(p, s), 0.0, problem.disc), 1e-3, problem)
+        back = scale_point(new.point, 1.0 / s)
+        assert tucker_distance(back.tucker(), ref.tucker()) <= 1e-12 * ref.norm(), s
+
+
+def test_energy_report_reads_the_states(monkeypatch):
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), t_end=0.03, sources=True)
+    tr = solve(problem, "projected_euler", tau=0.01, t_end=0.03)
+    distances = count_calls(monkeypatch, retraction, "tucker_distance")
+    loads = count_calls(monkeypatch, fem, "assemble_rhs")
+    rep = energy_report(tr, problem)
+    assert distances == {"tucker_distance": 0} and loads == {"assemble_rhs": 0}
+    assert np.isfinite(rep.du_integral) and rep.data_f_integral > 0
+    # states that no step made carry no distance, so their report has none
+    made = Trajectory(
+        tuple(state_from_point(s.point, s.time, problem.disc) for s in tr.states), "hand", 0.01
+    )
+    assert np.isnan(energy_report(made, problem).du_integral)

@@ -399,7 +399,21 @@ def test_tucker_distance_matches_dense_difference(rng, dims, outer_a, tt_a, oute
 
 def test_energy_report_matches_dense_quadratures():
     source = {"time_poly": [1.0, 2.0], "profiles": ["constant", "bump", {"kind": "sine"}]}
-    problem, opts = problem_from_config(_config(3, 10, [2, 3], INITIAL, [source]))
+    assert_report_matches_dense_quadratures([source])
+
+
+def test_energy_report_of_two_sources_matches_dense_quadratures():
+    # overlapping profiles and different time polynomials: the cross terms of
+    # the load Gram matrix enter |f(t)|^2 with weights that change in time
+    sources = [
+        {"time_poly": [1.0, 2.0], "profiles": ["constant", "bump", {"kind": "sine"}]},
+        {"time_poly": [-0.5, 0.0, 300.0], "profiles": ["bump", "constant", "constant"]},
+    ]
+    assert_report_matches_dense_quadratures(sources)
+
+
+def assert_report_matches_dense_quadratures(sources):
+    problem, opts = problem_from_config(_config(3, 10, [2, 3], INITIAL, sources))
     tau = opts["tau"]
     tr = solve(problem, "projected_euler", tau, opts["t_end"])
     rep = energy_report(tr, problem)

@@ -11,7 +11,8 @@
 
 ``BENCH_precond.json`` holds both default grids, recorded the same way,
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
-and ``BENCH_setup.json`` the set-up grid.
+``BENCH_setup.json`` the set-up grid, and ``BENCH_report.json`` the dims
+grid (dims 3 to 8) with ``report_ms``, in alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
@@ -21,8 +22,9 @@ step, ``_preconditioner(basis, op, tau, tangent_operator(basis, op))``, which
 includes the operator's set-up, since the preconditioner reads its couplings.
 ``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
 one step and its retraction, the tangent basis of the initial point
-(``TangentBasis``), one matvec of the Galerkin operator and the operator's
-set-up.  ``--grid setup`` times the set-up alone, at 128 cells for d = 3 and
+(``TangentBasis``), one matvec of the Galerkin operator, the operator's
+set-up and ``report_ms``, one ``energy_report`` of a ``REPORT_STEPS``-step
+trajectory.  ``--grid setup`` times the set-up alone, at 128 cells for d = 3 and
 at 16 cells for each d of ``--dims``: ``setup_ms``, and ``setup_peak_mib``,
 the peak of one further call traced by ``tracemalloc``.  ``peak_rss_mib`` is
 the process's peak RSS after the size; sizes run in the order given, so it
@@ -60,6 +62,7 @@ CELLS = (128, 256, 512, 1024)
 DIMS = (3, 4, 5, 6, 7)
 DIMS_CELLS = 16
 REPEATS = 15
+REPORT_STEPS = 4
 SETUP_CELLS = 128  # the set-up grid's d = 3 row, the pe3d_n128 workload's size
 SLOW_S = 1.0
 TAU = 1e-3
@@ -109,9 +112,9 @@ def _time_steps(problem):
         counts.append(iterations)
         return x, iterations
 
-    def timed(*args):
+    def timed(*args, **kwargs):
         start = time.perf_counter()
-        out = retract(*args)
+        out = retract(*args, **kwargs)
         retract_times.append(time.perf_counter() - start)
         return out
 
@@ -151,11 +154,14 @@ def measure_cells(cells):
 def measure_dims(d):
     import numpy as np
 
-    from ttdlra.integrate import tangent_operator
+    from ttdlra.integrate import energy_report, solve, tangent_operator
     from ttdlra.problems import problem_from_config
     from ttdlra.tangent import TangentBasis
 
     problem, _ = problem_from_config(_config(DIMS_CELLS, d))
+    long_run, _ = problem_from_config(_config(DIMS_CELLS, d) | {"t_end": REPORT_STEPS * TAU})
+    trajectory = solve(long_run, "projected_euler", TAU, REPORT_STEPS * TAU)
+    report_ms = _median_ms(lambda: energy_report(trajectory, long_run))
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
     basis_ms = _median_ms(lambda: TangentBasis(problem.u0))
@@ -171,6 +177,7 @@ def measure_dims(d):
         "basis_ms": round(basis_ms, 3),
         "matvec_ms": round(matvec_ms, 3),
         "operator_setup_ms": round(setup_ms, 3),
+        "report_ms": round(report_ms, 3),
     }
 
 
