@@ -365,12 +365,12 @@ def _next_time(t: float, tau: float) -> float:
     return (k + 1) * tau if k * tau == t else t + tau
 
 
-def _retract_step(retract_fn, x: tuple, p: ManifoldPoint, **kwargs):
-    """``retract_fn(*x, **kwargs)`` of a step's update to the ranks of ``p``, a
+def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
+    """``retract_fn(*x)`` of a step's update to the ranks of ``p``, a
     rank collapse raised as ``BreakdownError`` with its gap."""
     tt_ranks = p.core.ranks if p.tt_core else None
     try:
-        return retract_fn(*x, p.outer_ranks, tt_ranks, **kwargs)
+        return retract_fn(*x, p.outer_ranks, tt_ranks)
     except NotOnManifoldError as exc:
         raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
@@ -409,7 +409,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     core, factors = basis.tucker(u_coords + coords)
-    new_point, defect, distance = _retract_step(retract_tucker, (core, factors), p, origin=basis.core)
+    new_point, defect, distance = _retract_step(retract_tucker, (core, factors, basis.core), p)
     return state_from_point(
         new_point,
         t_new,

@@ -174,14 +174,13 @@ def tucker_distance(a, b) -> float:
     return float(np.linalg.norm(orthonormal_tucker(core, factors)[0]))
 
 
-def retract_tucker(core, factors, outer_ranks, tt_ranks=None, origin=None) -> tuple:
+def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}`` (``core`` a
-    ``DenseTensor`` or an array), computed on the small core.  Returns
-    ``(point, defect)``, ``defect`` being the distance of the point to the
-    input.  ``origin``, a core array ``C`` whose tensor ``C x_m W^m[:, :r_m]``
-    lives in the leading columns of the factors (a step's starting state),
-    adds the point's distance to that tensor as a third entry.  Raises what
-    :func:`retract` raises."""
+    ``DenseTensor`` or an array), computed on the small core.  ``origin`` is a
+    core array ``C`` whose tensor ``C x_m W^m[:, :r_m]`` lives in the leading
+    columns of the factors (a step's starting state).  Returns ``(point,
+    defect, distance)``: the point's distance to the input and to the origin's
+    tensor.  Raises what :func:`retract` raises."""
     if len(factors) == 1:
         raise InvalidArgumentError("a single mode has only the full space; use retract")
     small, qs, rs = orthonormal_tucker(core, factors)
@@ -190,8 +189,6 @@ def retract_tucker(core, factors, outer_ranks, tt_ranks=None, origin=None) -> tu
     # the point's core is in the coordinates of the V^m, as is the small core
     approx = _multiply_modes(point.expanded.to_array(), list(enumerate(vs)))
     defect = float(np.linalg.norm(approx - small))
-    if origin is None:
-        return point, defect
     # W^m[:, :r_m] = Q^m R^m[:, :r_m]: the origin in the same coordinates
     start = _multiply_modes(origin, [(m, r[:, :k]) for m, (r, k) in enumerate(zip(rs, origin.shape))])
     return point, defect, float(np.linalg.norm(approx - start))

@@ -46,13 +46,19 @@ def assert_matches_dense_retraction(core, factors, outer, tt_ranks):
     x = tucker_to_dense(core, factors)
     ref = retract(x, outer, tt_ranks)
     ref_defect = (point_to_dense(ref) - x).norm()
-    point, defect = retract_tucker(core, factors, outer, tt_ranks)
+    # the origin lives in the leading columns of the factors, as a step's
+    # starting state does
+    origin = core.to_array()[tuple(slice(r) for r in outer)]
+    start = tucker_to_dense(DenseTensor.from_array(origin), [w[:, :r] for w, r in zip(factors, outer)])
+    ref_distance = (point_to_dense(ref) - start).norm()
+    point, defect, distance = retract_tucker(core, factors, origin, outer, tt_ranks)
     assert point.outer_ranks == ref.outer_ranks
     assert point.tt_core == ref.tt_core
     for u in point.factors:
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
     assert (point_to_dense(point) - point_to_dense(ref)).norm() <= REL * x.norm()
     assert abs(defect - ref_defect) <= REL * ref_defect
+    assert abs(distance - ref_distance) <= REL * ref_distance
 
 
 # mode sizes, core sizes (factor widths), outer ranks, train ranks; a width
@@ -155,7 +161,7 @@ def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
     with pytest.raises(NotOnManifoldError):
         retract(x, (2, 2, 2), tt_ranks)
     with pytest.raises(NotOnManifoldError):
-        retract_tucker(core, factors, (2, 2, 2), tt_ranks)
+        retract_tucker(core, factors, core.to_array(), (2, 2, 2), tt_ranks)
     # the exact train of x has interface ranks (1, 1); the sum t + t has
     # ranks (2, 2) and multilinear rank (1, 1, 1), as x has
     t = tt_from_dense(x)
@@ -170,7 +176,7 @@ def test_retract_tucker_validates_its_point_once(monkeypatch, rng, tt_ranks):
     core = DenseTensor.from_array(rng.standard_normal((4, 5, 3)))
     factors = [rng.standard_normal((n, w)) for n, w in zip((7, 6, 5), (4, 5, 3))]
     calls = count_calls(monkeypatch, manifold, "_checked_factors", "_measured")
-    retract_tucker(core, factors, (2, 3, 2), tt_ranks)
+    retract_tucker(core, factors, core.to_array(), (2, 3, 2), tt_ranks)
     assert calls == {"_checked_factors": 1, "_measured": 1}
 
 

@@ -112,9 +112,9 @@ def _time_steps(problem):
         counts.append(iterations)
         return x, iterations
 
-    def timed(*args, **kwargs):
+    def timed(*args):
         start = time.perf_counter()
-        out = retract(*args, **kwargs)
+        out = retract(*args)
         retract_times.append(time.perf_counter() - start)
         return out
 
