@@ -366,8 +366,8 @@ def _next_time(t: float, tau: float) -> float:
 
 
 def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
-    """``retract_fn(*x)`` of a step's update to the ranks of ``p``, a
-    rank collapse raised as ``BreakdownError`` with its gap."""
+    """``retract_fn(*x)`` of a step's update to the ranks of ``p``, a rank
+    collapse raised as ``BreakdownError`` with its gap."""
     tt_ranks = p.core.ranks if p.tt_core else None
     try:
         return retract_fn(*x, p.outer_ranks, tt_ranks)
