@@ -191,7 +191,7 @@ def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     defect = float(np.linalg.norm(approx - small))
     # W^m[:, :r_m] = Q^m R^m[:, :r_m]: the origin in the same coordinates.
     # Last mode first: _multiply_modes batches over the modes before m, and
-    # those stay at the origin's small sizes (at d = 7, 0.3 ms against 6 ms)
+    # those stay at the origin's small sizes (at d = 7, 0.3 ms against 2.5 ms)
     ops = [(m, r[:, :k]) for m, (r, k) in enumerate(zip(rs, origin.shape))]
     start = _multiply_modes(origin, ops[::-1])
     return point, defect, float(np.linalg.norm(approx - start))
