@@ -16,8 +16,6 @@ from .dense import (
     mode_multiply,
     svd,
     inner,
-    dense_to_json,
-    dense_from_json,
 )
 from .tt import (
     TTTensor,
@@ -26,14 +24,11 @@ from .tt import (
     tt_to_dense,
     orthogonalize,
     interface_spectrum,
-    mode_spectrum,
     boundary_gap,
     truncate_interface,
     tt_round,
     tt_add,
     tt_scale,
-    tt_to_json,
-    tt_from_json,
     max_feasible_ranks,
     generic_outer_ranks,
 )

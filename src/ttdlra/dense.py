@@ -5,8 +5,8 @@ Index convention
 A tensor with mode sizes ``(N_0, ..., N_{d-1})`` is flattened in column-major
 (Fortran) order: mode 0 is the fastest running index.  All matricizations
 enumerate their row and column multi-indices the same way, with the smallest
-participating mode fastest.  Golden files depend on this ordering, so it is
-fixed.
+participating mode fastest.  The tangent coordinates and the columns of the
+core tangent basis are laid out in this ordering, so it is fixed.
 
 All scalars are 64-bit floats; the tolerances used throughout the package are
 calibrated to double precision.
@@ -14,7 +14,6 @@ calibrated to double precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,9 +28,6 @@ __all__ = [
     "mode_multiply",
     "svd",
     "inner",
-    "norm",
-    "dense_to_json",
-    "dense_from_json",
 ]
 
 
@@ -124,20 +120,6 @@ class SvdResult:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        """Numerical rank: count of ``s_k > max(rows, cols) * eps * s_0``."""
-        s = self.singular_values
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        m = self.left_vectors.shape[0]
-        n = self.right_vectors.shape[0]
-        tol = max(m, n) * np.finfo(float).eps * s[0]
-        return int(np.count_nonzero(s > tol))
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
 
 def _check_split(split, d):
     split = tuple(sorted(int(m) for m in split))
@@ -211,22 +193,16 @@ def inner(x: DenseTensor, y: DenseTensor) -> float:
     return float(np.dot(x.data, y.data))
 
 
-def norm(x: DenseTensor) -> float:
-    return x.norm()
+def _exponent(a) -> int:
+    """The power of two ``e`` that brings the largest ``|a|`` into [0.5, 1)
+    as ``a * 2**-e`` (0 for a zero array): the scaling is exact, and no square
+    of the scaled entries overflows or loses the largest one to underflow."""
+    return int(np.frexp(np.max(np.abs(a), initial=0.0))[1])
 
 
-def dense_to_json(x: DenseTensor) -> str:
-    """Serialize to a flat JSON record ``{"dims": [...], "data": [...]}``.
-
-    Floats are written with Python's shortest round-trip repr, so identical
-    tensors always produce identical bytes.
-    """
-    return json.dumps(
-        {"dims": list(x.dims), "data": [float(v) for v in x.data]},
-        separators=(",", ":"),
-    )
-
-
-def dense_from_json(text: str) -> DenseTensor:
-    rec = json.loads(text)
-    return DenseTensor(tuple(rec["dims"]), np.array(rec["data"], dtype=float))
+def _norm(a) -> float:
+    """Frobenius norm of ``a`` at any scale: taken on ``a * 2**-e`` (``e`` from
+    :func:`_exponent`) and scaled back, so where ``np.linalg.norm(a)`` neither
+    under- nor overflows the two agree bit for bit."""
+    e = _exponent(a)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))

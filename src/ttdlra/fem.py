@@ -296,9 +296,8 @@ class TTOperator:
     dims: tuple
     terms: tuple
 
-    def apply(self, x):
-        dense_in = isinstance(x, DenseTensor)
-        arr = x.to_array() if dense_in else np.asarray(x, dtype=float)
+    def apply(self, x: DenseTensor) -> DenseTensor:
+        arr = x.to_array()
         if arr.shape != self.dims:
             raise InvalidArgumentError("operand does not match the operator sizes")
         acc = np.zeros(self.dims)
@@ -307,8 +306,7 @@ class TTOperator:
             for mode, factor in term.factors:  # the factor on the mode's fibres
                 y = np.moveaxis(factor @ np.moveaxis(y, mode, 0), 0, mode)
             acc += term.coeff * y
-        out = DenseTensor.from_array(acc)
-        return out if dense_in else out.to_array()
+        return DenseTensor.from_array(acc)
 
     def restrict(self, part: str) -> "TTOperator":
         return TTOperator(

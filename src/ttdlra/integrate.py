@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes
+from .dense import DenseTensor, _exponent, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_train, retract_tucker, train_as_tucker
@@ -322,7 +322,7 @@ def _pcg(apply, precond, b) -> tuple:
     the power of two that brings its largest entry into [0.5, 1): no inner
     product underflows, and the exact scaling leaves normal-range results
     bit-identical."""
-    exponent = int(np.frexp(np.max(np.abs(b), initial=0.0))[1])
+    exponent = _exponent(b)
     b = np.ldexp(b, -exponent)
     x = np.zeros_like(b)
     r = b.copy()
@@ -403,9 +403,13 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau, matvec), b)
 
     # one explicit matvec at the solution gives the residual and the
-    # pre-retraction energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>
+    # pre-retraction energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>;
+    # the residual's norms are taken on b's scale, exactly, so neither underflows
     av = matvec(coords)
-    resid = np.linalg.norm(coords / tau + av - b) / max(np.linalg.norm(b), np.finfo(float).tiny)
+    e = _exponent(b)
+    resid = np.linalg.norm(np.ldexp(coords / tau + av - b, -e)) / max(
+        np.linalg.norm(np.ldexp(b, -e)), np.finfo(float).tiny
+    )
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
     core, factors = basis.tucker(u_coords + coords)

@@ -15,10 +15,12 @@ absorbs the ``R^m`` into a small core, which the reference's truncation
 truncates; the new factors are ``Q^m V^m``.  :func:`retract_train` takes a
 train (the initial data, the splitting sweep's result) and runs the ST-HOSVD
 on its cores, one ``n_m x k_{m-1} k_m`` site matrix per mode, so no array
-larger than a site core is formed.  :func:`retract_tucker` also measures
-the point's distance to the step's starting state, which lies in the same
-frame, so the energy report reads it.  The difference of two Tucker tensors,
-:func:`tucker_distance`, is measured on a small core too.
+larger than a site core is formed; ranks left to it are read in that sweep.
+:func:`retract_tucker` also measures the point's distance to the step's
+starting state, which lies in the same frame, so the energy report reads it.
+The difference of two Tucker tensors, :func:`tucker_distance`, is measured on
+a small core too.  Tucker pairs ``(core, factors)`` carry their core as a
+plain array.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes
+from .dense import DenseTensor, _multiply_modes, _norm
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, make_point
 from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
@@ -85,17 +87,19 @@ def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
 def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     """:func:`retract` of the train ``t``, computed on its cores; a train with
     ``ortho_center == 0`` is already right-orthogonal and is used as it is.
-    ``outer_ranks=None`` keeps each mode's numerical rank: the count of its
-    singular values above 1e-10 of the largest, at most the generic rank of
-    ``tt_ranks``, read in a first sweep that truncates nothing."""
+    ``outer_ranks=None`` keeps each mode's numerical rank, read in the sweep
+    (the adaptive ST-HOSVD): the count of the site's singular values above
+    1e-10 of the largest, at most the generic rank of ``tt_ranks``."""
     if t.ndim == 1:
         return retract(tt_to_dense(t), t.dims if outer_ranks is None else outer_ranks, tt_ranks)
     cores = (t if t.ortho_center == 0 else orthogonalize(t, 0)).cores
     if outer_ranks is None:
         caps = t.dims if tt_ranks is None else generic_outer_ranks(t.dims, tt_ranks)
-        spectra = _site_sweep(cores, [None] * t.ndim)[2]
-        outer_ranks = [max(1, min(c, int(np.sum(s > 1e-10 * s[0])))) for c, s in zip(caps, spectra)]
-    cores, factors, _ = _site_sweep(cores, [int(r) for r in outer_ranks])
+        rank = lambda m, s: max(1, min(caps[m], int(np.sum(s > 1e-10 * s[0]))))  # noqa: E731
+    else:
+        ranks = [int(r) for r in outer_ranks]
+        rank = lambda m, s: ranks[m]  # noqa: E731
+    cores, factors = _site_sweep(cores, rank)
     if tt_ranks is None:
         return make_point(tt_to_dense(TTTensor(cores)), factors)
     widths = [v.shape[1] for v in factors]
@@ -111,49 +115,46 @@ def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     return make_point(TTTensor(tuple(cores), ortho_center=len(cores) - 1), factors)
 
 
-def _site_sweep(cores, outer_ranks) -> tuple:
+def _site_sweep(cores, rank) -> tuple:
     """ST-HOSVD of the train ``cores`` (center 0) in mode order: with the center
-    at site m, the leading ``outer_ranks[m]`` (all for ``None``) left singular
-    vectors ``V^m`` of the site matrix are those of the mode-m unfolding of
-    what earlier modes left.  The site core becomes ``V^m^T G_m`` and one QR
-    moves the center on.  Returns the cores (center ``d - 1``), the ``V^m``
-    and the singular values of each site."""
-    cores, factors, spectra = list(cores), [], []
-    for m, r in enumerate(outer_ranks):
+    at site m, the left singular vectors of the site matrix are those of the
+    mode-m unfolding of what earlier modes left, and ``V^m`` keeps the leading
+    ``rank(m, s)`` of them (``s`` the site's singular values).  The site core
+    becomes ``V^m^T G_m`` and one QR moves the center on.  Returns the cores
+    (center ``d - 1``) and the ``V^m``."""
+    cores, factors = list(cores), []
+    for m in range(len(cores)):
         kl, n, kr = cores[m].shape
         u, s, wh = np.linalg.svd(cores[m].transpose(1, 0, 2).reshape(n, -1), full_matrices=False)
-        r = s.size if r is None else r
+        r = rank(m, s)
         if r > s.size:  # the dense reference keeps a zero singular value here and rejects
             raise NotOnManifoldError(f"mode {m} has rank at most {s.size}, below {r}")
         factors.append(np.ascontiguousarray(u[:, :r]))  # the step reads it many times
-        spectra.append(s)
         core = (s[:r, None] * wh[:r]).reshape(r, kl, kr).transpose(1, 0, 2)
         if m + 1 < len(cores):
             q, rf = np.linalg.qr(core.reshape(kl * r, kr))
             core = q.reshape(kl, r, q.shape[1])
             cores[m + 1] = np.tensordot(rf, cores[m + 1], axes=(1, 0))
         cores[m] = core
-    return tuple(cores), factors, spectra
+    return tuple(cores), factors
 
 
 def train_as_tucker(t: TTTensor) -> tuple:
     """Tucker form ``(core, factors)`` of a train: factor ``m`` is the mode
     unfolding of core ``m`` (column ``a k_m + b`` holds ``G_m[a, :, b]``), and
-    the core is the train of 0/1 cores wiring each column to its interfaces."""
+    the core array is the train of 0/1 cores wiring each column to its
+    interfaces."""
     factors, wires = [], []
     for g in t.cores:
         kl, n, kr = g.shape
         factors.append(np.moveaxis(g, 1, 0).reshape(n, kl * kr))
         wires.append(np.eye(kl * kr).reshape(kl, kr, kl * kr).transpose(0, 2, 1))
-    return tt_to_dense(TTTensor(tuple(wires))), factors
+    return tt_to_dense(TTTensor(tuple(wires))).to_array(), factors
 
 
 def orthonormal_tucker(core, factors) -> tuple:
     """Equal tensor ``(core', [Q^m], [R^m])`` with orthonormal factors: each
-    ``W^m = Q^m R^m`` (thin QR) and the core absorbs the ``R^m``.  ``core`` is
-    a ``DenseTensor`` or an array; ``core'`` is an array."""
-    if isinstance(core, DenseTensor):
-        core = core.to_array()
+    ``W^m = Q^m R^m`` (thin QR) and the core array absorbs the ``R^m``."""
     qs, rs = zip(*(np.linalg.qr(w) for w in factors))
     return _multiply_modes(core, list(enumerate(rs))), list(qs), list(rs)
 
@@ -175,10 +176,10 @@ def tucker_distance(a, b) -> float:
 
 
 def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
-    """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}`` (``core`` a
-    ``DenseTensor`` or an array), computed on the small core.  ``origin`` is a
-    core array ``C`` whose tensor ``C x_m W^m[:, :r_m]`` lives in the leading
-    columns of the factors (a step's starting state).  Returns ``(point,
+    """:func:`retract` of ``core x_0 W^0 ... x_{d-1} W^{d-1}`` (``core`` an
+    array), computed on the small core.  ``origin`` is a core array ``C``
+    whose tensor ``C x_m W^m[:, :r_m]`` lives in the leading columns of the
+    factors (a step's starting state).  Returns ``(point,
     defect, distance)``: the point's distance to the input and to the origin's
     tensor.  Raises what :func:`retract` raises."""
     if len(factors) == 1:
@@ -188,10 +189,10 @@ def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])
     # the point's core is in the coordinates of the V^m, as is the small core
     approx = _multiply_modes(point.expanded.to_array(), list(enumerate(vs)))
-    defect = float(np.linalg.norm(approx - small))
+    defect = _norm(approx - small)
     # W^m[:, :r_m] = Q^m R^m[:, :r_m]: the origin in the same coordinates.
     # Last mode first: _multiply_modes batches over the modes before m, and
     # those stay at the origin's small sizes (at d = 7, 0.3 ms against 2.5 ms)
     ops = [(m, r[:, :k]) for m, (r, k) in enumerate(zip(rs, origin.shape))]
     start = _multiply_modes(origin, ops[::-1])
-    return point, defect, float(np.linalg.norm(approx - start))
+    return point, defect, _norm(approx - start)

@@ -35,7 +35,7 @@ angle between the tangent spaces, with no iteration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,7 +303,7 @@ class TangentBasis:
             factors.append(np.hstack([u, theta @ self.rmap[m].T]))
         return core, factors
 
-    def coords_of_tucker(self, core: DenseTensor, factors) -> np.ndarray:
+    def coords_of_tucker(self, core: np.ndarray, factors) -> np.ndarray:
         """Coordinates of the tangent projection of ``core x_0 W^0 ... x_{d-1} W^{d-1}``.
 
         Only thin products of the n x k factors ``W^m`` enter: mode block m is
@@ -311,7 +311,7 @@ class TangentBasis:
         the core basis applied to ``core x_k U^T W^k``.  The cost is set by the
         factor sizes and the core, not the ambient size.
         """
-        g = core.to_array()
+        g = core
         small = [u.T @ w for u, w in zip(self.point.factors, factors)]
         modes = []
         for m, (w, u) in enumerate(zip(factors, self.point.factors)):
@@ -325,7 +325,7 @@ class TangentBasis:
 
     def project_coords(self, z: DenseTensor) -> np.ndarray:
         """Coordinates of the tangent projection of an ambient tensor."""
-        return self.coords_of_tucker(z, [np.eye(n) for n in z.dims])
+        return self.coords_of_tucker(z.to_array(), [np.eye(n) for n in z.dims])
 
     def ambient_matrix(self) -> np.ndarray:
         """Dense orthonormal basis of the tangent space, ``dim`` columns.
@@ -439,9 +439,6 @@ class CurvatureReport:
     normal_bound_tt: float
     sigma_used: float
     sigma_kind: str
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def curvature_report(x: ManifoldPoint, y: ManifoldPoint) -> CurvatureReport:

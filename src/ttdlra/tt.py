@@ -10,12 +10,11 @@ bounds the distance to the set of trains of strictly lower rank from above.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, matricize, svd
+from .dense import DenseTensor, _norm
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -25,14 +24,11 @@ __all__ = [
     "tt_to_dense",
     "orthogonalize",
     "interface_spectrum",
-    "mode_spectrum",
     "boundary_gap",
     "truncate_interface",
     "tt_round",
     "tt_add",
     "tt_scale",
-    "tt_to_json",
-    "tt_from_json",
     "max_feasible_ranks",
     "generic_outer_ranks",
 ]
@@ -88,8 +84,7 @@ class TTTensor:
         return tuple(c.shape[2] for c in self.cores[:-1])
 
     def norm(self) -> float:
-        t = orthogonalize(self, 0)
-        return float(np.linalg.norm(t.cores[0]))
+        return _norm(orthogonalize(self, 0).cores[0])
 
 
 @dataclass(frozen=True)
@@ -245,18 +240,6 @@ def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
     return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
 
 
-def mode_spectrum(x) -> InterfaceSpectrum:
-    """Singular values of every single-mode unfolding of a dense tensor."""
-    if isinstance(x, TTTensor):
-        x = tt_to_dense(x)
-    splits = []
-    values = []
-    for m in range(x.ndim):
-        values.append(svd(matricize(x, {m})).singular_values)
-        splits.append((m,))
-    return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
-
-
 def boundary_gap(t: TTTensor) -> float:
     """Smallest interface singular value over all prefix unfoldings.
 
@@ -365,28 +348,3 @@ def tt_scale(t: TTTensor, s: float) -> TTTensor:
     cores = list(t.cores)
     cores[0] = cores[0] * float(s)
     return TTTensor(tuple(cores), ortho_center=t.ortho_center)
-
-
-def tt_to_json(t: TTTensor) -> str:
-    """Serialize as ``{"dims": [...], "ranks": [...], "cores": [[...], ...]}``.
-
-    Each core is flattened in column-major order (first core index fastest);
-    floats use shortest round-trip repr so the byte stream is stable.
-    """
-    rec = {
-        "dims": list(t.dims),
-        "ranks": list(t.ranks),
-        "cores": [[float(v) for v in c.ravel(order="F")] for c in t.cores],
-    }
-    return json.dumps(rec, separators=(",", ":"))
-
-
-def tt_from_json(text: str) -> TTTensor:
-    rec = json.loads(text)
-    dims = rec["dims"]
-    ranks = [1] + list(rec["ranks"]) + [1]
-    cores = []
-    for m, flat in enumerate(rec["cores"]):
-        shape = (ranks[m], dims[m], ranks[m + 1])
-        cores.append(np.array(flat, dtype=float).reshape(shape, order="F"))
-    return TTTensor(tuple(cores))

@@ -1,13 +1,22 @@
-"""Every exported name resolves, in each module and in the package."""
+"""Every exported name resolves, in each module and in the package, and is
+used by the program, not only by its tests."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import ttdlra
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ttdlra.__path__))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# names exported although only the tests call them, each with its reason
+TESTED_ONLY = {
+    "scale_point": "cone scaling belongs to the manifold's definition; the scale-invariance tests use it",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,3 +35,29 @@ def test_generic_outer_ranks_resolves_at_package_and_problems():
 
     assert ttdlra.generic_outer_ranks is tt.generic_outer_ranks
     assert problems.generic_outer_ranks is tt.generic_outer_ranks
+
+
+def _src_reads():
+    """Names read in the package's modules: loaded names and attributes, so a
+    definition, an ``__all__`` entry and the package's re-exports do not count."""
+    reads = set()
+    for path in (ROOT / "src" / "ttdlra").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+    return reads
+
+
+def test_every_export_has_a_caller_outside_tests():
+    reads = _src_reads()
+    paths = [ROOT / "README.md"]
+    for folder in ("demos", "tools", "perfbench"):
+        paths += sorted((ROOT / folder).rglob("*.py"))
+    text = "\n".join(path.read_text() for path in paths)
+    modules = [importlib.import_module(f"ttdlra.{name}") for name in MODULES]
+    exported = {n for mod in modules for n in getattr(mod, "__all__", ())}
+    uncalled = {n for n in exported if n not in reads and not re.search(rf"\b{n}\b", text)}
+    assert uncalled == set(TESTED_ONLY)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ def test_second_order_normal_defect_under_retracted_perturbations(rng):
 def test_report_serializes_flat(rng):
     x, y = matrix_pair(rng)
     rep = curvature_report(x, y)
-    rec = rep.to_json_dict()
+    rec = asdict(rep)
     assert set(rec) == {
         "ndim",
         "distance",

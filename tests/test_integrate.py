@@ -106,7 +106,6 @@ def term_by_term(basis, op, x):
     """Test-local ``V^T A V x``: each term's images of the factors of
     ``basis.tucker(x)``, projected by ``coords_of_tucker`` and summed."""
     core, factors = basis.tucker(x)
-    core = DenseTensor.from_array(core)
     total = 0.0
     for term in op.terms:
         mats = dict(term.factors)
@@ -768,16 +767,22 @@ SCALES = (1e-300, 1e-200, 1e-165, 1e-160, 1e-150, 1e-100, 1.0, 1e100)
 def test_zero_source_step_is_scale_equivariant(rng, scheme):
     # the zero-source step is linear: step(s u) = s step(u), also where the
     # squared norm of the state underflows (below about 1e-162), so points are
-    # compared, not energies
+    # compared, not energies; the recorded distance, defect and residual are
+    # norms taken at the data's scale, so they scale with s too
     step = integrate._SCHEMES[scheme][0]
     problem = anisotropic_problem(d=3, n=16, tt_ranks=(2, 2))
     p = random_point(rng, problem.dims, (2, 4, 2), tt_ranks=(2, 2))
-    ref = step(state_from_point(p, 0.0, problem.disc), 1e-3, problem).point
-    assert tucker_distance(ref.tucker(), p.tucker()) > 1e-3 * p.norm()
+    ref = step(state_from_point(p, 0.0, problem.disc), 1e-3, problem)
+    assert tucker_distance(ref.point.tucker(), p.tucker()) > 1e-3 * p.norm()
     for s in SCALES:
         new = step(state_from_point(scale_point(p, s), 0.0, problem.disc), 1e-3, problem)
         back = scale_point(new.point, 1.0 / s)
-        assert tucker_distance(back.tucker(), ref.tucker()) <= 1e-12 * ref.norm(), s
+        assert tucker_distance(back.tucker(), ref.point.tucker()) <= 1e-12 * ref.point.norm(), s
+        assert abs(new.step_distance / s - ref.step_distance) <= 1e-12 * ref.step_distance, s
+        if scheme == "projected_euler":
+            defect = new.retraction_defect / s
+            assert abs(defect - ref.retraction_defect) <= 1e-12 * ref.retraction_defect, s
+            assert 0.0 < new.tangent_residual <= 1e-10, s
 
 
 def test_energy_report_reads_the_states(monkeypatch):

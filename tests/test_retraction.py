@@ -7,7 +7,7 @@ import pytest
 
 from helpers import count_calls, gauge_frame, summands
 
-from ttdlra import manifold
+from ttdlra import manifold, retraction
 from ttdlra.dense import DenseTensor, matricize, mode_multiply
 from ttdlra.errors import BreakdownError, ConfigError, NotOnManifoldError
 from ttdlra.fem import DiffusionCoefficient, build_fem1d, mass_orthonormalize
@@ -36,7 +36,7 @@ REL = 1e-12
 
 
 def tucker_to_dense(core, factors):
-    out = core
+    out = DenseTensor.from_array(core)
     for m, w in enumerate(factors):
         out = mode_multiply(out, w, m)
     return out
@@ -48,8 +48,8 @@ def assert_matches_dense_retraction(core, factors, outer, tt_ranks):
     ref_defect = (point_to_dense(ref) - x).norm()
     # the origin lives in the leading columns of the factors, as a step's
     # starting state does
-    origin = core.to_array()[tuple(slice(r) for r in outer)]
-    start = tucker_to_dense(DenseTensor.from_array(origin), [w[:, :r] for w, r in zip(factors, outer)])
+    origin = core[tuple(slice(r) for r in outer)]
+    start = tucker_to_dense(origin, [w[:, :r] for w, r in zip(factors, outer)])
     ref_distance = (point_to_dense(ref) - start).norm()
     point, defect, distance = retract_tucker(core, factors, origin, outer, tt_ranks)
     assert point.outer_ranks == ref.outer_ranks
@@ -74,7 +74,7 @@ CASES = [
 
 @pytest.mark.parametrize("dims, widths, outer, tt_ranks", CASES)
 def test_retract_tucker_matches_dense_retraction(rng, dims, widths, outer, tt_ranks):
-    core = DenseTensor.from_array(rng.standard_normal(widths))
+    core = rng.standard_normal(widths)
     factors = [rng.standard_normal((n, w)) for n, w in zip(dims, widths)]
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
 
@@ -86,7 +86,6 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
     coords = gauge_frame(basis) @ rng.standard_normal(basis.dim)
     c = 0.5 * p.norm() * coords / np.linalg.norm(coords)
     core, factors = basis.tucker(c)
-    core = DenseTensor.from_array(core)
     parts = summands(TangentVector(basis, c))
     x = parts[0]
     for part in parts[1:]:
@@ -96,7 +95,6 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
     u_coords = np.zeros(sum(basis.block_sizes))
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     core, factors = basis.tucker(u_coords + c)
-    core = DenseTensor.from_array(core)
     x = point_to_dense(p) + x
     assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
@@ -151,17 +149,27 @@ def test_retract_train_matches_dense_retraction(rng, dims, train_ranks, outer, t
 
 
 @pytest.mark.parametrize("tt_ranks", [(2, 2), None])
+def test_auto_outer_ranks_sweep_the_train_once(monkeypatch, rng, tt_ranks):
+    # each mode's rank is read off the SVD the ST-HOSVD sweep takes anyway
+    t = random_tt(rng, (6, 5, 7), (3, 4))
+    calls = count_calls(monkeypatch, retraction, "_site_sweep")
+    point = retract_train(t, None, tt_ranks)
+    assert calls == {"_site_sweep": 1}
+    assert point.outer_ranks == ((2, 4, 2) if tt_ranks else (3, 5, 4))
+
+
+@pytest.mark.parametrize("tt_ranks", [(2, 2), None])
 def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
     # multilinear rank (1, 1, 1) asked to carry outer ranks (2, 2, 2), through
     # the Tucker and the train path
     vecs = [rng.standard_normal(3) for _ in range(3)]
-    core = DenseTensor.from_array(np.einsum("i,j,k->ijk", *vecs))
+    core = np.einsum("i,j,k->ijk", *vecs)
     factors = [rng.standard_normal((n, 3)) for n in (6, 5, 7)]
     x = tucker_to_dense(core, factors)
     with pytest.raises(NotOnManifoldError):
         retract(x, (2, 2, 2), tt_ranks)
     with pytest.raises(NotOnManifoldError):
-        retract_tucker(core, factors, core.to_array(), (2, 2, 2), tt_ranks)
+        retract_tucker(core, factors, core, (2, 2, 2), tt_ranks)
     # the exact train of x has interface ranks (1, 1); the sum t + t has
     # ranks (2, 2) and multilinear rank (1, 1, 1), as x has
     t = tt_from_dense(x)
@@ -173,10 +181,10 @@ def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
 @pytest.mark.parametrize("tt_ranks", [(2, 2), None])
 def test_retract_tucker_validates_its_point_once(monkeypatch, rng, tt_ranks):
     # one make_point on the final factors: no intermediate point is checked
-    core = DenseTensor.from_array(rng.standard_normal((4, 5, 3)))
+    core = rng.standard_normal((4, 5, 3))
     factors = [rng.standard_normal((n, w)) for n, w in zip((7, 6, 5), (4, 5, 3))]
     calls = count_calls(monkeypatch, manifold, "_checked_factors", "_measured")
-    retract_tucker(core, factors, core.to_array(), (2, 3, 2), tt_ranks)
+    retract_tucker(core, factors, core, (2, 3, 2), tt_ranks)
     assert calls == {"_checked_factors": 1, "_measured": 1}
 
 

@@ -8,16 +8,13 @@ from ttdlra.tt import (
     boundary_gap,
     interface_spectrum,
     max_feasible_ranks,
-    mode_spectrum,
     orthogonalize,
     truncate_interface,
     tt_add,
     tt_from_dense,
-    tt_from_json,
     tt_round,
     tt_scale,
     tt_to_dense,
-    tt_to_json,
 )
 
 
@@ -209,15 +206,6 @@ def test_truncate_interface_distance_and_spectrum(rng):
     )
 
 
-def test_mode_spectrum_matches_dense(rng):
-    t = random_tt(rng, (3, 4, 2), (2, 2))
-    x = tt_to_dense(t)
-    spec = mode_spectrum(t)
-    for m in range(3):
-        sv = svd(matricize(x, {m})).singular_values
-        np.testing.assert_allclose(spec.values[m], sv, atol=1e-12)
-
-
 def test_tt_round_reports_error(rng):
     t = random_tt(rng, (4, 4, 4), (3, 3))
     x = tt_to_dense(t)
@@ -247,11 +235,3 @@ def test_tt_add_and_scale(rng):
         -2.5 * tt_to_dense(a).to_array(),
         atol=1e-12,
     )
-
-
-def test_json_round_trip_byte_stable(rng):
-    t = random_tt(rng, (3, 2, 4), (2, 2))
-    text = tt_to_json(t)
-    t2 = tt_from_json(text)
-    assert tt_to_json(t2) == text
-    assert (tt_to_dense(t2) - tt_to_dense(t)).norm() == 0.0
