@@ -67,7 +67,6 @@ from .fem import (
     mass_orthonormalize,
     laplacian_operator,
     assemble_operator,
-    assemble_rhs,
     lipschitz_constant,
     check_a1_tangency,
     mixed_derivative_check,

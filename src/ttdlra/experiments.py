@@ -94,7 +94,7 @@ class ExperimentConfig:
             seed = int(raw.get("seed", 0))
             suite = {name: int(count) for name, count in dict(raw.get("suite", {})).items()}
             threads = max(1, int(raw.get("threads", 1)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed configuration value: {exc}") from exc
         if seed < 0:
             raise ConfigError("seed must be nonnegative")

@@ -22,6 +22,10 @@ The quadratic form ``<A u, u>`` of a point (:func:`operator_quadratic_form`,
 behind the energies and the mixed-derivative check) is contracted on its core
 through the r x r matrices ``U^T X U``.  Only the oracle ``TTOperator.apply``
 and the tangency probe ``check_a1_tangency`` work on the ambient grid.
+
+The source stays factored: :func:`source_loads` gives, per mode, the n x s
+matrix of the separable terms' mode loads, one rank-one column per term, and
+every consumer reads those columns; no source tensor or train is assembled.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .dense import DenseTensor, _multiply_modes, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import TangentBasis, TangentVector, tangent_to_ambient
-from .tt import TTTensor, tt_add, tt_scale
 
 __all__ = [
     "Fem1D",
@@ -51,7 +54,6 @@ __all__ = [
     "laplacian_operator",
     "assemble_operator",
     "operator_quadratic_form",
-    "assemble_rhs",
     "source_loads",
     "SourceTerm",
     "lipschitz_constant",
@@ -280,7 +282,6 @@ class DiffusionCoefficient:
 class OperatorTerm:
     coeff: float
     factors: tuple  # ((mode, ModeFactor), ...) sorted by mode; other modes identity
-    part: str  # "diag" or "cross"
 
 
 @dataclass(frozen=True)
@@ -308,27 +309,23 @@ class TTOperator:
             acc += term.coeff * y
         return DenseTensor.from_array(acc)
 
-    def restrict(self, part: str) -> "TTOperator":
-        return TTOperator(
-            self.dims, tuple(t for t in self.terms if t.part == part)
-        )
+    def restrict(self, n_modes: int) -> "TTOperator":
+        """The terms that act on ``n_modes`` modes."""
+        return TTOperator(self.dims, tuple(t for t in self.terms if len(t.factors) == n_modes))
 
     @property
     def diagonal_part(self) -> "TTOperator":
-        return self.restrict("diag")
+        return self.restrict(1)
 
     @property
     def cross_part(self) -> "TTOperator":
-        return self.restrict("cross")
+        return self.restrict(2)
 
 
 def laplacian_operator(disc: Discretization) -> TTOperator:
     """Unit-diffusion diagonal operator; its quadratic form is the discrete
     squared H1 seminorm in orthonormal coordinates."""
-    terms = [
-        OperatorTerm(1.0, ((m, disc.stiffness[m]),), "diag")
-        for m in range(disc.ndim)
-    ]
+    terms = [OperatorTerm(1.0, ((m, disc.stiffness[m]),)) for m in range(disc.ndim)]
     return TTOperator(disc.dims, tuple(terms))
 
 
@@ -353,13 +350,13 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
         raise InvalidArgumentError("diffusion matrix is not positive definite")
     terms = []
     for m in range(d):
-        terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness[m]),), "diag"))
+        terms.append(OperatorTerm(float(b[m, m]), ((m, disc.stiffness[m]),)))
     for m in range(d):
         for n in range(m + 1, d):
             c = -(b[m, n] + b[n, m])
             if c != 0.0:
                 pair = ((m, disc.transfer[m]), (n, disc.transfer[n]))
-                terms.append(OperatorTerm(float(c), pair, "cross"))
+                terms.append(OperatorTerm(float(c), pair))
     return TTOperator(disc.dims, tuple(terms))
 
 
@@ -382,34 +379,18 @@ class SourceTerm:
 
 
 def source_loads(terms, disc: Discretization) -> tuple:
-    """Time-independent part of :func:`assemble_rhs`: per term, the rank-one
-    train of its mode loads (coefficient one) in orthonormal coordinates."""
+    """Mode loads of a separable source in orthonormal coordinates: per mode m
+    an n_m x s matrix whose column j is the load of term j's profile on mode
+    m, so the source at time t is ``sum_j c_j(t) (x)_m G_m[:, j]``.  Each
+    profile is evaluated once, term by term; no terms give n_m x 0 matrices."""
     for term in terms:
         if len(term.profiles) != disc.ndim:
             raise InvalidArgumentError("source term has the wrong number of profiles")
-    return tuple(
-        TTTensor(tuple(
-            disc.load_orthonormal_1d(load_vector(fem, profile), m).reshape(1, -1, 1)
-            for m, (fem, profile) in enumerate(zip(disc.fems, term.profiles))
-        ))
-        for term in terms
-    )
-
-
-def assemble_rhs(terms, disc: Discretization, t: float, loads=None) -> TTTensor:
-    """Load tensor of a separable source in orthonormal coordinates.
-
-    Each term contributes a rank-one train; the sum has interface ranks at
-    most the number of terms.  An empty term list gives the zero tensor.
-    ``loads``, the :func:`source_loads` of ``terms``, skips the quadrature.
-    """
-    acc = None
-    for term, piece in zip(terms, source_loads(terms, disc) if loads is None else loads):
-        piece = tt_scale(piece, term.coefficient(t))
-        acc = piece if acc is None else tt_add(acc, piece)
-    if acc is None:
-        return TTTensor(tuple(np.zeros((1, n, 1)) for n in disc.dims))
-    return acc
+    loads = tuple(np.zeros((n, len(terms))) for n in disc.dims)
+    for j, term in enumerate(terms):
+        for m, (fem, profile) in enumerate(zip(disc.fems, term.profiles)):
+            loads[m][:, j] = disc.load_orthonormal_1d(load_vector(fem, profile), m)
+    return loads
 
 
 def operator_quadratic_form(point, op) -> float:
@@ -491,7 +472,7 @@ def mixed_derivative_check(p: ManifoldPoint, disc: Discretization) -> MixedDeriv
     k = disc.stiffness
     for m in range(p.ndim):
         for n in range(m + 1, p.ndim):
-            mixed = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n])), "cross"),))
+            mixed = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n]))),))
             lhs = float(np.sqrt(max(operator_quadratic_form(p, mixed), 0.0)))
             pairs.append((m, n, lhs, bound))
             if lhs > bound * (1.0 + 1e-9) + 1e-13:

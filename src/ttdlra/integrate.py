@@ -36,12 +36,15 @@ factorization, so neither a ``dim x dim`` nor an n x n matrix is formed.
 its own tangent space, and :func:`~ttdlra.retraction.retract_tucker`
 retracts it on a small core.  The sweep's result is a train that
 :func:`~ttdlra.retraction.retract_train` retracts on its cores.  The source
-stays factored, and so do the energies: the quadratic forms are
-:func:`~ttdlra.fem.operator_quadratic_form` s on the core.  Each step records
-how far it moved, measured where both states share a frame, and the energy
-report reads those records and the problem's load Gram matrix, so it forms
-no tensor.  Only the reference solver :func:`dense_implicit_euler` works in
-the ambient space.
+stays factored, as the problem's rank-one load columns: the projected step
+projects each column as a Tucker pair with a 1^d core, and the sweep
+contracts them through its environments.  So do the energies: the
+quadratic forms are :func:`~ttdlra.fem.operator_quadratic_form` s on the
+core.  Each step records how far it moved, measured where both states share
+a frame, and the energy report reads those records and the problem's load
+Gram matrix, so it forms no tensor.  Only the reference solver
+:func:`dense_implicit_euler` works in the ambient space, where it expands
+the source's columns.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ import numpy as np
 from .dense import DenseTensor, _exponent, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .retraction import retract_train, retract_tucker, train_as_tucker
+from .retraction import retract_train, retract_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
 from .fem import _lapack, chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
 from .tangent import TangentBasis, _check_ambient
-from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale, tt_to_dense
+from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale
 
 __all__ = [
     "EvolutionState",
@@ -383,6 +386,14 @@ def _projected_admits(p: ManifoldPoint) -> None:
         )
 
 
+def _source_coords(basis: TangentBasis, factors):
+    """Tangent coordinates of the source ``sum_j (x)_m factors[m][:, j]``:
+    each column is a rank-one Tucker pair with a 1^d core.  No columns give 0."""
+    ones = np.ones((1,) * len(factors))
+    columns = [[g[:, j : j + 1] for g in factors] for j in range(factors[0].shape[1])]
+    return sum((basis.coords_of_tucker(ones, column) for column in columns), 0.0)
+
+
 def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
     """One implicit Euler step in the current tangent space, then retraction."""
     if tau <= 0:
@@ -391,7 +402,6 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     _projected_admits(p)
     t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
-    f_tt = problem.rhs_tt(t_new)
     basis = TangentBasis(p)
     matvec = tangent_operator(basis, op)
 
@@ -399,7 +409,7 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     u_coords = np.zeros(sum(basis.block_sizes))
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     au = matvec(u_coords)
-    b = (basis.coords_of_tucker(*train_as_tucker(f_tt)) if f_tt is not None else 0.0) - au
+    b = _source_coords(basis, problem.source_factors(t_new)) - au
     coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau, matvec), b)
 
     # one explicit matvec at the solution gives the residual and the
@@ -435,21 +445,18 @@ def _point_to_ambient_tt(p: ManifoldPoint) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
-def _env_update_left(env, core, mat, trial=None):
-    # env[a, a'] -> contract with core (a, j, b), mat on j, the trial core
-    # (default: core again) on the second index
-    trial = core if trial is None else trial
-    tmp = np.tensordot(env, trial, axes=(1, 0))  # a, j, b
+def _env_update_left(env, core, mat):
+    # env[a, a'] -> contract with core (a, j, b) on both indices, mat on j
+    tmp = np.tensordot(env, core, axes=(1, 0))  # a, j, b
     if mat is not None:
         tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a, b
         tmp = np.moveaxis(tmp, 0, 1)
     return np.tensordot(core, tmp, axes=([0, 1], [0, 1]))  # b', b
 
 
-def _env_update_right(env, core, mat, trial=None):
+def _env_update_right(env, core, mat):
     # env and the result are ordered (test side, trial side)
-    trial = core if trial is None else trial
-    tmp = np.tensordot(trial, env, axes=(2, 1))  # a', j, c
+    tmp = np.tensordot(core, env, axes=(2, 1))  # a', j, c
     if mat is not None:
         tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a', c
         tmp = np.moveaxis(tmp, 0, 1)
@@ -481,7 +488,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     d = p.ndim
     t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
-    f_tt = problem.rhs_tt(t_new)
+    factors = problem.source_factors(t_new)
 
     y = orthogonalize(_point_to_ambient_tt(p), 0)
     cores = [c.copy() for c in y.cores]
@@ -499,13 +506,13 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
             right_envs[it][m] = env
     left_envs = [np.ones((1, 1)) for _ in terms]
 
-    # the source enters through the same environments, with its train cores
-    # on the trial side: its projections onto the prefix and suffix bases
-    if f_tt is not None:
-        right_f = [None] * d + [np.ones((1, 1))]
-        for m in range(d - 1, 0, -1):
-            right_f[m] = _env_update_right(right_f[m + 1], cores[m], None, f_tt.cores[m])
-        left_f = np.ones((1, 1))
+    # the source's projections onto the prefix and suffix bases: k x s
+    # environments, one column per rank-one load column
+    s = factors[0].shape[1]
+    right_f = [None] * d + [np.ones((1, s))]
+    for m in range(d - 1, 0, -1):
+        right_f[m] = np.einsum("aic,ij,cj->aj", cores[m], factors[m], right_f[m + 1])
+    left_f = np.ones((1, s))
 
     for m in range(d):
         kl, n, kr = cores[m].shape
@@ -517,10 +524,8 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
                 "ab,jk,cd->ajcbkd", left_envs[it], mid, right_envs[it][m + 1]
             ).reshape(size, size)
         k0 = cores[m].reshape(size)
-        rhs = k0.copy()
-        if f_tt is not None:
-            f_eff = np.einsum("ac,cjd,bd->ajb", left_f, f_tt.cores[m], right_f[m + 1])
-            rhs += tau * f_eff.reshape(size)
+        f_eff = np.einsum("aj,ij,bj->aib", left_f, factors[m], right_f[m + 1])
+        rhs = k0 + tau * f_eff.reshape(size)
         k1 = np.linalg.solve(np.eye(size) + tau * a_eff, rhs)
         if m == d - 1:
             cores[m] = k1.reshape(kl, n, kr)
@@ -530,8 +535,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         # advance the environments through the new core
         for it, (c, mats) in enumerate(terms):
             left_envs[it] = _env_update_left(left_envs[it], cores[m], mats[m])
-        if f_tt is not None:
-            left_f = _env_update_left(left_f, cores[m], None, f_tt.cores[m])
+        left_f = np.einsum("aj,aib,ij->bj", left_f, cores[m], factors[m])
         # interface substep with reversed sign
         ks = rfac.shape[0]
         a_s = np.zeros((ks * ks, ks * ks))
@@ -543,9 +547,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         # reversed-sign substep, realized as the exact inverse of the
         # implicit Euler map on the interface subspace: unconditionally
         # computable and exact at full rank
-        s1 = s0 + tau * (a_s @ s0)
-        if f_tt is not None:
-            s1 -= tau * (left_f @ right_f[m + 1].T).reshape(ks * ks)
+        s1 = s0 + tau * (a_s @ s0) - tau * (left_f @ right_f[m + 1].T).reshape(ks * ks)
         cores[m + 1] = np.tensordot(
             s1.reshape(ks, ks), cores[m + 1], axes=(1, 0)
         )
@@ -567,8 +569,8 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
 
 def _step_count(tau: float, t_end: float) -> int:
     """Number of steps of size ``tau`` to ``t_end``, which ``tau`` must divide."""
-    if tau <= 0 or t_end < 0:
-        raise InvalidArgumentError("need tau > 0 and t_end >= 0")
+    if not (0 < tau < np.inf and 0 <= t_end < np.inf):
+        raise InvalidArgumentError("need a finite tau > 0 and t_end >= 0")
     n_steps = int(round(t_end / tau))
     if abs(n_steps * tau - t_end) > 1e-9 * t_end:
         raise InvalidArgumentError(f"step size {tau} does not divide the horizon {t_end}")
@@ -616,7 +618,7 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
             breakdown = BreakdownRecord(time=_next_time(state.time, tau), gap=exc.gap)
             break
         states.append(state)
-        threshold = BREAKDOWN_REL * np.sqrt(state.energy_l2)
+        threshold = BREAKDOWN_REL * state.point.norm()
         if state.gap <= threshold:
             breakdown = BreakdownRecord(time=state.time, gap=state.gap)
             break
@@ -719,9 +721,12 @@ def dense_implicit_euler(problem, tau: float, t_end: float):
             e = np.zeros(size)
             e[j] = 1.0
             amat[:, j] = op.apply(DenseTensor(dims, e)).data
-        f = problem.rhs_tt(t_new)
-        fvec = tt_to_dense(f).data if f is not None else np.zeros(size)
-        y = np.linalg.solve(eye + tau * amat, y + tau * fvec)
+        factors = problem.source_factors(t_new)
+        fvec = np.zeros(dims)
+        for j in range(factors[0].shape[1]):  # the rank-one source columns
+            column = [(m, g[:, j : j + 1]) for m, g in enumerate(factors)]
+            fvec += _multiply_modes(np.ones((1,) * len(dims)), column)
+        y = np.linalg.solve(eye + tau * amat, y + tau * fvec.ravel(order="F"))
         times.append(t_new)
         states.append(DenseTensor(dims, y.copy()))
     return np.array(times), states

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes, matricize, mode_multiply, svd
+from .dense import DenseTensor, _multiply_modes, _norm, matricize, mode_multiply, svd
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
@@ -80,7 +80,7 @@ class ManifoldPoint:
         return self.expanded.to_array(), self.factors
 
     def norm(self) -> float:
-        return self.expanded.norm()
+        return _norm(self.expanded.data)
 
 
 def _checked_factors(cdims, factors) -> tuple:
@@ -154,8 +154,9 @@ def _measured(core) -> tuple:
     and mode-(d-1) unfoldings, so of its interface spectra only the interior
     ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
+    norm = _norm(cdense.data)  # at any scale: a tiny core is measured against its own norm
     if cdense.ndim == 1:
-        return cdense.norm(), cdense, ()  # a single mode has only the full space
+        return norm, cdense, ()  # a single mode has only the full space
     # a mode unfolding with fewer columns than rows cannot have full row rank
     if any(r * r > math.prod(cdense.dims) for r in cdense.dims):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
@@ -164,7 +165,7 @@ def _measured(core) -> tuple:
     if isinstance(core, TTTensor) and core.ndim > 3:
         vals.extend(float(v[-1]) for v in interface_spectrum(core).values[1:-1])
     gap = min(vals)
-    scale = max(cdense.norm(), np.finfo(float).tiny)
+    scale = max(norm, np.finfo(float).tiny)
     if gap <= GAP_REJECT_REL * scale:
         raise NotOnManifoldError(
             f"core boundary gap {gap:.3e} is below the rejection threshold "

@@ -21,7 +21,6 @@ from .fem import (
     SourceTerm,
     TTOperator,
     assemble_operator,
-    assemble_rhs,
     build_fem1d,
     mass_orthonormalize,
     profile_values,
@@ -52,27 +51,27 @@ class ParabolicProblem:
     t_end: float
     outer_ranks: tuple
     tt_ranks: tuple | None
-    # mode loads of the sources, computed once: only the coefficients c(t)
-    # depend on time, so rhs_tt(t) only scales and adds these cores; their
-    # Gram matrix, a product of mode inner products per entry, gives |f(t)|
+    # the source as one factored object, computed once: per mode the n_m x s
+    # matrix of the terms' mode loads (only the weights c(t) depend on time),
+    # and their Gram matrix, the entrywise product of the G_m^T G_m, for |f(t)|
     loads: tuple = field(init=False, repr=False, compare=False)
     load_gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "loads", source_loads(self.sources, self.disc))
-        gram = np.ones((len(self.loads),) * 2)
-        for cores in zip(*(load.cores for load in self.loads)):
-            modes = np.stack([c.ravel() for c in cores])
-            gram = gram * (modes @ modes.T)
+        gram = np.ones((len(self.sources),) * 2)
+        for g in self.loads:
+            gram = gram * (g.T @ g)
         object.__setattr__(self, "load_gram", gram)
 
     def operator(self, t: float) -> TTOperator:
         return assemble_operator(self.diffusion, self.disc, t)
 
-    def rhs_tt(self, t: float) -> TTTensor | None:
-        if not self.sources:
-            return None
-        return assemble_rhs(self.sources, self.disc, t, loads=self.loads)
+    def source_factors(self, t: float) -> tuple:
+        """The mode loads with mode 0's column j scaled by ``c_j(t)``: the
+        source ``f(t) = sum_j (x)_m G_m[:, j]``, as rank-one columns."""
+        c = np.array([term.coefficient(t) for term in self.sources])
+        return (self.loads[0] * c,) + self.loads[1:]
 
     def rhs_norm_sq(self, t: float) -> float:
         """``|f(t)|^2 = c(t)^T G c(t)``, ``G`` the ``load_gram``; clamped at 0,
@@ -192,6 +191,8 @@ def problem_from_config(config: dict) -> tuple:
             outer = None  # read the mode ranks off the assembled initial data
         else:
             outer = tuple(int(r) for r in outer)
+            if len(outer) != d:
+                raise ConfigError("outer_ranks must have dims entries")
         init_terms = []
         for term in config.get("initial", []):
             profiles = [_profile(s) for s in term["profiles"]]
@@ -219,7 +220,7 @@ def problem_from_config(config: dict) -> tuple:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidArgumentError) as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc
     return problem, {"tau": tau, "scheme": scheme, "t_end": t_end}
 

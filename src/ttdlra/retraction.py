@@ -35,8 +35,7 @@ from .manifold import ManifoldPoint, make_point
 from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
 from .tt import tt_from_dense, tt_to_dense
 
-__all__ = ["retract", "retract_tucker", "retract_train", "orthonormal_tucker", "tucker_distance",
-           "train_as_tucker"]
+__all__ = ["retract", "retract_tucker", "retract_train", "orthonormal_tucker", "tucker_distance"]
 
 
 def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
@@ -137,19 +136,6 @@ def _site_sweep(cores, rank) -> tuple:
             cores[m + 1] = np.tensordot(rf, cores[m + 1], axes=(1, 0))
         cores[m] = core
     return tuple(cores), factors
-
-
-def train_as_tucker(t: TTTensor) -> tuple:
-    """Tucker form ``(core, factors)`` of a train: factor ``m`` is the mode
-    unfolding of core ``m`` (column ``a k_m + b`` holds ``G_m[a, :, b]``), and
-    the core array is the train of 0/1 cores wiring each column to its
-    interfaces."""
-    factors, wires = [], []
-    for g in t.cores:
-        kl, n, kr = g.shape
-        factors.append(np.moveaxis(g, 1, 0).reshape(n, kl * kr))
-        wires.append(np.eye(kl * kr).reshape(kl, kr, kl * kr).transpose(0, 2, 1))
-    return tt_to_dense(TTTensor(tuple(wires))).to_array(), factors
 
 
 def orthonormal_tucker(core, factors) -> tuple:

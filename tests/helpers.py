@@ -1,3 +1,4 @@
+import functools
 import sys
 
 import numpy as np
@@ -39,6 +40,17 @@ def kron_matrix(op):
             acc = np.kron(acc, mats[m])
         out += term.coeff * acc
     return out
+
+
+def source_dense(factors):
+    """Dense oracle of a factored source: the sum over the columns j of the
+    outer products of the ``factors[m][:, j]``, by ``np.multiply.outer``."""
+    from ttdlra.dense import DenseTensor
+
+    arr = np.zeros(tuple(len(g) for g in factors))
+    for j in range(factors[0].shape[1]):
+        arr += functools.reduce(np.multiply.outer, [g[:, j] for g in factors])
+    return DenseTensor.from_array(arr)
 
 
 def p1_matrices(n_cells):

@@ -56,7 +56,10 @@ def test_auto_outer_ranks_of_shipped_problems():
 
 
 # the values every top-level and problem field takes in the sweep below
-MALFORMED = (None, "x", -1, 0, [], {}, 1.5, True, [-1], ["x"])
+# (JSON reads NaN and Infinity as floats)
+MALFORMED = (None, "x", -1, 0, [], {}, 1.5, True, [-1], ["x"], float("nan"), float("inf"), [2, 2])
+# problem fields that no shipped config sets, swept as well
+UNSET_PROBLEM_FIELDS = ("outer_ranks", "sources")
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
@@ -68,7 +71,8 @@ def test_malformed_field_values_are_accepted_or_config_errors(path):
     with open(path) as fh:
         raw = json.load(fh)
     fields = [(k,) for k in raw if k != "threads"]
-    fields += [("problem", k) for k in raw.get("problem", {})]
+    if "problem" in raw:
+        fields += [("problem", k) for k in {**raw["problem"], **dict.fromkeys(UNSET_PROBLEM_FIELDS)}]
     unexpected = []
     for field in fields:
         for value in MALFORMED:

@@ -8,6 +8,7 @@ from helpers import (
     from_orthonormal,
     kron_matrix,
     p1_matrices,
+    source_dense,
     to_orthonormal,
 )
 
@@ -20,7 +21,6 @@ from ttdlra.fem import (
     SourceTerm,
     TTOperator,
     assemble_operator,
-    assemble_rhs,
     build_fem1d,
     check_a1_tangency,
     laplacian_operator,
@@ -29,8 +29,10 @@ from ttdlra.fem import (
     mass_orthonormalize,
     mixed_derivative_check,
     profile_values,
+    source_loads,
 )
 from ttdlra.manifold import make_point, point_to_dense, scale_point
+from ttdlra.problems import heat_problem
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
 from ttdlra.tt import tt_to_dense
 
@@ -230,8 +232,8 @@ def test_cross_terms_merge_the_ordered_pairs(d):
     op = assemble_operator(DiffusionCoefficient(b0, np.zeros((d, d)), horizon=1.0), disc, 0.0)
     assert len(op.terms) == d * (d + 1) // 2
     k, t = [f.dense for f in disc.stiffness], [f.dense for f in disc.transfer]
-    ordered = [OperatorTerm(b0[m, m], ((m, k[m]),), "diag") for m in range(d)] + [
-        OperatorTerm(b0[m, n], ((m, t[m]), (n, t[n].T)), "cross")
+    ordered = [OperatorTerm(b0[m, m], ((m, k[m]),)) for m in range(d)] + [
+        OperatorTerm(b0[m, n], ((m, t[m]), (n, t[n].T)))
         for m in range(d)
         for n in range(d)
         if m != n
@@ -318,47 +320,47 @@ def test_rejects_non_spd_diffusion():
 
 def test_rhs_empty_is_zero():
     disc = small_disc(6, 2)
-    f = assemble_rhs([], disc, 0.0)
-    assert tt_to_dense(f).norm() == 0.0
+    loads = source_loads([], disc)
+    assert [g.shape for g in loads] == [(n, 0) for n in disc.dims]
+    problem = heat_problem(2, 6, (2,))
+    assert source_dense(problem.source_factors(0.0)).norm() == 0.0
+    assert problem.rhs_norm_sq(0.0) == 0.0
 
 
-def test_rhs_constant_source(rng):
+def test_rhs_constant_source():
     disc = small_disc(10, 2)
     term = SourceTerm(time_coeff=1.0, profiles=(lambda x: 1.0, lambda x: 1.0))
-    f = assemble_rhs([term], disc, 0.0)
-    assert f.ranks == (1,)
-    # undo the coordinate change and compare with the analytic loads
-    raw = from_orthonormal(disc, tt_to_dense(f))
+    loads = source_loads([term], disc)
+    assert [g.shape for g in loads] == [(n, 1) for n in disc.dims]
+    # the analytic loads h of a constant profile, in orthonormal coordinates
     h = disc.fems[0].h
-    expected = np.full(disc.dims, h * h)
-    # raw above is the coefficient tensor of M^-1 F; compare loads instead
-    lhs = tt_to_dense(f)
     per_mode = [disc.load_orthonormal_1d(np.full(n, h), m) for m, n in enumerate(disc.dims)]
-    np.testing.assert_allclose(lhs.to_array(), np.outer(per_mode[0], per_mode[1]), atol=1e-12)
+    want = np.outer(per_mode[0], per_mode[1])
+    np.testing.assert_allclose(source_dense(loads).to_array(), want, atol=1e-12)
 
 
-def test_rhs_sine_product_matches_dense_quadrature(rng):
-    disc = small_disc(7, 3)
+def test_rhs_sine_product_matches_dense_quadrature():
     prof = lambda x: np.sin(np.pi * x)
     term = SourceTerm(time_coeff=2.0, profiles=(prof, prof, prof))
-    f = tt_to_dense(assemble_rhs([term], disc, 0.0))
+    problem = heat_problem(3, 7, (2, 2), sources=(term,))
+    disc = problem.disc
+    f = source_dense(problem.source_factors(0.0))
     loads = [load_vector(disc.fems[m], prof) for m in range(3)]
     loads = [disc.load_orthonormal_1d(v, m) for m, v in enumerate(loads)]
     expected = 2.0 * np.einsum("i,j,k->ijk", *loads)
     np.testing.assert_allclose(f.to_array(), expected, atol=1e-12)
 
 
-def test_rhs_time_coefficient(rng):
-    disc = small_disc(6, 2)
+def test_rhs_time_coefficient():
     term = SourceTerm(time_coeff=lambda t: 1.0 + 2.0 * t, profiles=(lambda x: 1.0,) * 2)
-    f0 = tt_to_dense(assemble_rhs([term], disc, 0.0))
-    f1 = tt_to_dense(assemble_rhs([term], disc, 1.0))
+    problem = heat_problem(2, 6, (2,), sources=(term,))
+    f0 = source_dense(problem.source_factors(0.0))
+    f1 = source_dense(problem.source_factors(1.0))
     np.testing.assert_allclose(f1.to_array(), 3.0 * f0.to_array(), rtol=1e-12)
 
 
 def test_problem_rhs_reuses_loads_bit_identically(monkeypatch):
     import ttdlra.fem
-    from ttdlra.problems import heat_problem
 
     sine = lambda x: np.sin(np.pi * x)
     terms = (
@@ -366,15 +368,17 @@ def test_problem_rhs_reuses_loads_bit_identically(monkeypatch):
         SourceTerm(time_coeff=0.5, profiles=(lambda x: x * (1.0 - x),) * 3),
     )
     problem = heat_problem(3, 7, (2, 2), sources=terms)
-    expected = [assemble_rhs(terms, problem.disc, t) for t in (0.0, 0.3)]
+    loads = source_loads(terms, problem.disc)
 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("load vectors recomputed")
 
     monkeypatch.setattr(ttdlra.fem, "load_vector", no_quadrature)
-    for t, ref in zip((0.0, 0.3), expected):
-        got = problem.rhs_tt(t)
-        assert all(np.array_equal(a, b) for a, b in zip(got.cores, ref.cores))
+    for t in (0.0, 0.3):
+        weights = np.array([1.0 + 2.0 * t, 0.5])
+        got = problem.source_factors(t)
+        assert np.array_equal(got[0], loads[0] * weights)
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], loads[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,7 @@ def test_mixed_derivative_forms_match_dense_oracle(rng):
         h1 = y @ kron_matrix(laplacian_operator(disc)) @ y
         assert abs(rep.h1_seminorm_sq - h1) <= 1e-12 * h1
         for m, n, lhs, _ in rep.pairs:
-            op = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n])), "cross"),))
+            op = TTOperator(disc.dims, (OperatorTerm(1.0, ((m, k[m]), (n, k[n]))),))
             mixed = np.sqrt(y @ kron_matrix(op) @ y)
             assert abs(lhs - mixed) <= 1e-12 * mixed
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import count_calls, gauge_frame, kron_matrix
+from helpers import count_calls, gauge_frame, kron_matrix, source_dense
 
 from ttdlra import dense, fem, integrate, retraction, tangent, tt
 from ttdlra.dense import DenseTensor, inner
@@ -17,6 +17,7 @@ from ttdlra.integrate import (
     energy_report,
     _pcg,
     _preconditioner,
+    _source_coords,
     operator_quadratic_form,
     solve,
     state_from_point,
@@ -26,25 +27,24 @@ from ttdlra.integrate import (
 )
 from ttdlra.manifold import point_to_dense, scale_point
 from ttdlra.problems import heat_problem, problem_from_config, rank_collapse_problem
-from ttdlra.retraction import train_as_tucker, tucker_distance
+from ttdlra.retraction import tucker_distance
 from ttdlra.sampling import random_point
 from ttdlra.tangent import TangentBasis
-from ttdlra.tt import tt_to_dense
 
 
-def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, sources=False):
+def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, sources=0):
+    # ``sources`` separable source terms with distinct time weights and
+    # profiles; the first is (1 + t) sin(pi x) on every mode
     b0 = np.eye(d) + 0.25 * (np.ones((d, d)) - np.eye(d))
     b1 = 0.1 * np.eye(d)
     from ttdlra.fem import SourceTerm
 
-    srcs = ()
-    if sources:
-        srcs = (
-            SourceTerm(
-                time_coeff=lambda t: 1.0 + t,
-                profiles=tuple([lambda x: np.sin(np.pi * x)] * d),
-            ),
-        )
+    shapes = (lambda x: np.sin(np.pi * x), lambda x: x * (1.0 - x), lambda x: np.cos(np.pi * x))
+    weights = (lambda t: 1.0 + t, lambda t: 0.5 - 2.0 * t, lambda t: -0.3 + t * t)
+    srcs = tuple(
+        SourceTerm(time_coeff=weights[j], profiles=tuple(shapes[j * m % 3] for m in range(d)))
+        for j in range(sources)
+    )
     terms = [
         (1.0, [lambda x: np.sin(np.pi * x)] * d),
         (0.4, [lambda x: np.sin(2 * np.pi * x)] * d),
@@ -156,24 +156,26 @@ def test_reduced_system_matches_dense_basis_oracle(rng):
 
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_matvec_and_source_match_dense_basis_oracle(rng, d, cells, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     assert_oracle_system(basis, problem.operator(0.05))
-    f = problem.rhs_tt(0.05)
-    oracle = gauge_frame(basis) @ (basis.ambient_matrix().T @ tt_to_dense(f).data)
-    np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
+    for n_terms in (1, 3):
+        problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=n_terms)
+        f = problem.source_factors(0.05)
+        oracle = gauge_frame(basis) @ (basis.ambient_matrix().T @ source_dense(f).data)
+        np.testing.assert_allclose(_source_coords(basis, f), oracle, atol=1e-12)
 
 
 def test_reduced_rhs_matches_dense_basis_oracle(rng):
-    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), sources=True)
-    f = problem.rhs_tt(0.3)
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), sources=1)
+    f = problem.source_factors(0.3)
     p = random_point(rng, problem.dims, (2, 3, 2), tt_ranks=(2, 2))
     basis = TangentBasis(p)
     vmat = basis.ambient_matrix()
-    oracle = gauge_frame(basis) @ (vmat.T @ tt_to_dense(f).data)
-    np.testing.assert_allclose(basis.coords_of_tucker(*train_as_tucker(f)), oracle, atol=1e-12)
-    z = tt_to_dense(f)
+    z = source_dense(f)
+    oracle = gauge_frame(basis) @ (vmat.T @ z.data)
+    np.testing.assert_allclose(_source_coords(basis, f), oracle, atol=1e-12)
     np.testing.assert_allclose(basis.project_coords(z), oracle, atol=1e-12)
 
 
@@ -186,20 +188,23 @@ def test_two_mode_reduced_system_oracle(rng):
 
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    # one source term and three: the operator is the same, the right-hand side not
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
     op = problem.operator(0.05)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     _, h_oracle, au, _ = oracle_system(basis, op)
     matvec = tangent_operator(basis, op)
-    b = basis.coords_of_tucker(*train_as_tucker(problem.rhs_tt(0.05))) - au
     frame = gauge_frame(basis)
-    for tau, pinned in zip(CG_TAUS, CG_ITERATIONS[d, cells, outer, tt_ranks]):
-        precond = _preconditioner(basis, op, tau, matvec)
-        x, iterations = _pcg(lambda y: y / tau + matvec(y), precond, b)
-        dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
-        assert iterations == pinned
-        assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
+    for n_terms in (1, 3):
+        problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=n_terms)
+        b = _source_coords(basis, problem.source_factors(0.05)) - au
+        for tau, pinned in zip(CG_TAUS, CG_ITERATIONS[d, cells, outer, tt_ranks]):
+            precond = _preconditioner(basis, op, tau, matvec)
+            x, iterations = _pcg(lambda y: y / tau + matvec(y), precond, b)
+            dense = frame @ np.linalg.solve(np.eye(basis.dim) / tau + h_oracle, frame.T @ b)
+            assert iterations == pinned, n_terms
+            assert np.linalg.norm(x - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
 def test_pcg_scales_its_right_hand_side_exactly(rng):
@@ -232,17 +237,17 @@ def test_matvec_with_repeated_and_equal_term_matrices(rng):
     shared = TTOperator(
         problem.dims,
         (
-            OperatorTerm(1.0, ((0, k0),), "diag"),
-            OperatorTerm(0.5, ((0, k0),), "diag"),
-            OperatorTerm(0.3, ((0, k0), (1, t1)), "cross"),
-            OperatorTerm(-0.2, ((1, t1),), "cross"),
+            OperatorTerm(1.0, ((0, k0),)),
+            OperatorTerm(0.5, ((0, k0),)),
+            OperatorTerm(0.3, ((0, k0), (1, t1))),
+            OperatorTerm(-0.2, ((1, t1),)),
         ),
     )
     copies = TTOperator(
         problem.dims,
         tuple(
             OperatorTerm(
-                t.coeff, tuple((m, ModeFactor(f.rows.copy(), f.fem)) for m, f in t.factors), t.part
+                t.coeff, tuple((m, ModeFactor(f.rows.copy(), f.fem)) for m, f in t.factors)
             )
             for t in shared.terms
         ),
@@ -270,7 +275,7 @@ def test_matvec_matches_term_by_term_projection(rng, d, cells, outer, tt_ranks):
 def test_term_on_three_modes_is_rejected():
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
     op = TTOperator(
-        problem.dims, (OperatorTerm(1.0, tuple(enumerate(problem.disc.stiffness)), "cross"),)
+        problem.dims, (OperatorTerm(1.0, tuple(enumerate(problem.disc.stiffness))),)
     )
     with pytest.raises(InvalidArgumentError, match="at most two modes"):
         tangent_operator(TangentBasis(problem.u0), op)
@@ -346,21 +351,21 @@ def test_step_times_are_exact_multiples_of_tau():
 
 
 def test_step_takes_each_core_spectrum_once(monkeypatch):
-    # the step measures its new point once: one expansion of the new core (the
-    # other expansion is the source's wire train), d mode-unfolding SVDs and
+    # the step measures its new point once: one expansion of the new core,
+    # d mode-unfolding SVDs and
     # the spectra of the interior interfaces only (the end interfaces are the
     # mode-0 and mode-(d-1) unfoldings): none at d = 3, one at d = 4.  The
     # state's gap, norm and energies and the next step's basis read that
     # measurement
     for d, interior in ((3, 0), (4, 1)):
-        problem = anisotropic_problem(d=d, n=6, tt_ranks=(2,) * (d - 1), sources=True)
+        problem = anisotropic_problem(d=d, n=6, tt_ranks=(2,) * (d - 1), sources=1)
         state = state_from_point(problem.u0, 0.0, problem.disc)
         with monkeypatch.context() as patch:
             tt_calls = count_calls(patch, tt, "interface_spectrum", "tt_to_dense")
             svd_calls = count_calls(patch, dense, "svd")
             new = step_projected_implicit_euler(state, 1e-3, problem)
             TangentBasis(new.point)
-        assert tt_calls == {"interface_spectrum": interior, "tt_to_dense": 2}
+        assert tt_calls == {"interface_spectrum": interior, "tt_to_dense": 1}
         assert svd_calls == {"svd": d}
 
 
@@ -585,9 +590,12 @@ def test_splitting_full_rank_three_modes_is_implicit_euler(n, with_source):
     d = 3
     sine = lambda k: (lambda x: np.sin(k * np.pi * x))  # noqa: E731
     sources = ()
-    if with_source:
+    if with_source:  # two terms: the sweep's source environments are k x 2
         profiles = (sine(1), sine(2), lambda x: 1.0)
-        sources = (SourceTerm(time_coeff=lambda t: 1.0 + t, profiles=profiles),)
+        sources = (
+            SourceTerm(time_coeff=lambda t: 1.0 + t, profiles=profiles),
+            SourceTerm(time_coeff=lambda t: 0.5 - 3.0 * t, profiles=(lambda x: x * (1.0 - x),) * d),
+        )
     problem = heat_problem(
         d,
         n + 1,
@@ -686,6 +694,22 @@ def test_engineered_rank_collapse_breaks_down(rng):
         assert s.gap > BREAKDOWN_REL * np.sqrt(s.energy_l2)
 
 
+def test_tiny_collapsing_state_breaks_down_like_unit_scale():
+    # the gap is compared with the point's norm at the state's own scale:
+    # where |u|^2 underflows (below about 1e-154) the threshold must not read 0
+    import dataclasses
+
+    problem = rank_collapse_problem()
+    ref = solve(problem, "projected_euler", tau=0.01, t_end=problem.t_end)
+    assert ref.breakdown is not None and ref.breakdown.time < problem.t_end
+    for s in (1e-160, 1e-200, 1e-250):
+        tiny = dataclasses.replace(problem, u0=scale_point(problem.u0, s))
+        assert abs(tiny.u0.norm() / s - problem.u0.norm()) <= 1e-15 * problem.u0.norm(), s
+        tr = solve(tiny, "projected_euler", tau=0.01, t_end=problem.t_end)
+        assert tr.breakdown is not None and tr.breakdown.time == ref.breakdown.time, s
+        assert abs(tr.breakdown.gap / s - ref.breakdown.gap) <= 1e-12 * ref.breakdown.gap, s
+
+
 def test_gap_recorded_every_step(rng):
     problem = anisotropic_problem(d=2, n=6, tt_ranks=(2,), t_end=0.05)
     tr = solve(problem, "projected_euler", tau=0.005, t_end=0.05)
@@ -695,7 +719,7 @@ def test_gap_recorded_every_step(rng):
 
 
 def test_energy_report_with_source(rng):
-    problem = anisotropic_problem(d=2, n=6, tt_ranks=(2,), t_end=0.05, sources=True)
+    problem = anisotropic_problem(d=2, n=6, tt_ranks=(2,), t_end=0.05, sources=1)
     tr = solve(problem, "projected_euler", tau=0.005, t_end=0.05)
     rep = energy_report(tr, problem)
     assert rep.data_f_integral > 0
@@ -744,7 +768,7 @@ def assert_step_distance(old, new):
 
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_projected_step_distance_matches_tucker_distance(rng, d, cells, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=True)
+    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=1)
     state = state_from_point(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks), 0.0, problem.disc)
     assert np.isnan(state.step_distance)
     assert_step_distance(state, step_projected_implicit_euler(state, 1e-2, problem))
@@ -752,7 +776,7 @@ def test_projected_step_distance_matches_tucker_distance(rng, d, cells, outer, t
 
 @pytest.mark.parametrize("d, outer, tt_ranks", [(2, (2, 2), (2,)), (3, (2, 4, 2), (2, 2))])
 def test_splitting_step_distance_matches_tucker_distance(rng, d, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=8, tt_ranks=tt_ranks, sources=True)
+    problem = anisotropic_problem(d=d, n=8, tt_ranks=tt_ranks, sources=1)
     state = state_from_point(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks), 0.0, problem.disc)
     for _ in range(3):
         new = step_projector_splitting(state, 1e-2, problem)
@@ -786,12 +810,12 @@ def test_zero_source_step_is_scale_equivariant(rng, scheme):
 
 
 def test_energy_report_reads_the_states(monkeypatch):
-    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), t_end=0.03, sources=True)
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), t_end=0.03, sources=1)
     tr = solve(problem, "projected_euler", tau=0.01, t_end=0.03)
     distances = count_calls(monkeypatch, retraction, "tucker_distance")
-    loads = count_calls(monkeypatch, fem, "assemble_rhs")
+    loads = count_calls(monkeypatch, fem, "load_vector")
     rep = energy_report(tr, problem)
-    assert distances == {"tucker_distance": 0} and loads == {"assemble_rhs": 0}
+    assert distances == {"tucker_distance": 0} and loads == {"load_vector": 0}
     assert np.isfinite(rep.du_integral) and rep.data_f_integral > 0
     # states that no step made carry no distance, so their report has none
     made = Trajectory(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import count_calls, gauge_frame, summands
+from helpers import count_calls, gauge_frame, source_dense, summands
 
 from ttdlra import manifold, retraction
 from ttdlra.dense import DenseTensor, matricize, mode_multiply
@@ -25,7 +25,6 @@ from ttdlra.retraction import (
     retract,
     retract_train,
     retract_tucker,
-    train_as_tucker,
     tucker_distance,
 )
 from ttdlra.sampling import random_point, random_tt
@@ -96,18 +95,6 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     core, factors = basis.tucker(u_coords + c)
     x = point_to_dense(p) + x
-    assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
-    assert_matches_dense_retraction(core, factors, outer, tt_ranks)
-
-
-@pytest.mark.parametrize(
-    "dims, train_ranks, outer, tt_ranks",
-    [((6, 5, 7), (3, 4), (2, 3, 2), (2, 2)), ((4, 3, 5, 4), (3, 4, 3), (2, 3, 3, 2), (2, 3, 2))],
-)
-def test_train_as_tucker_matches_dense(rng, dims, train_ranks, outer, tt_ranks):
-    t = random_tt(rng, dims, train_ranks)
-    core, factors = train_as_tucker(t)
-    x = tt_to_dense(t)
     assert (tucker_to_dense(core, factors) - x).norm() <= REL * x.norm()
     assert_matches_dense_retraction(core, factors, outer, tt_ranks)
 
@@ -230,15 +217,9 @@ def _collapse_problem(n_cells, weight):
     )
 
 
-def test_splitting_sweep_retracts_its_train_natively(monkeypatch, rng):
-    # the sweep's train goes through retract_train, not the (k^2)^d wiring
-    # core of train_as_tucker, and at generic ranks its defect is round-off
-    from ttdlra import integrate
-
-    def wiring_core(t):
-        raise AssertionError("train_as_tucker called")
-
-    monkeypatch.setattr(integrate, "train_as_tucker", wiring_core)
+def test_splitting_sweep_retracts_its_train_natively(rng):
+    # the sweep's train goes through retract_train, on its cores, and at
+    # generic ranks its defect is round-off
     disc = mass_orthonormalize([build_fem1d(10) for _ in range(3)])
     problem = ParabolicProblem(
         disc=disc,
@@ -437,7 +418,7 @@ def assert_report_matches_dense_quadratures(sources):
         for a, b in zip(states[:-1], states[1:])
     )
     f_integral = sum(
-        tt_to_dense(problem.rhs_tt(s.time)).norm() ** 2 * tau for s in states[1:]
+        source_dense(problem.source_factors(s.time)).norm() ** 2 * tau for s in states[1:]
     )
     assert len(states) == 5
     assert rep.du_integral == pytest.approx(du, rel=REL)

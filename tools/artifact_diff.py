@@ -9,7 +9,8 @@ afterwards.  For every output file, and for stdout with the output directory
 replaced by ``<out>``, it prints ``identical`` when the bytes agree, and
 otherwise the largest relative difference over the file's numeric fields
 (``text differs`` when the text between the numbers differs too).  Both exit
-codes are printed per config.
+codes are printed per config.  The exit status is 0 when every exit code,
+file and stdout agree, and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def main(argv) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     src_a, src_b = argv
+    differs = False
     with tempfile.TemporaryDirectory() as tmp:
         for config in sorted(glob.glob(os.path.join(ROOT, "configs", "*.json"))):
             name = os.path.splitext(os.path.basename(config))[0]
@@ -86,13 +88,16 @@ def main(argv) -> int:
             code_a, stdout_a = _run(src_a, config, out_a)
             code_b, stdout_b = _run(src_b, config, out_b)
             print(f"{name}: exit {code_a} / {code_b}")
+            differs |= code_a != code_b
             files = set(os.listdir(out_a) if os.path.isdir(out_a) else [])
             files |= set(os.listdir(out_b) if os.path.isdir(out_b) else [])
             for fname in sorted(files):
                 a, b = _read(os.path.join(out_a, fname)), _read(os.path.join(out_b, fname))
                 print(f"  {fname}: {compare(a, b)}")
+                differs |= a != b
             print(f"  stdout: {compare(stdout_a, stdout_b)}")
-    return 0
+            differs |= stdout_a != stdout_b
+    return int(differs)
 
 
 if __name__ == "__main__":
