@@ -30,10 +30,11 @@ cores = (
 )
 from ttdlra import TTTensor
 
-x = tt_to_dense(TTTensor(cores))
+# the train expanded to an array, viewed as an ambient tensor
+x = DenseTensor.from_array(tt_to_dense(TTTensor(cores)))
 print("dense tensor with", x.size, "entries")
 
-t, err = tt_from_dense(x, return_error=True)
+t, err = tt_from_dense(x.to_array(), return_error=True)
 print("recovered interface ranks:", t.ranks, " decomposition error:", err)
 
 spec = interface_spectrum(t)
@@ -47,7 +48,7 @@ print("gap of 3x the tensor:", boundary_gap(tt_scale(t, 3.0)))
 # interface truncation realizes the distance to the lower-rank set exactly
 for m in range(2):
     cut = truncate_interface(t, m)
-    dist = (x - tt_to_dense(cut)).norm()
+    dist = (x - DenseTensor.from_array(tt_to_dense(cut))).norm()
     print(
         f"truncate interface {m}: distance {dist:.6f} "
         f"= smallest singular value {spec.values[m][-1]:.6f}"
@@ -55,5 +56,5 @@ for m in range(2):
 
 # rounding reports the error it commits
 rounded, rerr = tt_round(t, ranks=(2, 1), return_error=True)
-actual = (x - tt_to_dense(rounded)).norm()
+actual = (x - DenseTensor.from_array(tt_to_dense(rounded))).norm()
 print(f"rounded to (2, 1): reported error {rerr:.6f}, actual {actual:.6f}")

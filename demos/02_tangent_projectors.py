@@ -41,10 +41,11 @@ v = tangent_project(p, z)
 for m, (u, udot) in enumerate(zip(p.factors, v.factor_velocities)):
     print(f"gauge residual mode {m}: {np.max(np.abs(u.T @ udot)):.2e}")
 
-parts = [v.core_velocity]
+# the core velocity and the point's expanded core are arrays; expand them
+parts = [DenseTensor.from_array(v.core_velocity)]
 for m, u in enumerate(p.factors):
     parts[0] = mode_multiply(parts[0], u, m)
-core = p.core_dense()
+core = DenseTensor.from_array(p.expanded)
 for m, udot in enumerate(v.factor_velocities):
     term = core
     for mm, u in enumerate(p.factors):
@@ -58,5 +59,5 @@ print("squared norm of the embedding:", total)
 cz = z
 for m, u in enumerate(p.factors):
     cz = mode_multiply(cz, u.T, m)
-cdot = core_tangent_project(p.core, cz)
-print("core velocity matches the core projector:", (cdot - v.core_velocity).norm())
+cdot = core_tangent_project(p.core, cz.to_array())
+print("core velocity matches the core projector:", np.linalg.norm(cdot - v.core_velocity))

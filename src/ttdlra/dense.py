@@ -1,4 +1,7 @@
-"""Dense tensor algebra: storage, unfoldings, mode products, SVD.
+"""Dense tensor algebra: the ambient oracle type, unfoldings, mode products, SVD.
+
+:class:`DenseTensor` is the ambient oracle type: only oracles form one, and it
+refuses more than ``AMBIENT_LIMIT`` entries.  Cores are plain ndarrays.
 
 Index convention
 ----------------
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, OversizeError
 
 __all__ = [
+    "AMBIENT_LIMIT",
     "DenseTensor",
     "SvdResult",
     "matricize",
@@ -30,10 +34,26 @@ __all__ = [
     "inner",
 ]
 
+# dense-ambient computations (oracles, curvature reports) are limited to this size
+AMBIENT_LIMIT = 4096
+
+
+def _check_ambient(dims) -> int:
+    """The entry count over ``dims``; ``OversizeError`` above ``AMBIENT_LIMIT``."""
+    size = math.prod(int(n) for n in dims)
+    if size > AMBIENT_LIMIT:
+        raise OversizeError(f"ambient size {size} exceeds the dense limit {AMBIENT_LIMIT}")
+    return size
+
+
+def _check_finite(a, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise InvalidArgumentError(f"{what} contains non-finite entries")
+
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """A d-way array over a multi-index grid.
+    """A d-way ambient array of at most ``AMBIENT_LIMIT`` entries.
 
     Parameters
     ----------
@@ -49,26 +69,18 @@ class DenseTensor:
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
-        object.__setattr__(self, "dims", dims)
         if len(dims) < 1 or any(n < 1 for n in dims):
             raise InvalidArgumentError(f"invalid mode sizes {dims}")
         data = np.asarray(self.data, dtype=float).reshape(-1)
-        if data.size != int(np.prod(dims)):
-            raise InvalidArgumentError(
-                f"data length {data.size} does not match dims {dims}"
-            )
+        if data.size != _check_ambient(dims):
+            raise InvalidArgumentError(f"data length {data.size} does not match dims {dims}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "data", data)
 
     @classmethod
     def from_array(cls, arr) -> "DenseTensor":
         arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
         return cls(arr.shape, arr.ravel(order="F"))
-
-    @classmethod
-    def zeros(cls, dims) -> "DenseTensor":
-        return cls(tuple(dims), np.zeros(int(np.prod(dims))))
 
     def to_array(self) -> np.ndarray:
         """Return the tensor as an ndarray of shape ``dims``."""
@@ -103,9 +115,6 @@ class DenseTensor:
         return DenseTensor(self.dims, self.data * float(s))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return DenseTensor(self.dims, -self.data)
 
 
 @dataclass(frozen=True)
@@ -160,9 +169,15 @@ def mode_multiply(x: DenseTensor, m, mode: int) -> DenseTensor:
         raise InvalidArgumentError(
             f"matrix has {m.shape[1]} columns, mode {mode} has size {x.dims[mode]}"
         )
-    arr = np.tensordot(m, x.to_array(), axes=(1, mode))
-    arr = np.moveaxis(arr, 0, mode)
-    return DenseTensor.from_array(arr)
+    return DenseTensor.from_array(_tensordot_modes(x.to_array(), [(mode, m)]))
+
+
+def _tensordot_modes(arr, factors) -> np.ndarray:
+    """:func:`mode_multiply` on an array for each ``(m, mat)`` in ``factors``, column-major:
+    the oracles' product, independent of the solver's :func:`_multiply_modes`."""
+    for m, mat in factors:
+        arr = np.asfortranarray(np.moveaxis(np.tensordot(mat, arr, axes=(1, m)), 0, m))
+    return arr
 
 
 def _multiply_modes(arr, factors):
@@ -180,8 +195,7 @@ def svd(m) -> SvdResult:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise InvalidArgumentError("svd expects a matrix")
-    if not np.all(np.isfinite(m)):
-        raise InvalidArgumentError("svd input contains non-finite entries")
+    _check_finite(m, "svd input")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return SvdResult(u, s, vh.T)
 

@@ -10,7 +10,8 @@ measured factored by :func:`~ttdlra.retraction.tucker_distance`: a coarse
 rung's factors are lifted to the reference grid mode by mode (an n_ref x r
 block each), and no state is expanded onto the grid.  The ambient grid is
 used only by the diagnostics probes and by the random direction of an
-initial-data perturbation.
+initial-data perturbation; those runs refuse a grid above ``AMBIENT_LIMIT``
+as a ``ConfigError`` before they solve anything.
 """
 
 from __future__ import annotations
@@ -18,19 +19,20 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .dense import DenseTensor, inner, matricize, svd
+from .dense import AMBIENT_LIMIT, DenseTensor, inner, matricize, svd
 from .errors import BreakdownError, ConfigError, InvalidArgumentError
 from .fem import SourceTerm, chol_matmul, chol_solve, laplacian_operator
 from .integrate import BREAKDOWN_REL, Trajectory, check_run, energy_report, solve
 from .problems import ParabolicProblem, problem_from_config
 from .retraction import tucker_distance
-from .sampling import perturbed_point, random_orthonormal, random_point, random_tt
+from .sampling import perturbed_point, random_dense, random_orthonormal, random_point, random_tt
 from .tangent import aligned_basis_report, curvature_report, polar_align
 from .tt import interface_spectrum, truncate_interface, tt_to_dense
 
@@ -188,6 +190,12 @@ def _run_problem(pcfg: dict) -> tuple:
     return problem, opts
 
 
+def _ambient_grid(problem: ParabolicProblem) -> None:
+    """A run that forms ambient tensors refuses a grid above ``AMBIENT_LIMIT``."""
+    if math.prod(problem.dims) > AMBIENT_LIMIT:
+        raise ConfigError(f"this run forms ambient tensors: grid {problem.dims} > AMBIENT_LIMIT")
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -204,28 +212,10 @@ class SolveResult:
         return self.trajectory.breakdown is not None
 
 
-_TRAJECTORY_COLUMNS = (
-    "t",
-    "gap",
-    "energy_l2",
-    "energy_v",
-    "tangent_residual",
-    "retraction_defect",
+# the state fields of the trajectory CSV, in its column order ("time" as "t")
+_TRAJECTORY_FIELDS = (
+    "time", "gap", "energy_l2", "energy_v", "tangent_residual", "retraction_defect"
 )
-
-
-def _trajectory_rows(tr: Trajectory):
-    return [
-        (
-            s.time,
-            s.gap,
-            s.energy_l2,
-            s.energy_v,
-            s.tangent_residual,
-            s.retraction_defect,
-        )
-        for s in tr.states
-    ]
 
 
 def run_solve(cfg: ExperimentConfig) -> SolveResult:
@@ -245,18 +235,16 @@ def run_solve(cfg: ExperimentConfig) -> SolveResult:
                 else {"time": tr.breakdown.time, "gap": tr.breakdown.gap}
             ),
             "energy": {
-                "l2_terminal": rep.l2_terminal,
-                "v_integral": rep.v_integral,
-                "du_integral": rep.du_integral,
-                "v_sup": rep.v_sup,
-                "dissipation_ok": rep.dissipation_ok,
-                "growth_suspected": rep.growth_suspected,
+                key: getattr(rep, key)
+                for key in ("l2_terminal", "v_integral", "du_integral", "v_sup",
+                            "dissipation_ok", "growth_suspected")
             },
         },
     )
     csv_path = os.path.join(out, "trajectory.csv")
     meta_path = os.path.join(out, "metadata.json")
-    _write_csv(csv_path, _TRAJECTORY_COLUMNS, _trajectory_rows(tr), meta)
+    rows = [tuple(getattr(s, f) for f in _TRAJECTORY_FIELDS) for s in tr.states]
+    _write_csv(csv_path, ("t",) + _TRAJECTORY_FIELDS[1:], rows, meta)
     _write_json(meta_path, meta)
     return SolveResult(trajectory=tr, csv_path=csv_path, meta_path=meta_path)
 
@@ -386,6 +374,8 @@ def _perturbed_problem(problem: ParabolicProblem, cfg, delta, rng):
 def run_stability(cfg: ExperimentConfig) -> StabilityReport:
     out = _ensure_out(cfg)
     problem, opts = _run_problem(cfg.problem)
+    if cfg.perturb == "initial":
+        _ambient_grid(problem)
 
     base = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
     if base.breakdown is not None:
@@ -415,20 +405,17 @@ def run_stability(cfg: ExperimentConfig) -> StabilityReport:
             rows.append((delta, float(t), dv))
     initial = tuple(d[0] for d in diffs_by_delta)
     terminal = tuple(d[-1] for d in diffs_by_delta)
-    ratios = tuple(
-        terminal[i] / terminal[i + 1] for i in range(len(terminal) - 1)
-    )
+    ratios = tuple(a / b for a, b in zip(terminal, terminal[1:]))
     # exponential envelope fitted to the largest perturbation's history
     lead = np.array(diffs_by_delta[0])
     mask = lead > 0
     if np.count_nonzero(mask) >= 2:
         coeffs = np.polyfit(times[mask], np.log(lead[mask] ** 2), 1)
         rate = float(coeffs[0])
-        envelope = lead[0] ** 2 * np.exp(rate * times) if lead[0] > 0 else None
-        if envelope is not None:
+        factor = float("inf")
+        if lead[0] > 0:
+            envelope = lead[0] ** 2 * np.exp(rate * times)
             factor = float(np.max(lead[mask] ** 2 / envelope[mask]))
-        else:
-            factor = float("inf")
     else:
         rate, factor = float("nan"), float("nan")
     meta = _metadata(
@@ -535,11 +522,11 @@ def run_curvature_suite(cfg: ExperimentConfig) -> CurvatureSuiteReport:
         dims, ranks = shapes[i % len(shapes)]
         t = random_tt(rng, dims, ranks)
         spec = interface_spectrum(t)
-        x = tt_to_dense(t)
+        x = DenseTensor.from_array(tt_to_dense(t))  # the train as an ambient tensor
         ok_all = True
         for m, vals in enumerate(spec.values):
             cut = truncate_interface(t, m)
-            dist = (x - tt_to_dense(cut)).norm()
+            dist = (x - DenseTensor.from_array(tt_to_dense(cut))).norm()
             ok = abs(dist - vals[-1]) <= 1e-10 * max(1.0, x.norm())
             ok_all = ok_all and ok
             rows.append(("truncation_distance", i, dist, float(vals[-1]), int(ok)))
@@ -598,20 +585,17 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
 
     out = _ensure_out(cfg)
     problem, opts = problem_from_config(cfg.problem)
+    _ambient_grid(problem)
     rng = np.random.default_rng(cfg.seed)
     disc = problem.disc
     op = problem.operator(0.0)
     lap = laplacian_operator(disc)
     dims = problem.dims
-
-    def rand():
-        return DenseTensor.from_array(rng.standard_normal(dims))
-
     sym = 0.0
     coercive_ok = True
     margin = problem.diffusion.spd_margin
     for _ in range(20):
-        x, y = rand(), rand()
+        x, y = random_dense(rng, dims), random_dense(rng, dims)
         sym = max(
             sym,
             abs(inner(op.apply(x), y) - inner(x, op.apply(y)))
@@ -623,7 +607,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
             coercive_ok = False
     split = 0.0
     for _ in range(5):
-        x = rand()
+        x = random_dense(rng, dims)
         full = op.apply(x)
         parts = op.diagonal_part.apply(x) + op.cross_part.apply(x)
         split = max(split, (full - parts).norm() / max(full.norm(), 1e-300))
@@ -632,7 +616,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     t0, t1 = 0.0, problem.diffusion.horizon
     op0, op1 = problem.operator(t0), problem.operator(t1)
     for _ in range(10):
-        x = rand()
+        x = random_dense(rng, dims)
         vnorm = np.sqrt(max(inner(lap.apply(x), x), 0.0))
         if (op1.apply(x) - op0.apply(x)).norm() > lbar * (t1 - t0) * vnorm * (1 + 1e-10):
             lip_ok = False

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes, inner
+from .dense import DenseTensor, _check_finite, _multiply_modes, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import TangentBasis, TangentVector, tangent_to_ambient
@@ -257,6 +257,8 @@ class DiffusionCoefficient:
         object.__setattr__(self, "b1", b1)
         if b0.shape != b1.shape or b0.ndim != 2 or b0.shape[0] != b0.shape[1]:
             raise InvalidArgumentError("diffusion matrices must be square, equal size")
+        for name, value in (("b0", b0), ("b1", b1), ("horizon", self.horizon)):
+            _check_finite(value, f"diffusion {name}")
         if not (np.allclose(b0, b0.T, atol=1e-12) and np.allclose(b1, b1.T, atol=1e-12)):
             raise InvalidArgumentError("diffusion matrices must be symmetric")
         if self.spd_margin <= 0:

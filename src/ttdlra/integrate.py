@@ -53,13 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _exponent, _multiply_modes
+from .dense import DenseTensor, _check_ambient, _exponent, _multiply_modes
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_train, retract_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
 from .fem import _lapack, chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
-from .tangent import TangentBasis, _check_ambient
+from .tangent import TangentBasis
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale
 
 __all__ = [
@@ -709,24 +709,17 @@ def dense_implicit_euler(problem, tau: float, t_end: float):
     dims = problem.disc.dims
     size = _check_ambient(dims)
     n_steps = _step_count(tau, t_end)
-    y = point_to_dense(problem.u0).data.copy()
-    times = [0.0]
-    states = [DenseTensor(dims, y.copy())]
+    states = [point_to_dense(problem.u0)]
     eye = np.eye(size)
     for n in range(n_steps):
         t_new = (n + 1) * tau
         op = problem.operator(t_new)
-        amat = np.zeros((size, size))
-        for j in range(size):
-            e = np.zeros(size)
-            e[j] = 1.0
-            amat[:, j] = op.apply(DenseTensor(dims, e)).data
+        amat = np.column_stack([op.apply(DenseTensor(dims, e)).data for e in eye])
         factors = problem.source_factors(t_new)
         fvec = np.zeros(dims)
         for j in range(factors[0].shape[1]):  # the rank-one source columns
             column = [(m, g[:, j : j + 1]) for m, g in enumerate(factors)]
             fvec += _multiply_modes(np.ones((1,) * len(dims)), column)
-        y = np.linalg.solve(eye + tau * amat, y + tau * fvec.ravel(order="F"))
-        times.append(t_new)
-        states.append(DenseTensor(dims, y.copy()))
-    return np.array(times), states
+        y = np.linalg.solve(eye + tau * amat, states[-1].data + tau * fvec.ravel(order="F"))
+        states.append(DenseTensor(dims, y))
+    return np.arange(n_steps + 1) * tau, states

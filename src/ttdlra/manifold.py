@@ -4,26 +4,27 @@ A point is ``X = C x_0 U^0 x_1 ... x_{d-1} U^{d-1}`` with factors
 ``U^m`` of shape ``(N_m, r_m)`` whose Gramians are invertible.  The core ``C``
 either is a :class:`~ttdlra.tt.TTTensor` over the small sizes
 ``(r_0, ..., r_{d-1})`` with exact interface ranks ``k`` (the inner train
-constraint), or a dense tensor of full multilinear rank (the plain Tucker
-case, where the core set is open and carries no extra constraint).
+constraint), or an ndarray of full multilinear rank (the plain Tucker case,
+where the core set is open and carries no extra constraint).
 
 Because the core constraint set is invariant under invertible basis changes,
 a point with merely independent factor columns can always be re-expressed
 with orthonormal factors by absorbing the triangular QR factors into the
 core.  :func:`make_point` does this, so every point carries orthonormal
 factors: its norm is its core's, and the tangent coordinates rely on it.
-It also keeps what its validation measured, the expanded core and the SVD of
-each mode unfolding; the gap, norm and tangent basis read them from the point.
+It also keeps what its validation measured, the expanded core (a column-major
+ndarray) and the SVD of each mode unfolding; the gap, norm and tangent basis
+read them from the point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes, _norm, matricize, mode_multiply, svd
+from .dense import DenseTensor, _check_ambient, _check_finite, _multiply_modes, _norm, svd
+from .dense import _tensordot_modes
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
@@ -48,12 +49,12 @@ _GRAM_REJECT_REL = 1e-12
 class ManifoldPoint:
     """Validated constrained Tucker point; construct via :func:`make_point`.
     Beside core and factors it keeps the core's measurement: gap, expansion (a
-    dense core is its own) and the ``SvdResult`` of each mode unfolding."""
+    plain Tucker core is its own) and the ``SvdResult`` of each mode unfolding."""
 
-    core: object  # TTTensor or DenseTensor
+    core: object  # TTTensor or ndarray
     factors: tuple  # orthonormal columns
     gap: float  # the core's boundary gap, measured once by validation
-    expanded: DenseTensor = field(compare=False, repr=False)
+    expanded: np.ndarray = field(compare=False, repr=False)  # column-major
     mode_svds: tuple = field(compare=False, repr=False)
 
     @property
@@ -72,24 +73,24 @@ class ManifoldPoint:
     def tt_core(self) -> bool:
         return isinstance(self.core, TTTensor)
 
-    def core_dense(self) -> DenseTensor:
-        return self.expanded
-
     def tucker(self) -> tuple:
         """The Tucker form ``(core array, factors)``."""
-        return self.expanded.to_array(), self.factors
+        return self.expanded, self.factors
 
     def norm(self) -> float:
-        return _norm(self.expanded.data)
+        return _norm(self.expanded)
 
 
 def _checked_factors(cdims, factors) -> tuple:
     """The factors as float arrays, checked against the core sizes and for
     invertible Gramians, and whether they are orthonormal."""
+    if not cdims or 0 in cdims:
+        raise InvalidArgumentError(f"invalid core sizes {cdims}")
     factors = tuple(np.asarray(u, dtype=float) for u in factors)
     if len(factors) != len(cdims):
         raise InvalidArgumentError(f"{len(factors)} factors for a core of order {len(cdims)}")
     for m, u in enumerate(factors):
+        _check_finite(u, f"factor {m}")
         if u.ndim != 2:
             raise InvalidArgumentError("factors must be matrices")
         if u.shape[1] != cdims[m]:
@@ -122,28 +123,35 @@ def make_point(core, factors) -> ManifoldPoint:
 
     Parameters
     ----------
-    core : TTTensor or DenseTensor
+    core : TTTensor or ndarray
         Core over the small sizes; a train core must carry exact interface
-        ranks, a dense core full multilinear rank.
+        ranks, an array core full multilinear rank.
     factors : sequence of ndarray
         One ``(N_m, r_m)`` matrix per mode with independent columns.
 
     Raises
     ------
+    InvalidArgumentError
+        If the core or a factor has a non-finite entry.
     NotOnManifoldError
         If a factor Gramian is numerically singular, the core is rank
         deficient, or the boundary gap falls below ``GAP_REJECT_REL``
         relative to the norm.
     """
-    if not isinstance(core, (TTTensor, DenseTensor)):
-        raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
-    factors, ortho = _checked_factors(core.dims, factors)
+    if not isinstance(core, (TTTensor, np.ndarray)):
+        raise InvalidArgumentError("core must be a TTTensor or ndarray")
+    train = isinstance(core, TTTensor)
+    for a in core.cores if train else (core,):
+        _check_finite(a, "core")
+    factors, ortho = _checked_factors(core.dims if train else core.shape, factors)
     if not ortho:
         factors, rs = zip(*(np.linalg.qr(u) for u in factors))
-        if isinstance(core, TTTensor):
+        if train:
             core = TTTensor(tuple(np.einsum("ij,ajb->aib", r, c) for r, c in zip(rs, core.cores)))
         else:
-            core = DenseTensor.from_array(_multiply_modes(core.to_array(), list(enumerate(rs))))
+            core = _multiply_modes(core, list(enumerate(rs)))
+    if not train:  # the point's own column-major copy
+        core = np.array(core, dtype=float, order="F")
     return ManifoldPoint(core, factors, *_measured(core))
 
 
@@ -154,13 +162,15 @@ def _measured(core) -> tuple:
     and mode-(d-1) unfoldings, so of its interface spectra only the interior
     ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
-    norm = _norm(cdense.data)  # at any scale: a tiny core is measured against its own norm
+    norm = _norm(cdense)  # at any scale: a tiny core is measured against its own norm
     if cdense.ndim == 1:
         return norm, cdense, ()  # a single mode has only the full space
     # a mode unfolding with fewer columns than rows cannot have full row rank
-    if any(r * r > math.prod(cdense.dims) for r in cdense.dims):
+    if any(r * r > cdense.size for r in cdense.shape):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
-    svds = tuple(svd(matricize(cdense, {m})) for m in range(cdense.ndim))
+    svds = tuple(  # of the mode unfoldings, columns in matricize's order
+        svd(np.moveaxis(cdense, m, 0).reshape(r, -1, order="F")) for m, r in enumerate(cdense.shape)
+    )
     vals = [float(s.singular_values[-1]) for s in svds]
     if isinstance(core, TTTensor) and core.ndim > 3:
         vals.extend(float(v[-1]) for v in interface_spectrum(core).values[1:-1])
@@ -176,11 +186,9 @@ def _measured(core) -> tuple:
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:
-    """Expand the point into the ambient space by a chain of mode products."""
-    out = p.expanded
-    for m, u in enumerate(p.factors):
-        out = mode_multiply(out, u, m)
-    return out
+    """Expand the point by mode products; above ``AMBIENT_LIMIT``, ``OversizeError`` first."""
+    _check_ambient(p.dims)
+    return DenseTensor.from_array(_tensordot_modes(p.expanded, enumerate(p.factors)))
 
 
 def point_boundary_gap(p: ManifoldPoint) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor
 from .errors import ConfigError, InvalidArgumentError
 from .fem import (
     DiffusionCoefficient,
@@ -26,10 +25,10 @@ from .fem import (
     profile_values,
     source_loads,
 )
-from .manifold import ManifoldPoint
+from .manifold import ManifoldPoint, make_point
 from .retraction import retract_train
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .tt import TTTensor, tt_add, tt_round
+from .tt import TTTensor, tt_add, tt_from_dense, tt_round
 from .tt import generic_outer_ranks  # noqa: F401  re-exported
 
 __all__ = [
@@ -272,10 +271,7 @@ def rank_collapse_problem(n_cells: int = 12, weight: float = 0.15, t_end: float 
     evals, evecs = np.linalg.eigh(disc.stiffness[0].dense)
     slow = evecs[:, 0]
     fast = evecs[:, 2]
-    core = DenseTensor.from_array(np.diag([1.0, float(weight)]))
-    from .manifold import make_point
-    from .tt import tt_from_dense
-
+    core = np.diag([1.0, float(weight)])
     u = np.column_stack([slow, fast])
     core_tt = tt_from_dense(core, ranks=(2,))
     u0 = make_point(core_tt, (u, u))

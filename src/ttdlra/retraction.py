@@ -20,7 +20,8 @@ larger than a site core is formed; ranks left to it are read in that sweep.
 starting state, which lies in the same frame, so the energy report reads it.
 The difference of two Tucker tensors, :func:`tucker_distance`, is measured on
 a small core too.  Tucker pairs ``(core, factors)`` carry their core as a
-plain array.
+plain array.  Non-finite input to :func:`retract` and :func:`retract_train` is
+refused where it enters (``InvalidArgumentError``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes, _norm
+from .dense import DenseTensor, _check_finite, _multiply_modes, _norm
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, make_point
 from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
@@ -55,32 +56,36 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     NotOnManifoldError
         If the truncated tensor is rank deficient at the target ranks
         (rank collapse).
+    InvalidArgumentError
+        If ``x`` has a non-finite entry.
     """
+    _check_finite(x.data, "retract input")
+    return _retract_array(x.to_array(), outer_ranks, tt_ranks)
+
+
+def _retract_array(arr: np.ndarray, outer_ranks, tt_ranks) -> ManifoldPoint:
     outer_ranks = tuple(int(r) for r in outer_ranks)
-    if x.ndim == 1:
+    if arr.ndim == 1:
         # single mode: the only manifold is the full space
-        if outer_ranks != (x.dims[0],):
+        if outer_ranks != arr.shape:
             raise InvalidArgumentError("single-mode points must have full rank")
-        core = x if tt_ranks is None else tt_from_dense(x)
-        return make_point(core, (np.eye(x.dims[0]),))
-    return make_point(*_truncate(x.to_array(), outer_ranks, tt_ranks))
+        core = arr if tt_ranks is None else tt_from_dense(arr)
+        return make_point(core, (np.eye(arr.size),))
+    return make_point(*_truncate(arr, outer_ranks, tt_ranks))
 
 
 def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
     """``(core, [V^m])``: the sequentially truncated HOSVD of the array, each
     ``V^m`` leading left singular vectors of the mode-m unfolding (columns in
     :func:`~ttdlra.dense.matricize`'s order) of what earlier modes left, and
-    the core rounded to the train ranks (kept dense for ``tt_ranks=None``)."""
+    the core rounded to the train ranks (kept an array for ``tt_ranks=None``)."""
     factors = []
     for m, r in enumerate(outer_ranks):
         unfolding = np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1, order="F")
         v = np.linalg.svd(unfolding, full_matrices=False)[0][:, :r]
         factors.append(v)
         arr = _multiply_modes(arr, [(m, v.T)])
-    core = DenseTensor.from_array(arr)
-    if tt_ranks is not None:
-        core = tt_from_dense(core, ranks=tuple(tt_ranks))
-    return core, factors
+    return (arr if tt_ranks is None else tt_from_dense(arr, ranks=tuple(tt_ranks))), factors
 
 
 def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
@@ -88,9 +93,13 @@ def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     ``ortho_center == 0`` is already right-orthogonal and is used as it is.
     ``outer_ranks=None`` keeps each mode's numerical rank, read in the sweep
     (the adaptive ST-HOSVD): the count of the site's singular values above
-    1e-10 of the largest, at most the generic rank of ``tt_ranks``."""
+    1e-10 of the largest, at most the generic rank of ``tt_ranks``.  A
+    non-finite core entry is an ``InvalidArgumentError``."""
+    for core in t.cores:
+        _check_finite(core, "retract_train input")
     if t.ndim == 1:
-        return retract(tt_to_dense(t), t.dims if outer_ranks is None else outer_ranks, tt_ranks)
+        ranks = t.dims if outer_ranks is None else outer_ranks
+        return _retract_array(tt_to_dense(t), ranks, tt_ranks)
     cores = (t if t.ortho_center == 0 else orthogonalize(t, 0)).cores
     if outer_ranks is None:
         caps = t.dims if tt_ranks is None else generic_outer_ranks(t.dims, tt_ranks)
@@ -174,7 +183,7 @@ def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])
     # the point's core is in the coordinates of the V^m, as is the small core
-    approx = _multiply_modes(point.expanded.to_array(), list(enumerate(vs)))
+    approx = _multiply_modes(point.expanded, list(enumerate(vs)))
     defect = _norm(approx - small)
     # W^m[:, :r_m] = Q^m R^m[:, :r_m]: the origin in the same coordinates.
     # Last mode first: _multiply_modes batches over the modes before m, and

@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _check_ambient
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, make_point, point_boundary_gap, point_to_dense
 from .retraction import retract
-from .tt import TTTensor, generic_outer_ranks, max_feasible_ranks, tt_round, tt_to_dense
+from .tt import TTTensor, boundary_gap, generic_outer_ranks, max_feasible_ranks, tt_round
+from .tt import tt_to_dense
 
 __all__ = [
     "random_orthonormal",
@@ -34,6 +35,8 @@ def random_orthonormal(rng, n: int, r: int) -> np.ndarray:
 
 
 def random_dense(rng, dims) -> DenseTensor:
+    """Standard normal ambient tensor; its size is checked before the draw."""
+    _check_ambient(dims)
     return DenseTensor.from_array(rng.standard_normal(tuple(dims)))
 
 
@@ -41,11 +44,20 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3) -> TTTensor:
     """Random train with exact interface ranks and a healthy boundary gap.
 
     Draws i.i.d. cores, rounds to the requested ranks, and retries until the
-    smallest interface singular value exceeds ``min_gap_rel`` times the norm.
+    smallest interface singular value exceeds ``min_gap_rel`` times the norm;
+    after ``_MAX_TRIES`` draws ``InvalidArgumentError`` names the best reached.
     """
-    from .tt import boundary_gap  # local import to avoid cycle at module load
+    t, best = _draw_tt(rng, dims, ranks, min_gap_rel)
+    if t is None:
+        raise InvalidArgumentError(
+            f"no train reached relative gap {min_gap_rel:g} (best {best:.3g})"
+        )
+    return t
 
-    dims = tuple(dims)
+
+def _draw_tt(rng, dims, ranks, min_gap_rel) -> tuple:
+    """:func:`random_tt`'s draws: the train (None if none passed), the best gap."""
+    dims, best = tuple(dims), 0.0
     bounds = (1,) + tuple(ranks) + (1,)
     for _ in range(_MAX_TRIES):
         cores = tuple(
@@ -59,9 +71,11 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3) -> TTTensor:
             gap = boundary_gap(t)
         except Exception:
             continue
-        if gap >= min_gap_rel * tt_to_dense(t).norm():
-            return t
-    raise RuntimeError("could not draw a train with the requested gap")
+        norm = float(np.linalg.norm(tt_to_dense(t)))
+        if gap >= min_gap_rel * norm:
+            return t, best
+        best = max(best, gap / norm)
+    return None, best
 
 
 def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
@@ -89,7 +103,8 @@ def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
 def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> ManifoldPoint:
     """Random manifold point with orthonormal factors and exact ranks.
 
-    ``tt_ranks=None`` gives a plain Tucker point with a dense core.
+    ``tt_ranks=None`` gives a plain Tucker point with an array core.  Fails
+    as :func:`random_tt` does, naming the best relative gap a draw reached.
     """
     dims = tuple(dims)
     outer_ranks = tuple(outer_ranks)
@@ -97,16 +112,17 @@ def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> Man
         raise InvalidArgumentError(
             f"outer ranks {outer_ranks} incompatible with train ranks {tt_ranks}"
         )
+    best = 0.0
     for _ in range(_MAX_TRIES):
         factors = tuple(
             random_orthonormal(rng, n, r) for n, r in zip(dims, outer_ranks)
         )
         if tt_ranks is None:
-            core = random_dense(rng, outer_ranks)
+            core = rng.standard_normal(outer_ranks)
         else:
-            try:
-                core = random_tt(rng, outer_ranks, tt_ranks, min_gap_rel=min_gap_rel)
-            except RuntimeError:
+            core, reached = _draw_tt(rng, outer_ranks, tt_ranks, min_gap_rel)
+            best = max(best, reached)
+            if core is None:
                 continue
         try:
             p = make_point(core, factors)
@@ -114,7 +130,8 @@ def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> Man
             continue
         if point_boundary_gap(p) >= min_gap_rel * p.norm():
             return p
-    raise RuntimeError("could not draw a manifold point with the requested gap")
+        best = max(best, point_boundary_gap(p) / p.norm())
+    raise InvalidArgumentError(f"no point reached relative gap {min_gap_rel:g} (best {best:.3g})")
 
 
 def perturbed_point(rng, p: ManifoldPoint, eps: float, direction=None):

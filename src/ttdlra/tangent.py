@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _multiply_modes, matricize, mode_multiply
-from .errors import DegeneratePointError, InvalidArgumentError, OversizeError
+from .dense import DenseTensor, _check_ambient, _multiply_modes, _tensordot_modes, matricize
+from .errors import DegeneratePointError, InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tt import TTTensor, tt_to_dense
 
@@ -58,11 +58,7 @@ __all__ = [
     "polar_align",
     "aligned_basis_report",
     "curvature_report",
-    "AMBIENT_LIMIT",
 ]
-
-# dense-ambient computations (oracle, curvature reports) are limited to this size
-AMBIENT_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ class TangentVector:
         return self.basis.point
 
     @property
-    def core_velocity(self) -> DenseTensor:
+    def core_velocity(self) -> np.ndarray:
         core, _ = self.basis.tucker(self.coords)
-        return DenseTensor.from_array(core[tuple(slice(r) for r in self.base.outer_ranks)])
+        return core[tuple(slice(r) for r in self.base.outer_ranks)]
 
     @property
     def factor_velocities(self) -> tuple:
@@ -94,41 +90,32 @@ class TangentVector:
         return float(np.sqrt(c @ c + sum(np.sum(t * t) for t in thetas)))
 
 
-def _check_ambient(dims):
-    size = int(np.prod(dims))
-    if size > AMBIENT_LIMIT:
-        raise OversizeError(
-            f"ambient size {size} exceeds the dense-computation limit {AMBIENT_LIMIT}"
-        )
-    return size
-
-
 # ---------------------------------------------------------------------------
 # core tangent space (tensor-train constraint)
 # ---------------------------------------------------------------------------
 
 
-def core_tangent_project(core, z: DenseTensor) -> DenseTensor:
-    """Orthogonal projection onto the tangent space of the core constraint set.
+def core_tangent_project(core, z: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of a core-sized array onto the core tangent space.
 
-    For a dense (plain Tucker) core the set is open and the projector is the
+    For an array (plain Tucker) core the set is open and the projector is the
     identity; for a train core it is ``B B^T z`` with ``B`` from
     :func:`core_tangent_basis`.
     """
-    if isinstance(core, DenseTensor):
+    if isinstance(core, np.ndarray):
         return z
     if not isinstance(core, TTTensor):
-        raise InvalidArgumentError("core must be a TTTensor or DenseTensor")
-    if z.dims != core.dims:
+        raise InvalidArgumentError("core must be a TTTensor or ndarray")
+    if z.shape != core.dims:
         raise InvalidArgumentError("argument does not match the core sizes")
     b = core_tangent_basis(core)
-    return DenseTensor(z.dims, b @ (b.T @ z.data))
+    return (b @ (b.T @ z.ravel(order="F"))).reshape(z.shape, order="F")
 
 
 def core_tangent_basis(core) -> np.ndarray:
     """Orthonormal basis of the core tangent space, one column per direction.
 
-    Columns are column-major vectorizations.  For a dense core the basis is
+    Columns are column-major vectorizations.  For an array core the basis is
     the identity.  For a train core block m holds the gauge-conditioned
     replacements of core m (Holtz, Rohwedder and Schneider 2012): a
     left-orthogonal prefix of cores 0..m-1, the complement of the
@@ -137,7 +124,7 @@ def core_tangent_basis(core) -> np.ndarray:
     orthonormal and mutually orthogonal as built, so their
     ``sum |G_m| - sum k_m^2`` columns take no rank test.
     """
-    if isinstance(core, DenseTensor):
+    if isinstance(core, np.ndarray):
         return np.eye(core.size)
     if core.ndim == 1:
         return np.eye(int(np.prod(core.dims)))
@@ -211,34 +198,24 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
     size = _check_ambient(p.dims)
     if z.dims != p.dims:
         raise InvalidArgumentError("argument does not match the point sizes")
-    cols = []
-    core = p.core_dense()
+    core, factors = p.expanded, list(enumerate(p.factors))
     if p.tt_core and p.core.ndim > 1:
         directions = []
-        for m in range(p.core.ndim):
-            shape = p.core.cores[m].shape
-            for idx in np.ndindex(shape):
-                cores = list(p.core.cores)
-                cores[m] = np.zeros(shape)
-                cores[m][idx] = 1.0
-                directions.append(tt_to_dense(TTTensor(tuple(cores))))
+        for m, g in enumerate(p.core.cores):
+            for idx in np.ndindex(g.shape):
+                unit = np.zeros(g.shape)
+                unit[idx] = 1.0
+                cores = p.core.cores[:m] + (unit,) + p.core.cores[m + 1 :]
+                directions.append(tt_to_dense(TTTensor(cores)))
     else:
-        directions = [DenseTensor(core.dims, e) for e in np.eye(core.size)]
-    for vec in directions:
-        for mm, u in enumerate(p.factors):
-            vec = mode_multiply(vec, u, mm)
-        cols.append(vec.data)
-    for m, u in enumerate(p.factors):
-        n, r = u.shape
-        for i in range(n):
-            for a in range(r):
-                e = np.zeros((n, r))
-                e[i, a] = 1.0
-                term = core
-                for mm, uu in enumerate(p.factors):
-                    term = mode_multiply(term, e if mm == m else uu, mm)
-                cols.append(term.data)
-    span = np.array(cols).T
+        directions = [e.reshape(core.shape, order="F") for e in np.eye(core.size)]
+    cols = [_tensordot_modes(vec, factors) for vec in directions]
+    for m, u in factors:
+        for idx in np.ndindex(u.shape):
+            e = np.zeros(u.shape)
+            e[idx] = 1.0
+            cols.append(_tensordot_modes(core, factors[:m] + [(m, e)] + factors[m + 1 :]))
+    span = np.array([c.ravel(order="F") for c in cols]).T
     gauges = sum(k * k for k in p.core.ranks) if p.tt_core else 0  # k^2 per train interface
     dim = len(directions) - gauges + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
     u, s, _ = np.linalg.svd(span, full_matrices=False)
@@ -267,7 +244,7 @@ class TangentBasis:
             raise InvalidArgumentError("a single-mode point has no mode unfoldings to parametrize")
         self.point = p
         self.core_basis = core_tangent_basis(p.core)
-        self.core = p.core_dense().to_array()
+        self.core = p.expanded
         self.rmap = [s.left_vectors / s.singular_values for s in p.mode_svds]  # P diag(1/sigma)
         self.qright = [s.right_vectors for s in p.mode_svds]  # Q, of C_(m) = P diag(sigma) Q^T
         self.block_sizes = [self.core_basis.shape[1]] + [u.size for u in p.factors]
@@ -452,10 +429,8 @@ def curvature_report(x: ManifoldPoint, y: ManifoldPoint) -> CurvatureReport:
     """
     if x.dims != y.dims or x.outer_ranks != y.outer_ranks:
         raise InvalidArgumentError("points live on different manifolds")
-    _check_ambient(x.dims)
     xd = point_to_dense(x)
-    yd = point_to_dense(y)
-    diff = xd - yd
+    diff = xd - point_to_dense(y)
     dist = diff.norm()
 
     bx = TangentBasis(x).ambient_matrix()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseTensor, _norm
+from .dense import _norm
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -146,12 +146,12 @@ def _checked_caps(dims, ranks) -> tuple:
     return ranks
 
 
-def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
-    """Sweep of truncated SVDs turning a dense tensor into a train.
+def tt_from_dense(x: np.ndarray, ranks=None, return_error=False):
+    """Sweep of truncated SVDs turning an array into a train.
 
     Parameters
     ----------
-    x : DenseTensor
+    x : ndarray
     ranks : sequence of int, optional
         Interface size caps ``(k_0, ..., k_{d-2})``.  Must be feasible.
         Without caps the decomposition is exact.
@@ -161,11 +161,13 @@ def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
     The reconstruction is exact whenever the input has interface ranks within
     the caps; otherwise the result is a quasi-best truncation.
     """
-    dims = x.dims
-    d = len(dims)
+    x = np.asarray(x, dtype=float)
+    dims, d = x.shape, x.ndim
+    if d < 1 or x.size == 0:
+        raise InvalidArgumentError(f"invalid mode sizes {dims}")
     if ranks is not None:
         ranks = _checked_caps(dims, ranks)
-    carry = x.to_array().reshape((1,) + dims)
+    carry = x.reshape((1,) + dims)
     cores = []
     discarded_sq = 0.0
     for m in range(d - 1):
@@ -187,12 +189,12 @@ def tt_from_dense(x: DenseTensor, ranks=None, return_error=False):
     return t
 
 
-def tt_to_dense(t: TTTensor) -> DenseTensor:
-    """Contract the core chain into a dense tensor."""
+def tt_to_dense(t: TTTensor) -> np.ndarray:
+    """Contract the core chain into a column-major array of shape ``t.dims``."""
     acc = t.cores[0][0]  # (N_0, k_0)
     for core in t.cores[1:]:
         acc = np.tensordot(acc, core, axes=(-1, 0))
-    return DenseTensor.from_array(acc[..., 0])
+    return np.asfortranarray(acc[..., 0])
 
 
 def orthogonalize(t: TTTensor, site: int) -> TTTensor:
@@ -235,8 +237,7 @@ def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
         values.append(np.linalg.svd(mat, compute_uv=False))
         splits.append(tuple(range(m + 1)))
         q, r = np.linalg.qr(mat)
-        if m + 1 < d:
-            carry = np.tensordot(r, work.cores[m + 1], axes=(1, 0))
+        carry = np.tensordot(r, work.cores[m + 1], axes=(1, 0))
     return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
 
 

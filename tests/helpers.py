@@ -102,11 +102,11 @@ def ambient_matrix_by_columns(basis):
 def summands(v):
     """The d+1 ambient summands of a tangent vector, each expanded by its own
     chain of mode products: ``Cdot x U`` and ``C x_m Udot^m x U`` per mode."""
-    from ttdlra.dense import mode_multiply
+    from ttdlra.dense import DenseTensor, mode_multiply
 
     p = v.base
-    core = p.core_dense()
-    parts = [v.core_velocity]
+    core = DenseTensor.from_array(p.expanded)
+    parts = [DenseTensor.from_array(v.core_velocity)]
     for m, u in enumerate(p.factors):
         parts[0] = mode_multiply(parts[0], u, m)
     for m, udot in enumerate(v.factor_velocities):

@@ -195,10 +195,10 @@ def test_criterion_07_truncation_distance_and_spectra():
         dims, ranks = shapes[i % len(shapes)]
         t = random_tt(rng, dims, ranks)
         spec = interface_spectrum(t)
-        x = tt_to_dense(t)
+        x = DenseTensor.from_array(tt_to_dense(t))
         for m, vals in enumerate(spec.values):
             cut = truncate_interface(t, m)
-            dist = (x - tt_to_dense(cut)).norm()
+            dist = (x - DenseTensor.from_array(tt_to_dense(cut))).norm()
             worst_dist = max(worst_dist, abs(dist - vals[-1]) / max(x.norm(), 1e-300))
     assert worst_dist <= 1e-10
     worst_spec = 0.0
@@ -211,7 +211,7 @@ def test_criterion_07_truncation_distance_and_spectra():
             ambient = svd(matricize(x, set(range(m + 1)))).singular_values
             worst_spec = max(worst_spec, np.max(np.abs(vals - ambient[: vals.size])) / scale)
         for m in range(3):
-            core_vals = svd(matricize(p.core_dense(), {m})).singular_values
+            core_vals = svd(matricize(DenseTensor.from_array(p.expanded), {m})).singular_values
             ambient = svd(matricize(x, {m})).singular_values
             worst_spec = max(
                 worst_spec, np.max(np.abs(core_vals - ambient[: core_vals.size])) / scale

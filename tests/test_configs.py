@@ -87,3 +87,40 @@ def test_malformed_field_values_are_accepted_or_config_errors(path):
             except Exception as exc:  # noqa: BLE001  the sweep reports every kind
                 unexpected.append(f"{'.'.join(field)} = {value!r}: {exc!r}")
     assert not unexpected, "\n".join(unexpected)
+
+
+def _at_d3(problem, cells):
+    """The problem moved to three modes of ``cells`` cells: the matrices
+    extended by the identity, each initial term by its last profile."""
+    out = dict(problem, dims=3, cells=cells, tt_ranks=[2, 2])
+    for key in ("b0", "b1"):
+        if key in problem:
+            mat = [row + [0.0] * (3 - len(row)) for row in problem[key]]
+            out[key] = mat + [[0.0, 0.0, 1.0 if key == "b0" else 0.0]] * (3 - len(mat))
+    out["initial"] = [
+        dict(term, profiles=(term["profiles"] + term["profiles"][-1:])[:3])
+        for term in problem["initial"]
+    ]
+    return out
+
+
+@pytest.mark.parametrize("name", ["stability_perturbed.json", "diagnose_heat3d.json"])
+def test_runs_on_the_ambient_grid_refuse_it_above_the_limit(tmp_path, monkeypatch, name):
+    # the initial-data perturbation and the diagnostics probes form ambient
+    # tensors: at 32 cells in three modes (31^3 = 29,791 entries) the config
+    # is an error before any solve, and the CLI exits 2
+    from ttdlra import experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve was called")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    with open(os.path.join(os.path.dirname(CONFIGS[0]), name)) as fh:
+        raw = json.load(fh)
+    raw["problem"] = _at_d3(raw["problem"], 32)
+    problem, _ = problem_from_config(raw["problem"])
+    assert problem.dims == (31, 31, 31)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    command = COMMAND_OF_KIND[raw["kind"]]
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import ambient_matrix_by_columns
 
-from ttdlra.dense import DenseTensor
 from ttdlra.manifold import make_point, point_to_dense
 from ttdlra.sampling import perturbed_point, random_orthonormal, random_point
 from ttdlra.tangent import (
@@ -65,8 +64,8 @@ def test_matrix_pair_with_known_smallest_singular_value(rng):
     # rank-one 2x2 pair: sigma equals the single singular value, bounds hold
     u1, v1 = random_orthonormal(rng, 2, 1), random_orthonormal(rng, 2, 1)
     u2, v2 = random_orthonormal(rng, 2, 1), random_orthonormal(rng, 2, 1)
-    c1 = DenseTensor.from_array(np.array([[1.3]]))
-    c2 = DenseTensor.from_array(np.array([[0.8]]))
+    c1 = np.array([[1.3]])
+    c2 = np.array([[0.8]])
     x = make_point(c1, (u1, v1))
     y = make_point(c2, (u2, v2))
     rep = curvature_report(x, y)

@@ -137,7 +137,7 @@ def test_svd_rejects_non_finite():
 
 def test_inner_basics(rng):
     x = random_tensor(rng, (3, 4))
-    zero = DenseTensor.zeros((3, 4))
+    zero = DenseTensor.from_array(np.zeros((3, 4)))
     assert inner(x, zero) == 0.0
     a, b = rng.standard_normal(3), rng.standard_normal(4)
     c, d = rng.standard_normal(3), rng.standard_normal(4)

@@ -202,8 +202,8 @@ def test_factored_convergence_error_matches_nodal_path(tmp_path):
 
 @pytest.mark.parametrize("kind", ["convergence", "stability"])
 def test_runs_build_no_tensor_of_the_finest_grid(tmp_path, monkeypatch, kind):
-    # the errors are distances of factored states: no DenseTensor as large as
-    # the finest grid (the source perturbation needs no ambient direction)
+    # the errors are distances of factored states and cores are arrays: no
+    # DenseTensor at all (the source perturbation needs no ambient direction)
     sizes = []
     post_init = DenseTensor.__post_init__
 
@@ -212,16 +212,17 @@ def test_runs_build_no_tensor_of_the_finest_grid(tmp_path, monkeypatch, kind):
         sizes.append(self.data.size)
 
     monkeypatch.setattr(DenseTensor, "__post_init__", counted_post_init)
+    DenseTensor.from_array(np.zeros((2, 3)))
+    assert sizes == [6]  # the hook counts
+    sizes.clear()
     raw = {"kind": kind, "problem": base_problem(d=3, tau=0.005, t_end=0.02)}
     if kind == "convergence":
         raw.update(ladder=[4, 8], reference_cells=16, out_dir=str(tmp_path))
         run_convergence(ExperimentConfig.from_dict(raw))
-        finest = 15**3
     else:
         raw.update(deltas=[1e-2], perturb="source", out_dir=str(tmp_path))
         run_stability(ExperimentConfig.from_dict(raw))
-        finest = 7**3
-    assert sizes and max(sizes) < finest
+    assert sizes == []
 
 
 def test_prolongation_is_exact_p1_injection(rng):

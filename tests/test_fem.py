@@ -282,7 +282,7 @@ def test_splitting_consistency(rng):
     coeff = DiffusionCoefficient(b0, 0.05 * np.eye(3), horizon=2.0)
     op = assemble_operator(coeff, disc, 1.2)
     t = random_tt(rng, disc.dims, (2, 2))
-    x = tt_to_dense(t)
+    x = DenseTensor.from_array(tt_to_dense(t))
     full = op.apply(x)
     split = op.diagonal_part.apply(x) + op.cross_part.apply(x)
     assert (full - split).norm() <= 1e-12 * full.norm()
@@ -444,7 +444,7 @@ def test_mixed_derivative_am_gm_equality(rng):
     # symmetric rank-one point: both separated factors share the same profile
     vec = rng.standard_normal(disc.dims[0])
     vec /= np.linalg.norm(vec)
-    core = DenseTensor.from_array(np.array([[1.0]]))
+    core = np.array([[1.0]])
     p = make_point(core, (vec.reshape(-1, 1), vec.reshape(-1, 1)))
     rep = mixed_derivative_check(p, disc)
     assert rep.passed
@@ -481,7 +481,7 @@ def test_mixed_derivative_near_boundary(rng):
     disc = small_disc(10, 2)
     u = random_orthonormal(rng, disc.dims[0], 2)
     v = random_orthonormal(rng, disc.dims[1], 2)
-    core = DenseTensor.from_array(np.diag([1.0, 1e-3]))
+    core = np.diag([1.0, 1e-3])
     p = make_point(core, (u, v))
     rep = mixed_derivative_check(p, disc)
     assert rep.passed

@@ -47,7 +47,7 @@ def test_make_point_reorthonormalization_preserves_value(rng):
     p = make_point(core, factors)
     for u in p.factors:
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
-    x = tt_to_dense(core)
+    x = DenseTensor.from_array(tt_to_dense(core))
     for m, w in enumerate(factors):
         x = mode_multiply(x, w, m)
     assert (point_to_dense(p) - x).norm() <= 1e-12 * x.norm()
@@ -60,13 +60,13 @@ def test_make_point_rejects_rank_deficient_core(rng):
     c[1, 1, 0] = 1.0  # mode-2 unfolding has rank 1
     factors = [random_orthonormal(rng, 5, 2) for _ in range(3)]
     with pytest.raises(NotOnManifoldError):
-        make_point(DenseTensor.from_array(c), factors)
+        make_point(c, factors)
 
 
 def test_make_point_rejects_core_with_short_mode_unfolding(rng):
     # a 3x2 core has only 2 singular values in its mode-0 unfolding, so it
     # cannot have mode-0 rank 3
-    core = DenseTensor.from_array(rng.standard_normal((3, 2)))
+    core = rng.standard_normal((3, 2))
     factors = [random_orthonormal(rng, 5, 3), random_orthonormal(rng, 6, 2)]
     with pytest.raises(NotOnManifoldError):
         make_point(core, factors)
@@ -105,7 +105,7 @@ def test_feasible_point_ranks_table(rng, outer, tt_ranks, feasible):
 
 
 def test_rejection_carries_measured_gap(rng):
-    core = DenseTensor.from_array(np.diag([1.0, 1e-12]))
+    core = np.diag([1.0, 1e-12])
     factors = [random_orthonormal(rng, 5, 2) for _ in range(2)]
     with pytest.raises(NotOnManifoldError) as exc:
         make_point(core, factors)
@@ -114,7 +114,7 @@ def test_rejection_carries_measured_gap(rng):
 
 def _mode_spectra(x):
     # singular values of every single-mode unfolding (of a train's expansion)
-    x = tt_to_dense(x) if isinstance(x, TTTensor) else x
+    x = DenseTensor.from_array(tt_to_dense(x) if isinstance(x, TTTensor) else x)
     return [svd(matricize(x, {m})).singular_values for m in range(x.ndim)]
 
 
@@ -177,11 +177,21 @@ def test_collapsed_end_interface_raises_with_its_gap(rng):
     assert exc.value.gap == pytest.approx(g, rel=1e-12)
 
 
+def test_point_keeps_its_own_copy_of_an_array_core(rng):
+    # a column-major core was kept by reference: writing to it afterwards
+    # changed the point's expansion and norm but not its measured gap
+    core = np.asfortranarray(rng.standard_normal((2, 2, 2)))
+    p = make_point(core, [random_orthonormal(rng, 5, 2) for _ in range(3)])
+    norm = p.norm()
+    core[0, 0, 0] += 100.0
+    assert p.norm() == norm and not np.shares_memory(p.expanded, core)
+
+
 def test_point_to_dense_matrix_case(rng):
     u1 = random_orthonormal(rng, 5, 2)
     u2 = random_orthonormal(rng, 6, 2)
     c = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-    p = make_point(DenseTensor.from_array(c), (u1, u2))
+    p = make_point(c, (u1, u2))
     np.testing.assert_allclose(
         point_to_dense(p).to_array(), u1 @ c @ u2.T, atol=1e-12
     )
@@ -189,7 +199,7 @@ def test_point_to_dense_matrix_case(rng):
 
 def test_point_to_dense_rank_one_outer_product(rng):
     u = [random_orthonormal(rng, n, 1) for n in (4, 5, 3)]
-    core = DenseTensor.from_array(np.full((1, 1, 1), 2.5))
+    core = np.full((1, 1, 1), 2.5)
     p = make_point(core, u)
     expected = 2.5 * np.einsum("i,j,k->ijk", u[0][:, 0], u[1][:, 0], u[2][:, 0])
     np.testing.assert_allclose(point_to_dense(p).to_array(), expected, atol=1e-13)
@@ -197,7 +207,7 @@ def test_point_to_dense_rank_one_outer_product(rng):
 
 def test_point_to_dense_matches_mode_multiply_chain(rng):
     p = random_point(rng, (4, 5, 3), (2, 2, 2), tt_ranks=(2, 2))
-    x = p.core_dense()
+    x = DenseTensor.from_array(p.expanded)
     for m, u in enumerate(p.factors):
         x = mode_multiply(x, u, m)
     assert (point_to_dense(p) - x).norm() <= 1e-13 * x.norm()
@@ -212,7 +222,7 @@ def test_cone_scaling(rng):
         # the scaled point is measured as make_point measures the scaled core
         r = make_point(tt_scale(p.core, s), p.factors)
         assert all(np.array_equal(a, b) for a, b in zip(q.core.cores, r.core.cores))
-        assert q.gap == r.gap and np.array_equal(q.core_dense().data, r.core_dense().data)
+        assert q.gap == r.gap and np.array_equal(q.expanded, r.expanded)
         d = (point_to_dense(q) - s * point_to_dense(p)).norm()
         assert d <= 1e-12 * s * point_to_dense(p).norm()
 
@@ -221,7 +231,7 @@ def test_core_spectra_match_ambient_spectra(rng):
     # orthonormal factors preserve every unfolding spectrum
     p = random_point(rng, (5, 4, 6), (2, 3, 2), tt_ranks=(2, 2))
     x = point_to_dense(p)
-    for m, vals in enumerate(_mode_spectra(p.core_dense())):
+    for m, vals in enumerate(_mode_spectra(p.expanded)):
         ambient = svd(matricize(x, {m})).singular_values
         np.testing.assert_allclose(vals, ambient[: vals.size], atol=1e-10)
         np.testing.assert_allclose(ambient[vals.size :], 0.0, atol=1e-10)
@@ -238,7 +248,7 @@ def test_gap_rejection_near_boundary(rng):
     factors = [random_orthonormal(rng, 5, 2) for _ in range(2)]
     from ttdlra.tt import tt_from_dense
 
-    core = tt_from_dense(DenseTensor.from_array(c), ranks=(2,))
+    core = tt_from_dense(c, ranks=(2,))
     with pytest.raises(NotOnManifoldError):
         make_point(core, factors)
 

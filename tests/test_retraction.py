@@ -119,7 +119,7 @@ TRAIN_CASES = [
 @pytest.mark.parametrize("dims, train_ranks, outer, tt_ranks", TRAIN_CASES)
 def test_retract_train_matches_dense_retraction(rng, dims, train_ranks, outer, tt_ranks):
     t = random_tt(rng, dims, train_ranks)
-    x = tt_to_dense(t)
+    x = DenseTensor.from_array(tt_to_dense(t))
     ref = retract(x, outer, tt_ranks)
     # the gauge the train carries: right-orthogonal (reused), left-orthogonal
     # and none at all
@@ -159,7 +159,7 @@ def test_rank_collapse_raises_like_dense_retraction(rng, tt_ranks):
         retract_tucker(core, factors, core, (2, 2, 2), tt_ranks)
     # the exact train of x has interface ranks (1, 1); the sum t + t has
     # ranks (2, 2) and multilinear rank (1, 1, 1), as x has
-    t = tt_from_dense(x)
+    t = tt_from_dense(x.to_array())
     for train in (t, tt_add(t, t)):
         with pytest.raises(NotOnManifoldError):
             retract_train(train, (2, 2, 2), tt_ranks)
@@ -205,7 +205,7 @@ def _collapse_problem(n_cells, weight):
     disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(2)])
     _, evecs = np.linalg.eigh(disc.stiffness[0] @ np.eye(n_cells - 1))
     u = evecs[:, [0, -1]]
-    core = DenseTensor.from_array(np.diag([1.0, weight]))
+    core = np.diag([1.0, weight])
     return ParabolicProblem(
         disc=disc,
         diffusion=DiffusionCoefficient(np.eye(2), np.zeros((2, 2)), horizon=1.0),

@@ -94,7 +94,7 @@ def test_brute_force_matrix_closed_form(rng):
     # d=2 rank-1 on a 3x3 example: P(Z) = P_u Z + Z P_v - P_u Z P_v
     u = random_orthonormal(rng, 3, 1)
     v = random_orthonormal(rng, 3, 1)
-    core = DenseTensor.from_array(np.array([[1.7]]))
+    core = np.array([[1.7]])
     p = make_point(core, (u, v))
     z = random_dense(rng, (3, 3))
     zm = z.to_array()
@@ -117,7 +117,7 @@ def test_plain_tucker_core_matches_oracle(rng):
     rhs = brute_force_projector(p, z)
     assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-10
     v = tangent_project(p, z)
-    assert (core_tangent_project(p.core, v.core_velocity) - v.core_velocity).norm() == 0.0
+    assert np.linalg.norm(core_tangent_project(p.core, v.core_velocity) - v.core_velocity) == 0.0
 
 
 def test_brute_force_rejects_oversize(rng):
@@ -140,7 +140,7 @@ def test_gauge_conditions(rng):
             )
         cdot = v.core_velocity
         again = core_tangent_project(p.core, cdot)
-        assert (again - cdot).norm() <= 1e-12 * max(cdot.norm(), 1.0)
+        assert np.linalg.norm(again - cdot) <= 1e-12 * max(np.linalg.norm(cdot), 1.0)
 
 
 def test_summands_mutually_orthogonal(rng):
@@ -197,27 +197,26 @@ def test_single_factor_velocity_matricization(rng):
 
 def test_core_projector_matrix_closed_form(rng):
     c = random_tt(rng, (4, 5), (2,))
-    z = random_dense(rng, (4, 5))
-    u, s, vt = np.linalg.svd(tt_to_dense(c).to_array())
+    z = rng.standard_normal((4, 5))
+    u, s, vt = np.linalg.svd(tt_to_dense(c))
     pu = u[:, :2] @ u[:, :2].T
     pv = vt[:2].T @ vt[:2]
-    zm = z.to_array()
-    closed = pu @ zm + zm @ pv - pu @ zm @ pv
-    np.testing.assert_allclose(
-        core_tangent_project(c, z).to_array(), closed, atol=1e-10
-    )
+    closed = pu @ z + z @ pv - pu @ z @ pv
+    np.testing.assert_allclose(core_tangent_project(c, z), closed, atol=1e-10)
 
 
 def test_core_projector_cone_idempotent_symmetric(rng):
     c = random_tt(rng, (3, 3, 3), (2, 2))
     x = tt_to_dense(c)
-    assert (core_tangent_project(c, x) - x).norm() <= 1e-10 * x.norm()
-    z = random_dense(rng, (3, 3, 3))
-    w = random_dense(rng, (3, 3, 3))
+    assert np.linalg.norm(core_tangent_project(c, x) - x) <= 1e-10 * np.linalg.norm(x)
+    z = rng.standard_normal((3, 3, 3))
+    w = rng.standard_normal((3, 3, 3))
     pz = core_tangent_project(c, z)
-    assert (core_tangent_project(c, pz) - pz).norm() <= 1e-10 * max(pz.norm(), 1.0)
+    again = core_tangent_project(c, pz)
+    assert np.linalg.norm(again - pz) <= 1e-10 * max(np.linalg.norm(pz), 1.0)
     pw = core_tangent_project(c, w)
-    assert abs(inner(pz, w) - inner(z, pw)) <= 1e-10 * z.norm() * w.norm()
+    bound = 1e-10 * np.linalg.norm(z) * np.linalg.norm(w)
+    assert abs(np.sum(pz * w) - np.sum(z * pw)) <= bound
 
 
 def core_spanning_oracle(c):
@@ -232,7 +231,7 @@ def core_spanning_oracle(c):
             unit[idx] = 1.0
             cores = list(c.cores)
             cores[m] = unit
-            cols.append(tt_to_dense(TTTensor(tuple(cores))).data)
+            cols.append(tt_to_dense(TTTensor(tuple(cores))).ravel(order="F"))
     span = np.array(cols).T
     dim = sum(g.size for g in c.cores) - sum(k * k for k in c.ranks)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
@@ -243,9 +242,9 @@ def test_core_projector_matches_spanning_oracle(rng):
     c = random_tt(rng, (3, 3, 3), (2, 2))
     basis = core_spanning_oracle(c)
     assert basis.shape[1] == core_tangent_basis(c).shape[1]
-    z = random_dense(rng, (3, 3, 3))
-    oracle = basis @ (basis.T @ z.data)
-    np.testing.assert_allclose(core_tangent_project(c, z).data, oracle, atol=1e-10)
+    z = rng.standard_normal((3, 3, 3))
+    oracle = basis @ (basis.T @ z.ravel(order="F"))
+    np.testing.assert_allclose(core_tangent_project(c, z).ravel(order="F"), oracle, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -265,9 +264,9 @@ def test_core_basis_orthonormal_and_spans_projector(rng, dims, ranks):
     np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-12)
     oracle = core_spanning_oracle(c)
     assert b.shape == oracle.shape
-    z = random_dense(rng, dims)
+    z = rng.standard_normal(dims).ravel(order="F")
     np.testing.assert_allclose(
-        b @ (b.T @ z.data), oracle @ (oracle.T @ z.data), atol=1e-10
+        b @ (b.T @ z), oracle @ (oracle.T @ z), atol=1e-10
     )
 
 
@@ -369,7 +368,7 @@ def test_basis_reads_the_point_measurement(rng, monkeypatch, tt_ranks):
     basis = TangentBasis(p)
     assert tt_calls == {"tt_to_dense": 0}
     assert dense_calls == {"matricize": 0, "svd": 0}
-    core = tt_to_dense(p.core) if tt_ranks else p.core
+    core = DenseTensor.from_array(tt_to_dense(p.core) if tt_ranks else p.core)
     assert np.array_equal(basis.core, core.to_array())
     for m in range(3):
         pw, sw, qwt = np.linalg.svd(matricize(core, {m}), full_matrices=False)
@@ -378,7 +377,7 @@ def test_basis_reads_the_point_measurement(rng, monkeypatch, tt_ranks):
 
 
 def test_single_mode_point_has_no_basis():
-    p = make_point(DenseTensor.from_array(np.array([1.0, 2.0])), (np.eye(2),))
+    p = make_point(np.array([1.0, 2.0]), (np.eye(2),))
     with pytest.raises(InvalidArgumentError, match="single-mode"):
         TangentBasis(p)
 
