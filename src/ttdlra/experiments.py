@@ -19,17 +19,16 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .dense import AMBIENT_LIMIT, DenseTensor, inner, matricize, svd
-from .errors import BreakdownError, ConfigError, InvalidArgumentError
+from .dense import DenseTensor, _check_ambient, inner, matricize, svd
+from .errors import BreakdownError, ConfigError, InvalidArgumentError, OversizeError
 from .fem import SourceTerm, chol_matmul, chol_solve, laplacian_operator
-from .integrate import BREAKDOWN_REL, Trajectory, check_run, energy_report, solve
+from .integrate import BREAKDOWN_REL, Trajectory, check_run, energy_report, solve, state_from_point
 from .problems import ParabolicProblem, problem_from_config
 from .retraction import tucker_distance
 from .sampling import perturbed_point, random_dense, random_orthonormal, random_point, random_tt
@@ -180,11 +179,12 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 
 
 def _run_problem(pcfg: dict) -> tuple:
-    """:func:`problem_from_config` for a run: options that :func:`solve` would
-    refuse before its first step (:func:`check_run`) are a ``ConfigError``."""
+    """:func:`problem_from_config` for a run: what :func:`solve` would refuse
+    before its first step (:func:`check_run`, a non-finite energy) is a ``ConfigError``."""
     problem, opts = problem_from_config(pcfg)
     try:
         check_run(problem.u0, opts["scheme"], opts["tau"], opts["t_end"])
+        state_from_point(problem.u0, 0.0, problem.disc)
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid run options: {exc}") from exc
     return problem, opts
@@ -192,8 +192,10 @@ def _run_problem(pcfg: dict) -> tuple:
 
 def _ambient_grid(problem: ParabolicProblem) -> None:
     """A run that forms ambient tensors refuses a grid above ``AMBIENT_LIMIT``."""
-    if math.prod(problem.dims) > AMBIENT_LIMIT:
-        raise ConfigError(f"this run forms ambient tensors: grid {problem.dims} > AMBIENT_LIMIT")
+    try:
+        _check_ambient(problem.dims)
+    except OversizeError as exc:
+        raise ConfigError(f"this run forms ambient tensors on grid {problem.dims}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +626,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
     tangency = check_a1_tangency(problem.u0, op.diagonal_part, rng)
     control = check_a1_tangency(problem.u0, op.cross_part, rng)
     control_applicable = len(op.cross_part.terms) > 0
-    mixed = None
-    if problem.u0.ndim >= 2:
-        mixed = mixed_derivative_check(problem.u0, disc)
+    mixed = mixed_derivative_check(problem.u0, disc)
     gap_val = problem.u0.gap
     gap_rel = gap_val / problem.u0.norm()
 
@@ -643,7 +643,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
         "negative_control_failed_as_expected": bool(
             (not control_applicable) or control >= 1e-2
         ),
-        "mixed_derivative_ok": bool(mixed.passed) if mixed is not None else None,
+        "mixed_derivative_ok": bool(mixed.passed),
         "initial_gap": float(gap_val),
         "initial_gap_relative": float(gap_rel),
         "initial_gap_above_threshold": bool(gap_rel > BREAKDOWN_REL),
@@ -654,12 +654,11 @@ def run_diagnostics(cfg: ExperimentConfig) -> DiagnosticsReport:
         "lipschitz_ok",
         "tangency_ok",
         "negative_control_failed_as_expected",
+        "mixed_derivative_ok",
         "initial_gap_above_threshold",
     ):
         if not checks[key]:
             violations += 1
-    if checks["mixed_derivative_ok"] is False:
-        violations += 1
     if sym > 1e-8 or split > 1e-12:
         violations += 1
     meta = _metadata(cfg, {"checks": checks, "violations": violations})

@@ -352,12 +352,18 @@ def _pcg(apply, precond, b) -> tuple:
 
 
 def state_from_point(point: ManifoldPoint, t: float, disc, **diag) -> EvolutionState:
+    """The state at ``point``; ``InvalidArgumentError`` if an energy is not a finite float."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf, refused below
+        energy_l2 = float(np.float64(point.norm()) ** 2)  # the bits of a Python float's ** 2
+        energy_v = operator_quadratic_form(point, laplacian_operator(disc))
+    if not np.isfinite([energy_l2, energy_v]).all():
+        raise InvalidArgumentError(f"energy |u|^2 = {energy_l2} or a(u, u) = {energy_v} not finite")
     return EvolutionState(
         time=float(t),
         point=point,
         gap=point_boundary_gap(point),
-        energy_l2=point.norm() ** 2,
-        energy_v=operator_quadratic_form(point, laplacian_operator(disc)),
+        energy_l2=energy_l2,
+        energy_v=energy_v,
         **diag,
     )
 
@@ -378,14 +384,6 @@ def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
         raise BreakdownError(f"rank collapse during retraction: {exc}", gap=exc.gap) from exc
 
 
-def _projected_admits(p: ManifoldPoint) -> None:
-    if p.ndim < 2:
-        raise InvalidArgumentError(
-            "the projected scheme needs at least two modes; a single mode is "
-            "the unconstrained problem (use the splitting scheme)"
-        )
-
-
 def _source_coords(basis: TangentBasis, factors):
     """Tangent coordinates of the source ``sum_j (x)_m factors[m][:, j]``:
     each column is a rank-one Tucker pair with a 1^d core.  No columns give 0."""
@@ -399,7 +397,6 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     if tau <= 0:
         raise InvalidArgumentError("step size must be positive")
     p = state.point
-    _projected_admits(p)
     t_new = _next_time(state.time, tau)
     op = problem.operator(t_new)
     basis = TangentBasis(p)
@@ -477,8 +474,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
     """One first-order splitting sweep with implicit Euler substeps.
 
     Operates on the ambient train representation; the outer ranks of the
-    point must be the generic ones induced by the train ranks.  For a single
-    mode the sweep degenerates to one full implicit Euler step.
+    point must be the generic ones induced by the train ranks.
     """
     if tau <= 0:
         raise InvalidArgumentError("step size must be positive")
@@ -577,8 +573,13 @@ def _step_count(tau: float, t_end: float) -> int:
     return n_steps
 
 
+def _breakdown_threshold(p: ManifoldPoint) -> float:
+    """``BREAKDOWN_REL`` of the norm, and at least the smallest normal float."""
+    return max(BREAKDOWN_REL * p.norm(), np.finfo(float).tiny)
+
+
 _SCHEMES = {  # name -> (step, the check that a point's rank structure admits the scheme)
-    "projected_euler": (step_projected_implicit_euler, _projected_admits),
+    "projected_euler": (step_projected_implicit_euler, lambda p: None),  # every point does
     "projector_splitting": (step_projector_splitting, _splitting_admits),
 }
 
@@ -591,7 +592,7 @@ def check_run(u0: ManifoldPoint, scheme: str, tau: float, t_end: float) -> int:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     _SCHEMES[scheme][1](u0)
     n_steps = _step_count(tau, t_end)
-    threshold = BREAKDOWN_REL * u0.norm()
+    threshold = _breakdown_threshold(u0)
     if u0.gap <= threshold:
         raise InvalidArgumentError(
             f"initial boundary gap {u0.gap:.3e} is below the breakdown threshold {threshold:.3e}"
@@ -603,8 +604,8 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
     """March from the initial point until ``t_end`` or rank breakdown.
 
     Every accepted state keeps a boundary gap above ``BREAKDOWN_REL`` times
-    the norm; a state below the threshold is recorded as the final entry
-    together with a breakdown record, and the run stops there.
+    the norm and in the normal float range; a state below this threshold ends
+    the run as its final entry, together with a breakdown record.
     """
     n_steps = check_run(problem.u0, scheme, tau, t_end)
     step, _ = _SCHEMES[scheme]
@@ -618,8 +619,7 @@ def solve(problem, scheme: str, tau: float, t_end: float) -> Trajectory:
             breakdown = BreakdownRecord(time=_next_time(state.time, tau), gap=exc.gap)
             break
         states.append(state)
-        threshold = BREAKDOWN_REL * state.point.norm()
-        if state.gap <= threshold:
+        if state.gap <= _breakdown_threshold(state.point):
             breakdown = BreakdownRecord(time=state.time, gap=state.gap)
             break
     return Trajectory(

@@ -1,6 +1,6 @@
 """Constrained Tucker points: a small core carried by tall factor matrices.
 
-A point is ``X = C x_0 U^0 x_1 ... x_{d-1} U^{d-1}`` with factors
+A point is ``X = C x_0 U^0 x_1 ... x_{d-1} U^{d-1}`` (``d >= 2``) with factors
 ``U^m`` of shape ``(N_m, r_m)`` whose Gramians are invertible.  The core ``C``
 either is a :class:`~ttdlra.tt.TTTensor` over the small sizes
 ``(r_0, ..., r_{d-1})`` with exact interface ranks ``k`` (the inner train
@@ -84,8 +84,8 @@ class ManifoldPoint:
 def _checked_factors(cdims, factors) -> tuple:
     """The factors as float arrays, checked against the core sizes and for
     invertible Gramians, and whether they are orthonormal."""
-    if not cdims or 0 in cdims:
-        raise InvalidArgumentError(f"invalid core sizes {cdims}")
+    if len(cdims) < 2 or 0 in cdims:
+        raise InvalidArgumentError(f"invalid core sizes {cdims} (a point has at least two modes)")
     factors = tuple(np.asarray(u, dtype=float) for u in factors)
     if len(factors) != len(cdims):
         raise InvalidArgumentError(f"{len(factors)} factors for a core of order {len(cdims)}")
@@ -132,7 +132,8 @@ def make_point(core, factors) -> ManifoldPoint:
     Raises
     ------
     InvalidArgumentError
-        If the core or a factor has a non-finite entry.
+        If the core has fewer than two modes, or the core or a factor has a
+        non-finite entry.
     NotOnManifoldError
         If a factor Gramian is numerically singular, the core is rank
         deficient, or the boundary gap falls below ``GAP_REJECT_REL``
@@ -163,8 +164,6 @@ def _measured(core) -> tuple:
     ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     norm = _norm(cdense)  # at any scale: a tiny core is measured against its own norm
-    if cdense.ndim == 1:
-        return norm, cdense, ()  # a single mode has only the full space
     # a mode unfolding with fewer columns than rows cannot have full row rank
     if any(r * r > cdense.size for r in cdense.shape):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)

@@ -145,7 +145,7 @@ def problem_from_config(config: dict) -> tuple:
     Schema::
 
         {
-          "dims": 3,                     # number of coordinate directions
+          "dims": 3,                     # number of coordinate directions, >= 2
           "cells": 16,                   # cells per direction (int or list)
           "b0": [[...], ...],            # symmetric d x d, default identity
           "b1": [[...], ...],            # symmetric drift, default zero
@@ -165,8 +165,8 @@ def problem_from_config(config: dict) -> tuple:
     """
     try:
         d = int(config["dims"])
-        if d < 1:
-            raise ConfigError("dims must be at least 1")
+        if d < 2:
+            raise ConfigError("dims must be at least 2")
         cells = config.get("cells", 8)
         if isinstance(cells, (int, float)):
             cells = [int(cells)] * d

@@ -20,8 +20,8 @@ larger than a site core is formed; ranks left to it are read in that sweep.
 starting state, which lies in the same frame, so the energy report reads it.
 The difference of two Tucker tensors, :func:`tucker_distance`, is measured on
 a small core too.  Tucker pairs ``(core, factors)`` carry their core as a
-plain array.  Non-finite input to :func:`retract` and :func:`retract_train` is
-refused where it enters (``InvalidArgumentError``).
+plain array.  :func:`retract` and :func:`retract_train` refuse input of one
+mode or with a non-finite entry where it enters (``InvalidArgumentError``).
 """
 
 from __future__ import annotations
@@ -57,21 +57,12 @@ def retract(x: DenseTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
         If the truncated tensor is rank deficient at the target ranks
         (rank collapse).
     InvalidArgumentError
-        If ``x`` has a non-finite entry.
+        If ``x`` has fewer than two modes or a non-finite entry.
     """
+    if x.ndim < 2:
+        raise InvalidArgumentError(f"retract input: {x.ndim} modes; a point has at least two")
     _check_finite(x.data, "retract input")
-    return _retract_array(x.to_array(), outer_ranks, tt_ranks)
-
-
-def _retract_array(arr: np.ndarray, outer_ranks, tt_ranks) -> ManifoldPoint:
-    outer_ranks = tuple(int(r) for r in outer_ranks)
-    if arr.ndim == 1:
-        # single mode: the only manifold is the full space
-        if outer_ranks != arr.shape:
-            raise InvalidArgumentError("single-mode points must have full rank")
-        core = arr if tt_ranks is None else tt_from_dense(arr)
-        return make_point(core, (np.eye(arr.size),))
-    return make_point(*_truncate(arr, outer_ranks, tt_ranks))
+    return make_point(*_truncate(x.to_array(), tuple(int(r) for r in outer_ranks), tt_ranks))
 
 
 def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
@@ -94,12 +85,11 @@ def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     ``outer_ranks=None`` keeps each mode's numerical rank, read in the sweep
     (the adaptive ST-HOSVD): the count of the site's singular values above
     1e-10 of the largest, at most the generic rank of ``tt_ranks``.  A
-    non-finite core entry is an ``InvalidArgumentError``."""
+    one-core train or a non-finite core entry is an ``InvalidArgumentError``."""
+    if t.ndim < 2:
+        raise InvalidArgumentError(f"retract_train input: {t.ndim} core; a point has at least two")
     for core in t.cores:
         _check_finite(core, "retract_train input")
-    if t.ndim == 1:
-        ranks = t.dims if outer_ranks is None else outer_ranks
-        return _retract_array(tt_to_dense(t), ranks, tt_ranks)
     cores = (t if t.ortho_center == 0 else orthogonalize(t, 0)).cores
     if outer_ranks is None:
         caps = t.dims if tt_ranks is None else generic_outer_ranks(t.dims, tt_ranks)
@@ -177,8 +167,6 @@ def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     factors (a step's starting state).  Returns ``(point,
     defect, distance)``: the point's distance to the input and to the origin's
     tensor.  Raises what :func:`retract` raises."""
-    if len(factors) == 1:
-        raise InvalidArgumentError("a single mode has only the full space; use retract")
     small, qs, rs = orthonormal_tucker(core, factors)
     new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])

@@ -81,14 +81,14 @@ def _draw_tt(rng, dims, ranks, min_gap_rel) -> tuple:
 def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
     """Whether a core of full multilinear rank with these train ranks exists.
 
-    No outer rank can exceed the product of the others (the columns of its
-    mode unfolding).  With train ranks, every outer rank must be reachable
-    from its adjacent train ranks (the generic outer ranks), and every train
-    rank must be exact on a core of sizes ``outer_ranks``; together these force
-    the edge outer ranks to equal the edge train ranks.
+    A point has at least two modes, and no outer rank can exceed the product of
+    the others (the columns of its mode unfolding).  With train ranks, every
+    outer rank must be reachable from its adjacent train ranks (the generic
+    outer ranks) and every train rank exact on a core of sizes ``outer_ranks``,
+    which forces the edge outer ranks to equal the edge train ranks.
     """
     r = tuple(outer_ranks)
-    if len(r) >= 2 and any(rm * rm > math.prod(r) for rm in r):
+    if len(r) < 2 or any(rm * rm > math.prod(r) for rm in r):
         return False
     if tt_ranks is None:
         return True

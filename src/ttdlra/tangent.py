@@ -126,8 +126,6 @@ def core_tangent_basis(core) -> np.ndarray:
     """
     if isinstance(core, np.ndarray):
         return np.eye(core.size)
-    if core.ndim == 1:
-        return np.eye(int(np.prod(core.dims)))
     if any(kl > n * kr or kr > kl * n for kl, n, kr in (g.shape for g in core.cores)):
         raise InvalidArgumentError("a train rank exceeds the size of its unfolding")
     # prefixes and suffixes have one row per index of the modes before (after)
@@ -199,7 +197,7 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
     if z.dims != p.dims:
         raise InvalidArgumentError("argument does not match the point sizes")
     core, factors = p.expanded, list(enumerate(p.factors))
-    if p.tt_core and p.core.ndim > 1:
+    if p.tt_core:
         directions = []
         for m, g in enumerate(p.core.cores):
             for idx in np.ndindex(g.shape):
@@ -240,8 +238,6 @@ class TangentBasis:
     SVDs are the point's own (kept by :func:`~ttdlra.manifold.make_point`)."""
 
     def __init__(self, p: ManifoldPoint):
-        if p.ndim == 1:
-            raise InvalidArgumentError("a single-mode point has no mode unfoldings to parametrize")
         self.point = p
         self.core_basis = core_tangent_basis(p.core)
         self.core = p.expanded

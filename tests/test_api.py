@@ -61,3 +61,22 @@ def test_every_export_has_a_caller_outside_tests():
     exported = {n for mod in modules for n in getattr(mod, "__all__", ())}
     uncalled = {n for n in exported if n not in reads and not re.search(rf"\b{n}\b", text)}
     assert uncalled == set(TESTED_ONLY)
+
+
+def test_every_raise_raises_a_documented_type():
+    # a raise names a type of errors.py or re-raises what it caught, so each
+    # failure of the package has a documented type
+    from ttdlra import errors
+
+    documented = {
+        name for name, v in vars(errors).items() if isinstance(v, type) and issubclass(v, Exception)
+    }
+    stray = []
+    for path in sorted((ROOT / "src" / "ttdlra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name not in documented:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []

@@ -191,26 +191,6 @@ def test_negative_seed_is_config_error(tmp_path, command, payload):
     assert "Traceback" not in proc.stderr
 
 
-def test_diagnose_single_mode_command(tmp_path):
-    # the tangent space of a one-mode point is the whole space
-    payload = {
-        "problem": {
-            "dims": 1,
-            "cells": 8,
-            "t_end": 0.05,
-            "tau": 0.005,
-            "tt_ranks": [],
-            "initial": [{"coefficient": 1.0, "profiles": [{"kind": "sine", "frequency": 1}]}],
-        },
-        "seed": 0,
-    }
-    cfg = write_config(tmp_path / "c.json", payload)
-    proc = run_cli(["diagnose", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "tangency_ok: True" in proc.stdout
-    assert "negative_control_applicable: False" in proc.stdout
-
-
 def test_zero_dims_is_config_error(tmp_path):
     # a zero-mode problem once reached the diffusion check, whose eigvalsh of
     # a 0 x 0 matrix is empty, and ended in an uncaught IndexError
@@ -279,9 +259,8 @@ def test_invalid_argument_mid_run_is_not_a_config_error(tmp_path, monkeypatch):
     def failing_step(state, tau, problem):
         raise InvalidArgumentError("raised partway through the run")
 
-    monkeypatch.setitem(
-        integrate._SCHEMES, "projected_euler", (failing_step, integrate._projected_admits)
-    )
+    admits = integrate._SCHEMES["projected_euler"][1]
+    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", (failing_step, admits))
     cfg = write_config(tmp_path / "c.json", heat_config())
     with pytest.raises(InvalidArgumentError, match="partway"):
         cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -322,3 +301,19 @@ def test_non_finite_profile_is_config_error(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "{'kind': 'sine', 'frequency': inf}" in err and "non-finite" in err
+
+
+def test_initial_state_too_large_to_square_is_config_error(tmp_path, capsys):
+    # solve_heat3d with its initial coefficients x1e200 once exited 1 with an
+    # OverflowError from |u|^2 in the initial state; the run is refused
+    # before its first step
+    from ttdlra import cli
+
+    with open(os.path.join(PKG_SRC, "..", "configs", "solve_heat3d.json")) as fh:
+        payload = json.load(fh)
+    for term in payload["problem"]["initial"]:
+        term["coefficient"] *= 1e200
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "|u|^2 = inf" in err

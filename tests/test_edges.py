@@ -3,15 +3,17 @@ one of the types in ``ttdlra.errors``, never numpy's ``LinAlgError``, a bare
 ``RuntimeError`` or an ``OverflowError``.  The rows name the outcome each
 entry point documents; ``None`` means a result."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ttdlra import errors
+from ttdlra import cli, errors
 from ttdlra.dense import AMBIENT_LIMIT, DenseTensor
-from ttdlra.errors import InvalidArgumentError, OversizeError
+from ttdlra.errors import ConfigError, InvalidArgumentError, OversizeError
 from ttdlra.fem import DiffusionCoefficient
 from ttdlra.manifold import make_point, point_to_dense
-from ttdlra.problems import problem_from_config
+from ttdlra.problems import heat_problem, problem_from_config
 from ttdlra.retraction import retract, retract_train
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
 from ttdlra.tt import TTTensor
@@ -185,3 +187,48 @@ def test_diffusion_rejects_an_infinite_drift_entry():
     b1[0, 0] = np.inf
     with pytest.raises(InvalidArgumentError, match="b1"):
         DiffusionCoefficient(np.eye(2), b1, horizon=1.0)
+
+
+def _one_mode_config(dims):
+    profiles = [{"kind": "sine", "frequency": 1}] * dims
+    return {"dims": dims, "cells": 8, "tt_ranks": [], "initial": [{"profiles": profiles}]}
+
+
+# entry point -> (a call with fewer than two modes, the documented error)
+ONE_MODE = {
+    "problem_from_config dims 0": (lambda: problem_from_config(_one_mode_config(0)), ConfigError),
+    "problem_from_config dims 1": (lambda: problem_from_config(_one_mode_config(1)), ConfigError),
+    "heat_problem": (lambda: heat_problem(1, 8, ()), InvalidArgumentError),
+    "make_point array core": (lambda: make_point(np.ones(3), [np.eye(3)]), InvalidArgumentError),
+    "make_point train core": (
+        lambda: make_point(TTTensor((np.ones((1, 3, 1)),)), [np.eye(3)]),
+        InvalidArgumentError,
+    ),
+    "retract": (
+        lambda: retract(DenseTensor.from_array(np.arange(1.0, 5.0)), (4,)),
+        InvalidArgumentError,
+    ),
+    "retract_train": (
+        lambda: retract_train(TTTensor((np.arange(1.0, 5.0).reshape(1, 4, 1),)), (4,)),
+        InvalidArgumentError,
+    ),
+    "random_point": (
+        lambda: random_point(np.random.default_rng(9), (5,), (2,)),
+        InvalidArgumentError,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_MODE))
+def test_one_mode_input_is_refused_where_it_enters(entry):
+    # a point has at least two modes: with one there is no rank to constrain
+    call, error = ONE_MODE[entry]
+    with pytest.raises(DOCUMENTED) as exc:
+        call()
+    assert exc.type is error
+
+
+def test_one_mode_config_exits_2(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"problem": _one_mode_config(1), "seed": 0}))
+    assert cli.main(["diagnose", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -527,17 +527,6 @@ def test_step_size_convergence_first_order(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_splitting_single_mode_is_implicit_euler(rng):
-    # one mode: the manifold is the whole space and the sweep has one substep
-    terms = [(1.0, [lambda x: np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)])]
-    problem = heat_problem(1, 12, tt_ranks=(), initial_terms=terms, outer_ranks=(11,), t_end=0.05)
-    tau = 0.005
-    tr = solve(problem, "projector_splitting", tau=tau, t_end=0.05)
-    times, dense_states = dense_implicit_euler(problem, tau, 0.05)
-    term = point_to_dense(tr.states[-1].point)
-    assert (term - dense_states[-1]).norm() <= 1e-10 * dense_states[-1].norm()
-
-
 def test_splitting_close_to_projected_euler(rng):
     # both schemes are consistent with the same projected flow, so one step
     # differs by O(tau^2); halving tau shrinks the gap by about four
@@ -565,12 +554,12 @@ def test_splitting_zero_source_dissipation_not_checked():
     # splitting steps record no dissipation form: the flag reads "not
     # checked", not "violated", while the energy still falls
     config = {
-        "dims": 1,
+        "dims": 2,
         "cells": 8,
-        "tt_ranks": [],
+        "tt_ranks": [1],
         "outer_ranks": "auto",
         "scheme": "projector_splitting",
-        "initial": [{"profiles": [{"kind": "sine", "frequency": 1}]}],
+        "initial": [{"profiles": [{"kind": "sine", "frequency": 1}] * 2}],
     }
     problem, opts = problem_from_config(config)
     tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
@@ -657,9 +646,8 @@ def test_step_size_must_divide_horizon(monkeypatch):
         steps.append(state.time)
         return step_projected_implicit_euler(state, tau, problem)
 
-    monkeypatch.setitem(
-        integrate._SCHEMES, "projected_euler", (counted, integrate._projected_admits)
-    )
+    admits = integrate._SCHEMES["projected_euler"][1]
+    monkeypatch.setitem(integrate._SCHEMES, "projected_euler", (counted, admits))
     with pytest.raises(InvalidArgumentError, match="does not divide"):
         solve(problem, "projected_euler", tau=0.003, t_end=0.02)
     assert steps == []
@@ -708,6 +696,13 @@ def test_tiny_collapsing_state_breaks_down_like_unit_scale():
         tr = solve(tiny, "projected_euler", tau=0.01, t_end=problem.t_end)
         assert tr.breakdown is not None and tr.breakdown.time == ref.breakdown.time, s
         assert abs(tr.breakdown.gap / s - ref.breakdown.gap) <= 1e-12 * ref.breakdown.gap, s
+    # a gap that leaves the normal range is a breakdown: the basis never
+    # divides by a subnormal singular value (which overflowed, then failed an SVD)
+    for s in (1e-300, 1e-305):
+        tiny = dataclasses.replace(problem, u0=scale_point(problem.u0, s))
+        for tau in (0.01, 0.0025):
+            tr = solve(tiny, "projected_euler", tau=tau, t_end=problem.t_end)
+            assert tr.breakdown is not None and tr.breakdown.time < problem.t_end, (s, tau)
 
 
 def test_gap_recorded_every_step(rng):
@@ -785,6 +780,7 @@ def test_splitting_step_distance_matches_tucker_distance(rng, d, outer, tt_ranks
 
 
 SCALES = (1e-300, 1e-200, 1e-165, 1e-160, 1e-150, 1e-100, 1.0, 1e100)
+SCALES += (1e154, 1e160, 1e200, 1e300)  # energies that are not finite floats
 
 
 @pytest.mark.parametrize("scheme", ["projected_euler", "projector_splitting"])
@@ -792,14 +788,19 @@ def test_zero_source_step_is_scale_equivariant(rng, scheme):
     # the zero-source step is linear: step(s u) = s step(u), also where the
     # squared norm of the state underflows (below about 1e-162), so points are
     # compared, not energies; the recorded distance, defect and residual are
-    # norms taken at the data's scale, so they scale with s too
+    # norms taken at the data's scale, so they scale with s too; a state whose
+    # energy is not a finite float (from about 1e154) is refused instead
     step = integrate._SCHEMES[scheme][0]
     problem = anisotropic_problem(d=3, n=16, tt_ranks=(2, 2))
     p = random_point(rng, problem.dims, (2, 4, 2), tt_ranks=(2, 2))
     ref = step(state_from_point(p, 0.0, problem.disc), 1e-3, problem)
     assert tucker_distance(ref.point.tucker(), p.tucker()) > 1e-3 * p.norm()
     for s in SCALES:
-        new = step(state_from_point(scale_point(p, s), 0.0, problem.disc), 1e-3, problem)
+        try:
+            new = step(state_from_point(scale_point(p, s), 0.0, problem.disc), 1e-3, problem)
+        except InvalidArgumentError as exc:
+            assert s >= 1e154 and "not finite" in str(exc), s
+            continue
         back = scale_point(new.point, 1.0 / s)
         assert tucker_distance(back.tucker(), ref.point.tucker()) <= 1e-12 * ref.point.norm(), s
         assert abs(new.step_distance / s - ref.step_distance) <= 1e-12 * ref.step_distance, s

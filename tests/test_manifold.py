@@ -90,7 +90,7 @@ def test_random_point_rejects_rank_above_product_of_others(rng):
         ((2, 3, 3), (3, 3), False),  # edge outer rank below the edge train rank
         ((2, 5, 5, 2), (2, 2, 2), False),  # interior rank above the neighbour product
         ((2, 2, 2), (2,), False),  # wrong number of train ranks
-        ((4,), (), True),
+        ((4,), (), False),  # a point has at least two modes
     ],
 )
 def test_feasible_point_ranks_table(rng, outer, tt_ranks, feasible):
@@ -271,6 +271,6 @@ def test_retract_never_increases_norm(rng):
     assert e1 == e2
 
 
-def test_retract_single_mode_needs_full_rank():
-    with pytest.raises(InvalidArgumentError):
+def test_retract_refuses_one_mode():
+    with pytest.raises(InvalidArgumentError, match="a point has at least two"):
         retract(DenseTensor.from_array(np.arange(1.0, 5.0)), (2,))

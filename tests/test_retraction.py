@@ -102,8 +102,6 @@ def test_point_plus_tangent_matches_dense_update(rng, dims, widths, outer, tt_ra
 # mode sizes, train ranks of the input, outer ranks and train ranks of the
 # point; (2, 3, 2) is below the generic (2, 4, 2) of train ranks (2, 2)
 TRAIN_CASES = [
-    ((7,), (), (7,), ()),
-    ((7,), (), (7,), None),
     ((6, 5), (4,), (2, 2), (2,)),
     ((6, 5), (4,), (3, 3), None),
     ((7, 6, 5), (3, 4), (2, 3, 2), (2, 2)),
@@ -194,7 +192,7 @@ def test_orthonormality_test_is_allclose(rng, entry, delta, expected):
     elif entry == (0, 1):
         m[0, 1] = delta
     u = q @ m
-    _, ortho = manifold._checked_factors((3,), [u])
+    _, ortho = manifold._checked_factors((3, 3), [u, np.eye(3)])
     assert ortho is expected
     assert ortho == np.allclose(u.T @ u, np.eye(3), atol=1e-12)
 
@@ -351,22 +349,6 @@ def test_outer_rank_above_the_initial_train_is_config_error():
     config = dict(_config(3, 8, [2, 2], INITIAL), outer_ranks=[3, 2, 2])
     with pytest.raises(ConfigError, match="mode 0 has rank at most 2, below 3"):
         problem_from_config(config)
-
-
-def test_single_mode_auto_outer_ranks_is_full_space():
-    config = {
-        "dims": 1,
-        "cells": 8,
-        "tt_ranks": [],
-        "outer_ranks": "auto",
-        "scheme": "projector_splitting",
-        "initial": [{"profiles": [{"kind": "sine", "frequency": 1}]}],
-    }
-    problem, opts = problem_from_config(config)
-    assert problem.outer_ranks == problem.u0.outer_ranks == (7,)
-    assert generic_outer_ranks((7,), ()) == (7,)
-    tr = solve(problem, opts["scheme"], opts["tau"], opts["t_end"])
-    assert tr.breakdown is None and len(tr.states) == 11
 
 
 @pytest.mark.parametrize(

@@ -376,12 +376,6 @@ def test_basis_reads_the_point_measurement(rng, monkeypatch, tt_ranks):
         assert np.array_equal(basis.qright[m], qwt.T)
 
 
-def test_single_mode_point_has_no_basis():
-    p = make_point(np.array([1.0, 2.0]), (np.eye(2),))
-    with pytest.raises(InvalidArgumentError, match="single-mode"):
-        TangentBasis(p)
-
-
 def test_polar_align_identity_and_sign(rng):
     u = random_orthonormal(rng, 5, 2)
     np.testing.assert_allclose(polar_align(u, u), u, atol=1e-12)
