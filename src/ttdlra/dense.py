@@ -1,7 +1,13 @@
-"""Dense tensor algebra: the ambient oracle type, unfoldings, mode products, SVD.
+"""Dense tensor algebra: the ambient oracle type, unfoldings, mode products, SVD,
+and the small-matrix kernels.
 
 :class:`DenseTensor` is the ambient oracle type: only oracles form one, and it
 refuses more than ``AMBIENT_LIMIT`` entries.  Cores are plain ndarrays.
+
+The package's matrices are small (tens of entries), where numpy's Python
+wrappers, not LAPACK or BLAS, take the time.  :func:`_qr` and
+:func:`_contract` are ``np.linalg.qr`` and ``np.tensordot`` bit for bit, with
+one ``dgeqrf`` and one ``dorgqr`` call, or one ``np.dot``, and little else.
 
 Index convention
 ----------------
@@ -17,10 +23,12 @@ calibrated to double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import InvalidArgumentError, OversizeError
 
@@ -47,7 +55,7 @@ def _check_ambient(dims) -> int:
 
 
 def _check_finite(a, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidArgumentError(f"{what} contains non-finite entries")
 
 
@@ -176,7 +184,7 @@ def _tensordot_modes(arr, factors) -> np.ndarray:
     """:func:`mode_multiply` on an array for each ``(m, mat)`` in ``factors``, column-major:
     the oracles' product, independent of the solver's :func:`_multiply_modes`."""
     for m, mat in factors:
-        arr = np.asfortranarray(np.moveaxis(np.tensordot(mat, arr, axes=(1, m)), 0, m))
+        arr = np.asfortranarray(np.moveaxis(_contract(mat, arr, (1, m)), 0, m))
     return arr
 
 
@@ -188,6 +196,79 @@ def _multiply_modes(arr, factors):
         out = mat[None, :, :] @ arr.reshape(rows)
         arr = out.reshape(shape[:m] + mat.shape[:1] + shape[m + 1 :])
     return arr
+
+
+def _contract(a, b, axes) -> np.ndarray:
+    """``np.tensordot(a, b, axes)`` of two arrays, bit for bit: its transpose,
+    reshape and one ``np.dot``, without its axis parsing.  ``axes`` is an int
+    ``k`` (the last ``k`` axes of ``a`` with the first ``k`` of ``b``) or a pair
+    of nonnegative axes or of equal-length sequences of them."""
+    if isinstance(axes, int):
+        axes_a, axes_b = range(a.ndim - axes, a.ndim), range(axes)
+    else:
+        axes_a, axes_b = axes
+        if isinstance(axes_a, int):
+            axes_a, axes_b = (axes_a,), (axes_b,)
+    free_a = [k for k in range(a.ndim) if k not in axes_a]
+    free_b = [k for k in range(b.ndim) if k not in axes_b]
+    shape = [a.shape[k] for k in free_a] + [b.shape[k] for k in free_b]
+    inner = math.prod(a.shape[k] for k in axes_a)
+    at = a.transpose(free_a + list(axes_a)).reshape(math.prod(shape[: len(free_a)]), inner)
+    bt = b.transpose(list(axes_b) + free_b).reshape(inner, math.prod(shape[len(free_a) :]))
+    return np.dot(at, bt).reshape(shape)
+
+
+def _qr(a, mode="reduced") -> tuple:
+    """``np.linalg.qr(a, mode)`` of a real matrix, bit for bit, both factors
+    C-ordered as numpy's: one ``dgeqrf`` and one ``dorgqr`` of numpy's own
+    LAPACK (``numpy.linalg.lapack_lite``) with the workspace numpy asks for.
+    ``mode`` is ``"reduced"`` or ``"complete"``, or ``"r"`` for ``R`` alone."""
+    m, n = a.shape
+    k = min(m, n)
+    cols = m if mode == "complete" and m > n else k  # the columns of Q
+    lwork = _qr_workspace(m, n, cols)
+    f = np.array(a.T, dtype=float, order="C")  # a in column-major order, as LAPACK reads it
+    tau, work = np.empty(k), np.empty(max(lwork))
+    _lapack_lite("dgeqrf", m, n, f, max(1, m), tau, work, lwork[0], 0)
+    r = f[:, :cols].T.copy()
+    r[_below_diagonal(cols, n)] = 0.0
+    if mode == "r":
+        return r
+    if cols > n:
+        q = np.empty((cols, m))
+        q[:n] = f
+    else:
+        q = f[:cols]
+    _lapack_lite("dorgqr", m, cols, k, q, max(1, m), tau, work, lwork[1], 0)
+    return q.T.copy(), r
+
+
+def _lapack_lite(name, *args) -> None:
+    info = getattr(lapack_lite, name)(*args)["info"]
+    if info != 0:
+        raise InvalidArgumentError(f"LAPACK {name} returned info {info}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _qr_workspace(m, n, cols) -> tuple:
+    """The ``lwork`` that ``np.linalg.qr`` passes to ``dgeqrf`` and ``dorgqr``
+    for an ``m x n`` matrix and ``cols`` columns of Q: the larger of LAPACK's
+    optimum and the column count."""
+    k = min(m, n)
+    a, tau, query = np.empty((max(n, cols), m)), np.empty(k), np.empty(1)
+    _lapack_lite("dgeqrf", m, n, a, max(1, m), tau, query, -1, 0)
+    geqrf = max(1, n, int(query[0]))
+    _lapack_lite("dorgqr", m, cols, k, a, max(1, m), tau, query, -1, 0)
+    return geqrf, max(1, cols, int(query[0]))
+
+
+@functools.lru_cache(maxsize=1024)
+def _below_diagonal(rows, cols) -> np.ndarray:
+    """The mask of the entries below the diagonal, which ``np.triu`` zeroes
+    (read-only: every caller of a shape shares it)."""
+    mask = np.tri(rows, cols, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def svd(m) -> SvdResult:

@@ -533,7 +533,9 @@ def run_curvature_suite(cfg: ExperimentConfig) -> CurvatureSuiteReport:
             ok_all = ok_all and ok
             rows.append(("truncation_distance", i, dist, float(vals[-1]), int(ok)))
             ambient = svd(matricize(x, set(range(m + 1)))).singular_values
-            ok_s = np.allclose(vals, ambient[: vals.size], atol=1e-10 * max(1.0, x.norm()))
+            ambient = ambient[: vals.size]  # np.allclose(vals, ambient, atol), written out
+            atol = 1e-10 * max(1.0, x.norm())
+            ok_s = bool(np.all(np.abs(vals - ambient) <= atol + 1e-5 * np.abs(ambient)))
             ok_all = ok_all and ok_s
             violations["spectrum_consistency"] += 0 if ok_s else 1
         violations["truncation_distance"] += 0 if ok_all else 1

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_finite, _multiply_modes, inner
+from .dense import DenseTensor, _check_finite, _contract, _multiply_modes, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import TangentBasis, TangentVector, tangent_to_ambient
@@ -405,7 +405,7 @@ def operator_quadratic_form(point, op) -> float:
     total = 0.0
     for term in op.terms:
         w = _multiply_modes(core, [(m, us[m].T @ (mat @ us[m])) for m, mat in term.factors])
-        total += term.coeff * float(np.tensordot(w, core, axes=core.ndim))
+        total += term.coeff * float(_contract(w, core, core.ndim))
     return total
 
 

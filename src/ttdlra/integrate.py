@@ -49,11 +49,12 @@ the source's columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient, _exponent, _multiply_modes
+from .dense import DenseTensor, _check_ambient, _contract, _exponent, _multiply_modes, _qr
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_train, retract_tucker
@@ -174,7 +175,7 @@ def tangent_operator(basis: TangentBasis, op):
 
     def contract(x, y, keep):  # over the core modes not in keep: x's kept and trailing axes, y's
         rest = [k for k in range(d) if k not in keep]
-        return np.tensordot(x, y, axes=(rest, rest))
+        return _contract(x, y, (rest, rest))
 
     def image(arr, coeff, factors):  # coeff * arr x_k mat for each (k, mat) in factors
         if not factors:
@@ -215,7 +216,7 @@ def tangent_operator(basis: TangentBasis, op):
     gs = []  # per mode: G0 and the G^j stacked
     for m, r in enumerate(ranks):
         rows, outs = slice(starts[m], starts[m + 1]), np.moveaxis(out[m], 0, -1)
-        g = np.tensordot(basis.rmap[m].T, contract(core, outs, [m]), axes=1)  # (i, j, slot)
+        g = _contract(basis.rmap[m].T, contract(core, outs, [m]), 1)  # (i, j, slot)
         gs.append(g.transpose(2, 0, 1).reshape(-1, r))
         outs = contract(cbt, outs[..., 1:], [m])  # (i, core basis, j, slot)
         kmat[rows, :q] = outs.transpose(3, 0, 2, 1).reshape(-1, q)
@@ -444,20 +445,20 @@ def _point_to_ambient_tt(p: ManifoldPoint) -> TTTensor:
 
 def _env_update_left(env, core, mat):
     # env[a, a'] -> contract with core (a, j, b) on both indices, mat on j
-    tmp = np.tensordot(env, core, axes=(1, 0))  # a, j, b
+    tmp = _contract(env, core, (1, 0))  # a, j, b
     if mat is not None:
-        tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a, b
+        tmp = _contract(mat, tmp, (1, 1))  # j', a, b
         tmp = np.moveaxis(tmp, 0, 1)
-    return np.tensordot(core, tmp, axes=([0, 1], [0, 1]))  # b', b
+    return _contract(core, tmp, ((0, 1), (0, 1)))  # b', b
 
 
 def _env_update_right(env, core, mat):
     # env and the result are ordered (test side, trial side)
-    tmp = np.tensordot(core, env, axes=(2, 1))  # a', j, c
+    tmp = _contract(core, env, (2, 1))  # a', j, c
     if mat is not None:
-        tmp = np.tensordot(mat, tmp, axes=(1, 1))  # j', a', c
+        tmp = _contract(mat, tmp, (1, 1))  # j', a', c
         tmp = np.moveaxis(tmp, 0, 1)
-    return np.tensordot(core, tmp, axes=([1, 2], [1, 2]))  # a, a'
+    return _contract(core, tmp, ((1, 2), (1, 2)))  # a, a'
 
 
 def _splitting_admits(p: ManifoldPoint) -> None:
@@ -526,7 +527,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         if m == d - 1:
             cores[m] = k1.reshape(kl, n, kr)
             break
-        q, rfac = np.linalg.qr(k1.reshape(kl * n, kr))
+        q, rfac = _qr(k1.reshape(kl * n, kr))
         cores[m] = q.reshape(kl, n, q.shape[1])
         # advance the environments through the new core
         for it, (c, mats) in enumerate(terms):
@@ -544,9 +545,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         # implicit Euler map on the interface subspace: unconditionally
         # computable and exact at full rank
         s1 = s0 + tau * (a_s @ s0) - tau * (left_f @ right_f[m + 1].T).reshape(ks * ks)
-        cores[m + 1] = np.tensordot(
-            s1.reshape(ks, ks), cores[m + 1], axes=(1, 0)
-        )
+        cores[m + 1] = _contract(s1.reshape(ks, ks), cores[m + 1], (1, 0))
 
     # cores 0 ... d-2 are left-orthogonal: the sweep leaves its center at d-1
     x = TTTensor(tuple(cores), ortho_center=d - 1)
@@ -667,14 +666,24 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     tau = tr.step_size
     states = tr.states
     l2_terminal = states[-1].energy_l2
+    # each quadrature is taken again at scale only where its plain sum is not finite
     v_integral = float(sum(s.energy_v for s in states[1:]) * tau)
+    if not math.isfinite(v_integral):
+        v_integral = _rescaled_sum([s.energy_v for s in states[1:]], 1, tau)
     du = 0.0
-    for s in states[1:]:
-        du += s.step_distance**2 / tau
+    try:
+        for s in states[1:]:
+            du += s.step_distance**2 / tau
+    except OverflowError:  # a float square out of range
+        du = math.inf
+    if not math.isfinite(du):
+        du = _rescaled_sum([s.step_distance for s in states[1:]], 2, 1.0 / tau)
     v_sup = float(max(s.energy_v for s in states))
     f_integral = 0.0
     for s in states[1:]:
         f_integral += problem.rhs_norm_sq(s.time) * tau
+    if not math.isfinite(f_integral):
+        f_integral = _rescaled_sum([problem.rhs_norm_sq(s.time) for s in states[1:]], 1, tau)
     dissipation_ok = True
     if f_integral == 0.0 and len(states) > 1:
         if any(np.isnan(s.dissipation_form) for s in states[1:]):
@@ -697,6 +706,16 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
         dissipation_ok=dissipation_ok,
         growth_suspected=bool(growth_suspected),
     )
+
+
+def _rescaled_sum(values, power, weight) -> float:
+    """``sum(v**power for v in values) * weight`` for where the plain float sum
+    overflows: taken on the values scaled by ``2**-e`` (``e`` from
+    :func:`~ttdlra.dense._exponent`) and scaled back by ``2**(power * e)``, so
+    it is finite wherever the quadrature is."""
+    e = _exponent(values)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sum(np.ldexp(values, -e) ** power) * weight, power * e))
 
 
 def dense_implicit_euler(problem, tau: float, t_end: float):

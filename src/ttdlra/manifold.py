@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import DenseTensor, _check_ambient, _check_finite, _multiply_modes, _norm, svd
-from .dense import _tensordot_modes
+from .dense import _qr, _tensordot_modes
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
@@ -146,7 +146,7 @@ def make_point(core, factors) -> ManifoldPoint:
         _check_finite(a, "core")
     factors, ortho = _checked_factors(core.dims if train else core.shape, factors)
     if not ortho:
-        factors, rs = zip(*(np.linalg.qr(u) for u in factors))
+        factors, rs = zip(*(_qr(u) for u in factors))
         if train:
             core = TTTensor(tuple(np.einsum("ij,ajb->aib", r, c) for r, c in zip(rs, core.cores)))
         else:

@@ -21,7 +21,8 @@ starting state, which lies in the same frame, so the energy report reads it.
 The difference of two Tucker tensors, :func:`tucker_distance`, is measured on
 a small core too.  Tucker pairs ``(core, factors)`` carry their core as a
 plain array.  :func:`retract` and :func:`retract_train` refuse input of one
-mode or with a non-finite entry where it enters (``InvalidArgumentError``).
+mode or with a non-finite entry where it enters (``InvalidArgumentError``),
+and :func:`retract_tucker` input with a non-finite entry.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _check_finite, _multiply_modes, _norm
+from .dense import DenseTensor, _check_finite, _contract, _multiply_modes, _norm, _qr
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, make_point
 from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
@@ -109,7 +110,7 @@ def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
         tol = max(kl * r, math.prod(widths[m + 1 :])) * np.finfo(float).eps * s[0]
         k = min(cap, max(1, int(np.sum(s > tol))))
         cores[m] = u[:, :k].reshape(kl, r, k)
-        cores[m + 1] = np.tensordot(s[:k, None] * vh[:k], cores[m + 1], axes=(1, 0))
+        cores[m + 1] = _contract(s[:k, None] * vh[:k], cores[m + 1], (1, 0))
     return make_point(TTTensor(tuple(cores), ortho_center=len(cores) - 1), factors)
 
 
@@ -130,9 +131,9 @@ def _site_sweep(cores, rank) -> tuple:
         factors.append(np.ascontiguousarray(u[:, :r]))  # the step reads it many times
         core = (s[:r, None] * wh[:r]).reshape(r, kl, kr).transpose(1, 0, 2)
         if m + 1 < len(cores):
-            q, rf = np.linalg.qr(core.reshape(kl * r, kr))
+            q, rf = _qr(core.reshape(kl * r, kr))
             core = q.reshape(kl, r, q.shape[1])
-            cores[m + 1] = np.tensordot(rf, cores[m + 1], axes=(1, 0))
+            cores[m + 1] = _contract(rf, cores[m + 1], (1, 0))
         cores[m] = core
     return tuple(cores), factors
 
@@ -140,7 +141,7 @@ def _site_sweep(cores, rank) -> tuple:
 def orthonormal_tucker(core, factors) -> tuple:
     """Equal tensor ``(core', [Q^m], [R^m])`` with orthonormal factors: each
     ``W^m = Q^m R^m`` (thin QR) and the core array absorbs the ``R^m``."""
-    qs, rs = zip(*(np.linalg.qr(w) for w in factors))
+    qs, rs = zip(*(_qr(w) for w in factors))
     return _multiply_modes(core, list(enumerate(rs))), list(qs), list(rs)
 
 
@@ -166,7 +167,10 @@ def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:
     whose tensor ``C x_m W^m[:, :r_m]`` lives in the leading columns of the
     factors (a step's starting state).  Returns ``(point,
     defect, distance)``: the point's distance to the input and to the origin's
-    tensor.  Raises what :func:`retract` raises."""
+    tensor.  Raises what :func:`retract` raises, a non-finite entry of the
+    core or a factor included."""
+    for a in (core, *factors):
+        _check_finite(a, "retract_tucker input")
     small, qs, rs = orthonormal_tucker(core, factors)
     new_core, vs = _truncate(small, tuple(int(r) for r in outer_ranks), tt_ranks)
     point = make_point(new_core, [q @ v for q, v in zip(qs, vs)])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient
+from .dense import DenseTensor, _check_ambient, _qr
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, make_point, point_boundary_gap, point_to_dense
 from .retraction import retract
@@ -30,7 +30,7 @@ _MAX_TRIES = 50
 
 
 def random_orthonormal(rng, n: int, r: int) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    q, _ = _qr(rng.standard_normal((n, r)))
     return q
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient, _multiply_modes, _tensordot_modes, matricize
+from .dense import DenseTensor, _check_ambient, _multiply_modes, _qr, _tensordot_modes, matricize
 from .errors import DegeneratePointError, InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tt import TTTensor, tt_to_dense
@@ -133,7 +133,7 @@ def core_tangent_basis(core) -> np.ndarray:
     cores, suffixes = list(core.cores), [np.ones((1, 1))]
     for m in range(core.ndim - 1, 0, -1):  # right sweep: reduced QR, R carried left
         kl, n, kr = cores[m].shape
-        q, r = np.linalg.qr(cores[m].transpose(2, 1, 0).reshape(kr * n, kl))
+        q, r = _qr(cores[m].transpose(2, 1, 0).reshape(kr * n, kl))
         suffixes.insert(0, (suffixes[0] @ q.reshape(kr, n * kl)).reshape(-1, kl))
         cores[m - 1] = cores[m - 1] @ r.T
     prefix, carry, blocks = np.ones((1, 1)), np.ones((1, 1)), []
@@ -143,7 +143,7 @@ def core_tangent_basis(core) -> np.ndarray:
             q, kr = np.eye(n * kl), 0
         else:
             g = (carry @ g.transpose(1, 0, 2)).reshape(n * kl, kr)
-            q, r = np.linalg.qr(g, mode="complete")
+            q, r = _qr(g, "complete")
             carry = r[:kr]
         lq = (prefix @ q.reshape(n, kl, n * kl)).reshape(-1, n * kl)  # rows: mode m slowest
         prefix, gauge = lq[:, :kr], lq[:, kr:]
@@ -315,7 +315,7 @@ class TangentBasis:
         core_cols = self.core_basis.reshape(self.core.shape + (-1,), order="F")
         blocks = [_multiply_modes(core_cols, list(enumerate(factors)))]
         for m, rmap in enumerate(self.rmap):
-            q = np.linalg.qr(factors[m], mode="complete")[0][:, rmap.shape[0] :]
+            q = _qr(factors[m], "complete")[0][:, rmap.shape[0] :]
             dm = _multiply_modes(
                 self.core,
                 [(m, rmap.T)] + [(k, u) for k, u in enumerate(factors) if k != m],
@@ -368,12 +368,12 @@ def aligned_basis_report(u, v, x, y, tol=1e-10) -> AlignedBasisReport:
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    r = u.shape[1]
+    eye = np.eye(u.shape[1])  # np.allclose(a, b, atol): |a - b| <= atol + 1e-5 |b|, written out
     for name, b in (("u", u), ("v", v)):
-        if not np.allclose(b.T @ b, np.eye(r), atol=1e-10):
+        if not np.all(np.abs(b.T @ b - eye) <= 1e-10 + 1e-5 * eye):
             raise InvalidArgumentError(f"basis {name} is not orthonormal")
     m = u.T @ v
-    if not np.allclose(m, m.T, atol=1e-8):
+    if not np.all(np.abs(m - m.T) <= 1e-8 + 1e-5 * np.abs(m.T)):
         raise InvalidArgumentError("bases are not aligned: u^T v is not symmetric")
     if np.linalg.eigvalsh(0.5 * (m + m.T))[0] < -1e-10:
         raise InvalidArgumentError("bases are not aligned: u^T v is not PSD")

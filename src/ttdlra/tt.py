@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _norm
+from .dense import _contract, _norm, _qr
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -193,7 +193,7 @@ def tt_to_dense(t: TTTensor) -> np.ndarray:
     """Contract the core chain into a column-major array of shape ``t.dims``."""
     acc = t.cores[0][0]  # (N_0, k_0)
     for core in t.cores[1:]:
-        acc = np.tensordot(acc, core, axes=(-1, 0))
+        acc = _contract(acc, core, (acc.ndim - 1, 0))
     return np.asfortranarray(acc[..., 0])
 
 
@@ -208,14 +208,14 @@ def orthogonalize(t: TTTensor, site: int) -> TTTensor:
         raise InvalidArgumentError(f"site {site} out of range for order {d}")
     cores = [c.copy() for c in t.cores]
     for m in range(site):
-        q, r = np.linalg.qr(_left_unfold(cores[m]))
+        q, r = _qr(_left_unfold(cores[m]))
         cores[m] = q.reshape(cores[m].shape[0], cores[m].shape[1], q.shape[1])
-        cores[m + 1] = np.tensordot(r, cores[m + 1], axes=(1, 0))
+        cores[m + 1] = _contract(r, cores[m + 1], (1, 0))
     for m in range(d - 1, site, -1):
-        q, r = np.linalg.qr(_right_unfold(cores[m]).T)
+        q, r = _qr(_right_unfold(cores[m]).T)
         knew = q.shape[1]
         cores[m] = q.T.reshape(knew, cores[m].shape[1], cores[m].shape[2])
-        cores[m - 1] = np.tensordot(cores[m - 1], r.T, axes=(2, 0))
+        cores[m - 1] = _contract(cores[m - 1], r.T, (2, 0))
     return TTTensor(tuple(cores), ortho_center=site)
 
 
@@ -236,8 +236,7 @@ def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
         mat = _left_unfold(carry)
         values.append(np.linalg.svd(mat, compute_uv=False))
         splits.append(tuple(range(m + 1)))
-        q, r = np.linalg.qr(mat)
-        carry = np.tensordot(r, work.cores[m + 1], axes=(1, 0))
+        carry = _contract(_qr(mat, "r"), work.cores[m + 1], (1, 0))
     return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
 
 
@@ -284,7 +283,7 @@ def truncate_interface(t: TTTensor, interface: int) -> TTTensor:
     keep = kr - 1
     cores[interface] = u[:, :keep].reshape(kl, n, keep)
     carry = s[:keep, None] * vh[:keep]
-    cores[interface + 1] = np.tensordot(carry, cores[interface + 1], axes=(1, 0))
+    cores[interface + 1] = _contract(carry, cores[interface + 1], (1, 0))
     return TTTensor(tuple(cores))
 
 
@@ -313,7 +312,7 @@ def tt_round(t: TTTensor, ranks=None, return_error=False):
         discarded_sq += float(np.sum(s[k:] ** 2))
         cores[m] = vh[:k].reshape(k, cores[m].shape[1], cores[m].shape[2])
         carry = u[:, :k] * s[:k]
-        cores[m - 1] = np.tensordot(cores[m - 1], carry, axes=(2, 0))
+        cores[m - 1] = _contract(cores[m - 1], carry, (2, 0))
     out = TTTensor(tuple(cores), ortho_center=0)
     if return_error:
         return out, float(np.sqrt(discarded_sq))

@@ -80,3 +80,22 @@ def test_every_raise_raises_a_documented_type():
                 if name not in documented:
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def test_small_matrix_calls_go_through_the_kernels():
+    # dense._qr and dense._contract give np.linalg.qr's and np.tensordot's bits
+    # at a fraction of their wrapper cost, and the hot np.allclose checks are
+    # written out; only the DiffusionCoefficient symmetry check, once per
+    # problem, keeps np.allclose
+    calls = {"np.linalg.qr", "np.tensordot", "np.allclose"}
+    stray = []
+    for path in sorted((ROOT / "src" / "ttdlra").glob("*.py")):
+        if path.name == "dense.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef) and top.name == "DiffusionCoefficient":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in calls:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []

@@ -3,6 +3,8 @@ import pytest
 
 from ttdlra.dense import (
     DenseTensor,
+    _contract,
+    _qr,
     inner,
     matricize,
     mode_multiply,
@@ -161,3 +163,49 @@ def test_parseval_over_matricizations(rng):
         split = tuple(i for i in range(d) if bits & (1 << i))
         s = svd(matricize(x, split)).singular_values
         np.testing.assert_allclose(np.sum(s**2), n2, rtol=1e-10)
+
+
+# tall, wide, square, one row, one column, and wide enough for LAPACK's blocked path
+QR_SHAPES = [(6, 3), (3, 6), (4, 4), (1, 5), (5, 1), (1, 1), (300, 200), (200, 300)]
+
+
+@pytest.mark.parametrize("shape", QR_SHAPES)
+@pytest.mark.parametrize("mode", ["reduced", "complete", "r"])
+def test_qr_equals_numpy_bit_for_bit(rng, shape, mode):
+    # C-ordered, F-ordered and strided input; numpy's factors are C-ordered,
+    # and the kernel's must be too, since the layout decides later products' bits
+    base = rng.standard_normal(shape)
+    for a in (base, np.asfortranarray(base), rng.standard_normal(shape[::-1]).T):
+        before = a.copy()
+        got, want = _qr(a, mode), np.linalg.qr(a, mode=mode)
+        if mode == "r":
+            got, want = (got,), (want,)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+            assert x.flags.c_contiguous
+        assert np.array_equal(a, before)  # the input is left as it was
+
+
+# (a shape, b shape, axes): each axes pattern that src/ttdlra contracts with
+CONTRACTIONS = [
+    ((5, 3), (3, 4, 2), (1, 0)),  # an R factor into the next core
+    ((5, 3, 2), (2, 4, 6), (2, 0)),  # the train chain in tt_to_dense
+    ((3, 4, 2), (2, 2), (2, 0)),  # a carry into the previous core
+    ((3, 5), (4, 5, 2), (1, 1)),  # a mode matrix on an environment
+    ((3, 4, 2), (5, 2), (2, 1)),
+    ((2, 3, 4), (2, 3, 5), ((0, 1), (0, 1))),  # a left environment update
+    ((2, 3, 4), (5, 3, 4), ((1, 2), (1, 2))),  # a right environment update
+    ((2, 3, 4, 5), (2, 3, 4, 6), ([0, 2], [0, 2])),  # tangent_operator's core contractions
+    ((2, 3, 4, 5), (2, 3, 4, 6), ([], [])),
+    ((4, 3), (3, 2, 5, 6), 1),
+    ((2, 3, 4), (2, 3, 4), 3),  # a full contraction
+    ((4, 3), (2, 5, 3), (1, 2)),  # a mode product in _tensordot_modes
+]
+
+
+@pytest.mark.parametrize("sa, sb, axes", CONTRACTIONS)
+def test_contract_equals_tensordot_bit_for_bit(rng, sa, sb, axes):
+    a, b = rng.standard_normal(sa), rng.standard_normal(sb)
+    for x in (a, np.asfortranarray(a)):
+        got, want = _contract(x, b, axes), np.tensordot(x, b, axes=axes)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -14,7 +14,7 @@ from ttdlra.errors import ConfigError, InvalidArgumentError, OversizeError
 from ttdlra.fem import DiffusionCoefficient
 from ttdlra.manifold import make_point, point_to_dense
 from ttdlra.problems import heat_problem, problem_from_config
-from ttdlra.retraction import retract, retract_train
+from ttdlra.retraction import retract, retract_train, retract_tucker
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
 from ttdlra.tt import TTTensor
 
@@ -58,6 +58,21 @@ def _retract_train(value):
     cores = list(t.cores)
     cores[1] = _poisoned(cores[1], value)  # the middle core
     return retract_train(TTTensor(tuple(cores)), (2, 2, 2), (2, 2))
+
+
+def _retract_tucker(part):
+    def build(value):
+        rng = np.random.default_rng(6)
+        core = rng.standard_normal((4, 4, 4))
+        factors = [rng.standard_normal((6, 4)) for _ in range(3)]
+        origin = rng.standard_normal((2, 2, 2))
+        if part == "core":
+            core = _poisoned(core, value)
+        else:
+            factors[1] = _poisoned(factors[1], value)
+        return retract_tucker(core, factors, origin, (2, 2, 2), (2, 2))
+
+    return build
 
 
 def _random_point(value):
@@ -108,6 +123,8 @@ NON_FINITE = {
     "make_point factor": (_make_point_factor, _each(InvalidArgumentError)),
     "retract": (_retract, _each(InvalidArgumentError)),
     "retract_train": (_retract_train, _each(InvalidArgumentError)),
+    "retract_tucker core": (_retract_tucker("core"), _each(InvalidArgumentError)),
+    "retract_tucker factor": (_retract_tucker("factor"), _each(InvalidArgumentError)),
     # any draw reaches a gap of -inf; none reaches inf or compares with NaN
     "random_point min_gap_rel": (
         _random_point,

@@ -810,6 +810,32 @@ def test_zero_source_step_is_scale_equivariant(rng, scheme):
             assert 0.0 < new.tangent_residual <= 1e-10, s
 
 
+def test_energy_report_of_a_huge_state_is_finite():
+    # every state's energy is a finite float (up to 1.34e308), but the plain
+    # sum of ten of them overflows before the step size scales it: each
+    # quadrature is taken at scale where its plain sum is not finite
+    import dataclasses
+
+    problem = heat_problem(3, 16, (2, 2))
+    s = 5e153
+    huge = dataclasses.replace(problem, u0=scale_point(problem.u0, s))
+    tr = solve(huge, "projected_euler", tau=1e-3, t_end=1e-2)
+    assert len(tr.states) == 11 and tr.breakdown is None
+    assert all(np.isfinite(st.energy_v) for st in tr.states)
+    rep = energy_report(tr, huge)
+    assert np.isfinite([rep.v_integral, rep.du_integral, rep.data_f_integral]).all()
+    ref = energy_report(solve(problem, "projected_euler", tau=1e-3, t_end=1e-2), problem)
+    assert abs(rep.v_integral / s / s - ref.v_integral) <= 1e-12 * ref.v_integral
+    assert abs(rep.du_integral / s / s - ref.du_integral) <= 1e-12 * ref.du_integral
+
+
+def test_rescaled_sum_is_finite_where_the_plain_sum_overflows():
+    big = [1.5e308] * 4
+    assert integrate._rescaled_sum(big, 1, 1e-3) == pytest.approx(6e305, rel=1e-15)
+    assert integrate._rescaled_sum([2e154] * 4, 2, 1e-3) == pytest.approx(1.6e306, rel=1e-15)
+    assert integrate._rescaled_sum(big, 1, 1.0) == np.inf  # the quadrature itself overflows
+
+
 def test_energy_report_reads_the_states(monkeypatch):
     problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), t_end=0.03, sources=1)
     tr = solve(problem, "projected_euler", tau=0.01, t_end=0.03)

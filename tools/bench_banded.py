@@ -8,11 +8,14 @@
         --out BENCH_reduced.json
     python3 tools/bench_banded.py --grid setup --dims 3 4 5 6 7 8 9 --label before \
         --src <parent checkout>/src --out BENCH_setup.json
+    python3 tools/bench_banded.py --grid suite --label after --src src --out BENCH_kernels.json
 
 ``BENCH_precond.json`` holds both default grids, recorded the same way,
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
 ``BENCH_setup.json`` the set-up grid, and ``BENCH_report.json`` the dims
-grid (dims 3 to 8) with ``report_ms``, in alternating passes.
+grid (dims 3 to 8) with ``report_ms``, in alternating passes, and
+``BENCH_kernels.json`` the suite grid and the dims grid (dims 3 to 8), in
+alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
@@ -26,9 +29,12 @@ one step and its retraction, the tangent basis of the initial point
 set-up and ``report_ms``, one ``energy_report`` of a ``REPORT_STEPS``-step
 trajectory.  ``--grid setup`` times the set-up alone, at 128 cells for d = 3 and
 at 16 cells for each d of ``--dims``: ``setup_ms``, and ``setup_peak_mib``,
-the peak of one further call traced by ``tracemalloc``.  ``peak_rss_mib`` is
-the process's peak RSS after the size; sizes run in the order given, so it
-bounds the size's own peak from above.  A size whose first call takes more
+the peak of one further call traced by ``tracemalloc``.  ``--grid suite``
+times ``suite_ms``, one ``run_curvature_suite`` call on
+``configs/curvature_suite.json`` (after a warm-up call), writing into a
+temporary directory.  ``peak_rss_mib`` is the process's peak RSS after the
+size; sizes run in the order given, so it bounds the size's own peak from
+above.  A size whose first call takes more
 than ``SLOW_S`` seconds is timed by that call alone (``repeats`` 1).  Every
 other time is the median of ``REPEATS`` runs.  BLAS is pinned to one thread;
 ``cg_iterations`` lists the CG iteration count of each timed step of the last
@@ -37,9 +43,10 @@ modes: three sine terms, a constant source, tau = 1e-3, train ranks 3 and
 auto outer ranks.  ``--src`` selects the source tree to import, so the same
 script records a parent checkout (``--label before``) and this one
 (``--label after``).  A pass adds its times to the row of the same label, d
-and cells in ``--out``: the row keeps each pass's times under ``per_pass``
-and reports their median, with the count in ``passes``, so passes of the two
-labels run alternately give before/after medians under the same host load.
+and cells (or suite) in ``--out``: the row keeps each pass's times under
+``per_pass`` and reports their median, with the count in ``passes``, so passes
+of the two labels run alternately give before/after medians under the same
+host load.
 A row without ``per_pass`` (an older record) is replaced.
 """
 
@@ -63,6 +70,8 @@ DIMS = (3, 4, 5, 6, 7)
 DIMS_CELLS = 16
 REPEATS = 15
 REPORT_STEPS = 4
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SUITE_CONFIG = os.path.join(ROOT, "configs", "curvature_suite.json")
 SETUP_CELLS = 128  # the set-up grid's d = 3 row, the pe3d_n128 workload's size
 SLOW_S = 1.0
 TAU = 1e-3
@@ -212,6 +221,29 @@ def measure_setup(size):
     }
 
 
+def measure_suite(config):
+    import tempfile
+
+    from ttdlra.experiments import ExperimentConfig, run_curvature_suite
+
+    with open(config) as fh:
+        raw = json.load(fh)
+    with tempfile.TemporaryDirectory() as out_dir:
+        cfg = ExperimentConfig.from_dict(raw | {"out_dir": out_dir})
+        run_curvature_suite(cfg)  # warm-up
+        suite_ms = _median_ms(lambda: run_curvature_suite(cfg))
+    return {
+        "suite": os.path.splitext(os.path.basename(config))[0],
+        "seed": cfg.seed,
+        "repeats": REPEATS,
+        "suite_ms": round(suite_ms, 3),
+    }
+
+
+def _key(row):
+    return row["label"], row.get("suite"), row.get("d"), row.get("cells")
+
+
 def _row(d, cells, problem, basis):
     return {
         "d": d,
@@ -242,7 +274,10 @@ def main(argv=None):
     parser.add_argument("--src", required=True, help="source tree holding the ttdlra package")
     parser.add_argument("--out", required=True, help="JSON record to update")
     parser.add_argument(
-        "--grid", choices=("cells", "dims", "setup"), default="cells", help="what to scan"
+        "--grid",
+        choices=("cells", "dims", "setup", "suite"),
+        default="cells",
+        help="what to scan",
     )
     parser.add_argument("--dims", type=int, nargs="+", default=DIMS, help="d of the dims grid")
     args = parser.parse_args(argv)
@@ -266,15 +301,17 @@ def main(argv=None):
         "cells": (CELLS, measure_cells),
         "dims": (args.dims, measure_dims),
         "setup": ([(D, SETUP_CELLS)] + [(d, DIMS_CELLS) for d in args.dims], measure_setup),
+        "suite": ([SUITE_CONFIG], measure_suite),
     }[args.grid]
     for size in sizes:
         row = {"label": args.label, **measure(size)}
         print(json.dumps(row), flush=True)
-        key = (row["label"], row["d"], row["cells"])
-        old = [r for r in record["rows"] if (r["label"], r["d"], r["cells"]) == key]
-        record["rows"] = [r for r in record["rows"] if (r["label"], r["d"], r["cells"]) != key]
+        old = [r for r in record["rows"] if _key(r) == _key(row)]
+        record["rows"] = [r for r in record["rows"] if _key(r) != _key(row)]
         record["rows"].append(_accumulate(old[0] if old else None, row))
-    record["rows"].sort(key=lambda r: (r["label"] != "before", r["d"], r["cells"]))
+    record["rows"].sort(
+        key=lambda r: (r["label"] != "before", "suite" not in r, r.get("d", 0), r.get("cells", 0))
+    )
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
