@@ -5,9 +5,12 @@ and the small-matrix kernels.
 refuses more than ``AMBIENT_LIMIT`` entries.  Cores are plain ndarrays.
 
 The package's matrices are small (tens of entries), where numpy's Python
-wrappers, not LAPACK or BLAS, take the time.  :func:`_qr` and
-:func:`_contract` are ``np.linalg.qr`` and ``np.tensordot`` bit for bit, with
-one ``dgeqrf`` and one ``dorgqr`` call, or one ``np.dot``, and little else.
+wrappers, not LAPACK or BLAS, take the time.  The small-matrix kernels give
+numpy's bits with little else: :func:`_qr`, :func:`_svd`, :func:`_eigh`,
+:func:`_inv`, :func:`_solve` and :func:`_norm2` each call the numpy 2
+``_umath_linalg`` gufuncs that ``np.linalg`` calls, and :func:`_frobenius`,
+:func:`_moveaxis` and :func:`_contract` are ``np.linalg.norm``, ``np.moveaxis``
+and ``np.tensordot``.
 
 Index convention
 ----------------
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import lapack_lite
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidArgumentError, OversizeError
 
@@ -103,7 +106,7 @@ class DenseTensor:
         return self.data.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return float(_frobenius(self.data))
 
     def __add__(self, other):
         if not isinstance(other, DenseTensor):
@@ -184,7 +187,7 @@ def _tensordot_modes(arr, factors) -> np.ndarray:
     """:func:`mode_multiply` on an array for each ``(m, mat)`` in ``factors``, column-major:
     the oracles' product, independent of the solver's :func:`_multiply_modes`."""
     for m, mat in factors:
-        arr = np.asfortranarray(np.moveaxis(_contract(mat, arr, (1, m)), 0, m))
+        arr = np.asfortranarray(_moveaxis(_contract(mat, arr, (1, m)), 0, m))
     return arr
 
 
@@ -220,46 +223,73 @@ def _contract(a, b, axes) -> np.ndarray:
 
 def _qr(a, mode="reduced") -> tuple:
     """``np.linalg.qr(a, mode)`` of a real matrix, bit for bit, both factors
-    C-ordered as numpy's: one ``dgeqrf`` and one ``dorgqr`` of numpy's own
-    LAPACK (``numpy.linalg.lapack_lite``) with the workspace numpy asks for.
-    ``mode`` is ``"reduced"`` or ``"complete"``, or ``"r"`` for ``R`` alone."""
+    C-ordered as numpy's: its gufuncs ``qr_r_raw`` (in place) and ``qr_reduced``
+    or ``qr_complete``.  ``mode`` is ``"reduced"``, ``"complete"`` or ``"r"`` (R alone)."""
     m, n = a.shape
-    k = min(m, n)
-    cols = m if mode == "complete" and m > n else k  # the columns of Q
-    lwork = _qr_workspace(m, n, cols)
-    f = np.array(a.T, dtype=float, order="C")  # a in column-major order, as LAPACK reads it
-    tau, work = np.empty(k), np.empty(max(lwork))
-    _lapack_lite("dgeqrf", m, n, f, max(1, m), tau, work, lwork[0], 0)
-    r = f[:, :cols].T.copy()
+    cols = m if mode == "complete" and m > n else min(m, n)  # the columns of Q
+    f = np.array(a, dtype=float, order="C")
+    tau = _gufunc(_umath_linalg.qr_r_raw, f)
+    r = f[:cols].copy()
     r[_below_diagonal(cols, n)] = 0.0
     if mode == "r":
         return r
-    if cols > n:
-        q = np.empty((cols, m))
-        q[:n] = f
-    else:
-        q = f[:cols]
-    _lapack_lite("dorgqr", m, cols, k, q, max(1, m), tau, work, lwork[1], 0)
-    return q.T.copy(), r
+    return _gufunc(_umath_linalg.qr_complete if cols > n else _umath_linalg.qr_reduced, f, tau), r
 
 
-def _lapack_lite(name, *args) -> None:
-    info = getattr(lapack_lite, name)(*args)["info"]
-    if info != 0:
-        raise InvalidArgumentError(f"LAPACK {name} returned info {info}")
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _gufunc(gufunc, *args):
+    """One call of a ``numpy.linalg._umath_linalg`` gufunc under ``np.linalg``'s error
+    state, whose LAPACK-failure signal, the invalid flag, raises ``InvalidArgumentError``."""
+    try:
+        return gufunc(*args)
+    except FloatingPointError as exc:
+        raise InvalidArgumentError(f"LAPACK failed in {gufunc.__name__}: {exc}") from None
 
 
-@functools.lru_cache(maxsize=1024)
-def _qr_workspace(m, n, cols) -> tuple:
-    """The ``lwork`` that ``np.linalg.qr`` passes to ``dgeqrf`` and ``dorgqr``
-    for an ``m x n`` matrix and ``cols`` columns of Q: the larger of LAPACK's
-    optimum and the column count."""
-    k = min(m, n)
-    a, tau, query = np.empty((max(n, cols), m)), np.empty(k), np.empty(1)
-    _lapack_lite("dgeqrf", m, n, a, max(1, m), tau, query, -1, 0)
-    geqrf = max(1, n, int(query[0]))
-    _lapack_lite("dorgqr", m, cols, k, a, max(1, m), tau, query, -1, 0)
-    return geqrf, max(1, cols, int(query[0]))
+_SVD = {"thin": _umath_linalg.svd_s, "full": _umath_linalg.svd_f, "values": _umath_linalg.svd}
+
+
+def _svd(a, mode="thin"):
+    """``np.linalg.svd(a)``: ``(u, s, vh)`` thin (``full_matrices=False``) or
+    ``"full"``, or ``s`` alone (``"values"``, ``compute_uv=False``)."""
+    return _gufunc(_SVD[mode], a)
+
+
+def _eigh(a, vectors=True):
+    """``np.linalg.eigh(a)`` as ``(w, v)``, or ``np.linalg.eigvalsh(a)``."""
+    return _gufunc(_umath_linalg.eigh_lo if vectors else _umath_linalg.eigvalsh_lo, a)
+
+
+def _inv(a) -> np.ndarray:
+    """``np.linalg.inv(a)``."""
+    return _gufunc(_umath_linalg.inv, a)
+
+
+def _solve(a, b) -> np.ndarray:
+    """``np.linalg.solve(a, b)``, ``b`` a vector or a matrix."""
+    return _gufunc(_umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve, a, b)
+
+
+def _norm2(a):
+    """``np.linalg.norm(a, 2)`` of a matrix: its largest singular value."""
+    return _svd(a, "values").max()
+
+
+def _frobenius(a):
+    """``np.linalg.norm(a)``, the same ``np.float64``."""
+    v = a.ravel(order="K")
+    return np.sqrt(v.dot(v))
+
+
+def _moveaxis(a, source, destination) -> np.ndarray:
+    """``np.moveaxis(a, source, destination)``, one ``transpose`` with its permutation."""
+    if isinstance(source, int):
+        source, destination = (source,), (destination,)
+    source = [k % a.ndim for k in source]
+    order = [k for k in range(a.ndim) if k not in source]
+    for dest, src in sorted(zip((k % a.ndim for k in destination), source)):
+        order.insert(dest, src)
+    return a.transpose(order)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -277,7 +307,7 @@ def svd(m) -> SvdResult:
     if m.ndim != 2:
         raise InvalidArgumentError("svd expects a matrix")
     _check_finite(m, "svd input")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = _svd(m)
     return SvdResult(u, s, vh.T)
 
 
@@ -300,4 +330,4 @@ def _norm(a) -> float:
     :func:`_exponent`) and scaled back, so where ``np.linalg.norm(a)`` neither
     under- nor overflows the two agree bit for bit."""
     e = _exponent(a)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+    return float(np.ldexp(_frobenius(np.ldexp(a, -e)), e))

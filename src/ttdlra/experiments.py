@@ -180,13 +180,17 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 
 def _run_problem(pcfg: dict) -> tuple:
     """:func:`problem_from_config` for a run: what :func:`solve` would refuse
-    before its first step (:func:`check_run`, a non-finite energy) is a ``ConfigError``."""
+    before its first step (:func:`check_run`, a non-finite energy) is a ``ConfigError``,
+    and so is an initial energy below the normal range, which it would report as 0."""
     problem, opts = problem_from_config(pcfg)
     try:
         check_run(problem.u0, opts["scheme"], opts["tau"], opts["t_end"])
-        state_from_point(problem.u0, 0.0, problem.disc)
+        state = state_from_point(problem.u0, 0.0, problem.disc)
     except InvalidArgumentError as exc:
         raise ConfigError(f"invalid run options: {exc}") from exc
+    for name, energy in (("|u|^2", state.energy_l2), ("a(u, u)", state.energy_v)):
+        if energy < np.finfo(float).tiny:
+            raise ConfigError(f"initial energy {name} = {energy} is below the normal float range")
     return problem, opts
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_finite, _contract, _multiply_modes, inner
+from .dense import DenseTensor, _check_finite, _contract, _eigh, _moveaxis, _multiply_modes, inner
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tangent import TangentBasis, TangentVector, tangent_to_ambient
@@ -307,7 +307,7 @@ class TTOperator:
         for term in self.terms:
             y = arr
             for mode, factor in term.factors:  # the factor on the mode's fibres
-                y = np.moveaxis(factor @ np.moveaxis(y, mode, 0), 0, mode)
+                y = _moveaxis(factor @ _moveaxis(y, mode, 0), 0, mode)
             acc += term.coeff * y
         return DenseTensor.from_array(acc)
 
@@ -348,7 +348,7 @@ def assemble_operator(coeff: DiffusionCoefficient, disc: Discretization, t: floa
         raise InvalidArgumentError(f"time {t} outside [0, {coeff.horizon}]")
     t = min(max(t, 0.0), coeff.horizon)
     b = coeff.at(t)
-    if np.linalg.eigvalsh(b)[0] <= 0:
+    if _eigh(b, vectors=False)[0] <= 0:
         raise InvalidArgumentError("diffusion matrix is not positive definite")
     terms = []
     for m in range(d):
@@ -417,7 +417,7 @@ def lipschitz_constant(disc: Discretization, coeff: DiffusionCoefficient) -> flo
     stiffness eigenvalue (the transfer Gramians are dominated by the
     stiffness, since projecting a derivative cannot increase its norm).
     """
-    lam = max(np.linalg.eigvalsh(s.dense)[-1] for s in disc.stiffness)
+    lam = max(_eigh(s.dense, vectors=False)[-1] for s in disc.stiffness)
     return float(np.sqrt(lam) * np.abs(coeff.b1).sum())
 
 

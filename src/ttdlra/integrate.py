@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient, _contract, _exponent, _multiply_modes, _qr
+from .dense import DenseTensor, _check_ambient, _contract, _eigh, _exponent, _frobenius, _inv
+from .dense import _moveaxis, _multiply_modes, _qr, _solve
 from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_train, retract_tucker
@@ -185,7 +186,7 @@ def tangent_operator(basis: TangentBasis, op):
 
     cbt = np.ascontiguousarray(basis.core_basis.reshape(ranks + (q,), order="F"))
     # Q_m with its column index at mode m, and C x_m rmap_m^T
-    qt = [np.moveaxis(qr.reshape(ranks[:m] + ranks[m + 1 :] + ranks[m : m + 1], order="F"), -1, m)
+    qt = [_moveaxis(qr.reshape(ranks[:m] + ranks[m + 1 :] + ranks[m : m + 1], order="F"), -1, m)
           for m, qr in enumerate(basis.qright)]
     crm = [_multiply_modes(core, [(m, rm.T)]) for m, rm in enumerate(basis.rmap)]
     # sums over the terms: the core block's; per mode and slot (0: the terms
@@ -215,12 +216,12 @@ def tangent_operator(basis: TangentBasis, op):
     kmat[:q, :q] = contract(cbt, cc, [])
     gs = []  # per mode: G0 and the G^j stacked
     for m, r in enumerate(ranks):
-        rows, outs = slice(starts[m], starts[m + 1]), np.moveaxis(out[m], 0, -1)
+        rows, outs = slice(starts[m], starts[m + 1]), _moveaxis(out[m], 0, -1)
         g = _contract(basis.rmap[m].T, contract(core, outs, [m]), 1)  # (i, j, slot)
         gs.append(g.transpose(2, 0, 1).reshape(-1, r))
         outs = contract(cbt, outs[..., 1:], [m])  # (i, core basis, j, slot)
         kmat[rows, :q] = outs.transpose(3, 0, 2, 1).reshape(-1, q)
-        ins = contract(cbt, np.moveaxis(into[m], 0, -1), [m])  # (x, core basis, y, slot)
+        ins = contract(cbt, _moveaxis(into[m], 0, -1), [m])  # (x, core basis, y, slot)
         kmat[:q, rows] = ins.transpose(1, 3, 0, 2).reshape(q, -1)
     xu = [w.transpose(1, 0, 2).reshape(w.shape[1], w.shape[0] * w.shape[2]) for w in xu]
 
@@ -261,7 +262,7 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     ``S_j^-1 = L^T ((1/tau + lam_j) M + sum_t c_t X_t)^-1 L``, the tridiagonal
     systems of all modes and columns stack into one tridiagonal matrix: one
     ``dpttrf`` per build, one ``dpttrs`` per apply."""
-    core = np.linalg.inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
+    core = _inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
     fems = {m: f.fem for term in op.terms for m, f in term.factors}
     one_mode = dict.fromkeys(range(basis.point.ndim), 0.0)  # mode -> rows of A_m
     for term in op.terms:
@@ -276,7 +277,7 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
         if m not in fems:
             raise InvalidArgumentError(f"no operator term acts on mode {m}")
         (n, r), fem = u.shape, fems[m]
-        lam, w = np.linalg.eigh(g0)
+        lam, w = _eigh(g0)
         rows = (1.0 / tau + lam)[:, None, None] * fem.mass + one_mode[m]
         rows[:, -1, 2] = 0.0  # no coupling from one column to the next
         diags.append(rows[..., 1].ravel())
@@ -302,7 +303,7 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     for u, span in zip(factors, spans):
         n, r = u.shape
         s = su[span, :r].reshape(r, n, r)
-        corrs.append(s @ np.linalg.inv(u.T @ s))
+        corrs.append(s @ _inv(u.T @ s))
 
     def apply(x):
         blocks = basis._blocks(x)
@@ -333,9 +334,9 @@ def _pcg(apply, precond, b) -> tuple:
     z = precond(r)
     p = z
     rz = float(r @ z)
-    stop = CG_RTOL * np.linalg.norm(b)
+    stop = CG_RTOL * _frobenius(b)
     for it in range(b.size):
-        if np.linalg.norm(r) <= stop:
+        if _frobenius(r) <= stop:
             return np.ldexp(x, exponent), it
         q = apply(p)
         alpha = rz / float(p @ q)
@@ -415,8 +416,8 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     # the residual's norms are taken on b's scale, exactly, so neither underflows
     av = matvec(coords)
     e = _exponent(b)
-    resid = np.linalg.norm(np.ldexp(coords / tau + av - b, -e)) / max(
-        np.linalg.norm(np.ldexp(b, -e)), np.finfo(float).tiny
+    resid = _frobenius(np.ldexp(coords / tau + av - b, -e)) / max(
+        _frobenius(np.ldexp(b, -e)), np.finfo(float).tiny
     )
     a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
 
@@ -448,7 +449,7 @@ def _env_update_left(env, core, mat):
     tmp = _contract(env, core, (1, 0))  # a, j, b
     if mat is not None:
         tmp = _contract(mat, tmp, (1, 1))  # j', a, b
-        tmp = np.moveaxis(tmp, 0, 1)
+        tmp = _moveaxis(tmp, 0, 1)
     return _contract(core, tmp, ((0, 1), (0, 1)))  # b', b
 
 
@@ -457,7 +458,7 @@ def _env_update_right(env, core, mat):
     tmp = _contract(core, env, (2, 1))  # a', j, c
     if mat is not None:
         tmp = _contract(mat, tmp, (1, 1))  # j', a', c
-        tmp = np.moveaxis(tmp, 0, 1)
+        tmp = _moveaxis(tmp, 0, 1)
     return _contract(core, tmp, ((1, 2), (1, 2)))  # a, a'
 
 
@@ -523,7 +524,7 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
         k0 = cores[m].reshape(size)
         f_eff = np.einsum("aj,ij,bj->aib", left_f, factors[m], right_f[m + 1])
         rhs = k0 + tau * f_eff.reshape(size)
-        k1 = np.linalg.solve(np.eye(size) + tau * a_eff, rhs)
+        k1 = _solve(np.eye(size) + tau * a_eff, rhs)
         if m == d - 1:
             cores[m] = k1.reshape(kl, n, kr)
             break
@@ -739,6 +740,6 @@ def dense_implicit_euler(problem, tau: float, t_end: float):
         for j in range(factors[0].shape[1]):  # the rank-one source columns
             column = [(m, g[:, j : j + 1]) for m, g in enumerate(factors)]
             fvec += _multiply_modes(np.ones((1,) * len(dims)), column)
-        y = np.linalg.solve(eye + tau * amat, states[-1].data + tau * fvec.ravel(order="F"))
+        y = _solve(eye + tau * amat, states[-1].data + tau * fvec.ravel(order="F"))
         states.append(DenseTensor(dims, y))
     return np.arange(n_steps + 1) * tau, states

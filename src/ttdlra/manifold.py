@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import DenseTensor, _check_ambient, _check_finite, _multiply_modes, _norm, svd
-from .dense import _qr, _tensordot_modes
+from .dense import _eigh, _moveaxis, _qr, _tensordot_modes
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
 
@@ -48,12 +48,13 @@ _GRAM_REJECT_REL = 1e-12
 @dataclass(frozen=True)
 class ManifoldPoint:
     """Validated constrained Tucker point; construct via :func:`make_point`.
-    Beside core and factors it keeps the core's measurement: gap, expansion (a
-    plain Tucker core is its own) and the ``SvdResult`` of each mode unfolding."""
+    Beside core and factors it keeps the core's measurement: gap, norm, expansion
+    (a plain Tucker core is its own) and the ``SvdResult`` of each mode unfolding."""
 
     core: object  # TTTensor or ndarray
     factors: tuple  # orthonormal columns
     gap: float  # the core's boundary gap, measured once by validation
+    core_norm: float = field(compare=False, repr=False)  # the norm validation measured
     expanded: np.ndarray = field(compare=False, repr=False)  # column-major
     mode_svds: tuple = field(compare=False, repr=False)
 
@@ -78,7 +79,7 @@ class ManifoldPoint:
         return self.expanded, self.factors
 
     def norm(self) -> float:
-        return _norm(self.expanded)
+        return self.core_norm
 
 
 def _checked_factors(cdims, factors) -> tuple:
@@ -103,11 +104,12 @@ def _checked_factors(cdims, factors) -> tuple:
     ortho = True
     for m, u in enumerate(factors):
         g = u.T @ u
-        ev = np.linalg.eigvalsh(g)
+        eye = np.eye(len(g))  # np.allclose(g, eye, atol=1e-12), written out
+        if np.all(np.abs(g - eye) <= 1e-12 + 1e-5 * eye):
+            continue  # by Gershgorin its eigenvalues are within 1e-5 + r 1e-12 of 1
+        ortho, ev = False, _eigh(g, vectors=False)
         if ev[0] <= _GRAM_REJECT_REL * max(ev[-1], np.finfo(float).tiny):
             raise NotOnManifoldError(f"factor {m} has a numerically singular Gramian")
-        eye = np.eye(len(g))  # np.allclose(g, eye, atol=1e-12), written out
-        ortho = ortho and bool(np.all(np.abs(g - eye) <= 1e-12 + 1e-5 * eye))
     return factors, ortho
 
 
@@ -157,8 +159,8 @@ def make_point(core, factors) -> ManifoldPoint:
 
 
 def _measured(core) -> tuple:
-    """The core's :func:`point_boundary_gap`, its expansion and the SVD of each
-    mode unfolding, measured once; raises ``NotOnManifoldError`` for a core
+    """The core's :func:`point_boundary_gap`, norm, expansion and the SVD of
+    each mode unfolding, measured once; raises ``NotOnManifoldError`` for a core
     off the manifold.  The end interfaces 0 and d-2 of a train are its mode-0
     and mode-(d-1) unfoldings, so of its interface spectra only the interior
     ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
@@ -168,7 +170,7 @@ def _measured(core) -> tuple:
     if any(r * r > cdense.size for r in cdense.shape):
         raise NotOnManifoldError("core does not have full multilinear rank", gap=0.0)
     svds = tuple(  # of the mode unfoldings, columns in matricize's order
-        svd(np.moveaxis(cdense, m, 0).reshape(r, -1, order="F")) for m, r in enumerate(cdense.shape)
+        svd(_moveaxis(cdense, m, 0).reshape(r, -1, order="F")) for m, r in enumerate(cdense.shape)
     )
     vals = [float(s.singular_values[-1]) for s in svds]
     if isinstance(core, TTTensor) and core.ndim > 3:
@@ -181,7 +183,7 @@ def _measured(core) -> tuple:
             f"{GAP_REJECT_REL * scale:.3e}",
             gap=gap,
         )
-    return gap, cdense, svds
+    return gap, norm, cdense, svds
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dense import _eigh
 from .errors import ConfigError, InvalidArgumentError
 from .fem import (
     DiffusionCoefficient,
@@ -268,7 +269,7 @@ def rank_collapse_problem(n_cells: int = 12, weight: float = 0.15, t_end: float 
     """
     disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(2)])
     diffusion = DiffusionCoefficient(np.eye(2), np.zeros((2, 2)), horizon=t_end)
-    evals, evecs = np.linalg.eigh(disc.stiffness[0].dense)
+    evals, evecs = _eigh(disc.stiffness[0].dense)
     slow = evecs[:, 0]
     fast = evecs[:, 2]
     core = np.diag([1.0, float(weight)])

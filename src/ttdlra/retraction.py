@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _check_finite, _contract, _multiply_modes, _norm, _qr
+from .dense import DenseTensor, _check_finite, _contract, _frobenius, _moveaxis, _multiply_modes
+from .dense import _norm, _qr, _svd
 from .errors import InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, make_point
 from .tt import TTTensor, _checked_caps, generic_outer_ranks, orthogonalize
@@ -73,8 +74,8 @@ def _truncate(arr: np.ndarray, outer_ranks, tt_ranks) -> tuple:
     the core rounded to the train ranks (kept an array for ``tt_ranks=None``)."""
     factors = []
     for m, r in enumerate(outer_ranks):
-        unfolding = np.moveaxis(arr, m, 0).reshape(arr.shape[m], -1, order="F")
-        v = np.linalg.svd(unfolding, full_matrices=False)[0][:, :r]
+        unfolding = _moveaxis(arr, m, 0).reshape(arr.shape[m], -1, order="F")
+        v = _svd(unfolding)[0][:, :r]
         factors.append(v)
         arr = _multiply_modes(arr, [(m, v.T)])
     return (arr if tt_ranks is None else tt_from_dense(arr, ranks=tuple(tt_ranks))), factors
@@ -106,7 +107,7 @@ def retract_train(t: TTTensor, outer_ranks, tt_ranks=None) -> ManifoldPoint:
     cores = list(orthogonalize(TTTensor(cores), 0).cores)
     for m, cap in enumerate(_checked_caps(widths, tt_ranks)):
         kl, r, kr = cores[m].shape
-        u, s, vh = np.linalg.svd(cores[m].reshape(kl * r, kr), full_matrices=False)
+        u, s, vh = _svd(cores[m].reshape(kl * r, kr))
         tol = max(kl * r, math.prod(widths[m + 1 :])) * np.finfo(float).eps * s[0]
         k = min(cap, max(1, int(np.sum(s > tol))))
         cores[m] = u[:, :k].reshape(kl, r, k)
@@ -124,7 +125,7 @@ def _site_sweep(cores, rank) -> tuple:
     cores, factors = list(cores), []
     for m in range(len(cores)):
         kl, n, kr = cores[m].shape
-        u, s, wh = np.linalg.svd(cores[m].transpose(1, 0, 2).reshape(n, -1), full_matrices=False)
+        u, s, wh = _svd(cores[m].transpose(1, 0, 2).reshape(n, -1))
         r = rank(m, s)
         if r > s.size:  # the dense reference keeps a zero singular value here and rejects
             raise NotOnManifoldError(f"mode {m} has rank at most {s.size}, below {r}")
@@ -158,7 +159,7 @@ def tucker_distance(a, b) -> float:
     core[tuple(slice(p) for p in ca.shape)] = ca
     core[tuple(slice(p, None) for p in ca.shape)] = -cb
     factors = [np.hstack(ws) for ws in zip(wa, wb)]
-    return float(np.linalg.norm(orthonormal_tucker(core, factors)[0]))
+    return float(_frobenius(orthonormal_tucker(core, factors)[0]))
 
 
 def retract_tucker(core, factors, origin, outer_ranks, tt_ranks=None) -> tuple:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient, _qr
+from .dense import DenseTensor, _check_ambient, _frobenius, _qr
 from .errors import InvalidArgumentError
 from .manifold import ManifoldPoint, make_point, point_boundary_gap, point_to_dense
 from .retraction import retract
@@ -71,7 +71,7 @@ def _draw_tt(rng, dims, ranks, min_gap_rel) -> tuple:
             gap = boundary_gap(t)
         except Exception:
             continue
-        norm = float(np.linalg.norm(tt_to_dense(t)))
+        norm = float(_frobenius(tt_to_dense(t)))
         if gap >= min_gap_rel * norm:
             return t, best
         best = max(best, gap / norm)

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _check_ambient, _multiply_modes, _qr, _tensordot_modes, matricize
+from .dense import DenseTensor, _check_ambient, _eigh, _frobenius, _moveaxis, _multiply_modes
+from .dense import _norm2, _qr, _svd, _tensordot_modes, matricize
 from .errors import DegeneratePointError, InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .tt import TTTensor, tt_to_dense
@@ -216,7 +217,7 @@ def brute_force_projector(p: ManifoldPoint, z: DenseTensor) -> DenseTensor:
     span = np.array([c.ravel(order="F") for c in cols]).T
     gauges = sum(k * k for k in p.core.ranks) if p.tt_core else 0  # k^2 per train interface
     dim = len(directions) - gauges + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
-    u, s, _ = np.linalg.svd(span, full_matrices=False)
+    u, s, _ = _svd(span)
     if s[dim - 1] <= 1e-10 * s[0]:
         raise DegeneratePointError("tangent spanning set is rank deficient")
     basis = u[:, :dim]
@@ -291,7 +292,7 @@ class TangentBasis:
             # g already carries U^T W^k on the modes k < m
             h = _multiply_modes(g, [(k, s) for k, s in enumerate(small) if k > m])
             # rows mode m, columns the other modes with the first fastest
-            block = w @ (np.moveaxis(h, m, 0).reshape(h.shape[m], -1, order="F") @ self.qright[m])
+            block = w @ (_moveaxis(h, m, 0).reshape(h.shape[m], -1, order="F") @ self.qright[m])
             modes.append((block - u @ (u.T @ block)).ravel(order="F"))
             g = _multiply_modes(g, [(m, small[m])])
         return np.concatenate([self.core_basis.T @ g.ravel(order="F")] + modes)
@@ -321,8 +322,8 @@ class TangentBasis:
                 [(m, rmap.T)] + [(k, u) for k, u in enumerate(factors) if k != m],
             )
             # axes (others..., a, x, i) -> (modes with x at m, i, a)
-            outer = np.multiply.outer(np.moveaxis(dm, m, -1), q)
-            blocks.append(np.moveaxis(outer, (d, d + 1, d - 1), (m, d, d + 1)))
+            outer = np.multiply.outer(_moveaxis(dm, m, -1), q)
+            blocks.append(_moveaxis(outer, (d, d + 1, d - 1), (m, d, d + 1)))
         return np.hstack([b.reshape(size, -1, order="F") for b in blocks])
 
 
@@ -342,7 +343,7 @@ def polar_align(u, u_tilde) -> np.ndarray:
     u_tilde = np.asarray(u_tilde, dtype=float)
     if u.shape != u_tilde.shape:
         raise InvalidArgumentError("bases must have equal shapes")
-    w, _, zt = np.linalg.svd(u.T @ u_tilde)
+    w, _, zt = _svd(u.T @ u_tilde, "full")
     return u @ (w @ zt)
 
 
@@ -375,12 +376,12 @@ def aligned_basis_report(u, v, x, y, tol=1e-10) -> AlignedBasisReport:
     m = u.T @ v
     if not np.all(np.abs(m - m.T) <= 1e-8 + 1e-5 * np.abs(m.T)):
         raise InvalidArgumentError("bases are not aligned: u^T v is not symmetric")
-    if np.linalg.eigvalsh(0.5 * (m + m.T))[0] < -1e-10:
+    if _eigh(0.5 * (m + m.T), vectors=False)[0] < -1e-10:
         raise InvalidArgumentError("bases are not aligned: u^T v is not PSD")
-    basis_diff = float(np.linalg.norm(u - v, 2))
-    projector_diff = float(np.linalg.norm(u @ u.T - v @ v.T, 2))
-    coeff_diff = float(np.linalg.norm(x - y))
-    embedded_diff = float(np.linalg.norm(u @ x - v @ y))
+    basis_diff = float(_norm2(u - v))
+    projector_diff = float(_norm2(u @ u.T - v @ v.T))
+    coeff_diff = float(_frobenius(x - y))
+    embedded_diff = float(_frobenius(u @ x - v @ y))
     return AlignedBasisReport(
         basis_diff=basis_diff,
         projector_diff=projector_diff,
@@ -432,14 +433,14 @@ def curvature_report(x: ManifoldPoint, y: ManifoldPoint) -> CurvatureReport:
     bx = TangentBasis(x).ambient_matrix()
     by = TangentBasis(y).ambient_matrix()
     proj_norm = float(
-        max(np.linalg.norm(by - bx @ (bx.T @ by), 2), np.linalg.norm(bx - by @ (by.T @ bx), 2))
+        max(_norm2(by - bx @ (bx.T @ by)), _norm2(bx - by @ (by.T @ bx)))
     )
-    defect = float(np.linalg.norm(diff.data - bx @ (bx.T @ diff.data)))
+    defect = float(_frobenius(diff.data - bx @ (bx.T @ diff.data)))
 
     d = x.ndim
     if d == 2:
         # for matrices the smallest positive singular value is the exact distance
-        s = np.linalg.svd(matricize(xd, {0}), compute_uv=False)
+        s = _svd(matricize(xd, {0}), "values")
         sigma = float(s[x.outer_ranks[0] - 1])
         kind = "exact-matrix-distance"
     else:

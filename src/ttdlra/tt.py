@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _contract, _norm, _qr
+from .dense import _contract, _frobenius, _norm, _qr, _svd
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -173,7 +173,7 @@ def tt_from_dense(x: np.ndarray, ranks=None, return_error=False):
     for m in range(d - 1):
         kl = carry.shape[0]
         mat = carry.reshape(kl * dims[m], -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = _svd(mat)
         # keep the numerical rank of the unfolding
         tol = max(mat.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
         k = max(1, int(np.count_nonzero(s > tol)))
@@ -234,7 +234,7 @@ def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
     values = []
     for m in range(d - 1):
         mat = _left_unfold(carry)
-        values.append(np.linalg.svd(mat, compute_uv=False))
+        values.append(_svd(mat, "values"))
         splits.append(tuple(range(m + 1)))
         carry = _contract(_qr(mat, "r"), work.cores[m + 1], (1, 0))
     return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
@@ -248,7 +248,7 @@ def boundary_gap(t: TTTensor) -> float:
     drops) from above.  For matrices (``d = 2``) it equals that distance.
     """
     if t.ndim == 1:
-        g = float(np.linalg.norm(t.cores[0]))
+        g = float(_frobenius(t.cores[0]))
         if g == 0.0:
             raise DegeneratePointError("zero tensor has no boundary gap")
         return g
@@ -276,7 +276,7 @@ def truncate_interface(t: TTTensor, interface: int) -> TTTensor:
     cores = [c.copy() for c in work.cores]
     center = cores[interface]
     kl, n, kr = center.shape
-    u, s, vh = np.linalg.svd(_left_unfold(center), full_matrices=False)
+    u, s, vh = _svd(_left_unfold(center))
     if kr == 1:
         zero = [np.zeros_like(c) for c in cores]
         return TTTensor(tuple(zero))
@@ -305,7 +305,7 @@ def tt_round(t: TTTensor, ranks=None, return_error=False):
     discarded_sq = 0.0
     for m in range(d - 1, 0, -1):
         mat = _right_unfold(cores[m])
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = _svd(mat)
         k = s.size
         if ranks is not None:
             k = min(k, ranks[m - 1])

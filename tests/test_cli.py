@@ -317,3 +317,21 @@ def test_initial_state_too_large_to_square_is_config_error(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and "|u|^2 = inf" in err
+
+
+@pytest.mark.parametrize("scale, shown", [(1e-155, "e-311"), (1e-200, "= 0.0")])
+def test_initial_state_too_small_to_square_is_config_error(tmp_path, capsys, scale, shown):
+    # solve_heat3d with its initial coefficients x1e-200 once exited 0 and
+    # reported l2_terminal, v_integral and du_integral as 0.0; an initial
+    # energy that is 0.0 or subnormal is refused before the first step
+    from ttdlra import cli
+
+    with open(os.path.join(PKG_SRC, "..", "configs", "solve_heat3d.json")) as fh:
+        payload = json.load(fh)
+    for term in payload["problem"]["initial"]:
+        term["coefficient"] *= scale
+    cfg = write_config(tmp_path / "c.json", payload)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "|u|^2" in err and shown in err
+    assert "below the normal float range" in err

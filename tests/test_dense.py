@@ -4,7 +4,14 @@ import pytest
 from ttdlra.dense import (
     DenseTensor,
     _contract,
+    _eigh,
+    _frobenius,
+    _inv,
+    _moveaxis,
+    _norm2,
     _qr,
+    _solve,
+    _svd,
     inner,
     matricize,
     mode_multiply,
@@ -209,3 +216,96 @@ def test_contract_equals_tensordot_bit_for_bit(rng, sa, sb, axes):
     for x in (a, np.asfortranarray(a)):
         got, want = _contract(x, b, axes), np.tensordot(x, b, axes=axes)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# 1 x 1, a row, a column, tall, wide, square, and a 127 x 6 factor of pe3d_n128
+KERNEL_SHAPES = [(1, 1), (1, 4), (4, 1), (6, 3), (3, 6), (5, 5), (127, 6)]
+
+
+def _layouts(base):
+    """``base`` C-ordered, F-ordered and as a strided view."""
+    return base, np.asfortranarray(base), np.repeat(base, 2, axis=-1)[..., ::2]
+
+
+def _assert_same_bits(got, want):
+    # the same type, shape, memory order and bytes as numpy's result
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        return
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if isinstance(want, np.ndarray):
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize(
+    "mode, kwargs",
+    [("thin", {"full_matrices": False}), ("full", {}), ("values", {"compute_uv": False})],
+)
+def test_svd_equals_numpy_bit_for_bit(rng, shape, mode, kwargs):
+    for a in _layouts(rng.standard_normal(shape)):
+        before = a.copy()
+        _assert_same_bits(_svd(a, mode), np.linalg.svd(a, **kwargs))
+        assert np.array_equal(a, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES + [(2, 3, 4)])
+def test_norms_equal_numpy_bit_for_bit(rng, shape):
+    for a in _layouts(rng.standard_normal(shape)):
+        before = a.copy()
+        _assert_same_bits(_frobenius(a), np.linalg.norm(a))
+        _assert_same_bits(_frobenius(a[0]), np.linalg.norm(a[0]))
+        if a.ndim == 2:
+            _assert_same_bits(_norm2(a), np.linalg.norm(a, 2))
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_square_kernels_equal_numpy_bit_for_bit(rng, n):
+    g = rng.standard_normal((n, n))
+    stack = rng.standard_normal((3, n, n))  # the preconditioner inverts a stack
+    for a, sym, b in zip(_layouts(g), _layouts(g + g.T), _layouts(rng.standard_normal((n, 3)))):
+        before = [x.copy() for x in (a, sym, b)]
+        _assert_same_bits(_eigh(sym), np.linalg.eigh(sym))
+        _assert_same_bits(_eigh(sym, vectors=False), np.linalg.eigvalsh(sym))
+        _assert_same_bits(_inv(a), np.linalg.inv(a))
+        _assert_same_bits(_solve(a, b), np.linalg.solve(a, b))
+        _assert_same_bits(_solve(a, b[:, 0]), np.linalg.solve(a, b[:, 0]))
+        assert all(np.array_equal(x, y) for x, y in zip((a, sym, b), before))
+    for s in _layouts(stack):
+        _assert_same_bits(_inv(s), np.linalg.inv(s))
+
+
+@pytest.mark.parametrize(
+    "source, destination",
+    [(0, 1), (3, 0), (-1, 1), (0, -1), ((3, 4, 2), (1, 3, 4)), ([0, -1], [-1, 0]), ((), ())],
+)
+def test_moveaxis_equals_numpy(rng, source, destination):
+    a = rng.standard_normal((2, 3, 4, 5, 6))
+    got, want = _moveaxis(a, source, destination), np.moveaxis(a, source, destination)
+    assert got.shape == want.shape and got.strides == want.strides  # the same view
+    assert np.shares_memory(got, a) and got.tobytes() == want.tobytes()
+
+
+def test_lapack_failures_are_invalid_argument():
+    # numpy raises LinAlgError for each; the kernels raise the package's type
+    # and leave numpy's error state as it was
+    state = np.geterr()
+    nan, zero = np.full((3, 3), np.nan), np.zeros((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(nan)
+    for mode in ("thin", "full", "values"):
+        with pytest.raises(InvalidArgumentError, match="LAPACK failed"):
+            _svd(nan, mode)
+    with pytest.raises(InvalidArgumentError, match="LAPACK failed"):
+        _norm2(nan)
+    with pytest.raises(InvalidArgumentError, match="LAPACK failed"):
+        _eigh(nan)
+    with pytest.raises(InvalidArgumentError, match="LAPACK failed"):
+        _inv(zero)
+    with pytest.raises(InvalidArgumentError, match="LAPACK failed"):
+        _solve(zero, np.ones(3))
+    assert np.geterr() == state

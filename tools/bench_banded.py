@@ -14,8 +14,8 @@
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
 ``BENCH_setup.json`` the set-up grid, and ``BENCH_report.json`` the dims
 grid (dims 3 to 8) with ``report_ms``, in alternating passes, and
-``BENCH_kernels.json`` the suite grid and the dims grid (dims 3 to 8), in
-alternating passes.
+``BENCH_kernels.json`` and ``BENCH_linalg.json`` each the suite grid and
+the dims grid (dims 3 to 8), in alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
 cells, the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
