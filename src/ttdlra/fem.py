@@ -118,15 +118,14 @@ def build_fem1d(n_cells: int) -> Fem1D:
 
 
 def factor_images(rows, chol, y) -> np.ndarray:
-    """``L^-1 X L^-T y`` for every tridiagonal ``X`` whose rows (as in
-    :class:`Fem1D`) are stacked in ``rows`` (n x nb x 3), on an n x k block
-    ``y``: an nb x n x k array from two bidiagonal solves in all, around one
-    batched tridiagonal product."""
+    """``L^-1 X L^-T y_i`` for each n x k column group ``y_i`` of ``y`` (n x gk) and
+    tridiagonal ``X`` with rows (as in :class:`Fem1D`) in ``rows[:, i]`` (n x g x nb x 3):
+    an n x g x nb x k array from two bidiagonal solves, around one batched product."""
     z = chol_solve(chol, y, "T")
     windows = np.zeros((len(z), 3, z.shape[1]))  # row i: rows i-1, i, i+1 of z
     windows[1:, 0], windows[:, 1], windows[:-1, 2] = z[:-1], z, z[1:]
-    z = chol_solve(chol, (rows @ windows).reshape(len(z), -1), "N")
-    return z.reshape(len(z), rows.shape[1], -1).transpose(1, 0, 2)
+    z = rows @ windows.reshape(len(z), 3, rows.shape[1], -1).transpose(0, 2, 1, 3)
+    return chol_solve(chol, z.reshape(len(z), -1), "N").reshape(z.shape)
 
 
 def chol_matmul(chol, y, trans: str) -> np.ndarray:
@@ -160,8 +159,8 @@ class ModeFactor:
 
     def __matmul__(self, y) -> np.ndarray:
         w = np.asarray(y, dtype=float)
-        out = factor_images(self.rows[:, None], self.fem.mass_chol, w.reshape(len(w), -1))
-        return out[0].reshape(w.shape)
+        out = factor_images(self.rows[:, None, None], self.fem.mass_chol, w.reshape(len(w), -1))
+        return out[:, 0, 0].reshape(w.shape)
 
     @functools.cached_property
     def dense(self) -> np.ndarray:

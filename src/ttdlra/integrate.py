@@ -26,7 +26,8 @@ ranks.
 The Galerkin system is solved matrix-free in the gauge-form tangent
 coordinates of :class:`~ttdlra.tangent.TangentBasis`.
 :func:`tangent_operator` builds the step's core couplings once, so a matvec
-applies the banded factors to the mode blocks and contracts no core.
+applies the banded factors to the mode blocks and contracts no core; it and
+the preconditioner batch their small products over runs of like modes.
 Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned by a
 block-diagonal inverse built from those couplings: the exact core block, and
 per mode the block of every term but the two-mode terms on that mode,
@@ -49,8 +50,10 @@ the source's columns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -145,11 +148,14 @@ def tangent_operator(basis: TangentBasis, op):
 
     where ``R = K_Rc c + K_Rbeta beta`` and ``P_m = I - U_m U_m^T``.  ``G0_m``
     sums the terms off mode m, ``G^X_m`` and ``R^X_m`` those with factor ``X``
-    on it.  A matvec takes two bidiagonal solves per mode, one product with
-    the coupling matrix ``K`` and n x r by r x r products; it forms no
-    core-sized array.  A term on more than two modes is an
-    ``InvalidArgumentError``.  The returned matvec carries ``core_block``,
-    ``K_cc``, and ``off_mode``, the ``G0_m``, for :func:`_preconditioner`."""
+    on it.  A run, a maximal stretch of modes with one mesh (bitwise equal
+    ``mass_chol``), outer rank and count of distinct factors, is one g x r x n
+    array: per run a matvec takes two bidiagonal solves and one product each
+    for the images, the betas, the sum and ``P_m``, keeping each mode's memory
+    layout and so its bits, and in all one product with the coupling matrix
+    ``K``; it forms no core-sized array.  A term on more than two modes is an
+    ``InvalidArgumentError``.  The matvec carries ``core_block``, ``K_cc``,
+    and ``runs`` (``coords`` within the mode blocks), for :func:`_preconditioner`."""
     p, core = basis.point, basis.core
     d, ranks = p.ndim, core.shape
     distinct = [{} for _ in range(d)]  # per mode: id -> factor, in slot order
@@ -160,16 +166,28 @@ def tangent_operator(basis: TangentBasis, op):
         for m, f in term.factors:
             distinct[m].setdefault(id(f), f)
         terms.append((term.coeff, [(m, list(distinct[m]).index(id(f))) for m, f in term.factors]))
-    banded, xu, a = [], [], []  # per mode: (rows, L) of the distinct factors, X U, U^T X U
-    for u, fs in zip(p.factors, distinct):
-        fs = list(fs.values())
-        stacked = np.stack([f.rows for f in fs], axis=1) if fs else None
-        banded.append((stacked, fs[0].fem.mass_chol) if fs else None)
-        xu.append(factor_images(*banded[-1], u) if fs else np.zeros((0,) + u.shape))
-        a.append(u.T @ xu[-1])
+    distinct = [list(fs.values()) for fs in distinct]
     q = basis.core_basis.shape[1]
     starts = np.cumsum([q] + [len(fs) * r * r for fs, r in zip(distinct, ranks)])
     kmat = np.zeros((starts[-1], starts[-1]))  # rows (c_out, R), columns (c, beta)
+    keys = [(u.shape, len(fs), fs[0].fem.mass_chol.tobytes() if fs else None)
+            for u, fs in zip(p.factors, distinct)]
+    ends = np.cumsum([0] + basis.block_sizes[1:])  # of the mode blocks, after the core block
+    runs, a = [], []  # a: per mode the U^T X U of its distinct factors
+    for _, group in itertools.groupby(range(d), keys.__getitem__):
+        ms = list(group)
+        u, fs = np.stack([p.factors[m] for m in ms]), [distinct[m] for m in ms]
+        (g, n, r), nb = u.shape, len(fs[0])
+        run = SimpleNamespace(modes=ms, u=u, ut=u.transpose(0, 2, 1), nb=nb, xu=np.zeros((n, g, 0, r)))
+        run.coords = slice(ends[ms[0]], ends[ms[-1] + 1])
+        run.kspan = slice(starts[ms[0]], starts[ms[-1] + 1])  # the rows of its R, columns of its beta
+        if nb:  # the images X U, n x g x nb x r
+            run.rows = np.array([[f.rows for f in fm] for fm in fs]).transpose(2, 0, 1, 3).copy()
+            run.chol = fs[0][0].fem.mass_chol
+            run.xu = factor_images(run.rows, run.chol, u.transpose(1, 0, 2).reshape(n, -1))
+        a.extend(run.ut[:, None] @ run.xu.transpose(1, 2, 0, 3))
+        run.xu = run.xu.transpose(1, 0, 2, 3).reshape(g, n, -1)
+        runs.append(run)
 
     def span(m, j):  # the rows of R^j_m and the columns of beta^j_m
         return slice(starts[m] + j * ranks[m] ** 2, starts[m] + (j + 1) * ranks[m] ** 2)
@@ -223,32 +241,35 @@ def tangent_operator(basis: TangentBasis, op):
         kmat[rows, :q] = outs.transpose(3, 0, 2, 1).reshape(-1, q)
         ins = contract(cbt, _moveaxis(into[m], 0, -1), [m])  # (x, core basis, y, slot)
         kmat[:q, rows] = ins.transpose(1, 3, 0, 2).reshape(q, -1)
-    xu = [w.transpose(1, 0, 2).reshape(w.shape[1], w.shape[0] * w.shape[2]) for w in xu]
+    for run in runs:
+        run.gs = np.stack([gs[m] for m in run.modes])
 
     def matvec(x):
-        blocks = basis._blocks(x)
-        images = []  # per mode: theta_m and its banded images
-        for b, u, bm in zip(blocks[1:], p.factors, banded):
-            t = b.reshape(u.shape, order="F")
-            images.append(np.concatenate([t[None], factor_images(*bm, t)]) if bm else t[None])
-        betas = [(u.T @ w[1:]).ravel() for u, w in zip(p.factors, images)]
-        y = kmat @ np.concatenate([blocks[0]] + betas)
+        images, betas = [], []  # per run: n x g x (1 + nb) x r, theta_m and its banded images
+        for run in runs:
+            g, n, r = run.u.shape
+            w = x[q:][run.coords].reshape(g, r, n).transpose(2, 0, 1)[:, :, None]
+            if run.nb:
+                w = np.concatenate([w, factor_images(run.rows, run.chol, w.reshape(n, -1))], 2)
+            images.append(w)
+            betas.append((run.ut[:, None] @ w[:, :, 1:].transpose(1, 2, 0, 3)).ravel())
+        y = kmat @ np.concatenate([x[:q]] + betas)
         res = [y[:q]]
-        for m, (u, w, g, xum) in enumerate(zip(p.factors, images, gs, xu)):
-            r = y[starts[m] : starts[m + 1]].reshape(-1, u.shape[1])
-            z = w.transpose(1, 0, 2).reshape(len(u), -1) @ g + xum @ r
-            res.append((z - u @ (u.T @ z)).ravel(order="F"))
+        for run, w in zip(runs, images):
+            z = w.reshape(w.shape[0], w.shape[1], -1).transpose(1, 0, 2) @ run.gs
+            z += run.xu @ y[run.kspan].reshape(z.shape[0], -1, z.shape[2])
+            res.append((z - run.u @ (run.ut @ z)).transpose(0, 2, 1).ravel())
         return np.concatenate(res)
 
     matvec.core_block = kmat[:q, :q]
-    matvec.off_mode = [g[:r] for g, r in zip(gs, ranks)]
+    matvec.runs = runs
     return matvec
 
 
 def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     """Block-diagonal inverse of ``I/tau + V^T A V`` without the two-mode
     terms on each mode block (Kressner, Steinlechner and Vandereycken, SISC
-    2016).  It reads ``core_block`` and ``off_mode`` of ``matvec``, the step's
+    2016).  It reads ``core_block`` and ``runs`` of ``matvec``, the step's
     :func:`tangent_operator`, so it contracts no core.
 
     The core block is ``(I/tau + K_cc)^-1``, formed as a q x q matrix.
@@ -261,30 +282,32 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     complement form ``S_j^-1 - S_j^-1 U (U^T S_j^-1 U)^-1 U^T S_j^-1``.  As
     ``S_j^-1 = L^T ((1/tau + lam_j) M + sum_t c_t X_t)^-1 L``, the tridiagonal
     systems of all modes and columns stack into one tridiagonal matrix: one
-    ``dpttrf`` per build, one ``dpttrs`` per apply."""
+    ``dpttrf`` per build, one ``dpttrs`` per apply; the rest is batched per run."""
     core = _inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
     fems = {m: f.fem for term in op.terms for m, f in term.factors}
-    one_mode = dict.fromkeys(range(basis.point.ndim), 0.0)  # mode -> rows of A_m
+    one_mode = {m: np.zeros_like(fem.mass) for m, fem in fems.items()}  # mode -> rows of A_m
     for term in op.terms:
         if len(term.factors) == 1:
             ((m, f),) = term.factors
-            one_mode[m] = one_mode[m] + term.coeff * f.rows
-    factors = basis.point.factors
-    q = basis.block_sizes[0]
-    spans = [slice(s.start - q, s.stop - q) for s in basis._slices[1:]]  # rows of mode m
-    diags, offs, chols, rots = [], [], [], []  # per mode: the tridiagonals and L of its columns, W
-    for m, (u, g0) in enumerate(zip(factors, matvec.off_mode)):
-        if m not in fems:
-            raise InvalidArgumentError(f"no operator term acts on mode {m}")
-        (n, r), fem = u.shape, fems[m]
-        lam, w = _eigh(g0)
-        rows = (1.0 / tau + lam)[:, None, None] * fem.mass + one_mode[m]
-        rows[:, -1, 2] = 0.0  # no coupling from one column to the next
+            one_mode[m] += term.coeff * f.rows
+    q, runs = len(core), matvec.runs
+    diags, offs, chols, rots = [], [], [], []  # per run: the tridiagonals and L of its columns, W
+    # column-major, so the broadcasts of chol_matmul run down the long columns
+    su = np.zeros((runs[-1].coords.stop, max(run.u.shape[2] for run in runs)), order="F")
+    for run in runs:
+        (g, n, r), ms = run.u.shape, run.modes
+        if not fems.keys() >= set(ms):
+            raise InvalidArgumentError(f"no operator term acts on mode {min(set(ms) - fems.keys())}")
+        lam, w = _eigh(run.gs[:, :r])
+        rows = (1.0 / tau + lam)[..., None, None] * np.stack([fems[m].mass for m in ms])[:, None]
+        rows += np.stack([one_mode[m] for m in ms])[:, None]
+        rows[..., -1, 2] = 0.0  # no coupling from one column to the next
         diags.append(rows[..., 1].ravel())
         offs.append(rows[..., 2].ravel())
-        chols.append(np.tile(fem.mass_chol, r))
+        chols.append(np.tile(fems[ms[0]].mass_chol, g * r))
         chols[-1][1, n - 1 :: n] = 0.0
         rots.append(w)
+        su[run.coords, :r] = np.repeat(run.u, r, axis=0).reshape(-1, r)  # U in every column
     diag, off, info = _lapack().dpttrf(np.concatenate(diags), np.concatenate(offs)[:-1])
     if info != 0:
         raise InvalidArgumentError("the preconditioner's shifted operator is not positive definite")
@@ -294,27 +317,24 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
         z, _ = _lapack().dpttrs(diag, off, chol_matmul(chol, g, "N"))
         return chol_matmul(chol, z, "T")
 
-    # column-major, so the broadcasts of chol_matmul run down the long columns
-    su = np.zeros((spans[-1].stop, max(u.shape[1] for u in factors)), order="F")
-    for u, span in zip(factors, spans):  # U in every column of every mode
-        su[span, : u.shape[1]] = np.tile(u, (u.shape[1], 1))
     su = s_inv(su)
-    corrs = []  # per mode and column j: S_j^-1 U (U^T S_j^-1 U)^-1
-    for u, span in zip(factors, spans):
-        n, r = u.shape
-        s = su[span, :r].reshape(r, n, r)
-        corrs.append(s @ _inv(u.T @ s))
+    corrs = []  # per run, mode and column j: S_j^-1 U (U^T S_j^-1 U)^-1
+    for run in runs:
+        g, n, r = run.u.shape
+        s = su[run.coords, :r].reshape(g, r, n, r)
+        corrs.append(s @ _inv(run.ut[:, None] @ s))
 
     def apply(x):
-        blocks = basis._blocks(x)
-        rotated = [(b.reshape(u.shape, order="F") @ w).ravel(order="F")
-                   for b, u, w in zip(blocks[1:], factors, rots)]
+        rotated = []  # theta_m W of each mode, column-major
+        for run, w in zip(runs, rots):
+            t = x[q:][run.coords].reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+            rotated.append((t @ w).transpose(0, 2, 1).ravel())
         z = s_inv(np.concatenate(rotated)[:, None])[:, 0]
-        out = [core @ blocks[0]]
-        for u, w, corr, span in zip(factors, rots, corrs, spans):
-            y = z[span].reshape(u.shape, order="F")
-            y = y - (corr @ (u.T @ y).T[:, :, None])[:, :, 0].T
-            out.append((y @ w.T).ravel(order="F"))
+        out = [core @ x[:q]]
+        for run, w, corr in zip(runs, rots, corrs):
+            y = z[run.coords].reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+            y = y - (corr @ (run.ut @ y).transpose(0, 2, 1)[..., None])[..., 0].transpose(0, 2, 1)
+            out.append((y @ w.transpose(0, 2, 1)).transpose(0, 2, 1).ravel())
         return np.concatenate(out)
 
     return apply
@@ -662,9 +682,9 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     The boundedness flags are qualitative: the theory's constants are not
     computable here, so only gross growth is flagged.
     """
-    if not tr.states:
-        raise InvalidArgumentError("empty trajectory")
     tau = tr.step_size
+    if not tr.states or not 0 < tau < math.inf:
+        raise InvalidArgumentError(f"need states and a finite step size > 0, got {tau}")
     states = tr.states
     l2_terminal = states[-1].energy_l2
     # each quadrature is taken again at scale only where its plain sum is not finite

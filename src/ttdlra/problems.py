@@ -227,7 +227,7 @@ def problem_from_config(config: dict) -> tuple:
 
 def heat_problem(
     d: int,
-    n_cells: int,
+    n_cells,
     tt_ranks,
     b0=None,
     b1=None,
@@ -236,9 +236,12 @@ def heat_problem(
     outer_ranks=None,
     t_end=0.1,
 ) -> ParabolicProblem:
-    """Programmatic construction used by tests and demonstration scripts; the
-    profiles of ``initial_terms`` and ``sources`` are called on point arrays."""
-    disc = mass_orthonormalize([build_fem1d(n_cells) for _ in range(d)])
+    """Programmatic construction used by tests and demos, ``n_cells`` for all modes or per mode;
+    the profiles of ``initial_terms`` and ``sources`` are called on point arrays."""
+    cells = [n_cells] * d if np.ndim(n_cells) == 0 else list(n_cells)
+    if len(cells) != d:
+        raise InvalidArgumentError(f"{len(cells)} cell counts for {d} modes")
+    disc = mass_orthonormalize([build_fem1d(c) for c in cells])
     b0 = np.eye(d) if b0 is None else np.asarray(b0, dtype=float)
     b1 = np.zeros((d, d)) if b1 is None else np.asarray(b1, dtype=float)
     diffusion = DiffusionCoefficient(b0, b1, horizon=max(t_end, 1e-12))

@@ -246,16 +246,11 @@ class TangentBasis:
         self.qright = [s.right_vectors for s in p.mode_svds]  # Q, of C_(m) = P diag(sigma) Q^T
         self.block_sizes = [self.core_basis.shape[1]] + [u.size for u in p.factors]
         self.dim = self.block_sizes[0] + sum((n - r) * r for n, r in zip(p.dims, p.outer_ranks))
-        ends = np.cumsum(self.block_sizes).tolist()
-        self._slices = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-
-    def _blocks(self, coords):
-        return [coords[s] for s in self._slices]
 
     def gauge_blocks(self, coords) -> tuple:
         """The core block and the mode blocks ``theta_m`` (n x r), projected by
         ``I - U U^T`` onto the gauge space (gauge vectors stay as they are)."""
-        blocks = self._blocks(np.asarray(coords, dtype=float))
+        blocks = np.split(np.asarray(coords, dtype=float), np.cumsum(self.block_sizes)[:-1])
         thetas = [b.reshape(u.shape, order="F") for b, u in zip(blocks[1:], self.point.factors)]
         return blocks[0], [t - u @ (u.T @ t) for t, u in zip(thetas, self.point.factors)]
 

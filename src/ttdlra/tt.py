@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _contract, _frobenius, _norm, _qr, _svd
+from .dense import _contract, _exponent, _frobenius, _norm, _qr, _svd
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -168,8 +168,7 @@ def tt_from_dense(x: np.ndarray, ranks=None, return_error=False):
     if ranks is not None:
         ranks = _checked_caps(dims, ranks)
     carry = x.reshape((1,) + dims)
-    cores = []
-    discarded_sq = 0.0
+    cores, discarded = [], []
     for m in range(d - 1):
         kl = carry.shape[0]
         mat = carry.reshape(kl * dims[m], -1)
@@ -179,14 +178,21 @@ def tt_from_dense(x: np.ndarray, ranks=None, return_error=False):
         k = max(1, int(np.count_nonzero(s > tol)))
         if ranks is not None:
             k = min(k, ranks[m])
-        discarded_sq += float(np.sum(s[k:] ** 2))
+        discarded.append(s[k:])
         cores.append(u[:, :k].reshape(kl, dims[m], k))
         carry = (s[:k, None] * vh[:k]).reshape((k,) + dims[m + 1 :])
     cores.append(carry.reshape(carry.shape[0], dims[-1], 1))
     t = TTTensor(tuple(cores), ortho_center=d - 1)
-    if return_error:
-        return t, float(np.sqrt(discarded_sq))
-    return t
+    return (t, _discarded_norm(discarded)) if return_error else t
+
+
+def _discarded_norm(pieces) -> float:
+    """``sqrt(sum_m sum(pieces[m] ** 2))`` at scale (as ``dense._norm``), with the plain bits."""
+    e = max((_exponent(p) for p in pieces), default=0)
+    total = 0.0
+    for p in pieces:
+        total += float(np.sum(np.ldexp(p, -e) ** 2))
+    return float(np.ldexp(np.sqrt(total), e))
 
 
 def tt_to_dense(t: TTTensor) -> np.ndarray:
@@ -301,22 +307,19 @@ def tt_round(t: TTTensor, ranks=None, return_error=False):
         if len(ranks) != d - 1 or any(k < 1 for k in ranks):
             raise InvalidArgumentError("invalid interface size caps")
     work = orthogonalize(t, d - 1)
-    cores = [c.copy() for c in work.cores]
-    discarded_sq = 0.0
+    cores, discarded = [c.copy() for c in work.cores], []
     for m in range(d - 1, 0, -1):
         mat = _right_unfold(cores[m])
         u, s, vh = _svd(mat)
         k = s.size
         if ranks is not None:
             k = min(k, ranks[m - 1])
-        discarded_sq += float(np.sum(s[k:] ** 2))
+        discarded.append(s[k:])
         cores[m] = vh[:k].reshape(k, cores[m].shape[1], cores[m].shape[2])
         carry = u[:, :k] * s[:k]
         cores[m - 1] = _contract(cores[m - 1], carry, (2, 0))
     out = TTTensor(tuple(cores), ortho_center=0)
-    if return_error:
-        return out, float(np.sqrt(discarded_sq))
-    return out
+    return (out, _discarded_norm(discarded)) if return_error else out
 
 
 def tt_add(a: TTTensor, b: TTTensor) -> TTTensor:

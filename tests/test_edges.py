@@ -3,6 +3,7 @@ one of the types in ``ttdlra.errors``, never numpy's ``LinAlgError``, a bare
 ``RuntimeError`` or an ``OverflowError``.  The rows name the outcome each
 entry point documents; ``None`` means a result."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from ttdlra import cli, errors
 from ttdlra.dense import AMBIENT_LIMIT, DenseTensor
 from ttdlra.errors import ConfigError, InvalidArgumentError, OversizeError
 from ttdlra.fem import DiffusionCoefficient
+from ttdlra.integrate import energy_report, solve
 from ttdlra.manifold import make_point, point_to_dense
 from ttdlra.problems import heat_problem, problem_from_config
 from ttdlra.retraction import retract, retract_train, retract_tucker
@@ -112,6 +114,12 @@ def _config(field):
     return build
 
 
+def _energy_report(step_size):
+    problem = heat_problem(2, 8, (2,), t_end=0.02)
+    trajectory = solve(problem, "projected_euler", 0.01, 0.02)
+    return energy_report(dataclasses.replace(trajectory, step_size=step_size), problem)
+
+
 def _each(outcome):
     return dict.fromkeys(EDGES, outcome)
 
@@ -134,6 +142,7 @@ NON_FINITE = {
     "DiffusionCoefficient b1": (_diffusion("b1"), _each(InvalidArgumentError)),
     "DiffusionCoefficient horizon": (_diffusion("horizon"), _each(InvalidArgumentError)),
     "problem_from_config b0": (_config("b0"), _each(errors.ConfigError)),
+    "energy_report step_size": (_energy_report, _each(InvalidArgumentError)),
     # the horizon is max(t_end, 1e-12); a run refuses t_end <= 0 before its first step
     "problem_from_config t_end": (
         _config("t_end"),
@@ -155,6 +164,18 @@ def _outcome(call, value):
 def test_non_finite_input_gives_a_result_or_a_documented_error(entry, edge):
     call, outcomes = NON_FINITE[entry]
     assert _outcome(call, EDGES[edge]) is outcomes[edge]
+
+
+@pytest.mark.parametrize("step_size", [0.0, -0.0, -0.01])
+def test_energy_report_refuses_a_step_size_that_is_not_positive(step_size):
+    # a zero step size divided by zero in the report's quadratures
+    assert _outcome(_energy_report, step_size) is InvalidArgumentError
+    assert _outcome(_energy_report, 0.01) is None
+
+
+def test_heat_problem_refuses_a_cell_list_of_the_wrong_length():
+    with pytest.raises(InvalidArgumentError, match="2 cell counts for 3 modes"):
+        heat_problem(3, [5, 6], (2, 2))
 
 
 def test_dense_tensor_is_refused_above_the_ambient_limit():

@@ -32,10 +32,12 @@ from ttdlra.sampling import random_point
 from ttdlra.tangent import TangentBasis
 
 
-def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, sources=0):
+def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, sources=0, b0=None):
     # ``sources`` separable source terms with distinct time weights and
-    # profiles; the first is (1 + t) sin(pi x) on every mode
-    b0 = np.eye(d) + 0.25 * (np.ones((d, d)) - np.eye(d))
+    # profiles; the first is (1 + t) sin(pi x) on every mode; ``n`` is one
+    # cell count or one per mode
+    if b0 is None:
+        b0 = np.eye(d) + 0.25 * (np.ones((d, d)) - np.eye(d))
     b1 = 0.1 * np.eye(d)
     from ttdlra.fem import SourceTerm
 
@@ -70,7 +72,10 @@ def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, source
 # (d, cells, outer ranks, train ranks or None for a plain Tucker core); with
 # 5 cells the modes have 4 entries, so rank 4 leaves an empty Qperp block and
 # rank 3 has 2r > n; the d = 4 cases take the operator's couplings beyond
-# three modes
+# three modes.  The matvec batches runs of modes with one mesh, outer rank
+# and count of distinct factors: the last three cases are one run of three
+# modes, three runs broken at the mesh, and runs [0] and [1, 2] broken at
+# the factor count, as no two-mode term reaches mode 0 (``ORACLE_B0``)
 ORACLE_CASES = [
     (3, 6, (2, 3, 2), (2, 2)),
     (2, 8, (2, 2), (2,)),
@@ -80,7 +85,19 @@ ORACLE_CASES = [
     (2, 5, (3, 3), None),
     (4, 5, (2, 3, 3, 2), (2, 2, 2)),
     (4, 5, (2, 4, 2, 3), None),
+    (3, 6, (2, 2, 2), (2, 2)),
+    (3, (5, 6, 5), (2, 2, 2), (2, 2)),
+    (3, 7, (2, 2, 2), (2, 2)),
 ]
+
+# b0 of the cases that do not use anisotropic_problem's
+ORACLE_B0 = {(3, 7, (2, 2, 2), (2, 2)): [[1.0, 0.0, 0.0], [0.0, 1.0, 0.25], [0.0, 0.25, 1.0]]}
+
+
+def oracle_problem(d, cells, outer, tt_ranks, sources=0):
+    """The ``anisotropic_problem`` of an ``ORACLE_CASES`` entry."""
+    b0 = ORACLE_B0.get((d, cells, outer, tt_ranks))
+    return anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=sources, b0=b0)
 
 
 # CG iterations to CG_RTOL at tau = 1e-3, 1e-2 and 10 per ORACLE_CASES entry
@@ -97,6 +114,9 @@ CG_ITERATIONS = dict(
             (9, 13, 13),
             (9, 12, 13),
             (9, 12, 14),
+            (10, 14, 15),
+            (9, 13, 16),
+            (11, 14, 15),
         ],
     )
 )
@@ -156,12 +176,12 @@ def test_reduced_system_matches_dense_basis_oracle(rng):
 
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_matvec_and_source_match_dense_basis_oracle(rng, d, cells, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    problem = oracle_problem(d, cells, outer, tt_ranks)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     assert_oracle_system(basis, problem.operator(0.05))
     for n_terms in (1, 3):
-        problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=n_terms)
+        problem = oracle_problem(d, cells, outer, tt_ranks, sources=n_terms)
         f = problem.source_factors(0.05)
         oracle = gauge_frame(basis) @ (basis.ambient_matrix().T @ source_dense(f).data)
         np.testing.assert_allclose(_source_coords(basis, f), oracle, atol=1e-12)
@@ -189,7 +209,7 @@ def test_two_mode_reduced_system_oracle(rng):
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
     # one source term and three: the operator is the same, the right-hand side not
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    problem = oracle_problem(d, cells, outer, tt_ranks)
     op = problem.operator(0.05)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
@@ -197,7 +217,7 @@ def test_cg_matches_dense_solve(rng, d, cells, outer, tt_ranks):
     matvec = tangent_operator(basis, op)
     frame = gauge_frame(basis)
     for n_terms in (1, 3):
-        problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=n_terms)
+        problem = oracle_problem(d, cells, outer, tt_ranks, sources=n_terms)
         b = _source_coords(basis, problem.source_factors(0.05)) - au
         for tau, pinned in zip(CG_TAUS, CG_ITERATIONS[d, cells, outer, tt_ranks]):
             precond = _preconditioner(basis, op, tau, matvec)
@@ -264,7 +284,7 @@ def test_matvec_with_repeated_and_equal_term_matrices(rng):
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_matvec_matches_term_by_term_projection(rng, d, cells, outer, tt_ranks):
     # at a random gauge vector and at the point's own coordinates
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    problem = oracle_problem(d, cells, outer, tt_ranks)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
     op = problem.operator(0.05)
@@ -309,8 +329,27 @@ def test_matvec_builds_no_dense_tensor(rng, monkeypatch, outer, tt_ranks):
 
 
 @pytest.mark.parametrize(
+    "case, runs", zip(ORACLE_CASES[-3:], ([[0, 1, 2]], [[0], [1], [2]], [[0], [1, 2]]))
+)
+def test_matvec_takes_two_banded_solves_per_run(rng, monkeypatch, case, runs):
+    # one run of three equal modes, three runs broken at the mesh, and two
+    # broken at the factor count: two dtbtrs calls per run, not per mode
+    d, cells, outer, tt_ranks = case
+    problem = oracle_problem(*case)
+    basis = TangentBasis(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks))
+    matvec = tangent_operator(basis, problem.operator(0.05))
+    assert [run.modes for run in matvec.runs] == runs
+    x = gauge_frame(basis) @ rng.standard_normal(basis.dim)
+    calls, dtbtrs = [], scipy.linalg.lapack.dtbtrs
+    counted = lambda *args, **kwargs: calls.append(args) or dtbtrs(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", counted)
+    matvec(x)
+    assert len(calls) == 2 * len(runs)
+
+
+@pytest.mark.parametrize(
     "d, cells, outer, tt_ranks",
-    [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)],
+    [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)] + ORACLE_CASES[-3:],
 )
 def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
     # in the orthonormal coordinates of ambient_matrix: on the core block the
@@ -318,7 +357,7 @@ def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks
     # the inverse of the dense Galerkin block of I/tau plus the terms that do
     # not couple m with another mode; gauge_frame maps both to gauge
     # coordinates, and a rank-4 mode of a 5-cell grid has an empty block
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1))
+    problem = oracle_problem(d, cells, outer, tt_ranks)
     op = problem.operator(0.05)
     p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
     basis = TangentBasis(p)
@@ -763,7 +802,7 @@ def assert_step_distance(old, new):
 
 @pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
 def test_projected_step_distance_matches_tucker_distance(rng, d, cells, outer, tt_ranks):
-    problem = anisotropic_problem(d=d, n=cells, tt_ranks=(2,) * (d - 1), sources=1)
+    problem = oracle_problem(d, cells, outer, tt_ranks, sources=1)
     state = state_from_point(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks), 0.0, problem.disc)
     assert np.isnan(state.step_distance)
     assert_step_distance(state, step_projected_implicit_euler(state, 1e-2, problem))

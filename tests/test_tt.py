@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ttdlra.dense import DenseTensor, matricize, svd
-from ttdlra.errors import DegeneratePointError, InvalidArgumentError
+from ttdlra.errors import DegeneratePointError, InvalidArgumentError, NotOnManifoldError
+from ttdlra.retraction import retract
 from ttdlra.tt import (
     TTTensor,
     boundary_gap,
@@ -219,6 +222,30 @@ def test_tt_round_reports_error(rng):
     same, err0 = tt_round(t, ranks=(3, 3), return_error=True)
     assert err0 <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(x - tt_to_dense(same)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_discarded_error_is_taken_at_scale():
+    # the singular values a sweep discards are squared at scale: at x1e300
+    # their plain squares overflowed with numpy's RuntimeWarning, at x1e-300
+    # they underflowed to an error of 0; the errors scale with the input, and
+    # the retraction of the huge tensor ends as that of the unit one
+    x = np.random.default_rng(0).standard_normal((4, 4, 4))
+    errors, outcomes = {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e-300, 1e300):
+            t, e_dense = tt_from_dense(scale * x, ranks=(2, 2), return_error=True)
+            _, e_round = tt_round(tt_from_dense(scale * x), ranks=(2, 1), return_error=True)
+            errors[scale] = np.array([e_dense, e_round])
+            try:
+                outcomes[scale] = retract(DenseTensor.from_array(scale * x), (3, 3, 3), (2, 2))
+            except NotOnManifoldError as exc:
+                outcomes[scale] = type(exc)
+    residual = np.linalg.norm(tt_to_dense(tt_from_dense(x, ranks=(2, 2))) - x)
+    np.testing.assert_allclose(errors[1.0][0], residual, rtol=1e-12)
+    for scale in (1e-300, 1e300):
+        np.testing.assert_allclose(errors[scale], scale * errors[1.0], rtol=1e-13)
+        assert outcomes[scale] == outcomes[1.0] == NotOnManifoldError
 
 
 def test_tt_add_and_scale(rng):

@@ -9,20 +9,25 @@
     python3 tools/bench_banded.py --grid setup --dims 3 4 5 6 7 8 9 --label before \
         --src <parent checkout>/src --out BENCH_setup.json
     python3 tools/bench_banded.py --grid suite --label after --src src --out BENCH_kernels.json
+    python3 tools/bench_banded.py --cells 128 --label after --src src --out BENCH_modestack.json
 
 ``BENCH_precond.json`` holds both default grids, recorded the same way,
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
 ``BENCH_setup.json`` the set-up grid, and ``BENCH_report.json`` the dims
 grid (dims 3 to 8) with ``report_ms``, in alternating passes, and
 ``BENCH_kernels.json`` and ``BENCH_linalg.json`` each the suite grid and
-the dims grid (dims 3 to 8), in alternating passes.
-``--grid cells`` (the default) times, for d = 3 at 128, 256, 512 and 1024
-cells, the set-up (``problem_from_config``), one projected implicit Euler step
+the dims grid (dims 3 to 8), in alternating passes.  ``BENCH_modestack.json``
+holds the cells grid at 128 cells and the dims grid at dims 3, 5 and 8, in
+alternating passes.
+``--grid cells`` (the default) times, for d = 3 at each of ``--cells``
+(default 128, 256, 512 and 1024), the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
 by wrapping it, so a parent tree is timed the same way), the Galerkin
 operator's set-up (``tangent_operator``) and the preconditioner build of that
 step, ``_preconditioner(basis, op, tau, tangent_operator(basis, op))``, which
 includes the operator's set-up, since the preconditioner reads its couplings.
+Both step grids also time ``cg_ms``, one ``_pcg`` of the first step's
+Galerkin system, and ``precond_apply_ms``, one apply of its preconditioner.
 ``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
 one step and its retraction, the tangent basis of the initial point
 (``TangentBasis``), one matvec of the Galerkin operator, the operator's
@@ -139,6 +144,27 @@ def _time_steps(problem):
     }
 
 
+def _galerkin(problem, basis):
+    """The first step's operator, its matvec, the point's coordinates
+    ``(C, 0, ..., 0)`` and the times of one CG solve of the step's system and
+    one preconditioner apply."""
+    import numpy as np
+
+    from ttdlra.integrate import _pcg, _preconditioner, _source_coords, tangent_operator
+
+    op = problem.operator(TAU)
+    matvec = tangent_operator(basis, op)
+    u_coords = np.zeros(sum(basis.block_sizes))
+    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
+    b = _source_coords(basis, problem.source_factors(TAU)) - matvec(u_coords)
+    precond = _preconditioner(basis, op, TAU, matvec)
+    times = {
+        "cg_ms": round(_median_ms(lambda: _pcg(lambda x: x / TAU + matvec(x), precond, b)), 3),
+        "precond_apply_ms": round(_median_ms(lambda: precond(b)), 3),
+    }
+    return op, matvec, u_coords, times
+
+
 def measure_cells(cells):
     from ttdlra.integrate import _preconditioner, tangent_operator
     from ttdlra.problems import problem_from_config
@@ -149,7 +175,7 @@ def measure_cells(cells):
     setup_ms = _median_ms(lambda: problem_from_config(cfg))
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
-    op = problem.operator(TAU)
+    op, _, _, solve_times = _galerkin(problem, basis)
     operator_ms = _median_ms(lambda: tangent_operator(basis, op))
     precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU, tangent_operator(basis, op)))
     return _row(D, cells, problem, basis) | {
@@ -157,12 +183,11 @@ def measure_cells(cells):
         **steps,
         "operator_setup_ms": round(operator_ms, 3),
         "preconditioner_build_ms": round(precond_ms, 3),
+        **solve_times,
     }
 
 
 def measure_dims(d):
-    import numpy as np
-
     from ttdlra.integrate import energy_report, solve, tangent_operator
     from ttdlra.problems import problem_from_config
     from ttdlra.tangent import TangentBasis
@@ -174,11 +199,8 @@ def measure_dims(d):
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
     basis_ms = _median_ms(lambda: TangentBasis(problem.u0))
-    op = problem.operator(TAU)
+    op, matvec, u_coords, solve_times = _galerkin(problem, basis)
     setup_ms = _median_ms(lambda: tangent_operator(basis, op))
-    matvec = tangent_operator(basis, op)
-    u_coords = np.zeros(sum(basis.block_sizes))
-    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
     x = matvec(u_coords)  # a gauge vector, as CG applies the operator to
     matvec_ms = _median_ms(lambda: matvec(x))
     return _row(d, DIMS_CELLS, problem, basis) | {
@@ -187,6 +209,7 @@ def measure_dims(d):
         "matvec_ms": round(matvec_ms, 3),
         "operator_setup_ms": round(setup_ms, 3),
         "report_ms": round(report_ms, 3),
+        **solve_times,
     }
 
 
@@ -280,6 +303,7 @@ def main(argv=None):
         help="what to scan",
     )
     parser.add_argument("--dims", type=int, nargs="+", default=DIMS, help="d of the dims grid")
+    parser.add_argument("--cells", type=int, nargs="+", default=CELLS, help="of the cells grid")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy
@@ -298,7 +322,7 @@ def main(argv=None):
         "machine": platform.machine(),
     }
     sizes, measure = {
-        "cells": (CELLS, measure_cells),
+        "cells": (args.cells, measure_cells),
         "dims": (args.dims, measure_dims),
         "setup": ([(D, SETUP_CELLS)] + [(d, DIMS_CELLS) for d in args.dims], measure_setup),
         "suite": ([SUITE_CONFIG], measure_suite),
