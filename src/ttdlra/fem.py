@@ -31,7 +31,12 @@ every consumer reads those columns; no source tensor or train is assembled.
 from __future__ import annotations
 
 import functools
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -62,14 +67,27 @@ __all__ = [
     "MixedDerivativeReport",
 ]
 
+_LAPACK_LOCK = threading.Lock()
+
 
 @functools.cache
 def _lapack():
-    """``scipy.linalg.lapack``, imported on first use: it costs tens of MiB,
-    which code that factors no banded matrix (the curvature suite) skips."""
-    import scipy.linalg
+    """scipy's compiled LAPACK wrapper ``scipy.linalg._flapack``, whose ``dpbtrf``, ``dtbtrs``,
+    ``dpttrf`` and ``dpttrs`` ``scipy.linalg.lapack`` exports.  Loaded on first use, under a
+    lock, without ``import scipy.linalg`` (about 300 modules and 20 MiB) and kept in
+    ``sys.modules`` under its name, which a later ``import scipy.linalg`` reuses; the
+    curvature suite, which factors no banded matrix, loads nothing."""
+    name = "scipy.linalg._flapack"
+    with _LAPACK_LOCK:
+        if name not in sys.modules:
+            import scipy  # its __init__ sets up the BLAS and LAPACK the wrapper links
 
-    return scipy.linalg.lapack
+            loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+            spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"), loaders).find_spec(name)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        return sys.modules[name]
 
 
 @dataclass(frozen=True)

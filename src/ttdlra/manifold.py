@@ -155,15 +155,16 @@ def make_point(core, factors) -> ManifoldPoint:
             core = _multiply_modes(core, list(enumerate(rs)))
     if not train:  # the point's own column-major copy
         core = np.array(core, dtype=float, order="F")
-    return ManifoldPoint(core, factors, *_measured(core))
+    return ManifoldPoint(core, factors, *_measured(core)[0])
 
 
 def _measured(core) -> tuple:
     """The core's :func:`point_boundary_gap`, norm, expansion and the SVD of
-    each mode unfolding, measured once; raises ``NotOnManifoldError`` for a core
-    off the manifold.  The end interfaces 0 and d-2 of a train are its mode-0
-    and mode-(d-1) unfoldings, so of its interface spectra only the interior
-    ones, 1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
+    each mode unfolding, measured once, and apart from them a train's smallest
+    interface singular value; raises ``NotOnManifoldError`` for a core off the
+    manifold.  The end interfaces 0 and d-2 of a train are its mode-0 and
+    mode-(d-1) unfoldings, so of its interface spectra only the interior ones,
+    1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     norm = _norm(cdense)  # at any scale: a tiny core is measured against its own norm
     # a mode unfolding with fewer columns than rows cannot have full row rank
@@ -183,7 +184,7 @@ def _measured(core) -> tuple:
             f"{GAP_REJECT_REL * scale:.3e}",
             gap=gap,
         )
-    return gap, norm, cdense, svds
+    return (gap, norm, cdense, svds), min(vals[:1] + vals[len(svds) - 1 :])
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:

@@ -11,8 +11,9 @@ import math
 import numpy as np
 
 from .dense import DenseTensor, _check_ambient, _frobenius, _qr
-from .errors import InvalidArgumentError
-from .manifold import ManifoldPoint, make_point, point_boundary_gap, point_to_dense
+from .errors import DegeneratePointError, InvalidArgumentError, NotOnManifoldError
+from .manifold import ManifoldPoint, _checked_factors, _measured, make_point
+from .manifold import point_boundary_gap, point_to_dense
 from .retraction import retract
 from .tt import TTTensor, boundary_gap, generic_outer_ranks, max_feasible_ranks, tt_round
 from .tt import tt_to_dense
@@ -47,7 +48,7 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3) -> TTTensor:
     smallest interface singular value exceeds ``min_gap_rel`` times the norm;
     after ``_MAX_TRIES`` draws ``InvalidArgumentError`` names the best reached.
     """
-    t, best = _draw_tt(rng, dims, ranks, min_gap_rel)
+    t, _, best = _draw_tt(rng, dims, ranks, min_gap_rel)
     if t is None:
         raise InvalidArgumentError(
             f"no train reached relative gap {min_gap_rel:g} (best {best:.3g})"
@@ -55,8 +56,10 @@ def random_tt(rng, dims, ranks, min_gap_rel=1e-3) -> TTTensor:
     return t
 
 
-def _draw_tt(rng, dims, ranks, min_gap_rel) -> tuple:
-    """:func:`random_tt`'s draws: the train (None if none passed), the best gap."""
+def _draw_tt(rng, dims, ranks, min_gap_rel, point=False) -> tuple:
+    """:func:`random_tt`'s draws, and with ``point`` :func:`random_point`'s: the train
+    (None if none passed), with ``point`` its :func:`_measured` measurement, and the
+    best gap.  Either tests the interface gap; a point core is measured only once."""
     dims, best = tuple(dims), 0.0
     bounds = (1,) + tuple(ranks) + (1,)
     for _ in range(_MAX_TRIES):
@@ -68,14 +71,14 @@ def _draw_tt(rng, dims, ranks, min_gap_rel) -> tuple:
         if t.ranks != tuple(ranks):
             continue
         try:
-            gap = boundary_gap(t)
-        except Exception:
+            kept, gap = _measured(t) if point else (None, boundary_gap(t))
+        except (DegeneratePointError, NotOnManifoldError):
             continue
-        norm = float(_frobenius(tt_to_dense(t)))
+        norm = kept[1] if point else float(_frobenius(tt_to_dense(t)))
         if gap >= min_gap_rel * norm:
-            return t, best
+            return t, kept, best
         best = max(best, gap / norm)
-    return None, best
+    return None, None, best
 
 
 def feasible_point_ranks(outer_ranks, tt_ranks) -> bool:
@@ -118,15 +121,17 @@ def random_point(rng, dims, outer_ranks, tt_ranks=None, min_gap_rel=1e-3) -> Man
             random_orthonormal(rng, n, r) for n, r in zip(dims, outer_ranks)
         )
         if tt_ranks is None:
-            core = rng.standard_normal(outer_ranks)
+            core, measured = rng.standard_normal(outer_ranks), None
         else:
-            core, reached = _draw_tt(rng, outer_ranks, tt_ranks, min_gap_rel)
+            core, measured, reached = _draw_tt(rng, outer_ranks, tt_ranks, min_gap_rel, True)
             best = max(best, reached)
             if core is None:
                 continue
+            factors, ortho = _checked_factors(outer_ranks, factors)
+            measured = measured if ortho else None  # make_point would change the core
         try:
-            p = make_point(core, factors)
-        except Exception:
+            p = ManifoldPoint(core, factors, *measured) if measured else make_point(core, factors)
+        except NotOnManifoldError:
             continue
         if point_boundary_gap(p) >= min_gap_rel * p.norm():
             return p

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from ttdlra import cli, errors
+from ttdlra import cli, errors, sampling
 from ttdlra.dense import AMBIENT_LIMIT, DenseTensor
 from ttdlra.errors import ConfigError, InvalidArgumentError, OversizeError
 from ttdlra.fem import DiffusionCoefficient
@@ -211,6 +211,26 @@ def test_failed_draws_name_the_requested_and_the_best_gap():
         random_point(rng, (5, 5), (2, 2), (2,), min_gap_rel=0.9)
     with pytest.raises(InvalidArgumentError, match=r"relative gap 0\.9 \(best 0\.\d+\)"):
         random_tt(rng, (2, 2), (2,), min_gap_rel=0.9)
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("a defect, not a failed draw")
+
+
+@pytest.mark.parametrize(
+    "name, draw",
+    [
+        ("make_point", lambda rng: random_point(rng, (5, 5), (2, 2))),
+        ("_measured", lambda rng: random_point(rng, (5, 5), (2, 2), (2,))),
+        ("boundary_gap", lambda rng: random_tt(rng, (3, 3), (2,))),
+    ],
+)
+def test_draw_loops_pass_on_errors_they_do_not_document(monkeypatch, name, draw):
+    # the loops retry only on DegeneratePointError and NotOnManifoldError; any
+    # other error is a defect that must surface, not 50 silent failed draws
+    monkeypatch.setattr(sampling, name, _raise_type_error)
+    with pytest.raises(TypeError, match="a defect"):
+        draw(np.random.default_rng(8))
 
 
 @pytest.mark.parametrize("horizon", [np.inf, np.nan])

@@ -307,9 +307,20 @@ def test_run_curvature_suite_small(tmp_path):
     assert os.path.exists(rep.csv_path)
 
 
+def _fresh_stdout(code, *args):
+    """The stdout words of ``code`` run in a fresh interpreter on the package source."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_curvature_suite_leaves_scipy_linalg_unloaded(tmp_path):
-    # the package loads scipy.linalg on the first banded factorization, which
-    # the suite never makes
+    # the package loads scipy's LAPACK wrapper on the first banded
+    # factorization, which the suite never makes
     raw = {
         "kind": "curvature",
         "seed": 5,
@@ -320,15 +331,58 @@ def test_curvature_suite_leaves_scipy_linalg_unloaded(tmp_path):
         "import json, sys\n"
         "import ttdlra\n"
         "ttdlra.run_curvature_suite(ttdlra.ExperimentConfig.from_dict(json.loads(sys.argv[1])))\n"
-        "print('scipy.linalg' in sys.modules)\n"
+        "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(raw)], capture_output=True, text=True, env=env
+    assert _fresh_stdout(code, json.dumps(raw)) == ["False", "False"]
+
+
+def test_solves_leave_scipy_linalg_unloaded():
+    # both schemes factor and solve banded matrices through the LAPACK
+    # wrapper alone, without the scipy.linalg package
+    code = (
+        "import json, sys\n"
+        "import ttdlra\n"
+        "for raw in json.loads(sys.argv[1]):\n"
+        "    problem, run = ttdlra.problem_from_config(raw)\n"
+        "    trajectory = ttdlra.solve(problem, run['scheme'], run['tau'], run['t_end'])\n"
+        "    assert trajectory.breakdown is None and len(trajectory.states) == 3\n"
+        "    print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    raws = [
+        base_problem(d=3, cells=6, t_end=0.02),
+        base_problem(d=2, cells=6, t_end=0.02, scheme="projector_splitting"),
+    ]
+    assert _fresh_stdout(code, json.dumps(raws)) == ["False", "True"] * 2
+
+
+def test_lapack_routines_are_scipy_linalg_lapacks():
+    # loaded first, by threads that call at once (as run_stability's workers
+    # may), the wrapper is one module, which a later import of scipy.linalg
+    # reuses; if scipy moves _flapack, the load or the identity fails here
+    names = ("dpbtrf", "dtbtrs", "dpttrf", "dpttrs")
+    code = (
+        "import sys, threading\n"
+        "from ttdlra.fem import _lapack\n"
+        "barrier, got = threading.Barrier(4), []\n"
+        "def first():\n"
+        "    barrier.wait()\n"
+        "    got.append(_lapack())\n"
+        "threads = [threading.Thread(target=first) for _ in range(4)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join()\n"
+        "wrapper = got[0]\n"
+        "import scipy.linalg\n"
+        "print(len(got) == 4 and all(w is wrapper for w in got), _lapack() is wrapper)\n"
+        "print(sys.modules['scipy.linalg._flapack'] is wrapper)\n"
+        "print(*(getattr(wrapper, n) is getattr(scipy.linalg.lapack, n) for n in sys.argv[1:]))\n"
+    )
+    assert _fresh_stdout(code, *names) == ["True"] * (3 + len(names))
+    # and in this process, where test modules import scipy.linalg as well
+    import scipy.linalg
+
+    from ttdlra.fem import _lapack
+
+    assert all(getattr(_lapack(), n) is getattr(scipy.linalg.lapack, n) for n in names)
 
 
 def test_run_diagnostics_clean_problem(tmp_path):

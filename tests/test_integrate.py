@@ -340,9 +340,9 @@ def test_matvec_takes_two_banded_solves_per_run(rng, monkeypatch, case, runs):
     matvec = tangent_operator(basis, problem.operator(0.05))
     assert [run.modes for run in matvec.runs] == runs
     x = gauge_frame(basis) @ rng.standard_normal(basis.dim)
-    calls, dtbtrs = [], scipy.linalg.lapack.dtbtrs
+    calls, dtbtrs = [], fem._lapack().dtbtrs
     counted = lambda *args, **kwargs: calls.append(args) or dtbtrs(*args, **kwargs)  # noqa: E731
-    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", counted)
+    monkeypatch.setattr(fem._lapack(), "dtbtrs", counted)
     matvec(x)
     assert len(calls) == 2 * len(runs)
 

@@ -10,6 +10,8 @@
         --src <parent checkout>/src --out BENCH_setup.json
     python3 tools/bench_banded.py --grid suite --label after --src src --out BENCH_kernels.json
     python3 tools/bench_banded.py --cells 128 --label after --src src --out BENCH_modestack.json
+    python3 tools/bench_banded.py --grid footprint --label before --src <parent checkout>/src \
+        --out BENCH_footprint.json
 
 ``BENCH_precond.json`` holds both default grids, recorded the same way,
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
@@ -18,6 +20,7 @@ grid (dims 3 to 8) with ``report_ms``, in alternating passes, and
 ``BENCH_kernels.json`` and ``BENCH_linalg.json`` each the suite grid and
 the dims grid (dims 3 to 8), in alternating passes.  ``BENCH_modestack.json``
 holds the cells grid at 128 cells and the dims grid at dims 3, 5 and 8, in
+alternating passes, and ``BENCH_footprint.json`` the footprint grid, in
 alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at each of ``--cells``
 (default 128, 256, 512 and 1024), the set-up (``problem_from_config``), one projected implicit Euler step
@@ -37,7 +40,14 @@ at 16 cells for each d of ``--dims``: ``setup_ms``, and ``setup_peak_mib``,
 the peak of one further call traced by ``tracemalloc``.  ``--grid suite``
 times ``suite_ms``, one ``run_curvature_suite`` call on
 ``configs/curvature_suite.json`` (after a warm-up call), writing into a
-temporary directory.  ``peak_rss_mib`` is the process's peak RSS after the
+temporary directory.  ``--grid footprint`` starts ``PROCESSES`` fresh
+interpreters, one after another, that each build the
+``pe3d_n128`` problem with ``problem_from_config`` and solve it for
+``FOOTPRINT_STEPS`` steps: ``wall_ms`` is the median time from starting a
+process to its exit, ``peak_rss_mib`` the median of each process's peak RSS
+(from ``os.wait4``), ``modules`` the median count of ``sys.modules`` at the
+end, and ``scipy_linalg_loaded`` whether any process loaded ``scipy.linalg``.
+In the other grids ``peak_rss_mib`` is this process's peak RSS after the
 size; sizes run in the order given, so it bounds the size's own peak from
 above.  A size whose first call takes more
 than ``SLOW_S`` seconds is timed by that call alone (``repeats`` 1).  Every
@@ -47,9 +57,10 @@ pass.  The problem is the one of the ``pe3d_n128`` benchmark workload, in d
 modes: three sine terms, a constant source, tau = 1e-3, train ranks 3 and
 auto outer ranks.  ``--src`` selects the source tree to import, so the same
 script records a parent checkout (``--label before``) and this one
-(``--label after``).  A pass adds its times to the row of the same label, d
-and cells (or suite) in ``--out``: the row keeps each pass's times under
-``per_pass`` and reports their median, with the count in ``passes``, so passes
+(``--label after``).  A pass adds its times and sizes in MiB to the row of the
+same label, d and cells (or suite, or footprint) in ``--out``: the row keeps
+each pass's values under ``per_pass`` and reports their median, with the count
+in ``passes``, so passes
 of the two labels run alternately give before/after medians under the same
 host load.
 A row without ``per_pass`` (an older record) is replaced.
@@ -81,6 +92,18 @@ SETUP_CELLS = 128  # the set-up grid's d = 3 row, the pe3d_n128 workload's size
 SLOW_S = 1.0
 TAU = 1e-3
 TT_RANK = 3
+PROCESSES = 5  # fresh processes per footprint pass
+FOOTPRINT_STEPS = 3  # the pe3d_n128 workload's run
+# one footprint process: build and solve the problem of argv[2] with the tree of argv[1]
+FOOTPRINT_CODE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from ttdlra.integrate import solve
+from ttdlra.problems import problem_from_config
+problem, run = problem_from_config(json.loads(sys.argv[2]))
+solve(problem, run["scheme"], run["tau"], run["t_end"])
+print(json.dumps({"scipy_linalg": "scipy.linalg" in sys.modules, "modules": len(sys.modules)}))
+"""
 
 
 def _config(cells, d=D):
@@ -263,8 +286,40 @@ def measure_suite(config):
     }
 
 
+def measure_footprint(src):
+    import subprocess
+
+    cfg = json.dumps(_config(SETUP_CELLS) | {"t_end": FOOTPRINT_STEPS * TAU})
+    walls, rss, modules, loaded = [], [], [], []
+    for _ in range(PROCESSES):
+        start = time.perf_counter()
+        args = [sys.executable, "-c", FOOTPRINT_CODE, src, cfg]
+        with subprocess.Popen(args, stdout=subprocess.PIPE, text=True) as proc:
+            out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+            walls.append(time.perf_counter() - start)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise SystemExit(f"footprint process exited with {proc.returncode}")
+        rss.append(usage.ru_maxrss / 1024)  # KiB on Linux
+        out = json.loads(out)
+        modules.append(out["modules"])
+        loaded.append(out["scipy_linalg"])
+    return {
+        "footprint": "pe3d_n128",
+        "d": D,
+        "cells": SETUP_CELLS,
+        "steps": FOOTPRINT_STEPS,
+        "processes": PROCESSES,
+        "wall_ms": round(1e3 * statistics.median(walls), 3),
+        "peak_rss_mib": round(statistics.median(rss), 3),
+        "modules": statistics.median_low(modules),
+        "scipy_linalg_loaded": any(loaded),
+    }
+
+
 def _key(row):
-    return row["label"], row.get("suite"), row.get("d"), row.get("cells")
+    return row["label"], row.get("suite"), row.get("footprint"), row.get("d"), row.get("cells")
 
 
 def _row(d, cells, problem, basis):
@@ -279,14 +334,14 @@ def _row(d, cells, problem, basis):
 
 
 def _accumulate(old, row):
-    """``row`` with the times of its pass appended to those of ``old`` under
-    ``per_pass``, and each time the median over the passes."""
-    times = [k for k in row if k.endswith("_ms")]
-    per_pass = {k: [] for k in times}
+    """``row`` with the times and sizes of its pass appended to those of ``old``
+    under ``per_pass``, and each the median over the passes."""
+    times = [k for k in row if k.endswith(("_ms", "_mib"))]
+    per_pass = {}
     if old is not None and "per_pass" in old:
         per_pass = old["per_pass"]
     for k in times:
-        per_pass[k].append(row[k])
+        per_pass.setdefault(k, []).append(row[k])
     medians = {k: round(statistics.median(v), 3) for k, v in per_pass.items()}
     return row | medians | {"passes": len(per_pass[times[0]]), "per_pass": per_pass}
 
@@ -298,7 +353,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON record to update")
     parser.add_argument(
         "--grid",
-        choices=("cells", "dims", "setup", "suite"),
+        choices=("cells", "dims", "setup", "suite", "footprint"),
         default="cells",
         help="what to scan",
     )
@@ -326,6 +381,7 @@ def main(argv=None):
         "dims": (args.dims, measure_dims),
         "setup": ([(D, SETUP_CELLS)] + [(d, DIMS_CELLS) for d in args.dims], measure_setup),
         "suite": ([SUITE_CONFIG], measure_suite),
+        "footprint": ([os.path.abspath(args.src)], measure_footprint),
     }[args.grid]
     for size in sizes:
         row = {"label": args.label, **measure(size)}
