@@ -15,12 +15,16 @@ tensors, so the manifold geometry (orthogonal projectors, interface spectra)
 applies to coefficients verbatim.  The P1 matrices are tridiagonal and ``L``
 is bidiagonal, so only their nonzero entries are stored: every operator
 factor ``L^-1 X L^-T`` (:class:`ModeFactor`) acts on an n x k block in O(n k)
-by two bidiagonal solves around a tridiagonal product, and no n x n matrix is
-formed.  A nodal factor ``V`` has the orthonormal coordinates ``L^T V``.
+by two bidiagonal solves around a tridiagonal product
+(:func:`tridiagonal_images`), and no n x n matrix is formed.  A nodal factor
+``V`` has the orthonormal coordinates ``L^T V``, so on nodal coefficients a
+factor acts as the tridiagonal product alone, as the Galerkin solve of
+:mod:`~ttdlra.integrate` uses it.
 
 The quadratic form ``<A u, u>`` of a point (:func:`operator_quadratic_form`,
 behind the energies and the mixed-derivative check) is contracted on its core
-through the r x r matrices ``U^T X U``.  Only the oracle ``TTOperator.apply``
+through the r x r matrices ``U^T (L^-1 X L^-T) U = Ut^T X Ut``, with the
+nodal ``Ut = L^-T U``.  Only the oracle ``TTOperator.apply``
 and the tangency probe ``check_a1_tangency`` work on the ambient grid.
 
 The source stays factored: :func:`source_loads` gives, per mode, the n x s
@@ -135,15 +139,13 @@ def build_fem1d(n_cells: int) -> Fem1D:
     )
 
 
-def factor_images(rows, chol, y) -> np.ndarray:
-    """``L^-1 X L^-T y_i`` for each n x k column group ``y_i`` of ``y`` (n x gk) and
-    tridiagonal ``X`` with rows (as in :class:`Fem1D`) in ``rows[:, i]`` (n x g x nb x 3):
-    an n x g x nb x k array from two bidiagonal solves, around one batched product."""
-    z = chol_solve(chol, y, "T")
-    windows = np.zeros((len(z), 3, z.shape[1]))  # row i: rows i-1, i, i+1 of z
-    windows[1:, 0], windows[:, 1], windows[:-1, 2] = z[:-1], z, z[1:]
-    z = rows @ windows.reshape(len(z), 3, rows.shape[1], -1).transpose(0, 2, 1, 3)
-    return chol_solve(chol, z.reshape(len(z), -1), "N").reshape(z.shape)
+def tridiagonal_images(rows, y) -> np.ndarray:
+    """``X y_i`` for each n x k column group ``y_i`` of ``y`` (n x gk) and tridiagonal
+    ``X`` with rows (as in :class:`Fem1D`) in ``rows[:, i]`` (n x g x nb x 3): an
+    n x g x nb x k array from one batched product."""
+    windows = np.zeros((len(y), 3, y.shape[1]))  # row i: rows i-1, i, i+1 of y
+    windows[1:, 0], windows[:, 1], windows[:-1, 2] = y[:-1], y, y[1:]
+    return rows @ windows.reshape(len(y), 3, rows.shape[1], -1).transpose(0, 2, 1, 3)
 
 
 def chol_matmul(chol, y, trans: str) -> np.ndarray:
@@ -168,17 +170,19 @@ def chol_solve(chol, y, trans: str) -> np.ndarray:
 class ModeFactor:
     """Operator factor ``L^-1 X L^-T`` of one mode: ``rows`` are the rows of the
     tridiagonal ``X`` (as in :class:`Fem1D`), ``fem`` the mode's elements with
-    the shared factor ``L``.  ``@`` applies it to an n x k block in O(n k) by
-    :func:`factor_images`.  The n x n ``dense`` matrix (for the splitting
-    sweep and desk-size oracles) is built once, when first read."""
+    the shared factor ``L``.  ``@`` applies it to an n x k block in O(n k), by
+    two bidiagonal solves around a :func:`tridiagonal_images` product.  The
+    n x n ``dense`` matrix (for the splitting sweep and desk-size oracles) is
+    built once, when first read."""
 
     rows: np.ndarray
     fem: Fem1D
 
     def __matmul__(self, y) -> np.ndarray:
-        w = np.asarray(y, dtype=float)
-        out = factor_images(self.rows[:, None, None], self.fem.mass_chol, w.reshape(len(w), -1))
-        return out[:, 0, 0].reshape(w.shape)
+        w, chol = np.asarray(y, dtype=float), self.fem.mass_chol
+        z = chol_solve(chol, w.reshape(len(w), -1), "T")
+        z = tridiagonal_images(self.rows[:, None, None], z)[:, 0, 0]
+        return chol_solve(chol, z, "N").reshape(w.shape)
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
@@ -415,13 +419,22 @@ def source_loads(terms, disc: Discretization) -> tuple:
 def operator_quadratic_form(point, op) -> float:
     """``<A u, u>`` for a manifold point (or the point of a
     :class:`~ttdlra.tangent.TangentBasis`), contracted on the core through
-    the factor-compressed matrices ``U_m^T X_m U_m``."""
+    the factor-compressed matrices ``U_m^T (L^-1 X L^-T) U_m``, each taken as
+    ``Ut^T X Ut`` with ``Ut = L^-T U_m``: one bidiagonal solve per mode that
+    a term acts on, and a tridiagonal product per factor."""
     if isinstance(point, TangentBasis):
         point = point.point
     core, us = point.tucker()
+    nodal = {}  # mode -> L^-T U_m
     total = 0.0
     for term in op.terms:
-        w = _multiply_modes(core, [(m, us[m].T @ (mat @ us[m])) for m, mat in term.factors])
+        mats = []
+        for m, mat in term.factors:
+            if m not in nodal:
+                nodal[m] = chol_solve(mat.fem.mass_chol, us[m], "T")
+            xu = tridiagonal_images(mat.rows[:, None, None], nodal[m])[:, 0, 0]
+            mats.append((m, nodal[m].T @ xu))
+        w = _multiply_modes(core, mats)
         total += term.coeff * float(_contract(w, core, core.ndim))
     return total
 

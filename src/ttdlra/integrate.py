@@ -24,15 +24,18 @@ requires points whose outer ranks are the generic ones induced by the train
 ranks.
 
 The Galerkin system is solved matrix-free in the gauge-form tangent
-coordinates of :class:`~ttdlra.tangent.TangentBasis`.
-:func:`tangent_operator` builds the step's core couplings once, so a matvec
-applies the banded factors to the mode blocks and contracts no core; it and
-the preconditioner batch their small products over runs of like modes.
-Conjugate gradients solve ``(I/tau + V^T A V) x = b``, preconditioned by a
+coordinates of :class:`~ttdlra.tangent.TangentBasis`, on the nodal
+coefficients ``L^-T theta`` of their mode blocks, where each factor
+``L^-1 X L^-T`` acts as the tridiagonal ``X``.
+:func:`tangent_operator` builds the step's core couplings once, so an apply
+takes no banded solve and contracts no core; it and the preconditioner batch
+their small products over runs of like modes.  Conjugate gradients solve
+``(I/tau + V^T A V) x = b`` to a gauge-coordinate residual, preconditioned by a
 block-diagonal inverse built from those couplings: the exact core block, and
 per mode the block of every term but the two-mode terms on that mode,
 inverted by fast diagonalization in one stacked tridiagonal
 factorization, so neither a ``dim x dim`` nor an n x n matrix is formed.
+A non-finite solution is a ``BreakdownError``.
 ``u + v`` is the Tucker form of the summed coordinates, since ``u`` lies in
 its own tangent space, and :func:`~ttdlra.retraction.retract_tucker`
 retracts it on a small core.  The sweep's result is a train that
@@ -63,7 +66,8 @@ from .errors import BreakdownError, InvalidArgumentError, NotOnManifoldError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
 from .retraction import retract_train, retract_tucker
 from .retraction import retract  # noqa: F401  perfbench/test_tracer.py looks it up here
-from .fem import _lapack, chol_matmul, factor_images, laplacian_operator, operator_quadratic_form
+from .fem import _lapack, chol_matmul, chol_solve, laplacian_operator, operator_quadratic_form
+from .fem import tridiagonal_images
 from .tangent import TangentBasis
 from .tt import TTTensor, generic_outer_ranks, orthogonalize, tt_add, tt_scale
 
@@ -132,30 +136,38 @@ CG_RTOL = 1e-12
 
 
 def tangent_operator(basis: TangentBasis, op):
-    """Matrix-free ``x -> V^T A V x`` in the gauge coordinates
-    ``x = (c, theta_0, ..., theta_{d-1})``.  The mode blocks are read as gauge
-    vectors (``U_m^T theta_m = 0``), as all vectors of the step's CG are.
+    """Matrix-free ``x -> V^T A V x`` in the gauge coordinates ``x = (c,
+    theta_0, ..., theta_{d-1})``, the congruence ``T^-T nodal(T^-1 x)`` of
+    ``matvec.nodal(phi, shift) = T^T (shift I + V^T A V) T phi`` on the nodal
+    coefficients ``phi_m = L^-T theta_m``, ``T = diag(I, L_m^T)``.  Mode blocks
+    are read as gauge vectors (``U_m^T theta_m = 0``, or ``Uh_m^T phi_m = 0``
+    with ``Uh = L U``), as all vectors of the step's CG are.
 
     A term acts on at most two modes, and ``U^T Udot = 0``, so the core enters
     ``V^T A V`` only through couplings that are linear in ``c`` and in the
-    r x r products ``beta = U_m^T X theta_m`` (Kressner, Steinlechner and
-    Vandereycken, SISC 2016).  They are built once, from the core, the core
-    basis, ``rmap``, ``qright`` and the ``U_k^T X U_k``.  With ``X theta_m``
-    the banded images under mode m's distinct factors ``X``,
+    r x r products ``beta = Ut_m^T X phi_m``, ``Ut = L^-T U`` (Kressner,
+    Steinlechner and Vandereycken, SISC 2016).  They are built once, from the
+    core, the core basis, ``rmap``, ``qright`` and the ``Ut_k^T X Ut_k``.
+    With ``X phi_m`` the tridiagonal images under mode m's mass ``M`` and
+    distinct factors ``X``,
 
-        c_out       = K_cc c + K_cbeta beta,
-        theta_out_m = P_m [theta_m G0_m + sum_X (X theta_m) G^X_m + sum_X (X U_m) R^X_m],
+        c_out = shift c + K_cc c + K_cbeta beta,
+        psi_m = P_m [(M phi_m)(shift I + G0_m) + sum_X (X phi_m) G^X_m + sum_X (X Ut_m) R^X_m],
 
-    where ``R = K_Rc c + K_Rbeta beta`` and ``P_m = I - U_m U_m^T``.  ``G0_m``
-    sums the terms off mode m, ``G^X_m`` and ``R^X_m`` those with factor ``X``
-    on it.  A run, a maximal stretch of modes with one mesh (bitwise equal
-    ``mass_chol``), outer rank and count of distinct factors, is one g x r x n
-    array: per run a matvec takes two bidiagonal solves and one product each
-    for the images, the betas, the sum and ``P_m``, keeping each mode's memory
-    layout and so its bits, and in all one product with the coupling matrix
-    ``K``; it forms no core-sized array.  A term on more than two modes is an
-    ``InvalidArgumentError``.  The matvec carries ``core_block``, ``K_cc``,
-    and ``runs`` (``coords`` within the mode blocks), for :func:`_preconditioner`."""
+    where ``R = K_Rc c + K_Rbeta beta`` and ``P_m = I - Uh_m Ut_m^T`` is
+    ``I - U_m U_m^T`` seen through ``L``.  ``G0_m`` sums the terms off mode m,
+    ``G^X_m`` and ``R^X_m`` those with factor ``X`` on it.  A run, a maximal
+    stretch of modes with one mesh (bitwise equal ``mass_chol``), outer rank
+    and count of distinct factors, is one g x r x n array: per run ``nodal``
+    takes one product each for the images, the betas, the sum and ``P_m``, and
+    in all one product with the coupling matrix ``K``; it takes no banded
+    solve and forms no core-sized array.  The congruence takes two bidiagonal
+    solves per run; modes no term acts on take ``L = I``.  A term on more than
+    two modes is an ``InvalidArgumentError``.  The matvec carries ``nodal``,
+    ``core_block``, ``K_cc``, ``runs`` (``coords`` within the mode blocks),
+    ``dual_norms`` (``|T^-T r|`` and a lower bound) and ``congruence(x, fn,
+    trans)``: ``T``, ``T^T``, ``T^-1`` or ``T^-T`` of ``x`` (size or size x k)
+    for ``fn(L, columns, trans)`` ``chol_matmul`` or ``chol_solve``."""
     p, core = basis.point, basis.core
     d, ranks = p.ndim, core.shape
     distinct = [{} for _ in range(d)]  # per mode: id -> factor, in slot order
@@ -173,20 +185,28 @@ def tangent_operator(basis: TangentBasis, op):
     keys = [(u.shape, len(fs), fs[0].fem.mass_chol.tobytes() if fs else None)
             for u, fs in zip(p.factors, distinct)]
     ends = np.cumsum([0] + basis.block_sizes[1:])  # of the mode blocks, after the core block
-    runs, a = [], []  # a: per mode the U^T X U of its distinct factors
+    runs, a = [], []  # a: per mode the Ut^T X Ut of its distinct factors
     for _, group in itertools.groupby(range(d), keys.__getitem__):
         ms = list(group)
         u, fs = np.stack([p.factors[m] for m in ms]), [distinct[m] for m in ms]
         (g, n, r), nb = u.shape, len(fs[0])
-        run = SimpleNamespace(modes=ms, u=u, ut=u.transpose(0, 2, 1), nb=nb, xu=np.zeros((n, g, 0, r)))
+        run = SimpleNamespace(modes=ms, u=u, eye=np.eye((1 + nb) * r, r))
         run.coords = slice(ends[ms[0]], ends[ms[-1] + 1])
         run.kspan = slice(starts[ms[0]], starts[ms[-1] + 1])  # the rows of its R, columns of its beta
-        if nb:  # the images X U, n x g x nb x r
-            run.rows = np.array([[f.rows for f in fm] for fm in fs]).transpose(2, 0, 1, 3).copy()
-            run.chol = fs[0][0].fem.mass_chol
-            run.xu = factor_images(run.rows, run.chol, u.transpose(1, 0, 2).reshape(n, -1))
-        a.extend(run.ut[:, None] @ run.xu.transpose(1, 2, 0, 3))
-        run.xu = run.xu.transpose(1, 0, 2, 3).reshape(g, n, -1)
+        if nb:
+            run.chol, mass = fs[0][0].fem.mass_chol, fs[0][0].fem.mass
+        else:  # L = I
+            run.chol = np.array([[1.0], [0.0]]).repeat(n, 1)
+            mass = np.array([[0.0, 1.0, 0.0]]).repeat(n, 0)
+        # rows of M (slot 0) and of the distinct factors, n x g x (1 + nb) x 3
+        run.rows = np.array([[mass] + [f.rows for f in fm] for fm in fs]).transpose(2, 0, 1, 3).copy()
+        cols = u.transpose(1, 0, 2).reshape(n, -1)
+        ut = chol_solve(run.chol, cols, "T")
+        run.uh = chol_matmul(run.chol, cols, "N").reshape(n, g, r).transpose(1, 0, 2)
+        run.ut = ut.reshape(n, g, r).transpose(1, 2, 0)
+        xu = tridiagonal_images(run.rows[:, :, 1:], ut)  # n x g x nb x r
+        a.extend(run.ut[:, None] @ xu.transpose(1, 2, 0, 3))
+        run.xu = xu.transpose(1, 0, 2, 3).reshape(g, n, -1)
         runs.append(run)
 
     def span(m, j):  # the rows of R^j_m and the columns of beta^j_m
@@ -244,23 +264,41 @@ def tangent_operator(basis: TangentBasis, op):
     for run in runs:
         run.gs = np.stack([gs[m] for m in run.modes])
 
-    def matvec(x):
-        images, betas = [], []  # per run: n x g x (1 + nb) x r, theta_m and its banded images
+    def nodal(x, shift=0.0):
+        images, betas = [], []  # per run: n x g x (1 + nb) x r, M phi_m and its X phi_m
         for run in runs:
             g, n, r = run.u.shape
-            w = x[q:][run.coords].reshape(g, r, n).transpose(2, 0, 1)[:, :, None]
-            if run.nb:
-                w = np.concatenate([w, factor_images(run.rows, run.chol, w.reshape(n, -1))], 2)
+            w = tridiagonal_images(run.rows, x[q:][run.coords].reshape(g * r, n).T)
             images.append(w)
             betas.append((run.ut[:, None] @ w[:, :, 1:].transpose(1, 2, 0, 3)).ravel())
         y = kmat @ np.concatenate([x[:q]] + betas)
-        res = [y[:q]]
+        res = [y[:q] + shift * x[:q]]
         for run, w in zip(runs, images):
-            z = w.reshape(w.shape[0], w.shape[1], -1).transpose(1, 0, 2) @ run.gs
+            z = w.reshape(w.shape[0], w.shape[1], -1).transpose(1, 0, 2) @ (run.gs + shift * run.eye)
             z += run.xu @ y[run.kspan].reshape(z.shape[0], -1, z.shape[2])
-            res.append((z - run.u @ (run.ut @ z)).transpose(0, 2, 1).ravel())
+            res.append((z - run.uh @ (run.ut @ z)).transpose(0, 2, 1).ravel())
         return np.concatenate(res)
 
+    def congruence(x, fn, trans):
+        out = np.array(x, dtype=float)
+        for run in runs:
+            g, n, r = run.u.shape
+            block = out[q:][run.coords]
+            cols = block.reshape(g * r, n, -1).transpose(1, 0, 2).reshape(n, -1)
+            cols = fn(run.chol, cols, trans).reshape(n, g * r, -1).transpose(1, 0, 2)
+            block[...] = cols.reshape(block.shape)
+        return out
+
+    def matvec(x):
+        return congruence(nodal(congruence(x, chol_solve, "T")), chol_solve, "N")
+
+    # |T^-T r|, and a lower bound for it from |L|_2 <= max |l_ii| + max |l_i+1,i|
+    weights = np.ones(q + ends[-1])
+    for run in runs:
+        weights[q:][run.coords] = 1.0 / np.abs(run.chol).max(axis=1).sum()
+    matvec.dual_norms = (lambda r: _frobenius(congruence(r, chol_solve, "N")),
+                         lambda r: _frobenius(weights * r))
+    matvec.nodal, matvec.congruence = nodal, congruence
     matvec.core_block = kmat[:q, :q]
     matvec.runs = runs
     return matvec
@@ -269,19 +307,20 @@ def tangent_operator(basis: TangentBasis, op):
 def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
     """Block-diagonal inverse of ``I/tau + V^T A V`` without the two-mode
     terms on each mode block (Kressner, Steinlechner and Vandereycken, SISC
-    2016).  It reads ``core_block`` and ``runs`` of ``matvec``, the step's
-    :func:`tangent_operator`, so it contracts no core.
+    2016).  It reads ``core_block``, ``runs`` and ``congruence`` of
+    ``matvec``, the step's :func:`tangent_operator`, so it contracts no core,
+    and is the congruence ``T nodal(T^T x)`` of ``apply.nodal``, the inverse
+    on nodal coefficients; neither takes a banded solve.
 
-    The core block is ``(I/tau + K_cc)^-1``, formed as a q x q matrix.
-    Mode block m inverts ``theta -> theta/tau + A_m theta + theta G0_m`` on the
-    gauge space, with ``A_m`` the sum of the one-mode terms on m and ``G0_m``
-    the symmetric positive semidefinite coupling of the terms off m.  Fast
-    diagonalization (Lynch, Rice and Thomas 1964) with ``G0_m = W diag(lam)
-    W^T`` turns it into one shifted operator ``S_j = (1/tau + lam_j) I + A_m``
-    per column j of ``theta W``, inverted on the gauge space in the Schur
-    complement form ``S_j^-1 - S_j^-1 U (U^T S_j^-1 U)^-1 U^T S_j^-1``.  As
-    ``S_j^-1 = L^T ((1/tau + lam_j) M + sum_t c_t X_t)^-1 L``, the tridiagonal
-    systems of all modes and columns stack into one tridiagonal matrix: one
+    The core block is ``(I/tau + K_cc)^-1``, formed as a q x q matrix.  Nodal
+    mode block m inverts ``phi -> (M phi)(I/tau + G0_m) + A_m phi`` on the
+    gauge space, with ``A_m`` the tridiagonal sum of the one-mode terms on m
+    and ``G0_m`` the symmetric positive semidefinite coupling of the terms
+    off m.  Fast diagonalization (Lynch, Rice and Thomas 1964) with ``G0_m =
+    W diag(lam) W^T`` turns it into one tridiagonal ``S_j = (1/tau + lam_j) M
+    + A_m`` per column j of ``phi W``, inverted on the gauge space in the Schur
+    complement form ``S_j^-1 - S_j^-1 Uh (Uh^T S_j^-1 Uh)^-1 Uh^T S_j^-1``.
+    The tridiagonal systems of all modes and columns stack into one: one
     ``dpttrf`` per build, one ``dpttrs`` per apply; the rest is batched per run."""
     core = _inv(np.eye(len(matvec.core_block)) / tau + matvec.core_block)
     fems = {m: f.fem for term in op.terms for m, f in term.factors}
@@ -291,8 +330,7 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
             ((m, f),) = term.factors
             one_mode[m] += term.coeff * f.rows
     q, runs = len(core), matvec.runs
-    diags, offs, chols, rots = [], [], [], []  # per run: the tridiagonals and L of its columns, W
-    # column-major, so the broadcasts of chol_matmul run down the long columns
+    diags, offs, rots = [], [], []  # per run: the tridiagonals of its columns, W
     su = np.zeros((runs[-1].coords.stop, max(run.u.shape[2] for run in runs)), order="F")
     for run in runs:
         (g, n, r), ms = run.u.shape, run.modes
@@ -304,28 +342,24 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
         rows[..., -1, 2] = 0.0  # no coupling from one column to the next
         diags.append(rows[..., 1].ravel())
         offs.append(rows[..., 2].ravel())
-        chols.append(np.tile(fems[ms[0]].mass_chol, g * r))
-        chols[-1][1, n - 1 :: n] = 0.0
         rots.append(w)
-        su[run.coords, :r] = np.repeat(run.u, r, axis=0).reshape(-1, r)  # U in every column
+        su[run.coords, :r] = np.repeat(run.uh, r, axis=0).reshape(-1, r)  # Uh in every column
     diag, off, info = _lapack().dpttrf(np.concatenate(diags), np.concatenate(offs)[:-1])
     if info != 0:
         raise InvalidArgumentError("the preconditioner's shifted operator is not positive definite")
-    chol = np.hstack(chols)
 
     def s_inv(g):
-        z, _ = _lapack().dpttrs(diag, off, chol_matmul(chol, g, "N"))
-        return chol_matmul(chol, z, "T")
+        return _lapack().dpttrs(diag, off, g)[0]
 
     su = s_inv(su)
-    corrs = []  # per run, mode and column j: S_j^-1 U (U^T S_j^-1 U)^-1
+    corrs = []  # per run, mode and column j: S_j^-1 Uh (Uh^T S_j^-1 Uh)^-1
     for run in runs:
         g, n, r = run.u.shape
         s = su[run.coords, :r].reshape(g, r, n, r)
-        corrs.append(s @ _inv(run.ut[:, None] @ s))
+        corrs.append(s @ _inv(run.uh.transpose(0, 2, 1)[:, None] @ s))
 
-    def apply(x):
-        rotated = []  # theta_m W of each mode, column-major
+    def nodal(x):
+        rotated = []  # phi_m W of each mode, column-major
         for run, w in zip(runs, rots):
             t = x[q:][run.coords].reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
             rotated.append((t @ w).transpose(0, 2, 1).ravel())
@@ -333,20 +367,26 @@ def _preconditioner(basis: TangentBasis, op, tau: float, matvec):
         out = [core @ x[:q]]
         for run, w, corr in zip(runs, rots, corrs):
             y = z[run.coords].reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
-            y = y - (corr @ (run.ut @ y).transpose(0, 2, 1)[..., None])[..., 0].transpose(0, 2, 1)
+            uhy = (run.uh.transpose(0, 2, 1) @ y).transpose(0, 2, 1)[..., None]
+            y = y - (corr @ uhy)[..., 0].transpose(0, 2, 1)
             out.append((y @ w.transpose(0, 2, 1)).transpose(0, 2, 1).ravel())
         return np.concatenate(out)
 
+    def apply(x):
+        return matvec.congruence(nodal(matvec.congruence(x, chol_matmul, "N")), chol_matmul, "T")
+
+    apply.nodal = nodal
     return apply
 
 
-def _pcg(apply, precond, b) -> tuple:
+def _pcg(apply, precond, b, norm=_frobenius, bound=_frobenius) -> tuple:
     """Preconditioned conjugate gradients for ``apply(x) = b`` from ``x = 0``,
-    stopping at relative residual ``CG_RTOL`` or after ``len(b)`` iterations.
-    Returns the solution and the iteration count.  CG runs on ``b`` scaled by
-    the power of two that brings its largest entry into [0.5, 1): no inner
-    product underflows, and the exact scaling leaves normal-range results
-    bit-identical."""
+    stopping once ``norm(r) <= CG_RTOL norm(b)`` for the residual ``r``, or
+    after ``len(b)`` iterations.  Returns the solution and the iteration
+    count.  ``norm`` is taken only once ``bound``, a lower bound for it,
+    passes the test.  CG runs on ``b`` scaled by the power of two that brings
+    its largest entry into [0.5, 1): no inner product underflows, and the
+    exact scaling leaves normal-range results bit-identical."""
     exponent = _exponent(b)
     b = np.ldexp(b, -exponent)
     x = np.zeros_like(b)
@@ -354,9 +394,9 @@ def _pcg(apply, precond, b) -> tuple:
     z = precond(r)
     p = z
     rz = float(r @ z)
-    stop = CG_RTOL * _frobenius(b)
+    stop = CG_RTOL * norm(b)
     for it in range(b.size):
-        if _frobenius(r) <= stop:
+        if bound(r) <= stop and norm(r) <= stop:
             return np.ldexp(x, exponent), it
         q = apply(p)
         alpha = rz / float(p @ q)
@@ -408,10 +448,11 @@ def _retract_step(retract_fn, x: tuple, p: ManifoldPoint):
 
 def _source_coords(basis: TangentBasis, factors):
     """Tangent coordinates of the source ``sum_j (x)_m factors[m][:, j]``:
-    each column is a rank-one Tucker pair with a 1^d core.  No columns give 0."""
+    each column is a rank-one Tucker pair with a 1^d core.  No columns give zeros."""
     ones = np.ones((1,) * len(factors))
     columns = [[g[:, j : j + 1] for g in factors] for j in range(factors[0].shape[1])]
-    return sum((basis.coords_of_tucker(ones, column) for column in columns), 0.0)
+    coords = (basis.coords_of_tucker(ones, column) for column in columns)
+    return sum(coords, np.zeros(sum(basis.block_sizes)))
 
 
 def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) -> EvolutionState:
@@ -423,23 +464,30 @@ def step_projected_implicit_euler(state: EvolutionState, tau: float, problem) ->
     op = problem.operator(t_new)
     basis = TangentBasis(p)
     matvec = tangent_operator(basis, op)
+    nodal, congruence = matvec.nodal, matvec.congruence
 
-    # u lies in its own tangent space: coordinates (C, 0, ..., 0)
+    # CG on T^T (I/tau + V^T A V) T phi = T^T b, stopping on |T^-T r|; u lies
+    # in its own tangent space: coordinates (C, 0, ..., 0), nodal ones too
     u_coords = np.zeros(sum(basis.block_sizes))
     u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
-    au = matvec(u_coords)
-    b = _source_coords(basis, problem.source_factors(t_new)) - au
-    coords, _ = _pcg(lambda x: x / tau + matvec(x), _preconditioner(basis, op, tau, matvec), b)
+    au = nodal(u_coords)
+    b = congruence(_source_coords(basis, problem.source_factors(t_new)), chol_matmul, "N") - au
+    precond = _preconditioner(basis, op, tau, matvec).nodal
+    phi, _ = _pcg(lambda x: nodal(x, 1.0 / tau), precond, b, *matvec.dual_norms)
+    if not np.isfinite(phi).all():
+        raise BreakdownError("the Galerkin solve gave non-finite coordinates", gap=state.gap)
+    coords = congruence(phi, chol_matmul, "T")
 
-    # one explicit matvec at the solution gives the residual and the
-    # pre-retraction energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v>;
-    # the residual's norms are taken on b's scale, exactly, so neither underflows
-    av = matvec(coords)
+    # one explicit matvec at the solution gives the residual and the pre-retraction
+    # energy identity a(u+v, u+v) = a(u,u) + 2 <A u, v> + <A v, v> (the pairings
+    # read alike on nodal coefficients); the residual's norms are taken on b's
+    # scale, exactly, so neither underflows
+    av = nodal(phi)
     e = _exponent(b)
-    resid = _frobenius(np.ldexp(coords / tau + av - b, -e)) / max(
-        _frobenius(np.ldexp(b, -e)), np.finfo(float).tiny
-    )
-    a_form = float(u_coords @ au) + 2.0 * float(au @ coords) + float(coords @ av)
+    r = congruence(coords, chol_matmul, "N") / tau + av - b
+    r = congruence(np.ldexp(np.stack([r, b], axis=1), -e), chol_solve, "N")
+    resid = _frobenius(r[:, 0]) / max(_frobenius(r[:, 1]), np.finfo(float).tiny)
+    a_form = float(u_coords @ au) + 2.0 * float(au @ phi) + float(phi @ av)
 
     core, factors = basis.tucker(u_coords + coords)
     new_point, defect, distance = _retract_step(retract_tucker, (core, factors, basis.core), p)

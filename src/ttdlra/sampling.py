@@ -16,7 +16,6 @@ from .manifold import ManifoldPoint, _checked_factors, _measured, make_point
 from .manifold import point_boundary_gap, point_to_dense
 from .retraction import retract
 from .tt import TTTensor, boundary_gap, generic_outer_ranks, max_feasible_ranks, tt_round
-from .tt import tt_to_dense
 
 __all__ = [
     "random_orthonormal",
@@ -74,7 +73,7 @@ def _draw_tt(rng, dims, ranks, min_gap_rel, point=False) -> tuple:
             kept, gap = _measured(t) if point else (None, boundary_gap(t))
         except (DegeneratePointError, NotOnManifoldError):
             continue
-        norm = kept[1] if point else float(_frobenius(tt_to_dense(t)))
+        norm = kept[1] if point else float(_frobenius(t.cores[0]))  # tt_round's center core
         if gap >= min_gap_rel * norm:
             return t, kept, best
         best = max(best, gap / norm)

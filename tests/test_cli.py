@@ -266,6 +266,22 @@ def test_invalid_argument_mid_run_is_not_a_config_error(tmp_path, monkeypatch):
         cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
+def test_non_finite_galerkin_solution_exits_3(tmp_path, monkeypatch, capsys):
+    # a NaN solution of the step's CG once reached retract_tucker, whose
+    # InvalidArgumentError escaped the run as exit 1; it is a breakdown at the
+    # first step, with the initial state's gap
+    from ttdlra import cli, integrate
+
+    monkeypatch.setattr(integrate, "_pcg", lambda apply, precond, b, *norms: (np.nan * b, 1))
+    cfg = write_config(tmp_path / "c.json", heat_config())
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    assert "breakdown at t = 0.005" in capsys.readouterr().out
+    meta = json.load(open(out / "metadata.json"))
+    rows = open(out / "trajectory.csv").read().strip().split("\n")[2:]
+    assert len(rows) == 1 and meta["breakdown"]["gap"] == float(rows[0].split(",")[1])
+
+
 def test_long_heat_run_finishes(tmp_path):
     # solve_heat3d run to t = 0.6 once exited 1 at t = 0.5815: the core tangent
     # basis rejected the left-orthogonal train, which carries its whole norm

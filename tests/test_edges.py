@@ -205,6 +205,22 @@ def test_ambient_oracles_are_refused_before_they_allocate():
     assert p.expanded.shape == (2, 2, 2) and p.core.dims == (2, 2, 2)
 
 
+def test_random_tt_takes_its_norm_on_the_train():
+    # 40^4 = 2.56 million entries, 625 times the ambient limit: the draw's
+    # norm is read from its center core, not from a 19.5 MiB ambient tensor
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    tracemalloc.start()
+    try:
+        t = random_tt(rng, (40, 40, 40, 40), (2, 2, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.ranks == (2, 2, 2)
+    assert peak < 2**20
+
+
 def test_failed_draws_name_the_requested_and_the_best_gap():
     rng = np.random.default_rng(8)
     with pytest.raises(InvalidArgumentError, match=r"relative gap 0\.9 \(best 0\.\d+\)"):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import count_calls, gauge_frame, kron_matrix, source_dense
+from helpers import count_calls, gauge_frame, kron_matrix, p1_matrices, source_dense
 
 from ttdlra import dense, fem, integrate, retraction, tangent, tt
 from ttdlra.dense import DenseTensor, inner
-from ttdlra.errors import InvalidArgumentError, OversizeError
-from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, laplacian_operator
+from ttdlra.errors import BreakdownError, InvalidArgumentError, OversizeError
+from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, chol_matmul, laplacian_operator
 from ttdlra.integrate import (
     BREAKDOWN_REL,
+    BreakdownRecord,
     Trajectory,
     dense_implicit_euler,
     energy_report,
@@ -347,37 +348,170 @@ def test_matvec_takes_two_banded_solves_per_run(rng, monkeypatch, case, runs):
     assert len(calls) == 2 * len(runs)
 
 
-@pytest.mark.parametrize(
-    "d, cells, outer, tt_ranks",
-    [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)] + ORACLE_CASES[-3:],
-)
-def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
-    # in the orthonormal coordinates of ambient_matrix: on the core block the
-    # inverse of the dense Galerkin core block of I/tau + A; on mode block m
-    # the inverse of the dense Galerkin block of I/tau plus the terms that do
-    # not couple m with another mode; gauge_frame maps both to gauge
-    # coordinates, and a rank-4 mode of a 5-cell grid has an empty block
-    problem = oracle_problem(d, cells, outer, tt_ranks)
-    op = problem.operator(0.05)
-    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
-    basis = TangentBasis(p)
-    tau = 1e-2
+def oracle_preconditioner(basis, op, tau):
+    """The dense block inverse, in gauge coordinates: in the orthonormal
+    coordinates of ambient_matrix, on the core block the inverse of the dense
+    Galerkin core block of I/tau + A; on mode block m the inverse of the dense
+    Galerkin block of I/tau plus the terms that do not couple m with another
+    mode; gauge_frame maps both to gauge coordinates."""
+    p = basis.point
     vmat = basis.ambient_matrix()
     sizes = [basis.block_sizes[0]] + [(n - r) * r for n, r in zip(p.dims, p.outer_ranks)]
     cols = np.split(vmat, np.cumsum(sizes)[:-1], axis=1)
     def off_pairs(m):  # the terms that do not couple m with another mode
         return tuple(t for t in op.terms if len(t.factors) == 1 or m not in dict(t.factors))
 
-    kept = [op] + [TTOperator(op.dims, off_pairs(m)) for m in range(d)]
+    kept = [op] + [TTOperator(op.dims, off_pairs(m)) for m in range(p.ndim)]
     blocks = [
         np.linalg.inv(np.eye(size) / tau + c.T @ kron_matrix(part) @ c)
         for size, c, part in zip(sizes, cols, kept)
     ]
     frame = gauge_frame(basis)
-    oracle = frame @ scipy.linalg.block_diag(*blocks) @ frame.T
+    return frame @ scipy.linalg.block_diag(*blocks) @ frame.T
+
+
+def congruence_matrix(basis, problem):
+    """Dense ``T = diag(I, I_r (x) L_0^T, ...)`` of the gauge coordinates, from
+    the dense Cholesky factor ``L_m`` of each mode's P1 mass matrix: the map
+    from nodal coefficients to gauge coordinates."""
+    blocks = [np.eye(basis.block_sizes[0])]
+    for fem1d, r in zip(problem.disc.fems, basis.point.outer_ranks):
+        mass, _, _ = p1_matrices(fem1d.n_cells)
+        blocks.append(np.kron(np.eye(r), np.linalg.cholesky(mass).T))
+    return scipy.linalg.block_diag(*blocks)
+
+
+@pytest.mark.parametrize(
+    "d, cells, outer, tt_ranks",
+    [(3, 6, (2, 3, 2), (2, 2)), (3, 5, (2, 4, 2), (2, 2)), (2, 5, (3, 3), None)] + ORACLE_CASES[-3:],
+)
+def test_preconditioner_is_explicit_block_inverse(rng, d, cells, outer, tt_ranks):
+    # a rank-4 mode of a 5-cell grid has an empty block
+    problem = oracle_problem(d, cells, outer, tt_ranks)
+    op = problem.operator(0.05)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    tau = 1e-2
+    oracle = oracle_preconditioner(basis, op, tau)
     apply = _preconditioner(basis, op, tau, tangent_operator(basis, op))
     got = np.column_stack([apply(e) for e in np.eye(sum(basis.block_sizes))])
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_nodal_apply_and_preconditioner_are_the_congruences(rng, d, cells, outer, tt_ranks):
+    # on the nodal gauge vectors T^-1 frame the nodal apply is
+    # T^T (I/tau + H) T, with H = frame h frame^T from oracle_system's dense
+    # h, and the nodal preconditioner is T^-1 P T^-T, with P the dense block
+    # inverse; T is built from dense Cholesky factors
+    problem = oracle_problem(d, cells, outer, tt_ranks)
+    op = problem.operator(0.05)
+    basis = TangentBasis(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks))
+    _, h_oracle, _, _ = oracle_system(basis, op)
+    frame, tmat = gauge_frame(basis), congruence_matrix(basis, problem)
+    tinv = np.linalg.inv(tmat)
+    matvec = tangent_operator(basis, op)
+    for tau in CG_TAUS:
+        # T (T^-1 frame) = frame, and I/tau + H maps frame to frame (I/tau + h)
+        want = tmat.T @ frame @ (np.eye(basis.dim) / tau + h_oracle)
+        got = np.column_stack([matvec.nodal(f, 1.0 / tau) for f in (tinv @ frame).T])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max(), tau
+        want = tinv @ oracle_preconditioner(basis, op, tau) @ tinv.T
+        precond = _preconditioner(basis, op, tau, matvec).nodal
+        got = np.column_stack([precond(e) for e in np.eye(len(tmat))])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max(), tau
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES[-3:])
+def test_nodal_apply_and_preconditioner_take_no_banded_solve(rng, monkeypatch, case):
+    d, cells, outer, tt_ranks = case
+    problem = oracle_problem(*case)
+    op = problem.operator(0.05)
+    basis = TangentBasis(random_point(rng, problem.dims, outer, tt_ranks=tt_ranks))
+    matvec = tangent_operator(basis, op)
+    precond = _preconditioner(basis, op, 1e-2, matvec).nodal
+    gauge = gauge_frame(basis) @ rng.standard_normal(basis.dim)
+    x = np.linalg.solve(congruence_matrix(basis, problem), gauge)  # a nodal gauge vector
+    calls, dtbtrs = [], fem._lapack().dtbtrs
+    counted = lambda *args, **kwargs: calls.append(args) or dtbtrs(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(fem._lapack(), "dtbtrs", counted)
+    matvec.nodal(x)
+    matvec.nodal(x, 1e2)
+    precond(matvec.nodal(x, 1e2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_nodal_cg_takes_the_gauge_coordinate_iterations(rng, d, cells, outer, tt_ranks):
+    # the step's CG on T^T b, stopping on |T^-T r|, against CG in gauge
+    # coordinates on the systems of test_cg_matches_dense_solve: the pinned
+    # iteration counts, and T phi is its solution
+    problem = oracle_problem(d, cells, outer, tt_ranks)
+    op = problem.operator(0.05)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    basis = TangentBasis(p)
+    matvec = tangent_operator(basis, op)
+    au = matvec(basis.project_coords(point_to_dense(p)))
+    for n_terms in (1, 3):
+        problem = oracle_problem(d, cells, outer, tt_ranks, sources=n_terms)
+        b = _source_coords(basis, problem.source_factors(0.05)) - au
+        for tau, pinned in zip(CG_TAUS, CG_ITERATIONS[d, cells, outer, tt_ranks]):
+            precond = _preconditioner(basis, op, tau, matvec)
+            x, iterations = _pcg(lambda y: y / tau + matvec(y), precond, b)
+            phi, nodal_iterations = _pcg(
+                lambda y: matvec.nodal(y, 1.0 / tau),
+                precond.nodal,
+                matvec.congruence(b, chol_matmul, "N"),
+                *matvec.dual_norms,
+            )
+            assert nodal_iterations == iterations == pinned, (n_terms, tau)
+            theta = matvec.congruence(phi, chol_matmul, "T")
+            assert np.linalg.norm(theta - x) <= 1e-12 * np.linalg.norm(x)
+
+
+# the pe3d_n128 benchmark workload's problem
+PE3D_N128 = {
+    "dims": 3,
+    "cells": 128,
+    "b0": [[1.0 if i == j else 0.25 for j in range(3)] for i in range(3)],
+    "t_end": 0.003,
+    "tau": 0.001,
+    "tt_ranks": [3, 3],
+    "initial": [
+        {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * 3}
+        for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
+    ],
+    "sources": [{"time_poly": [1.0], "profiles": ["constant"] * 3}],
+}
+
+
+def test_step_takes_at_most_seven_banded_solves(monkeypatch):
+    # one for the nodal factors L^-T U, one for |T^-T b|, one per exact
+    # residual norm of CG (one, as the weighted bound is close), one for the
+    # tangent residual and one per mode for the energy a(u, u)
+    problem, _ = problem_from_config(PE3D_N128)
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    calls, dtbtrs = [], fem._lapack().dtbtrs
+    counted = lambda *args, **kwargs: calls.append(args) or dtbtrs(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(fem._lapack(), "dtbtrs", counted)
+    for _ in range(3):
+        del calls[:]
+        state = step_projected_implicit_euler(state, 0.001, problem)
+        assert len(calls) <= 7
+        assert state.tangent_residual <= 1e-12
+
+
+def test_non_finite_galerkin_solution_is_a_breakdown(monkeypatch):
+    # a NaN solution of the step's CG ends the run as a breakdown at the
+    # first step, with the initial state's gap
+    problem = anisotropic_problem(d=3, n=6, tt_ranks=(2, 2))
+    monkeypatch.setattr(integrate, "_pcg", lambda apply, precond, b, *norms: (np.nan * b, 1))
+    state = state_from_point(problem.u0, 0.0, problem.disc)
+    with pytest.raises(BreakdownError, match="Galerkin solve") as caught:
+        step_projected_implicit_euler(state, 0.01, problem)
+    assert caught.value.gap == state.gap
+    tr = solve(problem, "projected_euler", tau=0.01, t_end=0.1)
+    assert len(tr.states) == 1 and tr.breakdown == BreakdownRecord(time=0.01, gap=state.gap)
 
 
 def test_step_times_are_exact_multiples_of_tau():

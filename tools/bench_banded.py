@@ -12,6 +12,9 @@
     python3 tools/bench_banded.py --cells 128 --label after --src src --out BENCH_modestack.json
     python3 tools/bench_banded.py --grid footprint --label before --src <parent checkout>/src \
         --out BENCH_footprint.json
+    python3 tools/bench_banded.py --label after --src src --out BENCH_nodal.json
+    python3 tools/bench_banded.py --grid dims --dims 3 5 8 --label after --src src \
+        --out BENCH_nodal.json
 
 ``BENCH_precond.json`` holds both default grids, recorded the same way,
 ``BENCH_retract.json`` both step grids (dims 3 to 8) in alternating passes,
@@ -20,8 +23,9 @@ grid (dims 3 to 8) with ``report_ms``, in alternating passes, and
 ``BENCH_kernels.json`` and ``BENCH_linalg.json`` each the suite grid and
 the dims grid (dims 3 to 8), in alternating passes.  ``BENCH_modestack.json``
 holds the cells grid at 128 cells and the dims grid at dims 3, 5 and 8, in
-alternating passes, and ``BENCH_footprint.json`` the footprint grid, in
-alternating passes.
+alternating passes, ``BENCH_footprint.json`` the footprint grid, and
+``BENCH_nodal.json`` the cells grid and the dims grid at dims 3, 5 and 8,
+each in alternating passes.
 ``--grid cells`` (the default) times, for d = 3 at each of ``--cells``
 (default 128, 256, 512 and 1024), the set-up (``problem_from_config``), one projected implicit Euler step
 from the initial state and its retraction (``integrate._retract_step``, timed
@@ -29,13 +33,16 @@ by wrapping it, so a parent tree is timed the same way), the Galerkin
 operator's set-up (``tangent_operator``) and the preconditioner build of that
 step, ``_preconditioner(basis, op, tau, tangent_operator(basis, op))``, which
 includes the operator's set-up, since the preconditioner reads its couplings.
-Both step grids also time ``cg_ms``, one ``_pcg`` of the first step's
-Galerkin system, and ``precond_apply_ms``, one apply of its preconditioner.
+Both step grids also time the first step's CG as the step runs it, from
+the arguments of its ``_pcg`` call (captured by wrapping ``integrate._pcg``,
+so a parent tree is timed the same way): ``cg_ms``, one ``_pcg`` call,
+``precond_apply_ms``, one apply of its preconditioner, and ``matvec_ms``,
+one apply of its operator to a gauge vector.
 ``--grid dims`` times, at 16 cells for each d of ``--dims`` (default 3 to 7),
 one step and its retraction, the tangent basis of the initial point
-(``TangentBasis``), one matvec of the Galerkin operator, the operator's
-set-up and ``report_ms``, one ``energy_report`` of a ``REPORT_STEPS``-step
-trajectory.  ``--grid setup`` times the set-up alone, at 128 cells for d = 3 and
+(``TangentBasis``), the operator's set-up and ``report_ms``, one
+``energy_report`` of a ``REPORT_STEPS``-step trajectory.  ``--grid setup``
+times the set-up alone, at 128 cells for d = 3 and
 at 16 cells for each d of ``--dims``: ``setup_ms``, and ``setup_peak_mib``,
 the peak of one further call traced by ``tracemalloc``.  ``--grid suite``
 times ``suite_ms``, one ``run_curvature_suite`` call on
@@ -144,8 +151,8 @@ def _time_steps(problem):
     counts, retract_times = [], []
     pcg, retract = integrate._pcg, integrate._retract_step
 
-    def counted(*args):
-        x, iterations = pcg(*args)
+    def counted(*args, **kwargs):
+        x, iterations = pcg(*args, **kwargs)
         counts.append(iterations)
         return x, iterations
 
@@ -167,25 +174,32 @@ def _time_steps(problem):
     }
 
 
-def _galerkin(problem, basis):
-    """The first step's operator, its matvec, the point's coordinates
-    ``(C, 0, ..., 0)`` and the times of one CG solve of the step's system and
-    one preconditioner apply."""
-    import numpy as np
+def _galerkin(problem):
+    """The times of one CG solve of the first step's Galerkin system, one
+    apply of its preconditioner and one of its operator, on a gauge vector,
+    each as the step runs it: the step's own ``_pcg`` call is captured by
+    wrapping ``integrate._pcg``."""
+    from ttdlra import integrate
 
-    from ttdlra.integrate import _pcg, _preconditioner, _source_coords, tangent_operator
+    calls, pcg = [], integrate._pcg
 
-    op = problem.operator(TAU)
-    matvec = tangent_operator(basis, op)
-    u_coords = np.zeros(sum(basis.block_sizes))
-    u_coords[: basis.block_sizes[0]] = basis.core_basis.T @ basis.core.ravel(order="F")
-    b = _source_coords(basis, problem.source_factors(TAU)) - matvec(u_coords)
-    precond = _preconditioner(basis, op, TAU, matvec)
-    times = {
-        "cg_ms": round(_median_ms(lambda: _pcg(lambda x: x / TAU + matvec(x), precond, b)), 3),
+    def captured(*args, **kwargs):
+        calls.append((args, kwargs))
+        return pcg(*args, **kwargs)
+
+    integrate._pcg = captured
+    try:
+        state = integrate.state_from_point(problem.u0, 0.0, problem.disc)
+        integrate.step_projected_implicit_euler(state, TAU, problem)
+    finally:
+        integrate._pcg = pcg
+    (apply, precond, b, *norms), kwargs = calls[0]
+    x = precond(b)  # a gauge vector, as CG applies the operator to
+    return {
+        "cg_ms": round(_median_ms(lambda: pcg(apply, precond, b, *norms, **kwargs)), 3),
         "precond_apply_ms": round(_median_ms(lambda: precond(b)), 3),
+        "matvec_ms": round(_median_ms(lambda: apply(x)), 3),
     }
-    return op, matvec, u_coords, times
 
 
 def measure_cells(cells):
@@ -198,7 +212,7 @@ def measure_cells(cells):
     setup_ms = _median_ms(lambda: problem_from_config(cfg))
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
-    op, _, _, solve_times = _galerkin(problem, basis)
+    op = problem.operator(TAU)
     operator_ms = _median_ms(lambda: tangent_operator(basis, op))
     precond_ms = _median_ms(lambda: _preconditioner(basis, op, TAU, tangent_operator(basis, op)))
     return _row(D, cells, problem, basis) | {
@@ -206,7 +220,7 @@ def measure_cells(cells):
         **steps,
         "operator_setup_ms": round(operator_ms, 3),
         "preconditioner_build_ms": round(precond_ms, 3),
-        **solve_times,
+        **_galerkin(problem),
     }
 
 
@@ -222,17 +236,14 @@ def measure_dims(d):
     steps = _time_steps(problem)
     basis = TangentBasis(problem.u0)
     basis_ms = _median_ms(lambda: TangentBasis(problem.u0))
-    op, matvec, u_coords, solve_times = _galerkin(problem, basis)
+    op = problem.operator(TAU)
     setup_ms = _median_ms(lambda: tangent_operator(basis, op))
-    x = matvec(u_coords)  # a gauge vector, as CG applies the operator to
-    matvec_ms = _median_ms(lambda: matvec(x))
     return _row(d, DIMS_CELLS, problem, basis) | {
         **steps,
         "basis_ms": round(basis_ms, 3),
-        "matvec_ms": round(matvec_ms, 3),
         "operator_setup_ms": round(setup_ms, 3),
         "report_ms": round(report_ms, 3),
-        **solve_times,
+        **_galerkin(problem),
     }
 
 
