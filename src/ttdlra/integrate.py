@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from types import SimpleNamespace
 
 import numpy as np
@@ -633,7 +634,8 @@ def step_projector_splitting(state: EvolutionState, tau: float, problem) -> Evol
 
 def _step_count(tau: float, t_end: float) -> int:
     """Number of steps of size ``tau`` to ``t_end``, which ``tau`` must divide."""
-    if not (0 < tau < np.inf and 0 <= t_end < np.inf):
+    real = isinstance(tau, Real) and isinstance(t_end, Real)
+    if not (real and 0 < tau < np.inf and 0 <= t_end < np.inf):
         raise InvalidArgumentError("need a finite tau > 0 and t_end >= 0")
     n_steps = int(round(t_end / tau))
     if abs(n_steps * tau - t_end) > 1e-9 * t_end:
@@ -656,7 +658,7 @@ def check_run(u0: ManifoldPoint, scheme: str, tau: float, t_end: float) -> int:
     """What :func:`solve` checks before its first step: a known scheme that
     admits the rank structure of ``u0``, ``tau > 0`` dividing ``t_end``, and an
     initial boundary gap above the breakdown threshold.  Returns the step count."""
-    if scheme not in _SCHEMES:
+    if not isinstance(scheme, str) or scheme not in _SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     _SCHEMES[scheme][1](u0)
     n_steps = _step_count(tau, t_end)
@@ -731,7 +733,7 @@ def energy_report(tr: Trajectory, problem) -> EnergyReport:
     computable here, so only gross growth is flagged.
     """
     tau = tr.step_size
-    if not tr.states or not 0 < tau < math.inf:
+    if not tr.states or not isinstance(tau, Real) or not 0 < tau < math.inf:
         raise InvalidArgumentError(f"need states and a finite step size > 0, got {tau}")
     states = tr.states
     l2_terminal = states[-1].energy_l2

@@ -13,8 +13,8 @@ with orthonormal factors by absorbing the triangular QR factors into the
 core.  :func:`make_point` does this, so every point carries orthonormal
 factors: its norm is its core's, and the tangent coordinates rely on it.
 It also keeps what its validation measured, the expanded core (a column-major
-ndarray) and the SVD of each mode unfolding; the gap, norm and tangent basis
-read them from the point.
+ndarray), the SVD of each mode unfolding and a train core's frame (its two QR
+sweeps); the gap, norm and tangent basis read them from the point.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import DenseTensor, _check_ambient, _check_finite, _multiply_modes, _norm, svd
-from .dense import _eigh, _moveaxis, _qr, _tensordot_modes
+from .dense import _eigh, _moveaxis, _qr, _svd, _tensordot_modes
 from .errors import InvalidArgumentError, NotOnManifoldError
-from .tt import TTTensor, interface_spectrum, tt_to_dense, tt_scale
+from .tt import TTTensor, _frame, tt_to_dense, tt_scale
 
 __all__ = [
     "ManifoldPoint",
@@ -49,7 +49,7 @@ _GRAM_REJECT_REL = 1e-12
 class ManifoldPoint:
     """Validated constrained Tucker point; construct via :func:`make_point`.
     Beside core and factors it keeps the core's measurement: gap, norm, expansion
-    (a plain Tucker core is its own) and the ``SvdResult`` of each mode unfolding."""
+    (a plain Tucker core is its own), mode SVDs (``SvdResult``) and frame."""
 
     core: object  # TTTensor or ndarray
     factors: tuple  # orthonormal columns
@@ -57,6 +57,7 @@ class ManifoldPoint:
     core_norm: float = field(compare=False, repr=False)  # the norm validation measured
     expanded: np.ndarray = field(compare=False, repr=False)  # column-major
     mode_svds: tuple = field(compare=False, repr=False)
+    frame: tuple = field(compare=False, repr=False)  # a train core's tt._frame, or None
 
     @property
     def ndim(self) -> int:
@@ -119,9 +120,9 @@ def make_point(core, factors) -> ManifoldPoint:
     Factors that are not orthonormal are replaced by their QR factors ``Q``,
     and the core absorbs the triangular ``R`` (the represented tensor is
     unchanged); orthonormal factors are kept as given.  The point keeps the
-    measurement of its core: the expansion, the SVDs of its mode unfoldings,
-    and the gap, the smallest of their singular values and, for a train of
-    order d > 3, of its interior interface spectra (:func:`_measured`).
+    measurement of its core: the expansion, the SVDs of its mode unfoldings, a
+    train's frame, and the gap, the smallest of their singular values and, for
+    a train of order d > 3, of its interior interface spectra (:func:`_measured`).
 
     Parameters
     ----------
@@ -159,12 +160,11 @@ def make_point(core, factors) -> ManifoldPoint:
 
 
 def _measured(core) -> tuple:
-    """The core's :func:`point_boundary_gap`, norm, expansion and the SVD of
-    each mode unfolding, measured once, and apart from them a train's smallest
-    interface singular value; raises ``NotOnManifoldError`` for a core off the
-    manifold.  The end interfaces 0 and d-2 of a train are its mode-0 and
-    mode-(d-1) unfoldings, so of its interface spectra only the interior ones,
-    1 ... d-3, are taken, by :func:`~ttdlra.tt.interface_spectrum`."""
+    """The core's :func:`point_boundary_gap`, norm, expansion, mode-unfolding
+    SVDs and train frame, measured once, and apart from them a train's smallest
+    interface singular value; raises ``NotOnManifoldError`` off the manifold.
+    The end interfaces 0 and d-2 of a train are its mode-0 and mode-(d-1)
+    unfoldings, so only the interior spectra 1 ... d-3 are read off the frame."""
     cdense = tt_to_dense(core) if isinstance(core, TTTensor) else core
     norm = _norm(cdense)  # at any scale: a tiny core is measured against its own norm
     # a mode unfolding with fewer columns than rows cannot have full row rank
@@ -173,9 +173,9 @@ def _measured(core) -> tuple:
     svds = tuple(  # of the mode unfoldings, columns in matricize's order
         svd(_moveaxis(cdense, m, 0).reshape(r, -1, order="F")) for m, r in enumerate(cdense.shape)
     )
-    vals = [float(s.singular_values[-1]) for s in svds]
-    if isinstance(core, TTTensor) and core.ndim > 3:
-        vals.extend(float(v[-1]) for v in interface_spectrum(core).values[1:-1])
+    frame = _frame(core) if isinstance(core, TTTensor) else None
+    interior = [float(_svd(k, "values")[-1]) for k in frame[2][1:-1]] if frame else []
+    vals = [float(s.singular_values[-1]) for s in svds] + interior
     gap = min(vals)
     scale = max(norm, np.finfo(float).tiny)
     if gap <= GAP_REJECT_REL * scale:
@@ -184,7 +184,7 @@ def _measured(core) -> tuple:
             f"{GAP_REJECT_REL * scale:.3e}",
             gap=gap,
         )
-    return (gap, norm, cdense, svds), min(vals[:1] + vals[len(svds) - 1 :])
+    return (gap, norm, cdense, svds, frame), min(vals[:1] + vals[len(svds) - 1 :])
 
 
 def point_to_dense(p: ManifoldPoint) -> DenseTensor:

@@ -14,23 +14,19 @@ coefficients and one per mode acting on the corresponding matricization.
 :class:`TangentBasis` holds coordinates for these pieces and is the one
 implementation of the projector: orthonormal ones for the core piece and,
 per mode, a gauge-form block ``theta_m`` with ``(U^m)^T theta_m = 0``, so
-projecting applies ``I - U U^T`` and no complement of ``U^m`` is built; it
-maps ``theta_m`` to ``Udot^m`` by the SVD of the point's core unfolding.  A
-:class:`TangentVector` is its coordinates in a basis;
-:meth:`TangentBasis.tucker` builds their Tucker form (factors
-``[U^m, Udot^m]``, a ``(2r)^d`` block core), the only map from coordinates to
-a tensor.  For a tensor-train core the core piece uses gauge-conditioned
-single-core replacements, orthonormal as built (:func:`core_tangent_basis`).
+projecting applies ``I - U U^T`` and no complement of ``U^m`` is built.  It
+takes no QR, spectrum or expansion: the point's mode SVDs map ``theta_m`` to
+``Udot^m``, and a train core's frame gives :func:`core_tangent_basis`.
+:meth:`TangentBasis.tucker` builds the Tucker form of a :class:`TangentVector`
+(factors ``[U^m, Udot^m]``, a ``(2r)^d`` block core), the only map to a tensor.
 
 The module also houses an independent brute-force oracle (span, orthonormalize,
 project), polar alignment of subspace bases, and curvature reports comparing
 observed projector differences and normal defects against the theoretical
 bounds ``2d(3*sqrt(2)+1)/sigma`` and ``sqrt(2d-1)/sigma`` for the outer
 manifold and ``4d/sigma`` and ``sqrt(d-1)/sigma`` for the fixed-rank train
-manifold, where ``sigma`` is the distance to the relative boundary.  The
-reports take both quantities exactly from the two points' orthonormal ambient
-tangent bases: the projector difference is the sine of the largest principal
-angle between the tangent spaces, with no iteration.
+manifold, where ``sigma`` is the distance to the relative boundary; both
+quantities are taken exactly from the points' orthonormal ambient tangent bases.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from .dense import DenseTensor, _check_ambient, _eigh, _frobenius, _moveaxis, _m
 from .dense import _norm2, _qr, _svd, _tensordot_modes, matricize
 from .errors import DegeneratePointError, InvalidArgumentError
 from .manifold import ManifoldPoint, point_boundary_gap, point_to_dense
-from .tt import TTTensor, tt_to_dense
+from .tt import TTTensor, _frame, tt_to_dense
 
 __all__ = [
     "TangentVector",
@@ -116,36 +112,32 @@ def core_tangent_project(core, z: np.ndarray) -> np.ndarray:
 def core_tangent_basis(core) -> np.ndarray:
     """Orthonormal basis of the core tangent space, one column per direction.
 
-    Columns are column-major vectorizations.  For an array core the basis is
-    the identity.  For a train core block m holds the gauge-conditioned
-    replacements of core m (Holtz, Rohwedder and Schneider 2012): a
-    left-orthogonal prefix of cores 0..m-1, the complement of the
-    left-orthogonal core m in its left unfolding (the identity for the last
-    core) and a right-orthogonal suffix of cores m+1..d-1.  The blocks are
-    orthonormal and mutually orthogonal as built, so their
-    ``sum |G_m| - sum k_m^2`` columns take no rank test.
+    Columns are column-major vectorizations; an array core's basis is the
+    identity.  A train core's block m holds the gauge-conditioned replacements
+    of core m (Holtz, Rohwedder and Schneider 2012), built from its frame: a
+    left-orthogonal prefix of cores 0..m-1, the complement of the left-orthogonal
+    core m in its left unfolding (the identity for the last core) and a
+    right-orthogonal suffix of cores m+1..d-1.  The blocks are orthonormal and
+    mutually orthogonal as built, so their ``sum |G_m| - sum k_m^2`` columns
+    take no rank test.
     """
-    if isinstance(core, np.ndarray):
-        return np.eye(core.size)
+    return np.eye(core.size) if isinstance(core, np.ndarray) else _train_basis(core, _frame(core))
+
+
+def _train_basis(core: TTTensor, frame) -> np.ndarray:
+    """:func:`core_tangent_basis` of a train core from its frame."""
     if any(kl > n * kr or kr > kl * n for kl, n, kr in (g.shape for g in core.cores)):
         raise InvalidArgumentError("a train rank exceeds the size of its unfolding")
     # prefixes and suffixes have one row per index of the modes before (after)
     # m, the last mode slowest, and one orthonormal column per interface index
-    cores, suffixes = list(core.cores), [np.ones((1, 1))]
-    for m in range(core.ndim - 1, 0, -1):  # right sweep: reduced QR, R carried left
-        kl, n, kr = cores[m].shape
-        q, r = _qr(cores[m].transpose(2, 1, 0).reshape(kr * n, kl))
-        suffixes.insert(0, (suffixes[0] @ q.reshape(kr, n * kl)).reshape(-1, kl))
-        cores[m - 1] = cores[m - 1] @ r.T
-    prefix, carry, blocks = np.ones((1, 1)), np.ones((1, 1)), []
-    for m, (g, suffix) in enumerate(zip(core.cores, suffixes)):  # left sweep: complete QR
+    rights, lefts, _ = frame
+    suffixes, prefix, blocks = [np.ones((1, 1))], np.ones((1, 1)), []
+    for q in reversed(rights):
+        suffix = suffixes[0] @ q.reshape(suffixes[0].shape[1], -1)
+        suffixes.insert(0, suffix.reshape(-1, q.shape[1]))
+    for m, (g, suffix) in enumerate(zip(core.cores, suffixes)):
         kl, n, kr = g.shape
-        if m == core.ndim - 1:
-            q, kr = np.eye(n * kl), 0
-        else:
-            g = (carry @ g.transpose(1, 0, 2)).reshape(n * kl, kr)
-            q, r = _qr(g, "complete")
-            carry = r[:kr]
+        q, kr = (lefts[m], kr) if m < len(lefts) else (np.eye(n * kl), 0)
         lq = (prefix @ q.reshape(n, kl, n * kl)).reshape(-1, n * kl)  # rows: mode m slowest
         prefix, gauge = lq[:, :kr], lq[:, kr:]
         outer = np.multiply.outer(suffix, gauge)  # (after m, k_m, up to m, gauge)
@@ -235,12 +227,12 @@ class TangentBasis:
     ``Udot^m = theta_m rmap_m^T``).  ``dim`` is the tangent dimension;
     coordinate vectors have ``sum(block_sizes)`` entries, ``r_m^2`` per mode
     more, and are read through :meth:`gauge_blocks`, on whose gauge vectors the
-    coordinate map is an isometry.  The expanded core and the mode-unfolding
-    SVDs are the point's own (kept by :func:`~ttdlra.manifold.make_point`)."""
+    coordinate map is an isometry.  The expanded core, mode-unfolding SVDs and
+    frame are the point's own (kept by :func:`~ttdlra.manifold.make_point`)."""
 
     def __init__(self, p: ManifoldPoint):
         self.point = p
-        self.core_basis = core_tangent_basis(p.core)
+        self.core_basis = _train_basis(p.core, p.frame) if p.tt_core else np.eye(p.expanded.size)
         self.core = p.expanded
         self.rmap = [s.left_vectors / s.singular_values for s in p.mode_svds]  # P diag(1/sigma)
         self.qright = [s.right_vectors for s in p.mode_svds]  # Q, of C_(m) = P diag(sigma) Q^T

@@ -6,6 +6,7 @@ through order-3 cores ``G_m`` of shape ``(k_{m-1}, N_m, k_m)`` with
 modes ``{0..m}`` from ``{m+1..d-1}``; the singular values of the corresponding
 unfolding are the interface spectrum, and their minimum over all interfaces
 bounds the distance to the set of trains of strictly lower rank from above.
+Spectra and tangent bases read a train's two QR sweeps, its :func:`_frame`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import _contract, _exponent, _frobenius, _norm, _qr, _svd
+from .dense import _check_finite, _contract, _exponent, _frobenius, _norm, _qr, _svd
 from .errors import DegeneratePointError, InvalidArgumentError
 
 __all__ = [
@@ -225,25 +226,34 @@ def orthogonalize(t: TTTensor, site: int) -> TTTensor:
     return TTTensor(tuple(cores), ortho_center=site)
 
 
-def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
-    """Singular values of every prefix unfolding ``{0..m} | {m+1..d-1}``.
+def _frame(t: TTTensor, complete=True) -> tuple:
+    """A train's two QR sweeps, ``(rights, lefts, centers)`` by interface m: the Q
+    of core m+1 in a right sweep of reduced QRs (rows: its right index slowest),
+    the complete Q (None unless ``complete``) of core m in a left sweep on the
+    cores as given (rows: its mode slowest), and the k_m x k_m center K_m, the
+    left carry times the right R transposed: the train is ``L_<=m K_m R_>m``."""
+    for g in t.cores:
+        _check_finite(g, "train core")
+    lefts, carries = [], [np.ones((1, 1))]
+    for g in t.cores[:-1]:
+        mat = (carries[-1] @ g.transpose(1, 0, 2)).reshape(-1, g.shape[2])
+        q, r = _qr(mat, "complete") if complete else (None, _qr(mat, "r"))
+        lefts.append(q)
+        carries.append(r[: g.shape[2]])
+    cores, rights, centers = list(t.cores), [], []
+    for m in range(t.ndim - 1, 0, -1):
+        q, r = _qr(cores[m].transpose(2, 1, 0).reshape(-1, cores[m].shape[0]))
+        rights.insert(0, q)
+        centers.insert(0, carries[m] @ r.T)
+        cores[m - 1] = cores[m - 1] @ r.T
+    return tuple(rights), tuple(lefts), tuple(centers)
 
-    Computed train-natively with one orthogonalization sweep; the spectrum at
-    interface ``m`` has length ``k_m``.
-    """
-    d = t.ndim
-    if d == 1:
-        return InterfaceSpectrum(splits=(), values=())
-    work = orthogonalize(t, 0)
-    carry = work.cores[0]
-    splits = []
-    values = []
-    for m in range(d - 1):
-        mat = _left_unfold(carry)
-        values.append(_svd(mat, "values"))
-        splits.append(tuple(range(m + 1)))
-        carry = _contract(_qr(mat, "r"), work.cores[m + 1], (1, 0))
-    return InterfaceSpectrum(splits=tuple(splits), values=tuple(values))
+
+def interface_spectrum(t: TTTensor) -> InterfaceSpectrum:
+    """Singular values of every prefix unfolding ``{0..m} | {m+1..d-1}``, those
+    of the centers of the train's :func:`_frame`; interface ``m`` has ``k_m``."""
+    values = tuple(_svd(k, "values") for k in _frame(t, complete=False)[2])
+    return InterfaceSpectrum(tuple(tuple(range(m + 1)) for m in range(len(values))), values)
 
 
 def boundary_gap(t: TTTensor) -> float:

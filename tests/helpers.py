@@ -25,6 +25,25 @@ def count_calls(monkeypatch, module, *names):
     return calls
 
 
+def interface_gauge(t, rng, condition):
+    """The train ``t`` with each interface m carried through ``A_m = D_m P_m``:
+    core m times ``A_m`` on its right index, core m+1 times ``A_m^-1`` on its
+    left.  ``D_m`` is a diagonal of powers of two from 1 to ``condition`` (a
+    power of two) and ``P_m`` a random permutation, so every product is exact
+    and only the order of the sums in an expansion changes.  Random dense
+    transforms would move the tensor itself: a middle core absorbs two of them,
+    so its condition is their square."""
+    from ttdlra.tt import TTTensor
+
+    cores = list(t.cores)
+    for m, k in enumerate(t.ranks):
+        exponents = np.round(np.linspace(0.0, np.log2(condition), k))
+        perm = rng.permutation(k)
+        cores[m] = cores[m] @ np.diag(2.0**exponents)[:, perm]
+        cores[m + 1] = np.einsum("ij,jnk->ink", np.diag(2.0**-exponents)[:, perm].T, cores[m + 1])
+    return TTTensor(tuple(cores))
+
+
 def kron_matrix(op):
     """Dense oracle for a sum-of-products operator: one big matrix acting on
     column-major flattened coefficients (mode-0 factor last in the kron)."""

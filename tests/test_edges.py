@@ -18,7 +18,8 @@ from ttdlra.manifold import make_point, point_to_dense
 from ttdlra.problems import heat_problem, problem_from_config
 from ttdlra.retraction import retract, retract_train, retract_tucker
 from ttdlra.sampling import random_dense, random_orthonormal, random_point, random_tt
-from ttdlra.tt import TTTensor
+from ttdlra.tangent import core_tangent_basis, core_tangent_project
+from ttdlra.tt import TTTensor, boundary_gap, interface_spectrum
 
 DOCUMENTED = tuple(
     v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
@@ -73,6 +74,14 @@ def _retract_tucker(part):
         else:
             factors[1] = _poisoned(factors[1], value)
         return retract_tucker(core, factors, origin, (2, 2, 2), (2, 2))
+
+    return build
+
+
+def _on_train(call):
+    def build(value):
+        t = random_tt(np.random.default_rng(10), (3, 4, 3), (2, 2))
+        return call(TTTensor((t.cores[0], _poisoned(t.cores[1], value), t.cores[2])))
 
     return build
 
@@ -133,6 +142,14 @@ NON_FINITE = {
     "retract_train": (_retract_train, _each(InvalidArgumentError)),
     "retract_tucker core": (_retract_tucker("core"), _each(InvalidArgumentError)),
     "retract_tucker factor": (_retract_tucker("factor"), _each(InvalidArgumentError)),
+    # a train core is checked once, by the frame its spectra and basis read
+    "interface_spectrum": (_on_train(interface_spectrum), _each(InvalidArgumentError)),
+    "boundary_gap": (_on_train(boundary_gap), _each(InvalidArgumentError)),
+    "core_tangent_basis": (_on_train(core_tangent_basis), _each(InvalidArgumentError)),
+    "core_tangent_project": (
+        _on_train(lambda t: core_tangent_project(t, np.ones(t.dims))),
+        _each(InvalidArgumentError),
+    ),
     # any draw reaches a gap of -inf; none reaches inf or compares with NaN
     "random_point min_gap_rel": (
         _random_point,
@@ -171,6 +188,27 @@ def test_energy_report_refuses_a_step_size_that_is_not_positive(step_size):
     # a zero step size divided by zero in the report's quadratures
     assert _outcome(_energy_report, step_size) is InvalidArgumentError
     assert _outcome(_energy_report, 0.01) is None
+
+
+def _solve(scheme, tau):
+    return solve(heat_problem(2, 8, (2,), t_end=0.02), scheme, tau, 0.02)
+
+
+# a call with an argument of the wrong type -> the documented error
+WRONG_TYPE = {
+    "solve tau str": lambda: _solve("projected_euler", "0.01"),
+    "solve tau None": lambda: _solve("projected_euler", None),
+    "solve scheme list": lambda: _solve(["projected_euler"], 0.01),
+    "energy_report step_size str": lambda: _energy_report("0.01"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_TYPE))
+def test_wrong_argument_type_is_a_documented_error(entry):
+    # each raised TypeError from a comparison or a dict lookup
+    with pytest.raises(DOCUMENTED) as exc:
+        WRONG_TYPE[entry]()
+    assert exc.type is InvalidArgumentError
 
 
 def test_heat_problem_refuses_a_cell_list_of_the_wrong_length():

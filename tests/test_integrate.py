@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import count_calls, gauge_frame, kron_matrix, p1_matrices, source_dense
+from helpers import count_calls, gauge_frame, interface_gauge, kron_matrix, p1_matrices
+from helpers import source_dense
 
 from ttdlra import dense, fem, integrate, retraction, tangent, tt
-from ttdlra.dense import DenseTensor, inner
+from ttdlra.dense import DenseTensor, _multiply_modes, inner
 from ttdlra.errors import BreakdownError, InvalidArgumentError, OversizeError
 from ttdlra.fem import ModeFactor, OperatorTerm, TTOperator, chol_matmul, laplacian_operator
 from ttdlra.integrate import (
@@ -26,11 +27,12 @@ from ttdlra.integrate import (
     step_projector_splitting,
     tangent_operator,
 )
-from ttdlra.manifold import point_to_dense, scale_point
+from ttdlra.manifold import make_point, point_to_dense, scale_point
 from ttdlra.problems import heat_problem, problem_from_config, rank_collapse_problem
 from ttdlra.retraction import tucker_distance
-from ttdlra.sampling import random_point
+from ttdlra.sampling import random_orthonormal, random_point
 from ttdlra.tangent import TangentBasis
+from ttdlra.tt import TTTensor
 
 
 def anisotropic_problem(d=3, n=6, tt_ranks=(2, 2), outer=None, t_end=0.1, sources=0, b0=None):
@@ -525,21 +527,54 @@ def test_step_times_are_exact_multiples_of_tau():
 
 def test_step_takes_each_core_spectrum_once(monkeypatch):
     # the step measures its new point once: one expansion of the new core,
-    # d mode-unfolding SVDs and
-    # the spectra of the interior interfaces only (the end interfaces are the
-    # mode-0 and mode-(d-1) unfoldings): none at d = 3, one at d = 4.  The
-    # state's gap, norm and energies and the next step's basis read that
-    # measurement
-    for d, interior in ((3, 0), (4, 1)):
+    # d mode-unfolding SVDs, one frame of the train core (its two QR sweeps)
+    # and, read off that frame, the spectra of the interior interfaces only
+    # (the end interfaces are the mode-0 and mode-(d-1) unfoldings): none at
+    # d = 3, one at d = 4.  The state's gap, norm and energies and the next
+    # step's basis read that measurement
+    from ttdlra import manifold
+
+    for d, interior in ((3, []), (4, [(2, 2)])):
         problem = anisotropic_problem(d=d, n=6, tt_ranks=(2,) * (d - 1), sources=1)
         state = state_from_point(problem.u0, 0.0, problem.disc)
+        read = []
         with monkeypatch.context() as patch:
-            tt_calls = count_calls(patch, tt, "interface_spectrum", "tt_to_dense")
+            tt_calls = count_calls(patch, tt, "_frame", "tt_to_dense")
             svd_calls = count_calls(patch, dense, "svd")
+            svds = manifold._svd
+            patch.setattr(manifold, "_svd", lambda k, mode: read.append(k.shape) or svds(k, mode))
             new = step_projected_implicit_euler(state, 1e-3, problem)
             TangentBasis(new.point)
-        assert tt_calls == {"interface_spectrum": interior, "tt_to_dense": 1}
+        assert tt_calls == {"_frame": 1, "tt_to_dense": 1}
         assert svd_calls == {"svd": d}
+        assert read == interior
+
+
+def test_projected_step_takes_each_train_qr_once(monkeypatch):
+    # one frame of the new core is the step's only QR sweep of a train, which
+    # the next basis reads; the other QRs are the retraction's, one per
+    # factor.  With the spectra and the basis taking sweeps of their own, a
+    # step took 7, 21 and 36 QRs at d = 3, 5 and 8
+    for d, qrs in ((3, 7), (5, 13), (8, 22)):
+        problem, _ = problem_from_config(
+            {
+                "dims": d,
+                "cells": 16,
+                "b0": [[1.0 if i == j else 0.25 for j in range(d)] for i in range(d)],
+                "t_end": 1e-3,
+                "tt_ranks": [3] * (d - 1),
+                "initial": [
+                    {"coefficient": c, "profiles": [{"kind": "sine", "frequency": k}] * d}
+                    for c, k in ((1.0, 1), (0.5, 2), (0.25, 3))
+                ],
+                "sources": [{"time_poly": [1.0], "profiles": ["constant"] * d}],
+            }
+        )
+        state = state_from_point(problem.u0, 0.0, problem.disc)
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, dense, "_qr")
+            TangentBasis(step_projected_implicit_euler(state, 1e-3, problem).point)
+        assert calls == {"_qr": qrs}, d
 
 
 def test_step_residuals_and_memory_below_dense_system():
@@ -950,6 +985,38 @@ def test_splitting_step_distance_matches_tucker_distance(rng, d, outer, tt_ranks
         new = step_projector_splitting(state, 1e-2, problem)
         assert_step_distance(state, new)
         state = new
+
+
+def gauged_point(p, rng, condition):
+    """``p`` with its train interfaces carried through ``interface_gauge`` and
+    each factor rotated by a random orthogonal ``Q_m``, which the core absorbs
+    on mode m: the same tensor in another gauge."""
+    rotations = [random_orthonormal(rng, r, r) for r in p.outer_ranks]
+    factors = [u @ q for u, q in zip(p.factors, rotations)]
+    if not p.tt_core:
+        core = _multiply_modes(p.expanded, [(m, q.T) for m, q in enumerate(rotations)])
+        return make_point(core, factors)
+    cores = interface_gauge(p.core, rng, condition).cores
+    cores = [np.einsum("ij,ajb->aib", q.T, g) for q, g in zip(rotations, cores)]
+    return make_point(TTTensor(tuple(cores)), factors)
+
+
+@pytest.mark.parametrize("condition", [1.0, 2.0**30])
+@pytest.mark.parametrize("d, cells, outer, tt_ranks", ORACLE_CASES)
+def test_step_does_not_depend_on_the_gauge(rng, d, cells, outer, tt_ranks, condition):
+    # interface transforms of condition 1 and 2^30 (about 1.1e9) and factor
+    # rotations give the same tensor; each scheme steps it to the same tensor
+    problem = oracle_problem(d, cells, outer, tt_ranks, sources=1)
+    p = random_point(rng, problem.dims, outer, tt_ranks=tt_ranks)
+    q = gauged_point(p, rng, condition)
+    assert tucker_distance(p.tucker(), q.tucker()) <= 1e-13 * p.norm()
+    for scheme, (step, admits) in integrate._SCHEMES.items():
+        try:
+            admits(p)
+        except InvalidArgumentError:
+            continue
+        a, b = (step(state_from_point(x, 0.0, problem.disc), 1e-2, problem).point for x in (p, q))
+        assert tucker_distance(a.tucker(), b.tucker()) <= 1e-10 * a.norm(), scheme
 
 
 SCALES = (1e-300, 1e-200, 1e-165, 1e-160, 1e-150, 1e-100, 1.0, 1e100)

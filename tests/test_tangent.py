@@ -292,6 +292,17 @@ def test_core_basis_does_not_depend_on_the_gauge_scale(rng):
 # ---------------------------------------------------------------------------
 
 
+def test_tangent_basis_of_a_train_point_takes_no_qr(rng, monkeypatch):
+    # the basis reads the frame that make_point kept with the point, and its
+    # core block has the bits of a basis built from a fresh frame
+    p = random_point(rng, (5, 6, 5, 4), (2, 3, 3, 2), tt_ranks=(2, 3, 2))
+    calls = count_calls(monkeypatch, ttdlra.dense, "_qr")
+    basis = TangentBasis(p)
+    assert calls == {"_qr": 0}
+    assert np.array_equal(basis.core_basis, core_tangent_basis(p.core))
+    assert calls == {"_qr": 2 * (p.ndim - 1)}  # the fresh frame: one QR per core and sweep
+
+
 def test_tangent_basis_isometry_and_roundtrip(rng):
     for p, z in instance_grid(rng, 4):
         basis = TangentBasis(p)

@@ -42,3 +42,33 @@ def test_artifact_diff_exit_status(monkeypatch, capsys, changed, status):
     identical = all(line.endswith(": identical") for line in compared)
     assert compared and identical == (changed in (None, "code"))
     assert tool.main(["a"]) == 2
+
+
+def test_artifact_diff_compares_csv_columns_apart(monkeypatch, capsys):
+    # two columns moved by different amounts are reported one by one, and an
+    # unmoved column not at all; the exit status stays that of the file
+    tool = _artifact_diff()
+    a = "t,gap,residual\n0,1.0,3e-14\n1,2.0,1e-14\n"
+    b = "t,gap,residual\n0,1.0,3e-14\n1,2.000000000000001,2e-14\n"
+    assert tool.columns(a, b) == [
+        "gap: max relative difference 4.44e-16",
+        "residual: max relative difference 5.00e-01",
+    ]
+    assert tool.columns(a, a) == []
+    assert tool.columns(a, b.replace("gap", "g")) == []  # another header
+    assert tool.columns(a, b + "2,3.0,1e-14\n") == []  # another row count
+    comment = '# {"a": 1, "b": 2}\n'  # a JSON comment line is not a row
+    assert tool.columns(comment + a, comment.replace("2", "3") + b) == tool.columns(a, b)
+
+    def run(src, config, out):
+        os.makedirs(out)
+        with open(os.path.join(out, "trajectory.csv"), "w") as fh:
+            fh.write(b if src == "b" else a)
+        return 0, ""
+
+    monkeypatch.setattr(tool, "_run", run)
+    assert tool.main(["a", "b"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  trajectory.csv: max relative difference 5.00e-01" in lines
+    assert "    gap: max relative difference 4.44e-16" in lines
+    assert not any(line.startswith("    t:") for line in lines)

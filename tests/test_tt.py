@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import interface_gauge
+
 from ttdlra.dense import DenseTensor, matricize, svd
 from ttdlra.errors import DegeneratePointError, InvalidArgumentError, NotOnManifoldError
 from ttdlra.retraction import retract
@@ -133,12 +135,17 @@ def test_interface_spectrum_two_modes_equals_matrix_svd(rng):
 
 
 def test_interface_spectrum_against_dense_unfolding_oracle(rng):
-    t = random_tt(rng, (3, 2, 4, 3), (2, 3, 2))
-    spec = interface_spectrum(t)
-    x = DenseTensor.from_array(tt_to_dense(t))
-    for m, vals in enumerate(spec.values):
-        sv = svd(matricize(x, set(range(m + 1)))).singular_values
-        np.testing.assert_allclose(vals, sv[: vals.size], rtol=1e-10, atol=1e-10)
+    # a d = 4 and a d = 5 train, and the d = 5 train with its interfaces
+    # scaled by 1 ... 2^30 (its middle cores span 2^-30 ... 2^30)
+    t5 = random_tt(rng, (3, 2, 3, 2, 3), (2, 3, 3, 2))
+    for t in (random_tt(rng, (3, 2, 4, 3), (2, 3, 2)), t5, interface_gauge(t5, rng, 2.0**30)):
+        spec = interface_spectrum(t)
+        x = DenseTensor.from_array(tt_to_dense(t))
+        for m, vals in enumerate(spec.values):
+            sv = svd(matricize(x, set(range(m + 1)))).singular_values
+            np.testing.assert_allclose(vals, sv[: vals.size], rtol=1e-10, atol=1e-10)
+    for a, b in zip(spec.values, interface_spectrum(t5).values):
+        np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
 def test_boundary_gap_matrix_case_is_sigma_min(rng):

@@ -8,14 +8,19 @@ BLAS pinned to one thread, into a temporary directory that is removed
 afterwards.  For every output file, and for stdout with the output directory
 replaced by ``<out>``, it prints ``identical`` when the bytes agree, and
 otherwise the largest relative difference over the file's numeric fields
-(``text differs`` when the text between the numbers differs too).  Both exit
-codes are printed per config.  The exit status is 0 when every exit code,
-file and stdout agree, and 1 otherwise.
+(``text differs`` when the text between the numbers differs too).  Two CSV
+files with the same header and row count are also compared column by column:
+each column that differs is printed with its own largest relative difference,
+so a gap or energy column reads apart from round-off columns such as
+``tangent_residual``.  Both exit codes are printed per config.  The exit
+status is 0 when every exit code, file and stdout agree, and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import glob
+import io
 import json
 import math
 import os
@@ -68,6 +73,25 @@ def compare(text_a: str, text_b: str) -> str:
     return f"max relative difference {worst:.2e}"
 
 
+def columns(text_a: str, text_b: str) -> list:
+    """``name: <compare>`` for each column that differs between two CSV texts
+    with the same header and row count, and nothing for any other pair.  Lines
+    that start with ``#`` (a JSON comment line) are not rows."""
+    rows_a, rows_b = (
+        [row for row in csv.reader(io.StringIO(text)) if row and not row[0].startswith("#")]
+        for text in (text_a, text_b)
+    )
+    same = rows_a[:1] == rows_b[:1] != [] and len(rows_a) == len(rows_b)
+    if not same or any(len(row) != len(rows_a[0]) for row in rows_a + rows_b):
+        return []
+    out = []
+    for j, name in enumerate(rows_a[0]):
+        col_a, col_b = ("\n".join(row[j] for row in rows[1:]) for rows in (rows_a, rows_b))
+        if col_a != col_b:
+            out.append(f"{name}: {compare(col_a, col_b)}")
+    return out
+
+
 def _read(path) -> str:
     if not os.path.exists(path):
         return "<missing>"
@@ -94,6 +118,8 @@ def main(argv) -> int:
             for fname in sorted(files):
                 a, b = _read(os.path.join(out_a, fname)), _read(os.path.join(out_b, fname))
                 print(f"  {fname}: {compare(a, b)}")
+                for line in columns(a, b) if fname.endswith(".csv") else []:
+                    print(f"    {line}")
                 differs |= a != b
             print(f"  stdout: {compare(stdout_a, stdout_b)}")
             differs |= stdout_a != stdout_b
